@@ -254,9 +254,17 @@ def integrate_numeric(lap: LaplacianMatrix, ic: InitialCondition,
 
     Each output step advances through ``substeps`` internal Verlet steps, so
     the global error stays O(dt^2) in the output step with a constant small
-    enough to track the mode expansion tightly at desk scale.  dt must respect
-    the stability guard 0.2 / sqrt(2 d_max).  Raises Unstable with the first
-    crossing time if any |x_i| exceeds 1e12.
+    enough to track the mode expansion tightly at desk scale.  The system is
+    linear, so one Verlet step of size h = dt / substeps maps [x; v] through
+    the fixed 2n x 2n transfer matrix
+
+        [ I - h^2/2 L                  h I          ]
+        [ -h/2 (L + L (I - h^2/2 L))   I - h^2/2 L  ]
+
+    and one output step is that matrix raised to ``substeps``, applied once.
+    No eigenbasis is used.  dt must respect the stability guard
+    0.2 / sqrt(2 d_max).  Raises Unstable with the first output time at which
+    any |x_i| exceeds 1e12.
     """
     if ic.n != lap.n:
         raise ValueError(f"initial condition size {ic.n} != n = {lap.n}")
@@ -270,24 +278,27 @@ def integrate_numeric(lap: LaplacianMatrix, ic: InitialCondition,
             f"dt = {dt} exceeds stability guard {0.2 / np.sqrt(2 * d_max):.6g}")
     steps = int(round(t_end / dt))
     h = dt / substeps
+    n, lmat = lap.n, lap.entries
+    drift = np.eye(n) - 0.5 * h * h * lmat
+    step = np.block([[drift, h * np.eye(n)],
+                     [-0.5 * h * (lmat + lmat @ drift), drift]])
+    transfer = np.linalg.matrix_power(step, substeps)
     times = np.arange(steps + 1) * dt
-    states = np.empty((steps + 1, lap.n))
-    vels = np.empty((steps + 1, lap.n))
-    x = ic.x0.copy()
-    v = ic.v0.copy()
-    acc = -(lap.entries @ x)
-    states[0], vels[0] = x, v
+    phase = np.empty((steps + 1, 2 * n))
+    phase[0, :n], phase[0, n:] = ic.x0, ic.v0
     for k in range(1, steps + 1):
-        for _ in range(substeps):
-            x = x + h * v + 0.5 * h * h * acc
-            acc_new = -(lap.entries @ x)
-            v = v + 0.5 * h * (acc + acc_new)
-            acc = acc_new
-        if np.max(np.abs(x)) > DIVERGENCE_CUTOFF:
+        phase[k] = transfer @ phase[k - 1]
+        if np.max(np.abs(phase[k, :n])) > DIVERGENCE_CUTOFF:
             raise Unstable(f"|x| crossed {DIVERGENCE_CUTOFF:.0e} at t = {times[k]:.6g}",
                            t_diverge=float(times[k]))
-        states[k], vels[k] = x, v
-    return Trajectory(times=times, states=states, velocities=vels)
+    return Trajectory(times=times, states=phase[:, :n], velocities=phase[:, n:])
+
+
+def _per_node_energy(sol: ModalSolution) -> np.ndarray:
+    """sum_mu lambda_mu (|c+|^2 + |c-|^2) |v_mu(i)|^2 for every node i."""
+    lam = (sol.omegas ** 2).real
+    weights = lam * (np.abs(sol.c_plus) ** 2 + np.abs(sol.c_minus) ** 2)
+    return (np.abs(sol.eigvecs) ** 2) @ weights
 
 
 def node_energies(sol: ModalSolution) -> EnergyReport:
@@ -300,20 +311,23 @@ def node_energies(sol: ModalSolution) -> EnergyReport:
         raise NotSymmetrizableError(
             "node energies need an orthonormal eigenbasis; "
             "the underlying graph is not symmetrizable")
-    lam = (sol.omegas ** 2).real
-    weights = lam * (np.abs(sol.c_plus) ** 2 + np.abs(sol.c_minus) ** 2)
-    per_node = (np.abs(sol.eigvecs) ** 2) @ weights
+    per_node = _per_node_energy(sol)
     return EnergyReport(per_node=per_node, total=float(per_node.sum()))
 
 
 def total_energy_series(sol: ModalSolution, times) -> EnergyReport:
     """Total oscillation energy over time.
 
-    The stationary part is sum_mu w_mu^2 (|c+|^2 + |c-|^2); mode pairs add
+    The stationary part is S = sum_mu w_mu^2 (|c+|^2 + |c-|^2); mode pairs add
     cross terms A_mu A_nu w_mu w_nu (v_mu . v_nu) cos((w_mu - w_nu) t), with
-    per-mode amplitude A = sqrt(2 (|c+|^2 + |c-|^2)).  On an orthonormal basis
-    the cross terms vanish and the series is constant, equal to the per-node
-    total; oblique bases beat at the eigenfrequency differences.
+    per-mode amplitude A = sqrt(2 (|c+|^2 + |c-|^2)) (0 for zero modes).  On an
+    orthonormal basis the cross terms vanish and the series is constant, equal
+    to the per-node total; oblique bases beat at the eigenfrequency
+    differences.
+
+    With the coupling C = (A w)(A w)^T o V^T V, diagonal zeroed, and
+    p = exp(i w t), q = exp(-i w t) per mode and time, the pair sum is
+    1/2 sum_mu p_mu (C q)_mu: one matmul over the whole time grid.
     """
     times = np.asarray(times, dtype=float)
     amp = np.sqrt(2.0 * (np.abs(sol.c_plus) ** 2 + np.abs(sol.c_minus) ** 2))
@@ -321,28 +335,20 @@ def total_energy_series(sol: ModalSolution, times) -> EnergyReport:
         amp[k] = 0.0
     om = sol.omegas
     stationary = 0.5 * float(np.sum(amp ** 2 * np.abs(om) ** 2))
-    energy = np.full(times.size, stationary, dtype=complex)
-    for mu in range(sol.n):
-        if amp[mu] == 0.0:
-            continue
-        for nu in range(mu + 1, sol.n):
-            if amp[nu] == 0.0:
-                continue
-            dot = np.dot(sol.eigvecs[:, mu], sol.eigvecs[:, nu])
-            coef = amp[mu] * amp[nu] * om[mu] * om[nu] * dot
-            energy += coef * np.cos((om[mu] - om[nu]) * times)
+    weight = amp * om
+    coupling = np.outer(weight, weight) * (sol.eigvecs.T @ sol.eigvecs)
+    np.fill_diagonal(coupling, 0.0)
+    arg = 1j * np.outer(om, times)
+    energy = stationary + 0.5 * np.sum(np.exp(arg) * (coupling @ np.exp(-arg)), axis=0)
     if sol.spectrum_real:
         series_values = _to_real(energy, "energy series")
     else:
         series_values = np.ascontiguousarray(energy.real)
-    lam = (om ** 2).real
-    per_node = (np.abs(sol.eigvecs) ** 2) @ (
-        lam * (np.abs(sol.c_plus) ** 2 + np.abs(sol.c_minus) ** 2))
     series = None
     if times.size >= 2:
         dt = float(times[1] - times[0])
         series = TimeSeries(values=series_values, dt=dt, origin=float(times[0]))
-    return EnergyReport(per_node=per_node, total=stationary, series=series)
+    return EnergyReport(per_node=_per_node_energy(sol), total=stationary, series=series)
 
 
 def _bfs_counts(adj, source):

@@ -58,6 +58,20 @@ class EigenFrequencies:
         return float(np.max(np.abs(self.omegas.imag), initial=0.0))
 
 
+def _entries(mat):
+    """(entries, is_symmetric, d_max scale) of a dense real matrix.
+
+    Symmetric means |A - A^T| <= 1e-12 max(max |A|, 1) entrywise; the scale is
+    the largest diagonal entry, floored at 0.
+    """
+    arr = mat.entries if isinstance(mat, LaplacianMatrix) else np.asarray(mat, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("matrix entries must be finite")
+    scale_entry = np.max(np.abs(arr), initial=0.0)
+    symmetric = np.max(np.abs(arr - arr.T), initial=0.0) <= 1e-12 * max(scale_entry, 1.0)
+    return arr, symmetric, float(np.max(np.diag(arr), initial=0.0))
+
+
 def eigendecompose(mat) -> EigenSystem:
     """EigenSystem of a dense real matrix.
 
@@ -66,11 +80,7 @@ def eigendecompose(mat) -> EigenSystem:
     is fixed so each column's largest-magnitude component is real and positive.
     Raises DefectiveMatrix when the basis condition number exceeds 1e12.
     """
-    arr = mat.entries if isinstance(mat, LaplacianMatrix) else np.asarray(mat, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("matrix entries must be finite")
-    scale_entry = np.max(np.abs(arr), initial=0.0)
-    symmetric = np.max(np.abs(arr - arr.T), initial=0.0) <= 1e-12 * max(scale_entry, 1.0)
+    arr, symmetric, scale = _entries(mat)
     if symmetric:
         lam, vec = np.linalg.eigh(arr)
         lam = lam.astype(complex)
@@ -80,10 +90,8 @@ def eigendecompose(mat) -> EigenSystem:
     order = np.lexsort((lam.imag, lam.real))
     lam, vec = lam[order], vec[:, order]
     vec = vec / np.linalg.norm(vec, axis=0)
-    for k in range(vec.shape[1]):
-        j = int(np.argmax(np.abs(vec[:, k])))
-        z = vec[j, k]
-        vec[:, k] *= np.conj(z) / abs(z)
+    peak = np.take_along_axis(vec, np.argmax(np.abs(vec), axis=0)[None, :], axis=0)
+    vec *= np.conj(peak) / np.abs(peak)
     cond = float(np.linalg.cond(vec))
     if cond > DEFECTIVE_CONDITION:
         raise DefectiveMatrix(
@@ -96,9 +104,7 @@ def eigendecompose(mat) -> EigenSystem:
             f"eigenpair residual {np.max(resid):.3e} too large", basis_condition=cond)
     lam.flags.writeable = False
     vec.flags.writeable = False
-    return EigenSystem(
-        eigenvalues=lam, eigenvectors=vec, basis_condition=cond,
-        scale=float(max(np.max(np.diag(arr).real), 0.0)))
+    return EigenSystem(eigenvalues=lam, eigenvectors=vec, basis_condition=cond, scale=scale)
 
 
 def spectrum_is_real(es: EigenSystem, tol_im: float | None = None) -> bool:
@@ -119,12 +125,11 @@ def eigen_gap(es: EigenSystem) -> float:
     if not spectrum_is_real(es):
         raise ComplexSpectrum("eigen gap is defined for real spectra only")
     lam = np.sort(es.eigenvalues.real)
-    zero_tol = ZERO_TOL_FACTOR * max(es.scale, 1.0)
-    gaps = [lam[k + 1] - lam[k] for k in range(lam.size - 1)
-            if not (abs(lam[k]) <= zero_tol and abs(lam[k + 1]) <= zero_tol)]
-    if not gaps:
+    zero = np.abs(lam) <= ZERO_TOL_FACTOR * max(es.scale, 1.0)
+    gaps = np.diff(lam)[~(zero[:-1] & zero[1:])]
+    if not gaps.size:
         raise ValueError("eigen gap needs at least two nonzero modes")
-    return float(min(gaps))
+    return float(gaps.min())
 
 
 def mode_frequencies(es: EigenSystem) -> EigenFrequencies:
@@ -139,20 +144,32 @@ def mode_frequencies(es: EigenSystem) -> EigenFrequencies:
 
 def critical_epsilon(lap0: LaplacianMatrix, lapI: LaplacianMatrix,
                      bracket: tuple[float, float], tol: float) -> float:
-    """Bisect for the eps at which lap0 + eps*lapI first acquires non-real
-    eigenvalues.
+    """Bisect for an eps at which lap0 + eps*lapI turns from a real to a
+    non-real spectrum.
 
     Requires a real spectrum at bracket[0] and a non-real one at bracket[1];
     raises NoTransition when the hi side is still real, BadBracket when the lo
     side is already non-real.  The returned midpoint sits in a bracket of
-    width <= tol.
+    width <= tol.  Bisection finds *a* crossing inside the bracket, which is
+    the first one only when the bracket holds a single transition; nothing
+    checks that here (a coarse-scan guard is ROADMAP.md item 4).
+
+    The predicate computes eigenvalues only and applies spectrum_is_real's
+    |Im lambda| <= 1e-8 d_max test.  Symmetric compositions (eigendecompose's
+    symmetry test) count as real without a solve, since the symmetric solver
+    returns exactly real eigenvalues.  With no eigenbasis to check, the
+    predicate never raises DefectiveMatrix, unlike eigendecompose.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (lo < hi) or tol <= 0:
         raise BadBracket(f"need lo < hi and tol > 0, got ({lo}, {hi}), tol={tol}")
 
     def is_real(eps):
-        return spectrum_is_real(eigendecompose(compose_epsilon((lap0, lapI), eps)))
+        arr, symmetric, scale = _entries(compose_epsilon((lap0, lapI), eps))
+        if symmetric:  # the symmetric solver's eigenvalues are exactly real
+            return True
+        lam = np.linalg.eigvals(arr)
+        return bool(np.max(np.abs(lam.imag), initial=0.0) <= REAL_TOL_FACTOR * scale)
 
     if is_real(hi):
         raise NoTransition(f"spectrum still real at eps = {hi}")

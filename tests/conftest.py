@@ -88,3 +88,25 @@ def brute_force_betweenness(n, links):
                 through = sum(1 for p in paths if v in p)
                 bc[v] += through / len(paths)
     return bc
+
+
+def seeded_digraph(seed, n):
+    """Connected, non-symmetrizable weighted digraph from a seed.
+
+    A ring plus random chords, every link in both directions; one direction
+    of each link carries an extra random weight, which breaks detailed
+    balance around cycles.
+    """
+    from netosc.graph import WeightedDigraph
+
+    rng = np.random.default_rng(seed)
+    pairs = {(i, (i + 1) % n) for i in range(n)}
+    while len(pairs) < 2 * n:
+        a, b = (int(v) for v in rng.integers(0, n, 2))
+        if a != b and (b, a) not in pairs:
+            pairs.add((a, b))
+    edges = []
+    for a, b in sorted(pairs):
+        w = float(rng.uniform(0.5, 1.5))
+        edges += [(a, b, w + float(rng.uniform(0.0, 0.5))), (b, a, w)]
+    return WeightedDigraph(n=n, edges=edges)

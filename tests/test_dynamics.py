@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import MODEL_L0, MODEL_LI, MODEL_X0, brute_force_betweenness
+from conftest import MODEL_L0, MODEL_LI, MODEL_X0, brute_force_betweenness, seeded_digraph
 from netosc.errors import NotSymmetrizableError, Unstable
 from netosc.dynamics import (
     InitialCondition,
@@ -36,6 +36,58 @@ def model(eps):
 
 def model_ic():
     return InitialCondition.at_rest(MODEL_X0)
+
+
+def digraph_case(seed):
+    lap = laplacian_of(seeded_digraph(seed, 12))
+    ic = InitialCondition(x0=np.random.default_rng(seed).normal(size=12), v0=np.zeros(12))
+    return lap, ic
+
+
+# (Laplacian, initial condition): oblique real spectrum, non-real spectrum,
+# and seeded non-symmetrizable digraphs with real (seed 0) and non-real
+# (seed 2) spectra
+LOOP_CASES = {
+    "model-1.5": lambda: (model(1.5), model_ic()),
+    "model-1.66": lambda: (model(1.66), model_ic()),
+    "digraph-0": lambda: digraph_case(0),
+    "digraph-2": lambda: digraph_case(2),
+}
+
+
+def verlet_substep_loop(lap, ic, dt, t_end, substeps=10):
+    """Reference: velocity Verlet as an explicit loop over substeps."""
+    steps = int(round(t_end / dt))
+    h = dt / substeps
+    x, v = ic.x0.copy(), ic.v0.copy()
+    acc = -(lap.entries @ x)
+    states, vels = [x], [v]
+    for k in range(1, steps + 1):
+        for _ in range(substeps):
+            x = x + h * v + 0.5 * h * h * acc
+            acc_new = -(lap.entries @ x)
+            v = v + 0.5 * h * (acc + acc_new)
+            acc = acc_new
+        if np.max(np.abs(x)) > 1e12:
+            return k * dt, None, None
+        states.append(x)
+        vels.append(v)
+    return None, np.array(states), np.array(vels)
+
+
+def energy_pair_loop(sol, times):
+    """Reference: the total energy series as a loop over mode pairs."""
+    amp = np.sqrt(2.0 * (np.abs(sol.c_plus) ** 2 + np.abs(sol.c_minus) ** 2))
+    for k, _, _ in sol.zero_modes:
+        amp[k] = 0.0
+    om = sol.omegas
+    energy = np.full(times.size, 0.5 * np.sum(amp ** 2 * np.abs(om) ** 2), dtype=complex)
+    for mu in range(sol.n):
+        for nu in range(mu + 1, sol.n):
+            coef = amp[mu] * amp[nu] * om[mu] * om[nu] * np.dot(
+                sol.eigvecs[:, mu], sol.eigvecs[:, nu])
+            energy += coef * np.cos((om[mu] - om[nu]) * times)
+    return energy.real
 
 
 class TestModalSolve:
@@ -164,6 +216,29 @@ class TestIntegrateNumeric:
         with pytest.raises(ValueError):
             integrate_numeric(model(0.0), model_ic(), dt=0.5, t_end=1.0)
 
+    @pytest.mark.parametrize("case", sorted(LOOP_CASES))
+    def test_transfer_matrix_matches_substep_loop(self, case):
+        lap, ic = LOOP_CASES[case]()
+        dt = 0.9 * 0.2 / np.sqrt(2.0 * lap.d_max)
+        traj = integrate_numeric(lap, ic, dt=dt, t_end=300 * dt)
+        t_div, states, vels = verlet_substep_loop(lap, ic, dt, 300 * dt)
+        assert t_div is None
+        assert np.max(np.abs(traj.states - states)) <= 1e-10 * np.max(np.abs(states))
+        assert np.max(np.abs(traj.velocities - vels)) <= 1e-10 * np.max(np.abs(vels))
+
+    def test_divergence_time_matches_substep_loop(self):
+        # a large start keeps the slow growth (|Im w| ~ 0.015) to a few
+        # thousand steps before |x| crosses the 1e12 cutoff
+        lap = model(1.66)
+        ic = InitialCondition.at_rest(1e10 * MODEL_X0)
+        b = mode_frequencies(eigendecompose(lap)).max_growth_rate
+        t_end = 10.0 / b
+        with pytest.raises(Unstable) as exc:
+            integrate_numeric(lap, ic, dt=0.02, t_end=t_end)
+        t_div, _, _ = verlet_substep_loop(lap, ic, 0.02, t_end)
+        assert t_div is not None
+        assert exc.value.t_diverge == t_div
+
 
 class TestNodeEnergies:
     def test_zero_coefficients_zero_energy(self):
@@ -219,6 +294,21 @@ class TestTotalEnergySeries:
         report = total_energy_series(sol, np.linspace(0.0, 50.0, 200))
         e = report.series.values
         assert (e.max() - e.min()) <= 1e-9 * max(e.mean(), 1.0)
+
+    @pytest.mark.parametrize("case", sorted(LOOP_CASES))
+    def test_matches_mode_pair_loop(self, case):
+        lap, ic = LOOP_CASES[case]()
+        sol = modal_solve(lap, ic)
+        times = np.linspace(0.0, 20.0, 301)
+        e = total_energy_series(sol, times).series.values
+        ref = energy_pair_loop(sol, times)
+        assert np.max(np.abs(e - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_per_node_matches_node_energies(self):
+        dec = check_symmetrizable(model(0.0))
+        sol = modal_solve(model(0.0), model_ic(), sym=dec)
+        report = total_energy_series(sol, np.linspace(0.0, 1.0, 11))
+        assert np.array_equal(report.per_node, node_energies(sol).per_node)
 
 
 class TestBetweennessWeights:

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import MODEL_L0, MODEL_LI
+from conftest import MODEL_L0, MODEL_LI, seeded_digraph
 from netosc.errors import BadBracket, ComplexSpectrum, NoTransition
 from netosc.graph import (
     LaplacianMatrix,
     WeightedDigraph,
+    canonical_split,
     compose_epsilon,
     laplacian_of,
     undirected_graph,
@@ -23,6 +24,34 @@ from netosc.spectral import (
 def model_at(eps):
     return compose_epsilon(
         (LaplacianMatrix(MODEL_L0), LaplacianMatrix(MODEL_LI)), eps)
+
+
+def critical_epsilon_full_decomposition(lap0, lapI, bracket, tol):
+    """Reference: the bisection with the full eigendecompose predicate."""
+    lo, hi = bracket
+
+    def is_real(eps):
+        return spectrum_is_real(eigendecompose(compose_epsilon((lap0, lapI), eps)))
+
+    if is_real(hi):
+        raise NoTransition(f"spectrum still real at eps = {hi}")
+    if not is_real(lo):
+        raise BadBracket(f"spectrum already non-real at eps = {lo}")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= tol or mid <= lo or mid >= hi:
+            break
+        lo, hi = (mid, hi) if is_real(mid) else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def digraph_split(seed):
+    split = canonical_split(laplacian_of(seeded_digraph(seed, 12)))
+    return split.lap_sym_part, split.lap_oneway
+
+
+# seeds whose n = 12 digraph has a transition in (0, 1)
+TRANSITION_SEEDS = (2, 4, 5, 6, 7)
 
 
 class TestEigendecompose:
@@ -63,6 +92,19 @@ class TestEigendecompose:
             assert abs(z.imag) <= 1e-12
             assert z.real > 0
 
+    @pytest.mark.parametrize("mat", [
+        model_at(0.0).entries, model_at(1.5).entries, model_at(1.66).entries,
+        laplacian_of(seeded_digraph(2, 12)).entries])
+    def test_phase_fix_matches_column_loop(self, mat):
+        vec = eigendecompose(mat).eigenvectors
+        lam, ref = np.linalg.eig(mat)
+        ref = ref[:, np.lexsort((lam.imag, lam.real))]
+        ref = ref / np.linalg.norm(ref, axis=0)
+        for k in range(ref.shape[1]):
+            z = ref[int(np.argmax(np.abs(ref[:, k]))), k]
+            ref[:, k] *= np.conj(z) / abs(z)
+        assert np.array_equal(vec, ref)
+
     def test_residuals_small(self):
         mat = model_at(1.66).entries
         es = eigendecompose(mat)
@@ -98,6 +140,19 @@ class TestEigenGap:
     def test_complex_raises(self):
         with pytest.raises(ComplexSpectrum):
             eigen_gap(eigendecompose(model_at(1.66)))
+
+    @pytest.mark.parametrize("diag", [[0.0, 1.0, 3.0], [0.0, 0.0, 2.0, 2.5], [1e-12, 0.0, 4.0]])
+    def test_matches_pair_list(self, diag):
+        es = eigendecompose(np.diag(diag))
+        lam = np.sort(es.eigenvalues.real)
+        zero_tol = 1e-9 * max(es.scale, 1.0)
+        gaps = [lam[k + 1] - lam[k] for k in range(lam.size - 1)
+                if not (abs(lam[k]) <= zero_tol and abs(lam[k + 1]) <= zero_tol)]
+        assert eigen_gap(es) == min(gaps)
+
+    def test_zero_modes_only_raises(self):
+        with pytest.raises(ValueError):
+            eigen_gap(eigendecompose(np.zeros((3, 3))))
 
 
 class TestModeFrequencies:
@@ -184,6 +239,31 @@ class TestCriticalEpsilon:
                 assert spectrum_is_real(es)
             elif eps > eps_star + tol:
                 assert not spectrum_is_real(es)
+
+    def test_model_matches_full_decomposition_predicate(self):
+        args = (LaplacianMatrix(MODEL_L0), LaplacianMatrix(MODEL_LI), (0.0, 3.0), 1e-9)
+        assert critical_epsilon(*args) == critical_epsilon_full_decomposition(*args)
+
+    @pytest.mark.parametrize("seed", TRANSITION_SEEDS)
+    def test_digraph_matches_full_decomposition_predicate(self, seed):
+        lap0, lapI = digraph_split(seed)
+        eps = critical_epsilon(lap0, lapI, (0.0, 1.0), 1e-9)
+        assert 0.0 < eps < 1.0
+        assert eps == critical_epsilon_full_decomposition(lap0, lapI, (0.0, 1.0), 1e-9)
+
+    @pytest.mark.parametrize("seed, bracket, error", [
+        (0, (0.0, 1.0), NoTransition), (2, (0.9, 1.0), BadBracket)])
+    def test_digraph_bracket_errors_match(self, seed, bracket, error):
+        lap0, lapI = digraph_split(seed)
+        with pytest.raises(error):
+            critical_epsilon_full_decomposition(lap0, lapI, bracket, 1e-6)
+        with pytest.raises(error):
+            critical_epsilon(lap0, lapI, bracket, 1e-6)
+
+    def test_symmetric_composition_is_real(self):
+        sym = laplacian_of(undirected_graph(4, [(0, 1), (1, 2), (2, 3)]))
+        with pytest.raises(NoTransition):
+            critical_epsilon(sym, sym, (0.0, 1.0), 1e-6)
 
 
 class TestReport:
