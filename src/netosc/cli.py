@@ -1,10 +1,13 @@
-"""Command-line interface.
+"""Command-line interface: one table of subcommands over the library.
 
-Every subcommand prints a machine-readable JSON summary on stdout (input
-digests, resolved parameters, and results) and writes CSV artifacts to the
---out directory.  Option precedence is flags > NETOSC_* environment variables >
-built-in defaults; all resolved values are echoed in the summary.  Exit codes:
-0 success, 1 usage error, 2 data error, 3 numeric failure.
+``COMMANDS`` declares each subcommand once (name, help, arguments, handler);
+the parser and the dispatch are generated from it, and ``_ERROR_EXITS`` maps
+each exception type to its exit code and stream.  Every subcommand prints a
+machine-readable JSON summary on stdout (input digests, resolved parameters,
+and results) and writes CSV artifacts to the --out directory.  Option
+precedence is flags > NETOSC_* environment variables > built-in defaults; all
+resolved values are echoed in the summary.  Exit codes: 0 success, 1 usage
+error, 2 data error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -21,10 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics, graph, ingest, signal, spectral
-from .errors import DataError, EmptyInput, NumericError, ParseError
-
-_ENV_PREFIX = "NETOSC_"
-
+from .errors import DataError, NumericError, ParseError
 
 @dataclass(frozen=True)
 class CommandResult:
@@ -33,127 +33,79 @@ class CommandResult:
     summary: str
 
 
-def _resolve(flag_value, name, default, cast=float):
-    """flags > NETOSC_<NAME> environment > default."""
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get(_ENV_PREFIX + name.upper().replace("-", "_"))
-    if env is not None:
-        return cast(env)
-    return default
+def _resolve(params, name, default, cast=float):
+    """flags > NETOSC_<NAME> environment > default.  The resolved value
+    replaces the flag's in ``params``, so the summary echoes it."""
+    value = params[name]
+    if value is None:
+        env = os.environ.get("NETOSC_" + name.upper())
+        value = default if env is None else cast(env)
+    params[name] = value
+    return value
 
 
 def _jsonable(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.generic, np.ndarray)):
         return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _digest(path):
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+class _Artifacts:
+    """The files a command writes under --out, listed in the order written.
+    Without --out nothing is rendered or written."""
+
+    def __init__(self, out):
+        self.out = Path(out) if out else None
+        self.paths = []
+
+    def write(self, name, render, *args):
+        if self.out is not None:
+            self.out.mkdir(parents=True, exist_ok=True)
+            path = self.out / name
+            path.write_text(render(*args), encoding="utf-8")
+            self.paths.append(str(path))
 
 
-def _fmt(value):
-    return f"{value:.17g}"
+def _csv(header, rows):
+    """One line per row after the header: integers as they are, every other
+    value with 17 significant digits."""
+    lines = [header] + [
+        ",".join(str(v) if isinstance(v, (int, np.integer)) else f"{v:.17g}"
+                 for v in row)
+        for row in rows]
+    return "\n".join(lines) + "\n"
 
 
-def _write(path, text):
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text(text, encoding="utf-8")
-    return str(path)
+def _json(obj):
+    return json.dumps(obj, sort_keys=True, indent=2, default=_jsonable)
 
 
-def _write_series(path, ts, header="t,value"):
-    lines = [header]
-    for t, v in zip(ts.times, ts.values):
-        lines.append(f"{_fmt(t)},{_fmt(v)}")
-    return _write(path, "\n".join(lines) + "\n")
-
-
-def _write_spectrum(path, sp):
-    lines = ["bin_index,frequency_index_f,magnitude"]
-    for k, (f, mag) in enumerate(zip(sp.freq_indices, sp.bins)):
-        lines.append(f"{k},{f},{_fmt(mag)}")
-    return _write(path, "\n".join(lines) + "\n")
-
-
-def _write_spectrum_logbins(path, sp):
-    lines = ["f_lo,f_hi,mass"]
+def _logbin_rows(sp):
     lo = 1
     fmax = int(sp.freq_indices[-1])
     while lo <= fmax:
         hi = min(2 * lo, fmax + 1)
         mask = (sp.freq_indices >= lo) & (sp.freq_indices < hi)
-        lines.append(f"{lo},{hi - 1},{_fmt(float(sp.bins[mask].sum()))}")
+        yield lo, hi - 1, float(sp.bins[mask].sum())
         lo = hi
-    return _write(path, "\n".join(lines) + "\n")
 
 
-def _write_states(path, times, states):
-    n = states.shape[1]
-    lines = ["t," + ",".join(f"x_{i}" for i in range(n))]
-    for t, row in zip(times, states):
-        lines.append(_fmt(t) + "," + ",".join(_fmt(v) for v in row))
-    return _write(path, "\n".join(lines) + "\n")
+def _write_spectrum(artifacts, name, sp, log_bins=False):
+    """The spectrum CSV, plus its log2-banded masses when ``log_bins``."""
+    artifacts.write(f"{name}.csv", _csv, "bin_index,frequency_index_f,magnitude",
+                    zip(range(sp.bins.size), sp.freq_indices, sp.bins))
+    if log_bins:
+        artifacts.write(f"{name}_logbins.csv", _csv, "f_lo,f_hi,mass",
+                        _logbin_rows(sp))
 
 
-def _write_eigs(path, es):
-    lines = ["mu,re_lambda,im_lambda,re_omega,im_omega"]
-    for mu, rl, il, rw, iw in spectral.spectrum_report_rows(es):
-        lines.append(f"{mu},{_fmt(rl)},{_fmt(il)},{_fmt(rw)},{_fmt(iw)}")
-    return _write(path, "\n".join(lines) + "\n")
+def _series_csv(ts, header="t,value"):
+    return _csv(header, zip(ts.times, ts.values))
 
 
-def _read_series(path):
-    """Series CSV: two columns read as (t, value); one column as values.
-
-    A non-numeric first row is treated as a header, whatever its names.
-    """
-    text = Path(path).read_text(encoding="utf-8")
-    rows = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not rows:
-        raise EmptyInput(f"{path} is empty")
-    has_header = not _is_number(rows[0].split(",")[0].strip())
-    data = rows[1:] if has_header else rows
-    if not data:
-        raise EmptyInput(f"{path} has no data rows")
-    first_line = 2 if has_header else 1
-    ncols = len(data[0].split(","))
-    if ncols >= 2:
-        ts, vs = [], []
-        for lineno, ln in enumerate(data, start=first_line):
-            parts = ln.split(",")
-            if len(parts) < 2:
-                raise ParseError("expected t,value", line=lineno)
-            try:
-                ts.append(float(parts[0]))
-                vs.append(float(parts[1]))
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from exc
-        steps = np.diff(ts)
-        if steps.size and np.max(np.abs(steps - steps[0])) > 1e-9 * max(abs(steps[0]), 1.0):
-            raise ParseError("time column is not uniformly spaced")
-        dt = float(steps[0]) if steps.size else 1.0
-        return signal.TimeSeries(values=np.array(vs), dt=dt, origin=float(ts[0]))
-    try:
-        values = [float(ln.split(",")[0]) for ln in data]
-    except ValueError as exc:
-        raise ParseError(f"bad value in {path}: {exc}") from exc
-    return signal.TimeSeries(values=np.array(values))
-
-
-def _is_number(token):
-    try:
-        float(token)
-        return True
-    except ValueError:
-        return False
+def _states_csv(times, states):
+    header = "t," + ",".join(f"x_{i}" for i in range(states.shape[1]))
+    return _csv(header, ((t, *row) for t, row in zip(times, states)))
 
 
 def _load_model(path):
@@ -195,28 +147,36 @@ def _parse_vector(text):
     return np.array([float(v) for v in text.split(",")])
 
 
+def _initial_condition(params):
+    x0 = _parse_vector(params["x0"])
+    v0 = _parse_vector(params["v0"]) if params["v0"] else np.zeros_like(x0)
+    return dynamics.InitialCondition(x0=x0, v0=v0)
+
+
 def _summary(command, params, inputs, results, outputs):
     doc = {
         "command": command,
         "params": params,
-        "inputs": {str(p): _digest(p) for p in inputs},
+        "inputs": {str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest()
+                   for p in inputs},
         "outputs": [str(o) for o in outputs],
         "generated_at": datetime.now(timezone.utc).isoformat(),
     }
     doc.update(results)
-    return json.dumps(doc, sort_keys=True, indent=2, default=_jsonable)
+    return _json(doc)
 
 
-# --- subcommand implementations ---------------------------------------------
+# --- subcommand handlers -------------------------------------------------------
+# Each takes the parsed flags as a dict, resolves its defaults into it, writes
+# its artifacts and returns (input paths, results).
 
-def _cmd_analyze_graph(ns):
-    lap0, lapI, _ = _load_model(ns.graph)
-    eps = _resolve(ns.eps, "eps", 1.0)
+def _cmd_analyze_graph(params, artifacts):
+    lap0, lapI, _ = _load_model(params["graph"])
+    eps = _resolve(params, "eps", 1.0)
     lap = graph.compose_epsilon((lap0, lapI), eps) if lapI is not None else lap0
     es = spectral.eigendecompose(lap)
     disk = graph.gershgorin_disk(lap)
     verdict = graph.check_symmetrizable(lap)
-    outputs = []
     results = {
         "n": lap.n,
         "d_max": lap.d_max,
@@ -224,36 +184,30 @@ def _cmd_analyze_graph(ns):
         "spectrum_real": spectral.spectrum_is_real(es),
         "basis_condition": es.basis_condition,
         "eigenvalues": [[lam.real, lam.imag] for lam in es.eigenvalues],
+        "symmetrizable": bool(verdict),
     }
-    if isinstance(verdict, graph.NotSymmetrizable):
-        results["symmetrizable"] = False
+    if verdict:
+        results["mass"] = verdict.m.tolist()
+    else:
         results["verdict"] = {"reason": verdict.reason, "pair": list(verdict.pair),
                               "detail": verdict.detail}
-    else:
-        results["symmetrizable"] = True
-        results["mass"] = verdict.m.tolist()
-    if ns.out:
-        out = Path(ns.out)
-        outputs.append(_write(out / "laplacian.csv", graph.matrix_to_csv(lap)))
-        outputs.append(_write_eigs(out / "spectrum.csv", es))
-        if results["symmetrizable"]:
-            outputs.append(_write(out / "laplacian_sym.csv",
-                                  graph.matrix_to_csv(verdict.lap_sym)))
-    params = {"graph": str(ns.graph), "eps": eps, "out": ns.out, "seed": ns.seed}
-    return params, [ns.graph], results, outputs
+    artifacts.write("laplacian.csv", graph.matrix_to_csv, lap)
+    artifacts.write("spectrum.csv", _csv, "mu,re_lambda,im_lambda,re_omega,im_omega",
+                    spectral.spectrum_report_rows(es))
+    if verdict:
+        artifacts.write("laplacian_sym.csv", graph.matrix_to_csv, verdict.lap_sym)
+    return [params["graph"]], results
 
 
-def _cmd_simulate(ns):
-    lap0, lapI, _ = _load_model(ns.graph)
-    eps = _resolve(ns.eps, "eps", 1.0 if lapI is not None else 0.0)
+def _cmd_simulate(params, artifacts):
+    lap0, lapI, _ = _load_model(params["graph"])
+    eps = _resolve(params, "eps", 1.0 if lapI is not None else 0.0)
     lap = graph.compose_epsilon((lap0, lapI), eps) if lapI is not None else lap0
-    t_end = _resolve(ns.t_end, "t_end", 100.0)
-    dt = _resolve(ns.dt, "dt", 0.01)
-    x0 = _parse_vector(ns.x0)
-    v0 = _parse_vector(ns.v0) if ns.v0 else np.zeros_like(x0)
-    ic = dynamics.InitialCondition(x0=x0, v0=v0)
+    t_end = _resolve(params, "t_end", 100.0)
+    dt = _resolve(params, "dt", 0.01)
+    ic = _initial_condition(params)
     es = spectral.eigendecompose(lap)
-    outputs, results = [], {
+    results = {
         "n": lap.n,
         "spectrum_real": spectral.spectrum_is_real(es),
         "max_im_omega": spectral.mode_frequencies(es).max_growth_rate,
@@ -274,21 +228,16 @@ def _cmd_simulate(ns):
             np.max(np.abs(traj.states - states)))
     else:
         results["numeric_skipped"] = f"dt {dt} exceeds stability guard {guard:.6g}"
-    if ns.out:
-        out = Path(ns.out)
-        outputs.append(_write_states(out / "trajectory_modal.csv", times, states))
-        if traj is not None:
-            outputs.append(_write_states(out / "trajectory_numeric.csv",
-                                         traj.times, traj.states))
-        outputs.append(_write_series(out / "energy.csv", energy.series, header="t,E"))
-    params = {"graph": str(ns.graph), "eps": eps, "t_end": t_end, "dt": dt,
-              "x0": ns.x0, "v0": ns.v0, "out": ns.out, "seed": ns.seed}
-    return params, [ns.graph], results, outputs
+    artifacts.write("trajectory_modal.csv", _states_csv, times, states)
+    if traj is not None:
+        artifacts.write("trajectory_numeric.csv", _states_csv, traj.times, traj.states)
+    artifacts.write("energy.csv", _series_csv, energy.series, "t,E")
+    return [params["graph"]], results
 
 
-def _cmd_centrality(ns):
-    lap0, lapI, g = _load_model(ns.graph)
-    if ns.betweenness:
+def _cmd_centrality(params, artifacts):
+    lap0, lapI, g = _load_model(params["graph"])
+    if params["betweenness"]:
         if g is None:
             raise DataError("betweenness reweighting needs an edge-list graph input")
         g = dynamics.betweenness_weights(g)
@@ -297,99 +246,72 @@ def _cmd_centrality(ns):
         lap = lap0 if lapI is None else graph.compose_epsilon((lap0, lapI), 1.0)
     values = dynamics.oscillation_centrality(lap)
     degree = np.diag(lap.entries)
-    outputs = []
     results = {
         "centrality": values.tolist(),
         "degree": degree.tolist(),
         "ranking": np.argsort(-values, kind="stable").tolist(),
     }
-    if ns.out:
-        lines = ["node,oscillation_energy,degree"]
-        for i, (v, d) in enumerate(zip(values, degree)):
-            lines.append(f"{i},{_fmt(v)},{_fmt(d)}")
-        outputs.append(_write(Path(ns.out) / "centrality.csv",
-                              "\n".join(lines) + "\n"))
-    params = {"graph": str(ns.graph), "betweenness": bool(ns.betweenness),
-              "out": ns.out, "seed": ns.seed}
-    return params, [ns.graph], results, outputs
+    artifacts.write("centrality.csv", _csv, "node,oscillation_energy,degree",
+                    zip(range(values.size), values, degree))
+    return [params["graph"]], results
 
 
-def _cmd_critical_eps(ns):
-    lap0, lapI = _model_parts(ns.graph)
-    tol = _resolve(ns.tol, "tol", 1e-3)
-    eps_star = spectral.critical_epsilon(lap0, lapI, bracket=(ns.lo, ns.hi), tol=tol)
-    results = {"eps_star": eps_star, "bracket": [ns.lo, ns.hi], "tol": tol}
-    params = {"graph": str(ns.graph), "lo": ns.lo, "hi": ns.hi, "tol": tol,
-              "seed": ns.seed}
-    return params, [ns.graph], results, []
+def _cmd_critical_eps(params, artifacts):
+    lap0, lapI = _model_parts(params["graph"])
+    tol = _resolve(params, "tol", 1e-3)
+    bracket = (params["lo"], params["hi"])
+    eps_star = spectral.critical_epsilon(lap0, lapI, bracket=bracket, tol=tol)
+    results = {"eps_star": eps_star, "bracket": list(bracket), "tol": tol}
+    return [params["graph"]], results
 
 
-def _cmd_sweep(ns):
-    lap0, lapI = _model_parts(ns.graph)
-    t_end = _resolve(ns.t_end, "t_end", 200.0)
-    dt = _resolve(ns.dt, "dt", 0.05)
-    eps_list = [float(v) for v in ns.eps.split(",")]
-    x0 = _parse_vector(ns.x0)
-    v0 = _parse_vector(ns.v0) if ns.v0 else np.zeros_like(x0)
-    records = dynamics.epsilon_sweep(lap0, lapI, eps_list,
-                                     dynamics.InitialCondition(x0=x0, v0=v0),
+def _cmd_sweep(params, artifacts):
+    lap0, lapI = _model_parts(params["graph"])
+    t_end = _resolve(params, "t_end", 200.0)
+    dt = _resolve(params, "dt", 0.05)
+    eps_list = [float(v) for v in params["eps"].split(",")]
+    records = dynamics.epsilon_sweep(lap0, lapI, eps_list, _initial_condition(params),
                                      t_end=t_end, dt=dt)
     results = {"records": [r.as_dict() for r in records]}
-    outputs = []
-    if ns.out:
-        outputs.append(_write(Path(ns.out) / "sweep.json",
-                              json.dumps(results["records"], sort_keys=True,
-                                         indent=2, default=_jsonable) + "\n"))
-    params = {"graph": str(ns.graph), "eps": ns.eps, "t_end": t_end, "dt": dt,
-              "x0": ns.x0, "v0": ns.v0, "out": ns.out, "seed": ns.seed}
-    return params, [ns.graph], results, outputs
+    artifacts.write("sweep.json", lambda: _json(results["records"]) + "\n")
+    return [params["graph"]], results
 
 
-def _cmd_spectrum(ns):
-    series = _read_series(ns.infile)
-    window = int(_resolve(ns.window, "window", 20, cast=int))
+def _cmd_spectrum(params, artifacts):
+    series = ingest.load_series_csv(params["in"])
+    window = _resolve(params, "window", 20, cast=int)
     sp = signal.analyze_period(series, window=window)
-    cutoff = int(_resolve(ns.cutoff, "cutoff", max(1, len(series) // 8), cast=int))
+    cutoff = _resolve(params, "cutoff", max(1, len(series) // 8), cast=int)
     results = {
         "n_samples": sp.n_samples,
         "peak_frequency_index": sp.peak_frequency_index(),
         "low_freq_share": signal.low_freq_share(sp, cutoff),
         "cutoff": cutoff,
     }
-    outputs = []
-    if ns.out:
-        outputs.append(_write_spectrum(Path(ns.out) / "spectrum.csv", sp))
-        if ns.log_bins:
-            outputs.append(_write_spectrum_logbins(
-                Path(ns.out) / "spectrum_logbins.csv", sp))
-    params = {"in": str(ns.infile), "window": window, "cutoff": cutoff,
-              "log_bins": bool(ns.log_bins), "out": ns.out, "seed": ns.seed}
-    return params, [ns.infile], results, outputs
+    _write_spectrum(artifacts, "spectrum", sp, params["log_bins"])
+    return [params["in"]], results
 
 
-def _cmd_bin(ns):
-    log = ingest.load_event_log(ns.events)
-    bin_seconds = int(_resolve(ns.bin_seconds, "bin_seconds", 960, cast=int))
-    n_bins = int(_resolve(ns.n_bins, "n_bins", 256, cast=int))
-    t0 = ns.t0 if ns.t0 is not None else float(log.timestamps[0])
-    series, dropped = ingest.bin_counts(log, bin_seconds=bin_seconds, t0=t0,
-                                        n_bins=n_bins)
+def _cmd_bin(params, artifacts):
+    log = ingest.load_event_log(params["events"])
+    bin_seconds = _resolve(params, "bin_seconds", 960, cast=int)
+    n_bins = _resolve(params, "n_bins", 256, cast=int)
+    if params["t0"] is None:
+        params["t0"] = float(log.timestamps[0])
+    series, dropped = ingest.bin_counts(log, bin_seconds=bin_seconds,
+                                        t0=params["t0"], n_bins=n_bins)
     results = {
         "events": len(log),
         "binned": float(series.values.sum()),
         "out_of_range": dropped,
         "mean_count": float(series.values.mean()),
     }
-    outputs = []
-    if ns.out:
-        outputs.append(_write_series(Path(ns.out) / "series.csv", series))
-    params = {"events": str(ns.events), "bin_seconds": bin_seconds,
-              "t0": t0, "n_bins": n_bins, "out": ns.out, "seed": ns.seed}
-    return params, [ns.events], results, outputs
+    artifacts.write("series.csv", _series_csv, series)
+    return [params["events"]], results
 
 
-def _cmd_fuse_trends(ns):
-    segments = [ingest.load_trend_csv(p) for p in ns.files]
+def _cmd_fuse_trends(params, artifacts):
+    segments = [ingest.load_trend_csv(p) for p in params["files"]]
     fused = ingest.fuse_trends(segments)
     results = {
         "segments": len(segments),
@@ -398,42 +320,31 @@ def _cmd_fuse_trends(ns):
         "origin": fused.origin,
         "step": fused.dt,
     }
-    outputs = []
-    if ns.out:
-        outputs.append(_write_series(Path(ns.out) / "fused.csv", fused))
-    params = {"files": [str(p) for p in ns.files], "out": ns.out, "seed": ns.seed}
-    return params, list(ns.files), results, outputs
+    artifacts.write("fused.csv", _series_csv, fused)
+    return list(params["files"]), results
 
 
-def _cmd_beat_demo(ns):
-    w1 = _resolve(ns.w1, "w1", 0.10)
-    w2 = _resolve(ns.w2, "w2", 0.11)
-    n = int(_resolve(ns.n, "n", 4096, cast=int))
+def _cmd_beat_demo(params, artifacts):
+    w1 = _resolve(params, "w1", 0.10)
+    w2 = _resolve(params, "w2", 0.11)
+    n = _resolve(params, "n", 4096, cast=int)
     demo = signal.beat_demo(w1, w2, n)
-    results = {"peak_bins": demo.peak_bins()}
-    outputs = []
-    if ns.out:
-        out = Path(ns.out)
-        for key in demo.PANELS:
-            outputs.append(_write_series(out / f"signal_{key}.csv", demo.signals[key]))
-            outputs.append(_write_spectrum(out / f"spectrum_{key}.csv", demo.spectra[key]))
-    params = {"w1": w1, "w2": w2, "n": n, "out": ns.out, "seed": ns.seed}
-    return params, [], results, outputs
+    for key in demo.PANELS:
+        artifacts.write(f"signal_{key}.csv", _series_csv, demo.signals[key])
+        _write_spectrum(artifacts, f"spectrum_{key}", demo.spectra[key])
+    return [], {"peak_bins": demo.peak_bins()}
 
 
-def _cmd_compare_periods(ns):
-    series = _read_series(ns.infile)
-    window = int(_resolve(ns.window, "window", 20, cast=int))
-    specs = []
-    for chunk in ns.periods.split(","):
-        start, _, length = chunk.partition(":")
-        specs.append((int(start), int(length)))
-    cutoff = ns.cutoff
-    outputs, table = [], []
-    spectra = []
-    for idx, (start, length) in enumerate(specs):
-        period = ingest.slice_period(series, start, length)
-        sp = signal.analyze_period(period, window=window)
+def _cmd_compare_periods(params, artifacts):
+    series = ingest.load_series_csv(params["in"])
+    window = _resolve(params, "window", 20, cast=int)
+    cutoff = params["cutoff"]
+    chunks = [chunk.partition(":") for chunk in params["periods"].split(",")]
+    periods = [(int(start), int(length)) for start, _, length in chunks]
+    table, spectra = [], []
+    for idx, (start, length) in enumerate(periods):
+        sp = signal.analyze_period(ingest.slice_period(series, start, length),
+                                   window=window)
         cut = int(cutoff) if cutoff is not None else max(1, length // 16)
         table.append({
             "period": idx,
@@ -443,164 +354,121 @@ def _cmd_compare_periods(ns):
             "low_freq_share": signal.low_freq_share(sp, cut),
         })
         spectra.append(sp)
-    if ns.out:
-        out = Path(ns.out)
-        for idx, sp in enumerate(spectra):
-            outputs.append(_write_spectrum(out / f"spectrum_{idx}.csv", sp))
-            if ns.log_bins:
-                outputs.append(_write_spectrum_logbins(
-                    out / f"spectrum_{idx}_logbins.csv", sp))
-        lines = ["period,start_index,length,cutoff,low_freq_share"]
-        for row in table:
-            lines.append(",".join([str(row["period"]), str(row["start_index"]),
-                                   str(row["length"]), str(row["cutoff"]),
-                                   _fmt(row["low_freq_share"])]))
-        outputs.append(_write(out / "shares.csv", "\n".join(lines) + "\n"))
-    results = {"table": table}
-    params = {"in": str(ns.infile), "periods": ns.periods, "window": window,
-              "cutoff": cutoff, "log_bins": bool(ns.log_bins), "out": ns.out,
-              "seed": ns.seed}
-    return params, [ns.infile], results, outputs
+    for idx, sp in enumerate(spectra):
+        _write_spectrum(artifacts, f"spectrum_{idx}", sp, params["log_bins"])
+    artifacts.write("shares.csv", _csv, "period,start_index,length,cutoff,low_freq_share",
+                    (row.values() for row in table))
+    return [params["in"]], {"table": table}
 
 
-# --- parser and dispatch -----------------------------------------------------
+# --- the table ---------------------------------------------------------------
+
+def _arg(*flags, **options):
+    return flags, options
+
+
+GRAPH = (_arg("--graph", required=True),)
+OUT = (_arg("--out"),)
+EPS = (_arg("--eps", type=float),)
+SERIES_IN = (_arg("--in", required=True, metavar="INFILE"),)
+INITIAL = (_arg("--x0", required=True, help="comma-separated initial states"),
+           _arg("--v0", help="comma-separated initial velocities"))
+TIME_GRID = (_arg("--t-end", type=float), _arg("--dt", type=float))
+SPECTRUM = (_arg("--window", type=int),
+            _arg("--cutoff", type=int),
+            _arg("--log-bins", action="store_true"))
+
+
+# (name, help, arguments, handler) of each subcommand
+COMMANDS = (
+    ("analyze-graph", "Laplacian, symmetrizability, spectrum",
+     GRAPH + EPS + OUT, _cmd_analyze_graph),
+    ("simulate", "modal + numeric trajectories and energy",
+     GRAPH + INITIAL + EPS + TIME_GRID + OUT, _cmd_simulate),
+    ("centrality", "oscillation-energy node centrality",
+     GRAPH + (_arg("--betweenness", action="store_true",
+                   help="reweight links by shortest-path counts first"),) + OUT,
+     _cmd_centrality),
+    ("critical-eps", "bisect the real-to-complex transition",
+     GRAPH + (_arg("--lo", type=float, required=True),
+              _arg("--hi", type=float, required=True),
+              _arg("--tol", type=float)),
+     _cmd_critical_eps),
+    ("sweep", "per-epsilon regime summaries",
+     GRAPH + (_arg("--eps", required=True, help="comma-separated epsilon values"),)
+     + INITIAL + TIME_GRID + OUT, _cmd_sweep),
+    ("spectrum", "normalized smoothed spectrum of a series",
+     SERIES_IN + SPECTRUM + OUT, _cmd_spectrum),
+    ("bin", "event log to binned counts",
+     (_arg("--events", required=True),
+      _arg("--bin-seconds", type=int),
+      _arg("--t0", type=float),
+      _arg("--n-bins", type=int)) + OUT,
+     _cmd_bin),
+    ("fuse-trends", "fuse overlapping trend segments",
+     (_arg("files", nargs="+"),) + OUT, _cmd_fuse_trends),
+    ("beat-demo", "two-tone beat formation bundle",
+     (_arg("--w1", type=float),
+      _arg("--w2", type=float),
+      _arg("--n", type=int)) + OUT,
+     _cmd_beat_demo),
+    ("compare-periods", "low-frequency shares across periods",
+     SERIES_IN + (_arg("--periods", required=True,
+                       help="start:length[,start:length...]"),) + SPECTRUM + OUT,
+     _cmd_compare_periods),
+)
+
+# Exception type -> (exit code, stream); the nearest class in the raised
+# exception's MRO decides.
+_ERROR_EXITS = {
+    DataError: (2, "stdout"),
+    NumericError: (3, "stdout"),
+    ValueError: (1, "stderr"),
+    FileNotFoundError: (1, "stderr"),
+    Exception: (3, "stdout"),
+}
+
 
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="netosc",
         description="Oscillation dynamics on networks and activity spectra")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized fixture generation")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze-graph", help="Laplacian, symmetrizability, spectrum")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("simulate", help="modal + numeric trajectories and energy")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--x0", required=True, help="comma-separated initial states")
-    p.add_argument("--v0", default=None, help="comma-separated initial velocities")
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--t-end", dest="t_end", type=float, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("centrality", help="oscillation-energy node centrality")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--betweenness", action="store_true",
-                   help="reweight links by shortest-path counts first")
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("critical-eps", help="bisect the real-to-complex transition")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--lo", type=float, required=True)
-    p.add_argument("--hi", type=float, required=True)
-    p.add_argument("--tol", type=float, default=None)
-
-    p = sub.add_parser("sweep", help="per-epsilon regime summaries")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--eps", required=True, help="comma-separated epsilon values")
-    p.add_argument("--x0", required=True)
-    p.add_argument("--v0", default=None)
-    p.add_argument("--t-end", dest="t_end", type=float, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("spectrum", help="normalized smoothed spectrum of a series")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--cutoff", type=int, default=None)
-    p.add_argument("--log-bins", dest="log_bins", action="store_true")
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("bin", help="event log to binned counts")
-    p.add_argument("--events", required=True)
-    p.add_argument("--bin-seconds", dest="bin_seconds", type=int, default=None)
-    p.add_argument("--t0", type=float, default=None)
-    p.add_argument("--n-bins", dest="n_bins", type=int, default=None)
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("fuse-trends", help="fuse overlapping trend segments")
-    p.add_argument("files", nargs="+")
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("beat-demo", help="two-tone beat formation bundle")
-    p.add_argument("--w1", type=float, default=None)
-    p.add_argument("--w2", type=float, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("compare-periods", help="low-frequency shares across periods")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--periods", required=True,
-                   help="start:length[,start:length...]")
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--cutoff", type=int, default=None)
-    p.add_argument("--log-bins", dest="log_bins", action="store_true")
-    p.add_argument("--out", default=None)
+    for name, help_text, args, handler in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flags, options in args:
+            p.add_argument(*flags, **options)
+        p.set_defaults(handler=handler)
     return parser
 
 
-_HANDLERS = {
-    "analyze-graph": _cmd_analyze_graph,
-    "simulate": _cmd_simulate,
-    "centrality": _cmd_centrality,
-    "critical-eps": _cmd_critical_eps,
-    "sweep": _cmd_sweep,
-    "spectrum": _cmd_spectrum,
-    "bin": _cmd_bin,
-    "fuse-trends": _cmd_fuse_trends,
-    "beat-demo": _cmd_beat_demo,
-    "compare-periods": _cmd_compare_periods,
-}
+def _error_summary(command, exc):
+    err = {"type": type(exc).__name__, "message": str(exc)}
+    for key in ("t_diverge", "basis_condition"):
+        if getattr(exc, key, None) is not None:
+            err[key] = getattr(exc, key)
+    return _json({"command": command, "error": err})
 
 
 def run(argv) -> CommandResult:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        params = vars(build_parser().parse_args(argv))
     except SystemExit as exc:
         code = 0 if exc.code in (0, None) else 1
         return CommandResult(exit_code=code, outputs=[], summary="")
-    command = ns.command
+    command, handler = params.pop("command"), params.pop("handler")
+    artifacts = _Artifacts(params.get("out"))
     try:
-        params, inputs, results, outputs = _HANDLERS[command](ns)
-        summary = _summary(command, params, inputs, results, outputs)
-        print(summary)
-        return CommandResult(exit_code=0, outputs=outputs, summary=summary)
-    except DataError as exc:
-        summary = json.dumps({
-            "command": command,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        }, sort_keys=True, indent=2)
-        print(summary)
-        return CommandResult(exit_code=2, outputs=[], summary=summary)
-    except NumericError as exc:
-        err = {"type": type(exc).__name__, "message": str(exc)}
-        if getattr(exc, "t_diverge", None) is not None:
-            err["t_diverge"] = exc.t_diverge
-        if getattr(exc, "basis_condition", None) is not None:
-            err["basis_condition"] = exc.basis_condition
-        summary = json.dumps({"command": command, "error": err},
-                             sort_keys=True, indent=2)
-        print(summary)
-        return CommandResult(exit_code=3, outputs=[], summary=summary)
-    except (ValueError, FileNotFoundError) as exc:
-        summary = json.dumps({
-            "command": command,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        }, sort_keys=True, indent=2)
-        print(summary, file=sys.stderr)
-        return CommandResult(exit_code=1, outputs=[], summary=summary)
+        inputs, results = handler(params, artifacts)
+        summary = _summary(command, params, inputs, results, artifacts.paths)
     except Exception as exc:  # structured error instead of a bare crash
-        summary = json.dumps({
-            "command": command,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        }, sort_keys=True, indent=2)
-        print(summary)
-        return CommandResult(exit_code=3, outputs=[], summary=summary)
+        code, stream = next(_ERROR_EXITS[cls] for cls in type(exc).__mro__
+                            if cls in _ERROR_EXITS)
+        summary = _error_summary(command, exc)
+        print(summary, file=getattr(sys, stream))
+        return CommandResult(exit_code=code, outputs=[], summary=summary)
+    print(summary)
+    return CommandResult(exit_code=0, outputs=artifacts.paths, summary=summary)
 
 
 def main():

@@ -404,7 +404,7 @@ def betweenness_weights(g: WeightedDigraph) -> WeightedDigraph:
     return undirected_graph(g.n, [(u, v, c) for (u, v), c in counts.items()])
 
 
-def oscillation_centrality(lap: LaplacianMatrix, convention: str = "uniform") -> np.ndarray:
+def oscillation_centrality(lap: LaplacianMatrix) -> np.ndarray:
     """Per-node oscillation energy under the uniform-mode convention
     |c+|^2 + |c-|^2 = 1 for every nonzero mode (zero mode excluded).
 
@@ -412,8 +412,6 @@ def oscillation_centrality(lap: LaplacianMatrix, convention: str = "uniform") ->
     shortest-path-count weights it is an affine image of betweenness
     centrality on trees.
     """
-    if convention != "uniform":
-        raise ValueError(f"unknown convention {convention!r}")
     dec = check_symmetrizable(lap)
     if isinstance(dec, NotSymmetrizable):
         raise NotSymmetrizableError(f"{dec.reason}: {dec.detail}")

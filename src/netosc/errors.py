@@ -67,10 +67,6 @@ class Disconnected(DataError):
     or the zero eigenvalue of its Laplacian is not simple."""
 
 
-# Alias matching the operation contracts that name this error differently.
-DisconnectedGraph = Disconnected
-
-
 # --- numeric errors --------------------------------------------------------
 
 class NotSymmetrizableError(NumericError):

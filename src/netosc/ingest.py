@@ -74,12 +74,34 @@ def _parse_timestamp(token, kind):
     return stamp.timestamp()
 
 
-def _timestamp_kind(token):
+def _is_number(token):
     try:
         float(token)
-        return "epoch"
+        return True
     except ValueError:
-        return "iso"
+        return False
+
+
+def _timestamp_kind(token):
+    return "epoch" if _is_number(token) else "iso"
+
+
+def _numbered_rows(text):
+    """(line number, stripped line) for every non-blank line."""
+    return [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), start=1)
+            if ln.strip()]
+
+
+def _parse_rows(rows, parse_line):
+    """``parse_line`` over numbered rows; a ValueError it raises becomes a
+    ParseError naming the line."""
+    parsed = []
+    for lineno, ln in rows:
+        try:
+            parsed.append(parse_line(ln))
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno) from exc
+    return parsed
 
 
 def parse_event_log(text: str) -> EventLog:
@@ -88,8 +110,7 @@ def parse_event_log(text: str) -> EventLog:
     Rows are either all epoch seconds or all ISO-8601 (naive times read as
     UTC); mixing the two raises ParseError naming the offending line.
     """
-    lines = text.splitlines()
-    rows = [(i, ln.strip()) for i, ln in enumerate(lines, start=1) if ln.strip()]
+    rows = _numbered_rows(text)
     if not rows:
         raise EmptyInput("event log is empty")
     header_line, header = rows[0]
@@ -99,17 +120,14 @@ def parse_event_log(text: str) -> EventLog:
     if len(rows) == 1:
         raise EmptyInput("event log has a header but no events")
     kind = _timestamp_kind(rows[1][1])
-    stamps = []
-    for lineno, token in rows[1:]:
+
+    def stamp(token):
         if _timestamp_kind(token) != kind:
-            raise ParseError(
-                f"timestamp format changed from {kind} to "
-                f"{_timestamp_kind(token)}", line=lineno)
-        try:
-            stamps.append(_parse_timestamp(token, kind))
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from exc
-    return EventLog(timestamps=np.sort(np.array(stamps)))
+            raise ValueError(f"timestamp format changed from {kind} to "
+                             f"{_timestamp_kind(token)}")
+        return _parse_timestamp(token, kind)
+
+    return EventLog(timestamps=np.sort(np.array(_parse_rows(rows[1:], stamp))))
 
 
 def load_event_log(path) -> EventLog:
@@ -197,8 +215,7 @@ def parse_trend_csv(text: str) -> TrendSegment:
 
     Rows must be uniformly spaced in time (hourly in typical exports).
     """
-    lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), start=1)
-             if ln.strip()]
+    lines = _numbered_rows(text)
     if not lines:
         raise EmptyInput("trend CSV is empty")
     header = [h.strip().lower() for h in lines[0][1].split(",")]
@@ -207,17 +224,15 @@ def parse_trend_csv(text: str) -> TrendSegment:
                          line=lines[0][0])
     if len(lines) < 3:
         raise EmptyInput("trend CSV needs at least 2 rows")
-    stamps, values = [], []
-    for lineno, ln in lines[1:]:
-        parts = ln.split(",")
+
+    def fields(line):
+        parts = line.split(",")
         if len(parts) != 2:
-            raise ParseError(f"expected 2 fields, got {len(parts)}", line=lineno)
-        kind = _timestamp_kind(parts[0].strip())
-        try:
-            stamps.append(_parse_timestamp(parts[0].strip(), kind))
-            values.append(float(parts[1]))
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from exc
+            raise ValueError(f"expected 2 fields, got {len(parts)}")
+        token = parts[0].strip()
+        return _parse_timestamp(token, _timestamp_kind(token)), float(parts[1])
+
+    stamps, values = zip(*_parse_rows(lines[1:], fields))
     steps = np.diff(stamps)
     if steps.size == 0 or np.any(np.abs(steps - steps[0]) > 1e-6):
         raise ParseError("trend rows must be uniformly spaced")
@@ -228,3 +243,43 @@ def parse_trend_csv(text: str) -> TrendSegment:
 def load_trend_csv(path) -> TrendSegment:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_trend_csv(fh.read())
+
+
+def parse_series_csv(text: str) -> TimeSeries:
+    """Series CSV: two columns read as (t, value); one column as values.
+
+    A non-numeric first row is treated as a header, whatever its names.  The
+    time column must be uniformly spaced; it sets the series' step and origin.
+    """
+    rows = _numbered_rows(text)
+    if not rows:
+        raise EmptyInput("series CSV is empty")
+    if not _is_number(rows[0][1].split(",")[0].strip()):
+        rows = rows[1:]
+    if not rows:
+        raise EmptyInput("series CSV has no data rows")
+    width = min(len(rows[0][1].split(",")), 2)
+
+    def fields(line):
+        parts = line.split(",")
+        if len(parts) < width:
+            raise ValueError("expected t,value")
+        values = [float(token) for token in parts[:width]]
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"non-finite value in {line!r}")
+        return values
+
+    columns = np.array(_parse_rows(rows, fields)).T
+    if width == 1:
+        return TimeSeries(values=columns[0])
+    ts, vs = columns
+    steps = np.diff(ts)
+    if steps.size and np.max(np.abs(steps - steps[0])) > 1e-9 * max(abs(steps[0]), 1.0):
+        raise ParseError("time column is not uniformly spaced")
+    dt = float(steps[0]) if steps.size else 1.0
+    return TimeSeries(values=vs, dt=dt, origin=float(ts[0]))
+
+
+def load_series_csv(path) -> TimeSeries:
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_series_csv(fh.read())

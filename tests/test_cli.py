@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import MODEL_L0, MODEL_LI, MODEL_X0
+from netosc import signal
 from netosc.cli import run
+from netosc.errors import DefectiveMatrix, ParseError, Unstable
 
 
 @pytest.fixture
@@ -275,3 +277,49 @@ class TestDeterminism:
     def test_usage_error_exit_1(self):
         result = run(["no-such-command"])
         assert result.exit_code == 1
+
+
+class TestErrorTable:
+    @pytest.mark.parametrize("exc, code, stream, extra", [
+        (ParseError("bad row", line=3), 2, "out", {}),
+        (Unstable("diverged", t_diverge=4.5), 3, "out", {"t_diverge": 4.5}),
+        (DefectiveMatrix("defective", basis_condition=1e14), 3, "out",
+         {"basis_condition": 1e14}),
+        (ValueError("bad value"), 1, "err", {}),
+        (FileNotFoundError("missing"), 1, "err", {}),
+        (RuntimeError("unexpected"), 3, "out", {}),
+    ])
+    def test_exit_code_and_stream(self, monkeypatch, capsys, exc, code, stream, extra):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(signal, "beat_demo", fail)
+        result = run(["beat-demo"])
+        captured = capsys.readouterr()
+        assert result.exit_code == code
+        assert result.outputs == []
+        assert getattr(captured, stream).strip() == result.summary
+        assert getattr(captured, "err" if stream == "out" else "out") == ""
+        assert json.loads(result.summary) == {
+            "command": "beat-demo",
+            "error": {"type": type(exc).__name__, "message": str(exc), **extra},
+        }
+
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_non_finite_series_is_data_error(self, tmp_path, token):
+        path = tmp_path / "series.csv"
+        path.write_text("t,value\n0,1\n1,2\n2," + token + "\n3,1\n")
+        result = run(["spectrum", "--in", str(path)])
+        assert result.exit_code == 2
+        error = summary_of(result)["error"]
+        assert error["type"] == "ParseError"
+        assert error["message"].startswith("line 4:")
+
+
+class TestNoSeed:
+    def test_seed_flag_rejected(self):
+        assert run(["--seed", "1", "beat-demo", "--n", "256"]).exit_code == 1
+
+    def test_params_carry_no_seed(self):
+        doc = summary_of(run(["beat-demo", "--n", "256"]))
+        assert doc["params"] == {"n": 256, "out": None, "w1": 0.1, "w2": 0.11}

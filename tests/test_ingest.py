@@ -8,7 +8,9 @@ from netosc.ingest import (
     bin_counts,
     fuse_trends,
     load_event_log,
+    load_series_csv,
     parse_event_log,
+    parse_series_csv,
     parse_trend_csv,
     slice_period,
 )
@@ -211,3 +213,49 @@ class TestParseTrendCsv:
     def test_empty(self):
         with pytest.raises(EmptyInput):
             parse_trend_csv("")
+
+
+class TestParseSeriesCsv:
+    def test_two_columns_set_step_and_origin(self):
+        s = parse_series_csv("t,value\n10,1\n12,2\n14,4\n")
+        assert (s.dt, s.origin) == (2.0, 10.0)
+        assert np.array_equal(s.values, [1.0, 2.0, 4.0])
+
+    def test_one_column_without_header(self):
+        s = parse_series_csv("3\n1\n2\n")
+        assert (s.dt, s.origin) == (1.0, 0.0)
+        assert np.array_equal(s.values, [3.0, 1.0, 2.0])
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("row", ["2,{}", "{},5"])
+    def test_non_finite_value_names_line(self, token, row):
+        with pytest.raises(ParseError) as err:
+            parse_series_csv("t,value\n0,1\n1,2\n" + row.format(token) + "\n")
+        assert err.value.line == 4
+
+    def test_one_column_non_finite(self):
+        with pytest.raises(ParseError) as err:
+            parse_series_csv("value\n1\nnan\n")
+        assert err.value.line == 3
+
+    def test_line_numbers_count_blank_lines(self):
+        with pytest.raises(ParseError) as err:
+            parse_series_csv("t,value\n\n0,1\n\n1,x\n")
+        assert err.value.line == 5
+
+    def test_short_row_and_uneven_time_rejected(self):
+        with pytest.raises(ParseError, match="expected t,value"):
+            parse_series_csv("0,1\n1\n")
+        with pytest.raises(ParseError, match="uniformly spaced"):
+            parse_series_csv("0,1\n1,1\n3,1\n")
+
+    def test_empty(self):
+        with pytest.raises(EmptyInput):
+            parse_series_csv("\n")
+        with pytest.raises(EmptyInput):
+            parse_series_csv("t,value\n")
+
+    def test_load_from_file(self, tmp_path):
+        p = tmp_path / "series.csv"
+        p.write_text("t,value\n0,1\n1,3\n")
+        assert np.array_equal(load_series_csv(p).values, [1.0, 3.0])

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import netosc
 
 from netosc.errors import AllZero, BadCutoff, TooShort, WindowTooLarge
 from netosc.signal import (
@@ -15,6 +22,7 @@ from netosc.signal import (
     smooth_spectrum,
     square_series,
 )
+from netosc.signal import _analytic_signal, _moving_average
 
 
 def tone(omega, n=4096):
@@ -224,3 +232,49 @@ class TestBeatEstimator:
         v = 2.0 * np.cos(0.3 * t) + 0.7 * np.cos(0.33 * t)
         om = estimate_beat_frequency(v, dt=1.0)
         assert om == pytest.approx(0.03, rel=0.1)
+
+
+def moving_average_loop(values, window):
+    """The per-sample loop the vectorised moving average replaced."""
+    n = values.size
+    half = window // 2
+    out = np.empty(n)
+    csum = np.concatenate(([0.0], np.cumsum(values)))
+    for i in range(n):
+        k = min(half, i, n - 1 - i)
+        out[i] = (csum[i + k + 1] - csum[i - k]) / (2 * k + 1)
+    return out
+
+
+class TestMovingAverage:
+    @pytest.mark.parametrize("n, window", [
+        (2, 2), (3, 3), (4, 2), (5, 4), (10, 10), (64, 20), (255, 64),
+        (256, 7), (1001, 20), (4096, 64)])
+    def test_matches_loop_bit_for_bit(self, n, window):
+        values = np.random.default_rng(n + window).standard_normal(n)
+        assert np.array_equal(_moving_average(values, window, "x"),
+                              moving_average_loop(values, window))
+
+    @pytest.mark.parametrize("window", [0, 33])
+    def test_window_outside_range_rejected(self, window):
+        s = TimeSeries(np.arange(32.0))
+        with pytest.raises(WindowTooLarge):
+            smooth_series(s, window)
+        with pytest.raises(WindowTooLarge):
+            smooth_spectrum(normalize_spectrum(dft_spectrum(s)), window)
+
+
+class TestAnalyticSignal:
+    @pytest.mark.parametrize("n", [8, 9, 1000, 1001, 4096])
+    def test_equals_scipy_hilbert(self, n):
+        hilbert = pytest.importorskip("scipy.signal").hilbert
+        x = np.random.default_rng(n).standard_normal(n)
+        assert np.array_equal(_analytic_signal(x), hilbert(x))
+
+    def test_import_leaves_scipy_unloaded(self):
+        src = str(Path(netosc.__file__).parents[1])
+        code = "import sys, netosc; print('scipy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.stdout.strip() == "False"
