@@ -124,12 +124,11 @@ def _load_model(path):
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
     if isinstance(doc, dict) and "lap0" in doc and "lapI" in doc:
-        return (graph.LaplacianMatrix(np.array(doc["lap0"], dtype=float)),
-                graph.LaplacianMatrix(np.array(doc["lapI"], dtype=float)),
+        return (graph.LaplacianMatrix(doc["lap0"]),
+                graph.LaplacianMatrix(doc["lapI"]),
                 None)
     if isinstance(doc, dict) and "laplacian" in doc:
-        return (graph.LaplacianMatrix(np.array(doc["laplacian"], dtype=float)),
-                None, None)
+        return graph.LaplacianMatrix(doc["laplacian"]), None, None
     g = graph.graph_from_json(text)
     return graph.laplacian_of(g), None, g
 

@@ -15,7 +15,6 @@ at the eigenfrequency differences.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -351,57 +350,51 @@ def total_energy_series(sol: ModalSolution, times) -> EnergyReport:
     return EnergyReport(per_node=_per_node_energy(sol), total=stationary, series=series)
 
 
-def _bfs_counts(adj, source):
-    n = len(adj)
-    dist = np.full(n, -1, dtype=int)
-    sigma = np.zeros(n, dtype=float)
-    dist[source] = 0
-    sigma[source] = 1.0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-            if dist[v] == dist[u] + 1:
-                sigma[v] += sigma[u]
-    return dist, sigma
-
-
 def betweenness_weights(g: WeightedDigraph) -> WeightedDigraph:
     """Reweight an undirected unit-weight graph by shortest-path counts.
 
     Each link's new weight is the number of shortest paths, over all node
-    pairs, that traverse it (same weight in both orientations).
+    pairs, that traverse it (same weight in both orientations).  The counts
+    are accumulated per source (Brandes 2001, 2008): a BFS gives each node's
+    distance and shortest-path count sigma, and a reverse pass over the BFS
+    order gives below[v] = 1 + the sum of below over v's children in the
+    shortest-path DAG, so the DAG edge u -> v carries sigma[u] * below[v]
+    paths from that source.  Every unordered pair is counted from both of its
+    ends, hence the halving.  O(n * E) time, no size cap.
     """
-    if g.n > 64:
-        raise InvalidGraph(f"betweenness reweighting is desk-scale (n <= 64), got {g.n}")
-    links = {}
+    counts = {}
     for s, d, w in g.edges:
         if w != 1.0:
             raise InvalidGraph("betweenness reweighting requires unit weights")
-        links[(s, d)] = w
-    for s, d in links:
-        if (d, s) not in links:
+        counts[(s, d)] = 0
+    for s, d in counts:
+        if (d, s) not in counts:
             raise InvalidGraph(f"missing reciprocal edge for ({s},{d})")
     adj = [[] for _ in range(g.n)]
-    for s, d in links:
+    for s, d in counts:
         adj[s].append(d)
-    dists, sigmas = zip(*(_bfs_counts(adj, s) for s in range(g.n)))
-    if any(np.any(d < 0) for d in dists):
-        raise Disconnected("betweenness weights need a connected graph")
-    counts = {pair: 0.0 for pair in links if pair[0] < pair[1]}
-    for s in range(g.n):
-        for t in range(s + 1, g.n):
-            d_st = dists[s][t]
-            for (u, v) in counts:
-                # paths crossing u -> v plus paths crossing v -> u
-                if dists[s][u] + 1 + dists[t][v] == d_st:
-                    counts[(u, v)] += sigmas[s][u] * sigmas[t][v]
-                if dists[s][v] + 1 + dists[t][u] == d_st:
-                    counts[(u, v)] += sigmas[s][v] * sigmas[t][u]
-    return undirected_graph(g.n, [(u, v, c) for (u, v), c in counts.items()])
+    for source in range(g.n):
+        dist = [-1] * g.n
+        sigma = [0] * g.n
+        dist[source], sigma[source] = 0, 1
+        order = [source]
+        for u in order:  # grows while it is walked: a BFS queue
+            for v in adj[u]:
+                if dist[v] < 0:
+                    dist[v] = dist[u] + 1
+                    order.append(v)
+                if dist[v] == dist[u] + 1:
+                    sigma[v] += sigma[u]
+        if len(order) < g.n:
+            raise Disconnected("betweenness weights need a connected graph")
+        below = [1] * g.n
+        for u in reversed(order):
+            for v in adj[u]:
+                if dist[v] == dist[u] + 1:
+                    below[u] += below[v]
+                    counts[(u, v)] += sigma[u] * below[v]
+    return undirected_graph(g.n, [(u, v, (c + counts[(v, u)]) / 2)
+                                  for (u, v), c in counts.items() if u < v])
 
 
 def oscillation_centrality(lap: LaplacianMatrix) -> np.ndarray:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Disconnected, InvalidGraph, ParseError
+from .ingest import _numbered_rows, _parse_rows
 
 # Entry-level tolerance used by the Laplacian invariant checks, scaled by
 # (1 + max |entry|).
@@ -77,7 +78,10 @@ class LaplacianMatrix:
     __slots__ = ("n", "entries")
 
     def __init__(self, entries):
-        arr = np.array(entries, dtype=float)
+        try:
+            arr = np.array(entries, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InvalidGraph(f"Laplacian must be a numeric matrix: {exc}") from exc
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise InvalidGraph(f"Laplacian must be square, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
@@ -175,9 +179,10 @@ class OneWaySplit:
 def laplacian_of(g: WeightedDigraph) -> LaplacianMatrix:
     """Laplacian D - A of a weighted digraph."""
     mat = np.zeros((g.n, g.n))
-    for s, d, w in g.edges:
-        mat[s, d] -= w
-        mat[s, s] += w
+    s, d, w = np.array(g.edges).reshape(-1, 3).T
+    s, d = s.astype(int), d.astype(int)
+    mat[s, d] = -w  # at most one edge per ordered pair
+    np.add.at(mat, (s, s), w)  # degrees summed in edge order
     return LaplacianMatrix(mat)
 
 
@@ -296,34 +301,22 @@ def canonical_split(lap: LaplacianMatrix) -> OneWaySplit:
     one-way link.  Entries are arranged so the two parts recompose to ``lap``
     exactly, entry by entry.
     """
-    n = lap.n
     a = lap.entries
-    sym = np.zeros((n, n))
-    one = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            w_ij, w_ji = -a[i, j], -a[j, i]
-            if w_ij == 0.0 and w_ji == 0.0:
-                continue
-            if w_ij >= w_ji:
-                hi, lo, heavy = w_ij, w_ji, (i, j)
-            else:
-                hi, lo, heavy = w_ji, w_ij, (j, i)
-            u_heavy, residual = _exact_complement(hi, lo)
-            # light direction keeps its original entry bit-for-bit; the heavy
-            # direction's min copy may differ by one ulp, which stays far
-            # inside the symmetry tolerance
-            sym[i, j] = sym[j, i] = -lo
-            sym[heavy] = -u_heavy
-            one[heavy] = -residual
+    diag = np.diag(a)
+    w = np.diag(diag) - a
+    # The heavier direction of each pair carries w - w.T one way and keeps the
+    # exact complement w - (w - w.T), which may differ from the lighter weight
+    # by one ulp, far inside the symmetry tolerance.  The lighter direction,
+    # and both directions of a tie, keep their entries bit for bit.
+    residual = np.where(w > w.T, w - w.T, 0.0)
+    sym = residual - w
+    one = -residual
     # Diagonals: the symmetric part's degree is the exact complement of the
     # one-way degree inside the original diagonal, so both parts keep zero row
     # sums (within tolerance) and the matrices recompose exactly.
-    for i in range(n):
-        d_sym = float(-np.sum(sym[i]))
-        d_sym_exact, d_one = _exact_complement(a[i, i], min(d_sym, a[i, i]))
-        sym[i, i] = d_sym_exact
-        one[i, i] = d_one
+    d_sym, d_one = _exact_complement(diag, np.minimum(-sym.sum(axis=1), diag))
+    np.fill_diagonal(sym, d_sym)
+    np.fill_diagonal(one, d_one)
     sym += 0.0  # clear negative zeros
     one += 0.0
     return OneWaySplit(lap_sym_part=LaplacianMatrix(sym),
@@ -358,30 +351,32 @@ def graph_from_json(text: str) -> WeightedDigraph:
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
         raise ParseError('graph JSON requires keys "n" and "edges"')
+    n = doc["n"]
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ParseError(f'"n" must be an integer, got {n!r}')
     try:
         edges = tuple((int(s), int(d), float(w)) for s, d, w in doc["edges"])
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed edge list: {exc}") from exc
-    return WeightedDigraph(n=int(doc["n"]), edges=edges)
+    return WeightedDigraph(n=n, edges=edges)
 
 
 def graph_from_edge_csv(text: str) -> WeightedDigraph:
     """Parse an edge-list CSV with header src,dst,w."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    rows = _numbered_rows(text)
+    if not rows:
         raise ParseError("empty edge CSV")
-    header = [h.strip().lower() for h in lines[0].split(",")]
-    if header[:3] != ["src", "dst", "w"]:
-        raise ParseError(f'expected header "src,dst,w", got "{lines[0]}"', line=1)
-    edges = []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        parts = ln.split(",")
+    header_line, header = rows[0]
+    if [h.strip().lower() for h in header.split(",")][:3] != ["src", "dst", "w"]:
+        raise ParseError(f'expected header "src,dst,w", got "{header}"', line=header_line)
+
+    def edge(line):
+        parts = line.split(",")
         if len(parts) != 3:
-            raise ParseError(f"expected 3 fields, got {len(parts)}", line=lineno)
-        try:
-            edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from exc
+            raise ValueError(f"expected 3 fields, got {len(parts)}")
+        return int(parts[0]), int(parts[1]), float(parts[2])
+
+    edges = _parse_rows(rows[1:], edge)
     n = 1 + max((max(s, d) for s, d, _ in edges), default=-1)
     if n < 1:
         raise ParseError("edge CSV contains no edges")
@@ -395,14 +390,8 @@ def matrix_to_csv(mat) -> str:
 
 
 def matrix_from_csv(text: str) -> np.ndarray:
-    rows = []
-    for lineno, ln in enumerate(text.splitlines(), start=1):
-        if not ln.strip():
-            continue
-        try:
-            rows.append([float(v) for v in ln.split(",")])
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from exc
+    rows = _parse_rows(_numbered_rows(text),
+                       lambda line: [float(v) for v in line.split(",")])
     if not rows:
         raise ParseError("empty matrix CSV")
     lens = {len(r) for r in rows}

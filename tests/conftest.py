@@ -99,6 +99,8 @@ def seeded_digraph(seed, n):
     """
     from netosc.graph import WeightedDigraph
 
+    if n < 5:
+        raise ValueError(f"need n >= 5 for 2n distinct node pairs, got {n}")
     rng = np.random.default_rng(seed)
     pairs = {(i, (i + 1) % n) for i in range(n)}
     while len(pairs) < 2 * n:

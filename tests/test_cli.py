@@ -315,6 +315,19 @@ class TestErrorTable:
         assert error["type"] == "ParseError"
         assert error["message"].startswith("line 4:")
 
+    @pytest.mark.parametrize("command, doc, error_type", [
+        ("centrality", {"n": 2.5, "edges": [[0, 1, 1], [1, 0, 1]]}, "ParseError"),
+        ("analyze-graph", {"laplacian": [[1, -1], [0]]}, "InvalidGraph"),
+        ("analyze-graph", {"lap0": [[1, -1], [-1, 1]], "lapI": [[1, -1], [0]]},
+         "InvalidGraph"),
+    ])
+    def test_malformed_graph_is_data_error(self, tmp_path, command, doc, error_type):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(doc))
+        result = run([command, "--graph", str(path)])
+        assert result.exit_code == 2
+        assert summary_of(result)["error"]["type"] == error_type
+
 
 class TestNoSeed:
     def test_seed_flag_rejected(self):

@@ -1,8 +1,10 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
 from conftest import MODEL_L0, MODEL_LI, MODEL_X0, brute_force_betweenness, seeded_digraph
-from netosc.errors import NotSymmetrizableError, Unstable
+from netosc.errors import Disconnected, InvalidGraph, NotSymmetrizableError, Unstable
 from netosc.dynamics import (
     InitialCondition,
     betweenness_weights,
@@ -311,6 +313,66 @@ class TestTotalEnergySeries:
         assert np.array_equal(report.per_node, node_energies(sol).per_node)
 
 
+def betweenness_loop(g):
+    """betweenness_weights as the loop over node pairs and links (reference,
+    O(n^2 E)); returns the reweighted edge tuple."""
+    links = [(s, d) for s, d, _ in g.edges]
+    adj = [[] for _ in range(g.n)]
+    for s, d in links:
+        adj[s].append(d)
+
+    def bfs_counts(source):
+        dist = np.full(g.n, -1, dtype=int)
+        sigma = np.zeros(g.n, dtype=float)
+        dist[source] = 0
+        sigma[source] = 1.0
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            for v in adj[u]:
+                if dist[v] < 0:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+                if dist[v] == dist[u] + 1:
+                    sigma[v] += sigma[u]
+        return dist, sigma
+
+    dists, sigmas = zip(*(bfs_counts(s) for s in range(g.n)))
+    counts = {pair: 0.0 for pair in links if pair[0] < pair[1]}
+    for s in range(g.n):
+        for t in range(s + 1, g.n):
+            d_st = dists[s][t]
+            for (u, v) in counts:
+                if dists[s][u] + 1 + dists[t][v] == d_st:
+                    counts[(u, v)] += sigmas[s][u] * sigmas[t][v]
+                if dists[s][v] + 1 + dists[t][u] == d_st:
+                    counts[(u, v)] += sigmas[s][v] * sigmas[t][u]
+    return undirected_graph(g.n, [(u, v, c) for (u, v), c in counts.items()]).edges
+
+
+def random_connected_pairs(rng, n, extra):
+    """A random spanning tree plus ``extra`` chords (fewer if the graph
+    fills up), each pair in a random orientation and the list shuffled, so
+    edge order varies too."""
+    extra = min(extra, (n - 1) * (n - 2) // 2)
+    order = rng.permutation(n)
+    pairs = {frozenset((int(order[k]), int(order[rng.integers(0, k)])))
+             for k in range(1, n)}
+    while len(pairs) < n - 1 + extra:
+        a, b = (int(v) for v in rng.integers(0, n, 2))
+        if a != b:
+            pairs.add(frozenset((a, b)))
+    pairs = [tuple(rng.permutation(sorted(p))) for p in pairs]
+    return [pairs[k] for k in rng.permutation(len(pairs))]
+
+
+def grid_pairs(rows, cols):
+    """Links of a rows x cols grid whose node r * cols + c sits at (r, c)."""
+    right = [(k, k + 1) for k in range(rows * cols) if k % cols < cols - 1]
+    down = [(k, k + cols) for k in range(rows * cols - cols)]
+    return right + down
+
+
 class TestBetweennessWeights:
     def test_path_graph(self):
         g = undirected_graph(3, [(0, 1), (1, 2)])
@@ -335,6 +397,48 @@ class TestBetweennessWeights:
         g = undirected_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         bw = betweenness_weights(g)
         assert all(w == 3.0 for _, _, w in bw.edges)
+
+    def test_matches_pair_loop_on_random_graphs(self):
+        rng = np.random.default_rng(21)
+        for _ in range(30):
+            n = int(rng.integers(2, 20))
+            extra = int(rng.integers(0, n))
+            g = undirected_graph(n, random_connected_pairs(rng, n, extra))
+            assert betweenness_weights(g).edges == betweenness_loop(g)
+
+    @pytest.mark.parametrize("rows, cols", [(2, 2), (3, 3), (3, 6), (5, 5)])
+    def test_matches_pair_loop_on_grids(self, rows, cols):
+        g = undirected_graph(rows * cols, grid_pairs(rows, cols))
+        assert betweenness_weights(g).edges == betweenness_loop(g)
+
+    def test_matches_pair_loop_beyond_64_nodes(self):
+        g = undirected_graph(100, random_connected_pairs(np.random.default_rng(5), 100, 8))
+        assert betweenness_weights(g).edges == betweenness_loop(g)
+
+    def test_matches_networkx_path_enumeration(self):
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(8)
+        cases = [(9, grid_pairs(3, 3))]
+        cases += [(n, random_connected_pairs(rng, n, n // 2)) for n in (6, 11, 17)]
+        for n, pairs in cases:
+            graph = nx.Graph(pairs)
+            want = {frozenset(p): 0 for p in pairs}
+            for s in range(n):
+                for t in range(s + 1, n):
+                    for path in nx.all_shortest_paths(graph, s, t):
+                        for link in zip(path, path[1:]):
+                            want[frozenset(link)] += 1
+            bw = betweenness_weights(undirected_graph(n, pairs))
+            assert {frozenset((s, d)): w for s, d, w in bw.edges} == want
+
+    @pytest.mark.parametrize("g, error, message", [
+        (undirected_graph(3, [(0, 1), (1, 2)], weight=2.0), InvalidGraph, "unit weights"),
+        (WeightedDigraph(n=2, edges=((0, 1, 1.0),)), InvalidGraph, "reciprocal"),
+        (undirected_graph(4, [(0, 1), (2, 3)]), Disconnected, "connected"),
+    ])
+    def test_refusals_kept(self, g, error, message):
+        with pytest.raises(error, match=message):
+            betweenness_weights(g)
 
 
 class TestOscillationCentrality:

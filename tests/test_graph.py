@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import MODEL_L0, MODEL_LI, MODEL_L0_SYM, MODEL_MASS
+from conftest import MODEL_L0, MODEL_LI, MODEL_L0_SYM, MODEL_MASS, seeded_digraph
 from netosc.errors import Disconnected, InvalidGraph, ParseError
 from netosc.graph import (
     LaplacianMatrix,
@@ -28,6 +28,74 @@ def graph_of_matrix(mat):
     edges = [(i, j, -mat[i, j]) for i in range(n) for j in range(n)
              if i != j and mat[i, j] != 0]
     return WeightedDigraph(n=n, edges=tuple(edges))
+
+
+def laplacian_loop(g):
+    """laplacian_of as an edge loop (reference)."""
+    mat = np.zeros((g.n, g.n))
+    for s, d, w in g.edges:
+        mat[s, d] -= w
+        mat[s, s] += w
+    return mat
+
+
+def canonical_split_loop(lap):
+    """canonical_split as a loop over pairs, then rows (reference).
+
+    Returns the (symmetric part, one-way part) entry arrays.
+    """
+    n = lap.n
+    a = lap.entries
+    sym = np.zeros((n, n))
+    one = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            w_ij, w_ji = -a[i, j], -a[j, i]
+            if w_ij == 0.0 and w_ji == 0.0:
+                continue
+            if w_ij >= w_ji:
+                hi, lo, heavy = w_ij, w_ji, (i, j)
+            else:
+                hi, lo, heavy = w_ji, w_ij, (j, i)
+            residual = hi - lo
+            sym[i, j] = sym[j, i] = -lo
+            sym[heavy] = -(hi - residual)
+            one[heavy] = -residual
+    for i in range(n):
+        d_sym = float(-np.sum(sym[i]))
+        residual = a[i, i] - min(d_sym, a[i, i])
+        sym[i, i] = a[i, i] - residual
+        one[i, i] = residual
+    sym += 0.0
+    one += 0.0
+    return sym, one
+
+
+def tied_laplacian(seed):
+    """Dense random Laplacian whose weights come from five values, so many
+    pairs tie or carry a zero in one direction; odd seeds isolate node 0 and
+    write every zero entry as -0.0."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 25))
+    w = rng.choice([0.0, 0.1, 0.3, 1.0 / 3.0, 2.5], size=(n, n))
+    np.fill_diagonal(w, 0.0)
+    if seed % 2:
+        w[0, :] = w[:, 0] = 0.0
+    mat = np.diag(w.sum(axis=1)) - w
+    return LaplacianMatrix(np.where(mat == 0.0, -0.0 if seed % 2 else 0.0, mat))
+
+
+def assert_bits_equal(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def assert_split_matches_loop(lap):
+    split = canonical_split(lap)
+    sym, one = canonical_split_loop(lap)
+    assert_bits_equal(split.lap_sym_part.entries, sym)
+    assert_bits_equal(split.lap_oneway.entries, one)
+    return split
 
 
 class TestWeightedDigraph:
@@ -74,6 +142,17 @@ class TestLaplacianOf:
         expected = np.sort_complex(np.array(
             [0.0, 1.5 + 0.5j * np.sqrt(3.0), 1.5 - 0.5j * np.sqrt(3.0)]))
         assert np.allclose(lam, expected, atol=1e-9)
+
+    @pytest.mark.parametrize("n", [5, 12, 50, 200])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_edge_loop(self, seed, n):
+        g = seeded_digraph(seed, n)
+        assert_bits_equal(laplacian_of(g).entries, laplacian_loop(g))
+
+    def test_helper_refuses_small_n(self):
+        # a ring plus n chords needs 2n distinct unordered pairs
+        with pytest.raises(ValueError):
+            seeded_digraph(0, 4)
 
 
 class TestGershgorin:
@@ -259,6 +338,28 @@ class TestCanonicalSplit:
         assert np.array_equal(
             split.lap_sym_part.entries + split.lap_oneway.entries, lap.entries)
 
+    @pytest.mark.parametrize("n", [5, 12, 50, 200])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_pair_loop_on_seeded_digraphs(self, seed, n):
+        assert_split_matches_loop(laplacian_of(seeded_digraph(seed, n)))
+
+    def test_matches_pair_loop_with_tied_weights(self):
+        for seed in range(100):
+            lap = tied_laplacian(seed)
+            split = assert_split_matches_loop(lap)
+            assert np.array_equal(
+                split.lap_sym_part.entries + split.lap_oneway.entries, lap.entries)
+
+    def test_matches_pair_loop_on_symmetric_weights(self):
+        # The diagonal is summed in edge order and the symmetric part's degree
+        # pairwise, so the two can differ by an ulp either way.
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            n = int(rng.integers(3, 30))
+            pairs = [(i, j, float(rng.uniform(0.1, 3.0)))
+                     for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+            assert_split_matches_loop(laplacian_of(undirected_graph(n, pairs)))
+
 
 class TestComposeEpsilon:
     def test_zero_eps_identical(self, model_lap0, model_lapI):
@@ -300,6 +401,24 @@ class TestInterchange:
     def test_edge_csv_bad_header(self):
         with pytest.raises(ParseError):
             graph_from_edge_csv("a,b,c\n0,1,2\n")
+
+    def test_json_rejects_non_integer_n(self):
+        for n in ("2.5", "2.0", "true", '"2"'):
+            with pytest.raises(ParseError):
+                graph_from_json('{"n": %s, "edges": [[0, 1, 1], [1, 0, 1]]}' % n)
+
+    def test_parse_errors_name_the_file_line(self):
+        # lines 2 and 4 are blank; line 5 holds the bad value
+        with pytest.raises(ParseError) as edge_err:
+            graph_from_edge_csv("src,dst,w\n\n0,1,1\n\n1,0,x\n")
+        with pytest.raises(ParseError) as matrix_err:
+            matrix_from_csv("1,-1\n\n-1,1\n\n0,x\n")
+        assert edge_err.value.line == 5
+        assert matrix_err.value.line == 5
+
+    def test_ragged_laplacian_is_invalid_graph(self):
+        with pytest.raises(InvalidGraph):
+            LaplacianMatrix([[1.0, -1.0], [0.0]])
 
     def test_matrix_csv_roundtrip(self, model_lap0):
         text = matrix_to_csv(model_lap0)
