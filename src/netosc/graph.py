@@ -352,13 +352,24 @@ def graph_from_json(text: str) -> WeightedDigraph:
     if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
         raise ParseError('graph JSON requires keys "n" and "edges"')
     n = doc["n"]
-    if not isinstance(n, int) or isinstance(n, bool):
+    if not _is_json_int(n):
         raise ParseError(f'"n" must be an integer, got {n!r}')
+    edges = []
     try:
-        edges = tuple((int(s), int(d), float(w)) for s, d, w in doc["edges"])
-    except (TypeError, ValueError) as exc:
+        for s, d, w in doc["edges"]:
+            if not (_is_json_int(s) and _is_json_int(d)):
+                raise ValueError(f"endpoints must be integers, got {s!r}, {d!r}")
+            if not isinstance(w, (int, float)) or isinstance(w, bool):
+                raise ValueError(f"weight must be a number, got {w!r}")
+            edges.append((s, d, float(w)))
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed edge list: {exc}") from exc
-    return WeightedDigraph(n=n, edges=edges)
+    return WeightedDigraph(n=n, edges=tuple(edges))
+
+
+def _is_json_int(v):
+    """A JSON integer: an ``int`` that is not a ``bool``."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def graph_from_edge_csv(text: str) -> WeightedDigraph:

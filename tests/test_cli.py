@@ -5,7 +5,7 @@ import pytest
 
 from conftest import MODEL_L0, MODEL_LI, MODEL_X0
 from netosc import signal
-from netosc.cli import run
+from netosc.cli import _Artifacts, _csv, run
 from netosc.errors import DefectiveMatrix, ParseError, Unstable
 
 
@@ -327,6 +327,113 @@ class TestErrorTable:
         result = run([command, "--graph", str(path)])
         assert result.exit_code == 2
         assert summary_of(result)["error"]["type"] == error_type
+
+    @pytest.mark.parametrize("edge", [[0.7, 1, 1], [1, "0", 1], [True, 1, 1],
+                                      [0, 1, "1"]])
+    def test_non_integer_edge_endpoint_is_data_error(self, tmp_path, edge):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps({"n": 2, "edges": [edge, [1, 0, 1]]}))
+        result = run(["centrality", "--graph", str(path)])
+        assert result.exit_code == 2
+        assert summary_of(result)["error"]["type"] == "ParseError"
+
+
+def _reference_csv(header, rows):
+    """Reference renderer: each value formatted on its own."""
+    lines = [header] + [
+        ",".join(str(v) if isinstance(v, (int, np.integer)) else f"{v:.17g}"
+                 for v in row)
+        for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvRenderer:
+    VALUES = [0, 7, -3, 10**17, -(10**20), np.int64(5), np.int64(-(2**62)), True,
+              0.1, -0.0, 1e300, 2.5e-310, float("nan"), float("inf"), float("-inf"),
+              np.float64(1 / 3), np.float64(-0.0), np.float64("nan"),
+              np.float64("-inf"), np.float32(0.1), 1e17, 123456789012345678.0]
+
+    def test_mixed_rows_match_the_reference(self):
+        rng = np.random.default_rng(5)
+        rows = [tuple(self.VALUES[k] for k in rng.integers(len(self.VALUES), size=4))
+                for _ in range(300)]
+        assert _csv("a,b,c,d", rows) == _reference_csv("a,b,c,d", rows)
+
+    def test_types_change_down_a_column(self):
+        rows = [(1, 2.5), (2, 3.5), (0.1, 10**18), (np.int64(10**18), 1e-7)]
+        text = _csv("k,v", iter(rows))
+        assert text == _reference_csv("k,v", rows)
+        assert text.splitlines()[3] == "0.10000000000000001,1000000000000000000"
+
+    @pytest.mark.parametrize("column", [
+        [1, 2, 3], [np.int64(2**62), 0], [0.1, -0.0, float("nan"), float("inf")],
+        [np.float64(2.0), 1e-300], [10**17, 99999999999999999, 0.1]])
+    def test_uniform_and_mixed_columns(self, column):
+        rows = [(i, v, v) for i, v in enumerate(column)]
+        assert _csv("i,x,y", rows) == _reference_csv("i,x,y", rows)
+
+    def test_states_table(self):
+        rng = np.random.default_rng(0)
+        times = np.arange(101) * 0.01
+        states = rng.normal(size=(101, 5)) * 1e3
+        rows = [(t, *row) for t, row in zip(times, states)]
+        assert _csv("t,x", iter(rows)) == _reference_csv("t,x", rows)
+
+    def test_no_rows(self):
+        assert _csv("a,b", []) == "a,b\n"
+
+
+class TestArtifactReplacement:
+    BEAT = ["beat-demo", "--w1", "0.10", "--w2", "0.11", "--n", "1024"]
+
+    def test_beat_demo_rerun_is_byte_identical(self, tmp_path):
+        out = tmp_path / "demo"
+        contents = []
+        for _ in range(2):
+            assert run(self.BEAT + ["--out", str(out)]).exit_code == 0
+            contents.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert len(contents[0]) == 10
+        assert contents[0] == contents[1]
+
+    def test_shorter_rerun_leaves_no_stale_tail(self, tmp_path):
+        events = tmp_path / "events.csv"
+        events.write_text("timestamp\n" + "\n".join(
+            str(60.0 * k) for k in range(32)) + "\n")
+
+        def bin_into(out, n_bins):
+            result = run(["bin", "--events", str(events), "--bin-seconds", "120",
+                          "--t0", "0", "--n-bins", str(n_bins), "--out", str(out)])
+            assert result.exit_code == 0
+            return (out / "series.csv").read_bytes()
+
+        long = bin_into(tmp_path / "same", 16)
+        short = bin_into(tmp_path / "same", 8)
+        assert short == bin_into(tmp_path / "fresh", 8)
+        assert len(short) < len(long)
+
+    def test_render_error_keeps_previous_bytes(self, tmp_path):
+        _Artifacts(tmp_path).write("a.csv", lambda: "old\n")
+
+        def fail():
+            raise RuntimeError("render failed")
+
+        artifacts = _Artifacts(tmp_path)
+        with pytest.raises(RuntimeError):
+            artifacts.write("a.csv", fail)
+        assert (tmp_path / "a.csv").read_bytes() == b"old\n"
+        assert artifacts.paths == []
+
+    def test_symlink_is_replaced_not_followed(self, tmp_path):
+        target = tmp_path / "target.csv"
+        target.write_bytes(b"keep me\n")
+        out = tmp_path / "demo"
+        out.mkdir()
+        (out / "signal_a.csv").symlink_to(target)
+        assert run(self.BEAT + ["--out", str(out)]).exit_code == 0
+        link = out / "signal_a.csv"
+        assert not link.is_symlink()
+        assert link.read_text().startswith("t,value\n")
+        assert target.read_bytes() == b"keep me\n"
 
 
 class TestNoSeed:

@@ -407,6 +407,19 @@ class TestInterchange:
             with pytest.raises(ParseError):
                 graph_from_json('{"n": %s, "edges": [[0, 1, 1], [1, 0, 1]]}' % n)
 
+    @pytest.mark.parametrize("edge", [
+        "[0.7, 1, 1]", '[1, "0", 1]', "[true, 1, 1]", "[0, 1.0, 1]",
+        '[0, 1, "1"]', "[0, 1, true]", "[0, 1, null]", "[0, 1, 1%s]" % ("0" * 400), "[0, 1]",
+    ])
+    def test_json_rejects_non_integer_endpoints_and_non_number_weights(self, edge):
+        with pytest.raises(ParseError):
+            graph_from_json('{"n": 2, "edges": [%s, [1, 0, 1]]}' % edge)
+
+    def test_json_keeps_integer_and_float_weights(self):
+        g = graph_from_json('{"n": 2, "edges": [[0, 1, 2], [1, 0, 0.5]]}')
+        assert g.edges == ((0, 1, 2.0), (1, 0, 0.5))
+        assert all(type(w) is float for _, _, w in g.edges)
+
     def test_parse_errors_name_the_file_line(self):
         # lines 2 and 4 are blank; line 5 holds the bad value
         with pytest.raises(ParseError) as edge_err:
