@@ -80,14 +80,14 @@ _INTEGERS = (int, np.integer)
 
 
 def _csv(header, rows):
-    """One line per row after the header: integers as they are, every other
-    value with 17 significant digits.
+    """One line per row after the header (none when ``header`` is None):
+    integers as they are, every other value with 17 significant digits.
 
     Each row is formatted by one %-template, ``%s`` for an integer and
     ``%.17g`` for any other value, built from the types of the row's values
     and rebuilt whenever they differ from the previous row's, so a column
     that mixes integers and floats is still formatted value by value."""
-    lines = [header]
+    lines = [] if header is None else [header]
     types = template = None
     for row in rows:
         row = tuple(row)
@@ -214,11 +214,11 @@ def _cmd_analyze_graph(params, artifacts):
     else:
         results["verdict"] = {"reason": verdict.reason, "pair": list(verdict.pair),
                               "detail": verdict.detail}
-    artifacts.write("laplacian.csv", graph.matrix_to_csv, lap)
+    artifacts.write("laplacian.csv", _csv, None, lap.entries)
     artifacts.write("spectrum.csv", _csv, "mu,re_lambda,im_lambda,re_omega,im_omega",
                     spectral.spectrum_report_rows(es))
     if verdict:
-        artifacts.write("laplacian_sym.csv", graph.matrix_to_csv, verdict.lap_sym)
+        artifacts.write("laplacian_sym.csv", _csv, None, verdict.lap_sym.entries)
     return [params["graph"]], results
 
 
@@ -229,16 +229,15 @@ def _cmd_simulate(params, artifacts):
     t_end = _resolve(params, "t_end", 100.0)
     dt = _resolve(params, "dt", 0.01)
     ic = _initial_condition(params)
-    es = spectral.eigendecompose(lap)
+    sol = dynamics.modal_solve(lap, ic)
+    times = np.arange(0.0, t_end + dt / 2.0, dt)
+    states = dynamics.evaluate_states(sol, times)
     results = {
         "n": lap.n,
-        "spectrum_real": spectral.spectrum_is_real(es),
-        "max_im_omega": spectral.mode_frequencies(es).max_growth_rate,
+        "spectrum_real": spectral.spectrum_is_real(sol.eigensystem),
+        "max_im_omega": spectral.mode_frequencies(sol.eigensystem).max_growth_rate,
+        "peak_amplitude": float(np.max(np.abs(states))),
     }
-    times = np.arange(0.0, t_end + dt / 2.0, dt)
-    sol = dynamics.modal_solve(lap, ic)
-    states = dynamics.evaluate_states(sol, times)
-    results["peak_amplitude"] = float(np.max(np.abs(states)))
     energy = dynamics.total_energy_series(sol, times)
     results["energy_stationary"] = energy.total
     # numeric cross-check only where the step is stable; coarse grids are

@@ -6,11 +6,13 @@ orthonormal, and each mode is a harmonic oscillator
 a_mu(t) = c+ exp(i w t) + c- exp(-i w t) with w = sqrt(lambda).  Without the
 decomposition the same expansion runs on the (possibly oblique) eigenbasis of
 L itself, with coefficients obtained by solving V a = y(0) rather than by
-inner products.  Per-node oscillation energy
-E_i = sum_mu lambda_mu (|c+|^2 + |c-|^2) v_mu(i)^2 is time-independent on an
-orthonormal basis and reduces to degree or betweenness centrality for special
-link weights; on an oblique basis the total energy gains cross terms beating
-at the eigenfrequency differences.
+inner products.  Each expansion is built on one eigendecomposition, which the
+ModalSolution carries for callers that also need the spectrum.
+
+Per-node oscillation energy E_i = sum_mu lambda_mu (|c+|^2 + |c-|^2) v_mu(i)^2
+is time-independent on an orthonormal basis and reduces to degree or
+betweenness centrality for special link weights; on an oblique basis the
+total energy gains cross terms beating at the eigenfrequency differences.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .errors import (
     DefectiveMatrix,
     Disconnected,
     InvalidGraph,
+    NetoscError,
     NotSymmetrizableError,
     Unstable,
 )
@@ -84,14 +87,16 @@ class InitialCondition:
 class ModalSolution:
     """Mode expansion of a wave-equation solution.
 
-    mass is all-ones when a general Laplacian was decomposed directly; zero
-    modes are stored as (mode index, offset, drift) triples realizing
-    a(t) = offset + drift * t, the w -> 0 limit of the oscillator solution.
+    ``eigensystem`` is the one eigendecomposition the expansion runs on: of
+    the scaled symmetric matrix when a symmetrizable decomposition was given,
+    else of the Laplacian itself, with mass all-ones.  Zero modes are stored
+    as (mode index, offset, drift) triples realizing a(t) = offset + drift * t,
+    the w -> 0 limit of the oscillator solution.
     """
 
     mass: np.ndarray
+    eigensystem: EigenSystem
     omegas: np.ndarray
-    eigvecs: np.ndarray
     c_plus: np.ndarray
     c_minus: np.ndarray
     zero_modes: tuple
@@ -99,6 +104,10 @@ class ModalSolution:
     @property
     def n(self):
         return self.omegas.size
+
+    @property
+    def eigvecs(self):
+        return self.eigensystem.eigenvectors
 
     @property
     def spectrum_real(self):
@@ -143,7 +152,14 @@ class EnergyReport:
     series: TimeSeries | None = None
 
 
-def _solution_coefficients(es: EigenSystem, mass, ic: InitialCondition):
+def _expand(es: EigenSystem, mass, ic: InitialCondition) -> ModalSolution:
+    """Mode expansion of ``ic`` on ``es``.
+
+    Raises DefectiveMatrix when the expansion does not reproduce the initial
+    states and velocities at t = 0.
+    """
+    if ic.n != es.n:
+        raise ValueError(f"initial condition size {ic.n} != n = {es.n}")
     sqrt_m = np.sqrt(mass)
     y0 = (sqrt_m * ic.x0).astype(complex)
     yd0 = (sqrt_m * ic.v0).astype(complex)
@@ -158,7 +174,18 @@ def _solution_coefficients(es: EigenSystem, mass, ic: InitialCondition):
     zero_modes = tuple(
         (int(k), float(a0[k].real), float(ad0[k].real))
         for k in np.flatnonzero(~nonzero))
-    return om, c_plus, c_minus, zero_modes
+    sol = ModalSolution(mass=mass, eigensystem=es, omegas=om,
+                        c_plus=c_plus, c_minus=c_minus, zero_modes=zero_modes)
+    # amplitudes a(0) and their derivatives da/dt(0), as columns
+    at0 = np.stack([c_plus + c_minus, 1j * om * (c_plus - c_minus)], axis=1)
+    for k, offset, drift in zero_modes:
+        at0[k] = offset, drift
+    x0_check, v0_check = _reconstruct(sol, at0, "initial-condition reconstruction")
+    scale = 1.0 + max(np.max(np.abs(ic.x0)), np.max(np.abs(ic.v0)))
+    if (np.max(np.abs(x0_check - ic.x0)) > 1e-8 * scale
+            or np.max(np.abs(v0_check - ic.v0)) > 1e-8 * scale):
+        raise DefectiveMatrix("initial condition not reproduced by the mode expansion")
+    return sol
 
 
 def modal_solve(lap: LaplacianMatrix, ic: InitialCondition,
@@ -167,46 +194,29 @@ def modal_solve(lap: LaplacianMatrix, ic: InitialCondition,
 
     With ``sym`` the expansion runs on the orthonormal basis of the scaled
     symmetric matrix; without it the Laplacian itself is decomposed (mass 1).
-    Raises DefectiveMatrix when the eigenbasis is numerically dependent.
+    Either way the matrix is decomposed once, and the solution carries that
+    EigenSystem.  Raises DefectiveMatrix when the eigenbasis is numerically
+    dependent or the expansion does not reproduce ``ic`` at t = 0.
     """
-    if ic.n != lap.n:
-        raise ValueError(f"initial condition size {ic.n} != n = {lap.n}")
     if sym is not None:
         prod = sym.m[:, None] * lap.entries
         scale = max(np.max(np.abs(prod)), 1.0)
         if np.max(np.abs(prod - sym.lap_sym.entries)) > 1e-10 * scale:
             raise ValueError("decomposition does not match the Laplacian")
-        mass = sym.m
-        es = eigendecompose(scaled_laplacian(sym))
-    else:
-        mass = np.ones(lap.n)
-        es = eigendecompose(lap)
-    om, c_plus, c_minus, zero_modes = _solution_coefficients(es, mass, ic)
-    sol = ModalSolution(mass=mass, omegas=om, eigvecs=es.eigenvectors,
-                        c_plus=c_plus, c_minus=c_minus, zero_modes=zero_modes)
-    x0_check, v0_check = evaluate_state(sol, 0.0), evaluate_velocity(sol, 0.0)
-    scale = 1.0 + max(np.max(np.abs(ic.x0)), np.max(np.abs(ic.v0)))
-    if (np.max(np.abs(x0_check - ic.x0)) > 1e-8 * scale
-            or np.max(np.abs(v0_check - ic.v0)) > 1e-8 * scale):
-        raise DefectiveMatrix("initial condition not reproduced by the mode expansion")
-    return sol
+        return _expand(eigendecompose(scaled_laplacian(sym)), sym.m, ic)
+    return _expand(eigendecompose(lap), np.ones(lap.n), ic)
 
 
 def _mode_amplitudes(sol: ModalSolution, times):
     times = np.asarray(times, dtype=float)
     at = np.zeros((sol.n, times.size), dtype=complex)
-    adot = np.zeros_like(at)
     nz = sol.omegas != 0
     if np.any(nz):
         arg = 1j * np.outer(sol.omegas[nz], times)
-        plus, minus = np.exp(arg), np.exp(-arg)
-        at[nz] = sol.c_plus[nz, None] * plus + sol.c_minus[nz, None] * minus
-        adot[nz] = 1j * sol.omegas[nz, None] * (
-            sol.c_plus[nz, None] * plus - sol.c_minus[nz, None] * minus)
+        at[nz] = sol.c_plus[nz, None] * np.exp(arg) + sol.c_minus[nz, None] * np.exp(-arg)
     for k, offset, drift in sol.zero_modes:
         at[k] = offset + drift * times
-        adot[k] = drift
-    return at, adot
+    return at
 
 
 def _to_real(arr, what):
@@ -217,24 +227,21 @@ def _to_real(arr, what):
     return np.ascontiguousarray(arr.real)
 
 
+def _reconstruct(sol: ModalSolution, amplitudes, what):
+    """Node values diag(mass)^-1/2 V a of mode-amplitude columns a, one row
+    per column, real within _to_real's tolerance."""
+    x = (sol.eigvecs @ amplitudes) / np.sqrt(sol.mass)[:, None]
+    return _to_real(x.T, what)
+
+
 def evaluate_states(sol: ModalSolution, times) -> np.ndarray:
     """States x(t) for a vector of times, shape (len(times), n)."""
-    at, _ = _mode_amplitudes(sol, times)
-    y = sol.eigvecs @ at
-    x = y / np.sqrt(sol.mass)[:, None]
-    return _to_real(x.T, "state reconstruction")
+    return _reconstruct(sol, _mode_amplitudes(sol, times), "state reconstruction")
 
 
 def evaluate_state(sol: ModalSolution, t: float) -> np.ndarray:
     """State x(t) at a single time."""
     return evaluate_states(sol, [t])[0]
-
-
-def evaluate_velocity(sol: ModalSolution, t: float) -> np.ndarray:
-    _, adot = _mode_amplitudes(sol, [t])
-    yd = sol.eigvecs @ adot
-    v = yd / np.sqrt(sol.mass)[:, None]
-    return _to_real(v.T, "velocity reconstruction")[0]
 
 
 def state_amplitude_bound(sol: ModalSolution, t_end: float = 0.0) -> float:
@@ -466,10 +473,14 @@ def epsilon_sweep(lap0: LaplacianMatrix, lapI: LaplacianMatrix, eps_list,
                   node: int = 0) -> list[SweepRecord]:
     """Per-epsilon regime summary along lap0 + eps * lapI.
 
-    Uses the modal path where the eigenbasis is well conditioned and falls
-    back to numeric integration otherwise; per-epsilon failures are recorded,
-    not raised, and output order follows ``eps_list``.
+    Each epsilon is decomposed once: the spectral fields and the mode
+    expansion come from the same EigenSystem.  Uses the modal path where the
+    eigenbasis is well conditioned and falls back to numeric integration
+    otherwise.  Data and numeric failures (NetoscError, ValueError, numpy's
+    LinAlgError) are recorded per epsilon, not raised; any other exception
+    propagates.  Output order follows ``eps_list``.
     """
+    times = np.arange(0.0, t_end + dt / 2.0, dt)
     records = []
     for eps in eps_list:
         eps = float(eps)
@@ -478,14 +489,11 @@ def epsilon_sweep(lap0: LaplacianMatrix, lapI: LaplacianMatrix, eps_list,
             lap = compose_epsilon((lap0, lapI), eps)
             es = eigendecompose(lap)
             real = spectrum_is_real(es)
-            om = mode_frequencies(es).omegas
             fields["spectrum_real"] = real
-            fields["max_im_omega"] = float(np.max(np.abs(om.imag)))
+            fields["max_im_omega"] = mode_frequencies(es).max_growth_rate
             if real and lap.n >= 2:
                 fields["eigen_gap"] = eigen_gap(es)
-            sol = modal_solve(lap, ic)
-            times = np.arange(0.0, t_end + dt / 2.0, dt)
-            states = evaluate_states(sol, times)
+            states = evaluate_states(_expand(es, np.ones(lap.n), ic), times)
             fields["peak_amplitude"] = float(np.max(np.abs(states)))
             if real:
                 fields["beat_frequency"] = float(
@@ -499,7 +507,7 @@ def epsilon_sweep(lap0: LaplacianMatrix, lapI: LaplacianMatrix, eps_list,
                         estimate_beat_frequency(traj.states[:, node], dt))
             except (Unstable, ValueError) as exc:
                 fields["error"] = f"{type(exc).__name__}: {exc}"
-        except Exception as exc:  # record, keep sweeping
+        except (NetoscError, ValueError) as exc:  # LinAlgError is a ValueError
             fields["error"] = f"{type(exc).__name__}: {exc}"
         records.append(SweepRecord(**fields))
     return records

@@ -19,9 +19,15 @@ import numpy as np
 from .errors import Disconnected, InvalidGraph, ParseError
 from .ingest import _numbered_rows, _parse_rows
 
-# Entry-level tolerance used by the Laplacian invariant checks, scaled by
-# (1 + max |entry|).
+# Entry-level tolerance of the Laplacian invariant checks, scaled by
+# (1 + max |entry|), and of the symmetry test, scaled by max(max |entry|, 1).
 _ENTRY_TOL = 1e-12
+
+
+def _is_symmetric(arr) -> bool:
+    """|A - A^T| <= _ENTRY_TOL * max(max |A|, 1) entrywise."""
+    scale = max(np.max(np.abs(arr), initial=0.0), 1.0)
+    return bool(np.max(np.abs(arr - arr.T), initial=0.0) <= _ENTRY_TOL * scale)
 
 
 @dataclass(frozen=True)
@@ -48,7 +54,9 @@ class WeightedDigraph:
                 raise InvalidGraph(f"edge ({s},{d}) out of range for n={self.n}")
             if s == d:
                 raise InvalidGraph(f"self-loop at node {s}")
-            if not (w > 0 and np.isfinite(w)):
+            if not np.isfinite(w):
+                raise InvalidGraph(f"edge ({s},{d}) has non-finite weight {w}")
+            if not w > 0:
                 raise InvalidGraph(f"edge ({s},{d}) has non-positive weight {w}")
             if (s, d) in seen:
                 raise InvalidGraph(f"duplicate edge ({s},{d})")
@@ -119,9 +127,8 @@ class LaplacianMatrix:
         """Weight of the directed link i -> j (0 if absent)."""
         return float(-self.entries[i, j]) if i != j else 0.0
 
-    def is_symmetric(self, rtol=1e-12):
-        scale = max(np.max(np.abs(self.entries)), 1.0)
-        return bool(np.max(np.abs(self.entries - self.entries.T)) <= rtol * scale)
+    def is_symmetric(self):
+        return _is_symmetric(self.entries)
 
 
 @dataclass(frozen=True)
@@ -392,20 +399,3 @@ def graph_from_edge_csv(text: str) -> WeightedDigraph:
     if n < 1:
         raise ParseError("edge CSV contains no edges")
     return WeightedDigraph(n=n, edges=tuple(edges))
-
-
-def matrix_to_csv(mat) -> str:
-    """Dense row-major CSV with 17 significant digits."""
-    arr = mat.entries if isinstance(mat, LaplacianMatrix) else np.asarray(mat)
-    return "\n".join(",".join(f"{v:.17g}" for v in row) for row in arr) + "\n"
-
-
-def matrix_from_csv(text: str) -> np.ndarray:
-    rows = _parse_rows(_numbered_rows(text),
-                       lambda line: [float(v) for v in line.split(",")])
-    if not rows:
-        raise ParseError("empty matrix CSV")
-    lens = {len(r) for r in rows}
-    if len(lens) != 1:
-        raise ParseError("ragged matrix CSV")
-    return np.array(rows)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadBracket, ComplexSpectrum, DefectiveMatrix, NoTransition
-from .graph import LaplacianMatrix, compose_epsilon
+from .graph import LaplacianMatrix, _is_symmetric, compose_epsilon
 
 # Eigenvector bases with condition number beyond this are treated as defective;
 # the mode expansion is numerically meaningless past it.
@@ -61,15 +61,13 @@ class EigenFrequencies:
 def _entries(mat):
     """(entries, is_symmetric, d_max scale) of a dense real matrix.
 
-    Symmetric means |A - A^T| <= 1e-12 max(max |A|, 1) entrywise; the scale is
-    the largest diagonal entry, floored at 0.
+    Symmetric is graph._is_symmetric's test, the one LaplacianMatrix uses;
+    the scale is the largest diagonal entry, floored at 0.
     """
     arr = mat.entries if isinstance(mat, LaplacianMatrix) else np.asarray(mat, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("matrix entries must be finite")
-    scale_entry = np.max(np.abs(arr), initial=0.0)
-    symmetric = np.max(np.abs(arr - arr.T), initial=0.0) <= 1e-12 * max(scale_entry, 1.0)
-    return arr, symmetric, float(np.max(np.diag(arr), initial=0.0))
+    return arr, _is_symmetric(arr), float(np.max(np.diag(arr), initial=0.0))
 
 
 def eigendecompose(mat) -> EigenSystem:
@@ -152,7 +150,7 @@ def critical_epsilon(lap0: LaplacianMatrix, lapI: LaplacianMatrix,
     side is already non-real.  The returned midpoint sits in a bracket of
     width <= tol.  Bisection finds *a* crossing inside the bracket, which is
     the first one only when the bracket holds a single transition; nothing
-    checks that here (a coarse-scan guard is ROADMAP.md item 4).
+    checks that here, and no coarse scan guards against it.
 
     The predicate computes eigenvalues only and applies spectrum_is_real's
     |Im lambda| <= 1e-8 d_max test.  Symmetric compositions (eigendecompose's

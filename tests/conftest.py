@@ -1,5 +1,7 @@
 """Shared fixtures: the 5-node directed network model used across the suite."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,26 @@ def model_lapI():
 @pytest.fixture
 def model_x0():
     return MODEL_X0.copy()
+
+
+@pytest.fixture
+def eigendecompose_calls(monkeypatch):
+    """Matrices passed to eigendecompose, recorded through every loaded
+    netosc module that binds the function."""
+    from netosc import spectral
+
+    calls = []
+    original = spectral.eigendecompose
+
+    def counting(mat):
+        calls.append(mat)
+        return original(mat)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "netosc"
+                and getattr(module, "eigendecompose", None) is original):
+            monkeypatch.setattr(module, "eigendecompose", counting)
+    return calls
 
 
 def brute_force_betweenness(n, links):

@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from conftest import MODEL_L0, MODEL_LI, MODEL_X0
+from conftest import MODEL_L0, MODEL_LI, MODEL_X0, seeded_digraph
 from netosc import signal
 from netosc.cli import _Artifacts, _csv, run
 from netosc.errors import DefectiveMatrix, ParseError, Unstable
+from netosc.graph import LaplacianMatrix, check_symmetrizable, compose_epsilon, laplacian_of
 
 
 @pytest.fixture
@@ -128,6 +129,32 @@ class TestAnalyzeGraph:
         assert (out / "spectrum.csv").exists()
         assert (out / "laplacian_sym.csv").exists()
 
+    @pytest.mark.parametrize("eps", ["0", "1.5"])
+    def test_matrix_csvs_match_the_reference(self, model_json, tmp_path, eps):
+        out = tmp_path / "out"
+        assert run(["analyze-graph", "--graph", str(model_json),
+                    "--eps", eps, "--out", str(out)]).exit_code == 0
+        lap = compose_epsilon((LaplacianMatrix(MODEL_L0), LaplacianMatrix(MODEL_LI)),
+                              float(eps))
+        assert (out / "laplacian.csv").read_bytes() == _reference_matrix_csv(lap).encode()
+        verdict = check_symmetrizable(lap)
+        assert (out / "laplacian_sym.csv").exists() == bool(verdict)
+        if verdict:
+            assert ((out / "laplacian_sym.csv").read_bytes()
+                    == _reference_matrix_csv(verdict.lap_sym).encode())
+
+    def test_digraph_laplacian_csv_parses_back_exactly(self, tmp_path):
+        g = seeded_digraph(0, 12)
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"n": g.n, "edges": [list(e) for e in g.edges]}))
+        out = tmp_path / "out"
+        assert run(["analyze-graph", "--graph", str(path), "--out", str(out)]).exit_code == 0
+        text = (out / "laplacian.csv").read_text()
+        lap = laplacian_of(g)
+        assert text == _reference_matrix_csv(lap)
+        back = np.array([[float(v) for v in line.split(",")] for line in text.splitlines()])
+        assert np.array_equal(back, lap.entries)
+
     def test_model_not_symmetrizable_at_eps1(self, model_json):
         result = run(["analyze-graph", "--graph", str(model_json), "--eps", "1"])
         doc = summary_of(result)
@@ -149,6 +176,13 @@ class TestSimulate:
         assert (out / "trajectory_modal.csv").exists()
         assert (out / "trajectory_numeric.csv").exists()
         assert (out / "energy.csv").exists()
+
+    def test_one_decomposition(self, model_json, eigendecompose_calls):
+        result = run(["simulate", "--graph", str(model_json),
+                      "--x0", ",".join(str(v) for v in MODEL_X0),
+                      "--eps", "1.5", "--t-end", "1", "--dt", "0.01"])
+        assert result.exit_code == 0
+        assert len(eigendecompose_calls) == 1
 
     def test_bad_vector_usage_error(self, model_json):
         result = run(["simulate", "--graph", str(model_json), "--x0", "1,2"])
@@ -173,6 +207,16 @@ class TestCentrality:
         result = run(["centrality", "--graph", str(ring_json)])
         doc = summary_of(result)
         assert np.allclose(doc["centrality"], 2.0, atol=1e-9)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity"])
+    def test_non_finite_weight_is_named(self, tmp_path, token):
+        path = tmp_path / "g.json"
+        path.write_text('{"n": 2, "edges": [[0, 1, %s], [1, 0, 1]]}' % token)
+        result = run(["centrality", "--graph", str(path)])
+        assert result.exit_code == 2
+        error = summary_of(result)["error"]
+        assert error["type"] == "InvalidGraph"
+        assert error["message"] == f"edge (0,1) has non-finite weight {float(token)}"
 
     def test_betweenness_star(self, tmp_path):
         edges = []
@@ -336,6 +380,13 @@ class TestErrorTable:
         result = run(["centrality", "--graph", str(path)])
         assert result.exit_code == 2
         assert summary_of(result)["error"]["type"] == "ParseError"
+
+
+def _reference_matrix_csv(mat):
+    """Reference dense-matrix renderer: row-major, 17 significant digits,
+    no header."""
+    arr = mat.entries if isinstance(mat, LaplacianMatrix) else np.asarray(mat)
+    return "\n".join(",".join(f"{v:.17g}" for v in row) for row in arr) + "\n"
 
 
 def _reference_csv(header, rows):

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import MODEL_L0, MODEL_LI, MODEL_X0, brute_force_betweenness, seeded_digraph
-from netosc.errors import Disconnected, InvalidGraph, NotSymmetrizableError, Unstable
+from netosc import dynamics
+from netosc.errors import (
+    DefectiveMatrix,
+    Disconnected,
+    InvalidGraph,
+    NotSymmetrizableError,
+    Unstable,
+)
 from netosc.dynamics import (
     InitialCondition,
     betweenness_weights,
@@ -506,6 +513,33 @@ class TestEpsilonSweep:
         times = np.arange(0.0, 50.0 + 0.025, 0.05)
         expected = float(np.max(np.abs(evaluate_states(sol, times))))
         assert records[0].peak_amplitude == pytest.approx(expected, rel=1e-12)
+
+    def test_one_decomposition_per_eps(self, eigendecompose_calls):
+        eps_list = [0.0, 1.5, 1.65, 1.66]
+        epsilon_sweep(LaplacianMatrix(MODEL_L0), LaplacianMatrix(MODEL_LI),
+                      eps_list, model_ic(), t_end=10.0, dt=0.05)
+        assert len(eigendecompose_calls) == len(eps_list)
+
+    def test_verlet_fallback_after_defective_basis(self):
+        # L(1) has a Jordan block at eigenvalue 1, so its eigenbasis is defective
+        chain = LaplacianMatrix([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [0.0, 0.0, 0.0]])
+        zero = LaplacianMatrix(np.zeros((3, 3)))
+        with pytest.raises(DefectiveMatrix):
+            eigendecompose(chain)
+        records = epsilon_sweep(zero, chain, [1.0], InitialCondition.at_rest([1.0, 0.0, 0.0]),
+                                t_end=5.0, dt=0.05)
+        assert records[0].as_dict() == {
+            "eps": 1.0, "spectrum_real": None, "max_im_omega": None, "eigen_gap": None,
+            "peak_amplitude": 1.0, "beat_frequency": None, "error": None}
+
+    def test_unexpected_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("not a physics failure")
+
+        monkeypatch.setattr(dynamics, "estimate_beat_frequency", broken)
+        with pytest.raises(TypeError, match="not a physics failure"):
+            epsilon_sweep(LaplacianMatrix(MODEL_L0), LaplacianMatrix(MODEL_LI),
+                          [0.0], model_ic(), t_end=10.0, dt=0.05)
 
     def test_record_serializes(self):
         records = epsilon_sweep(

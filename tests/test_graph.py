@@ -15,8 +15,6 @@ from netosc.graph import (
     graph_from_json,
     laplacian_of,
     left_null_vector,
-    matrix_from_csv,
-    matrix_to_csv,
     scaled_laplacian,
     undirected_graph,
 )
@@ -424,16 +422,8 @@ class TestInterchange:
         # lines 2 and 4 are blank; line 5 holds the bad value
         with pytest.raises(ParseError) as edge_err:
             graph_from_edge_csv("src,dst,w\n\n0,1,1\n\n1,0,x\n")
-        with pytest.raises(ParseError) as matrix_err:
-            matrix_from_csv("1,-1\n\n-1,1\n\n0,x\n")
         assert edge_err.value.line == 5
-        assert matrix_err.value.line == 5
 
     def test_ragged_laplacian_is_invalid_graph(self):
         with pytest.raises(InvalidGraph):
             LaplacianMatrix([[1.0, -1.0], [0.0]])
-
-    def test_matrix_csv_roundtrip(self, model_lap0):
-        text = matrix_to_csv(model_lap0)
-        back = matrix_from_csv(text)
-        assert np.array_equal(back, model_lap0.entries)
