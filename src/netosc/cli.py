@@ -228,9 +228,9 @@ def _cmd_simulate(params, artifacts):
     lap = graph.compose_epsilon((lap0, lapI), eps) if lapI is not None else lap0
     t_end = _resolve(params, "t_end", 100.0)
     dt = _resolve(params, "dt", 0.01)
+    times = dynamics._time_grid(t_end, dt)
     ic = _initial_condition(params)
     sol = dynamics.modal_solve(lap, ic)
-    times = np.arange(0.0, t_end + dt / 2.0, dt)
     states = dynamics.evaluate_states(sol, times)
     results = {
         "n": lap.n,
@@ -242,7 +242,7 @@ def _cmd_simulate(params, artifacts):
     results["energy_stationary"] = energy.total
     # numeric cross-check only where the step is stable; coarse grids are
     # fine for the modal path alone
-    guard = 0.2 / np.sqrt(2.0 * lap.d_max) if lap.d_max > 0 else np.inf
+    guard = dynamics._verlet_step_limit(lap.d_max)
     traj = None
     if dt <= guard:
         traj = dynamics.integrate_numeric(lap, ic, dt=dt, t_end=t_end)

@@ -17,6 +17,7 @@ total energy gains cross terms beating at the eigenfrequency differences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,8 @@ from .graph import (
 )
 from .signal import TimeSeries, estimate_beat_frequency
 from .spectral import (
-    ZERO_TOL_FACTOR,
     EigenSystem,
+    _zero_mask,
     eigen_gap,
     eigendecompose,
     mode_frequencies,
@@ -52,6 +53,22 @@ from .spectral import (
 
 # Trajectories whose max |x_i| crosses this are reported as unstable.
 DIVERGENCE_CUTOFF = 1e12
+
+# Internal velocity-Verlet steps per output step of integrate_numeric.
+VERLET_SUBSTEPS = 10
+
+
+def _time_grid(t_end, dt) -> np.ndarray:
+    """Times k * dt, k = 0 .. round(t_end / dt): the modal and numeric grid."""
+    if not (math.isfinite(dt) and math.isfinite(t_end) and dt > 0 and t_end >= 0):
+        raise ValueError(f"dt must be positive and t_end nonnegative, both finite; "
+                         f"got dt = {dt}, t_end = {t_end}")
+    return np.arange(int(round(t_end / dt)) + 1) * dt
+
+
+def _verlet_step_limit(d_max) -> float:
+    """integrate_numeric's stability guard 0.2 / sqrt(2 d_max); inf at d_max 0."""
+    return 0.2 / math.sqrt(2.0 * d_max) if d_max > 0 else math.inf
 
 
 @dataclass(frozen=True)
@@ -91,7 +108,8 @@ class ModalSolution:
     the scaled symmetric matrix when a symmetrizable decomposition was given,
     else of the Laplacian itself, with mass all-ones.  Zero modes are stored
     as (mode index, offset, drift) triples realizing a(t) = offset + drift * t,
-    the w -> 0 limit of the oscillator solution.
+    the w -> 0 limit of the oscillator solution.  ``spectrum_real`` is
+    spectrum_is_real of the eigensystem.
     """
 
     mass: np.ndarray
@@ -111,13 +129,13 @@ class ModalSolution:
 
     @property
     def spectrum_real(self):
-        return bool(np.max(np.abs(self.omegas.imag), initial=0.0) == 0.0)
+        return spectrum_is_real(self.eigensystem)
 
-    def basis_is_orthonormal(self, tol=1e-8):
+    def basis_is_orthonormal(self):
         v = self.eigvecs
         gram = v.conj().T @ v
-        return bool(np.max(np.abs(gram - np.eye(self.n))) <= tol
-                    and np.max(np.abs(v.imag)) <= tol)
+        return bool(np.max(np.abs(gram - np.eye(self.n))) <= 1e-8
+                    and np.max(np.abs(v.imag)) <= 1e-8)
 
 
 @dataclass(frozen=True)
@@ -255,44 +273,38 @@ def state_amplitude_bound(sol: ModalSolution, t_end: float = 0.0) -> float:
 
 
 def integrate_numeric(lap: LaplacianMatrix, ic: InitialCondition,
-                      dt: float, t_end: float, substeps: int = 10) -> Trajectory:
-    """Velocity-Verlet integration of d2x/dt2 = -L x on a grid of step ``dt``.
+                      dt: float, t_end: float) -> Trajectory:
+    """Velocity-Verlet integration of d2x/dt2 = -L x on _time_grid(t_end, dt).
 
-    Each output step advances through ``substeps`` internal Verlet steps, so
+    Each output step advances through VERLET_SUBSTEPS = 10 Verlet steps, so
     the global error stays O(dt^2) in the output step with a constant small
     enough to track the mode expansion tightly at desk scale.  The system is
-    linear, so one Verlet step of size h = dt / substeps maps [x; v] through
-    the fixed 2n x 2n transfer matrix
+    linear, so one Verlet step of size h = dt / 10 maps [x; v] through the
+    fixed 2n x 2n transfer matrix
 
         [ I - h^2/2 L                  h I          ]
         [ -h/2 (L + L (I - h^2/2 L))   I - h^2/2 L  ]
 
-    and one output step is that matrix raised to ``substeps``, applied once.
-    No eigenbasis is used.  dt must respect the stability guard
-    0.2 / sqrt(2 d_max).  Raises Unstable with the first output time at which
-    any |x_i| exceeds 1e12.
+    and one output step is its 10th power, applied once.  No eigenbasis is
+    used.  Raises ValueError for a bad grid or a dt above the stability guard
+    0.2 / sqrt(2 d_max), and Unstable with the first output time at which any
+    |x_i| exceeds 1e12.
     """
     if ic.n != lap.n:
         raise ValueError(f"initial condition size {ic.n} != n = {lap.n}")
-    if dt <= 0 or t_end < 0:
-        raise ValueError("dt must be positive and t_end nonnegative")
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
-    d_max = lap.d_max
-    if d_max > 0 and dt > 0.2 / np.sqrt(2.0 * d_max):
-        raise ValueError(
-            f"dt = {dt} exceeds stability guard {0.2 / np.sqrt(2 * d_max):.6g}")
-    steps = int(round(t_end / dt))
-    h = dt / substeps
+    times = _time_grid(t_end, dt)
+    limit = _verlet_step_limit(lap.d_max)
+    if dt > limit:
+        raise ValueError(f"dt = {dt} exceeds stability guard {limit:.6g}")
+    h = dt / VERLET_SUBSTEPS
     n, lmat = lap.n, lap.entries
     drift = np.eye(n) - 0.5 * h * h * lmat
     step = np.block([[drift, h * np.eye(n)],
                      [-0.5 * h * (lmat + lmat @ drift), drift]])
-    transfer = np.linalg.matrix_power(step, substeps)
-    times = np.arange(steps + 1) * dt
-    phase = np.empty((steps + 1, 2 * n))
+    transfer = np.linalg.matrix_power(step, VERLET_SUBSTEPS)
+    phase = np.empty((times.size, 2 * n))
     phase[0, :n], phase[0, n:] = ic.x0, ic.v0
-    for k in range(1, steps + 1):
+    for k in range(1, times.size):
         phase[k] = transfer @ phase[k - 1]
         if np.max(np.abs(phase[k, :n])) > DIVERGENCE_CUTOFF:
             raise Unstable(f"|x| crossed {DIVERGENCE_CUTOFF:.0e} at t = {times[k]:.6g}",
@@ -337,8 +349,6 @@ def total_energy_series(sol: ModalSolution, times) -> EnergyReport:
     """
     times = np.asarray(times, dtype=float)
     amp = np.sqrt(2.0 * (np.abs(sol.c_plus) ** 2 + np.abs(sol.c_minus) ** 2))
-    for k, _, _ in sol.zero_modes:
-        amp[k] = 0.0
     om = sol.omegas
     stationary = 0.5 * float(np.sum(amp ** 2 * np.abs(om) ** 2))
     weight = amp * om
@@ -416,24 +426,23 @@ def oscillation_centrality(lap: LaplacianMatrix) -> np.ndarray:
     if isinstance(dec, NotSymmetrizable):
         raise NotSymmetrizableError(f"{dec.reason}: {dec.detail}")
     es = eigendecompose(scaled_laplacian(dec))
-    lam = es.eigenvalues.real
-    keep = np.abs(lam) > ZERO_TOL_FACTOR * max(es.scale, 1.0)
-    return (np.abs(es.eigenvectors[:, keep]) ** 2) @ lam[keep]
+    keep = ~_zero_mask(es)
+    return (np.abs(es.eigenvectors[:, keep]) ** 2) @ es.eigenvalues.real[keep]
 
 
-def fit_growth_rate(times, amplitudes, n_chunks: int = 24, decades: float = 1.0) -> float:
+def fit_growth_rate(times, amplitudes) -> float:
     """Exponential growth rate of an amplitude envelope.
 
-    Reduces the curve to per-chunk maxima (so beat nulls do not bias the fit),
-    keeps the trailing window spanning ``decades`` of growth, and returns the
-    slope of a linear fit to log max.
+    Reduces the curve to the maxima of 24 equal chunks (so beat nulls do not
+    bias the fit), keeps the contiguous trailing chunks within one decade of
+    the largest maximum, and returns the slope of a linear fit to log max.
     """
     times = np.asarray(times, dtype=float)
     amplitudes = np.asarray(amplitudes, dtype=float)
-    idx_chunks = np.array_split(np.arange(times.size), n_chunks)
+    idx_chunks = np.array_split(np.arange(times.size), 24)
     tc = np.array([times[c].mean() for c in idx_chunks if c.size])
     ac = np.array([amplitudes[c].max() for c in idx_chunks if c.size])
-    mask = ac >= ac.max() / (10.0 ** decades)
+    mask = ac >= ac.max() / 10.0
     # use the contiguous tail only
     start = len(mask) - 1
     while start > 0 and mask[start - 1]:
@@ -469,18 +478,19 @@ class SweepRecord:
 
 
 def epsilon_sweep(lap0: LaplacianMatrix, lapI: LaplacianMatrix, eps_list,
-                  ic: InitialCondition, t_end: float, dt: float,
-                  node: int = 0) -> list[SweepRecord]:
+                  ic: InitialCondition, t_end: float, dt: float) -> list[SweepRecord]:
     """Per-epsilon regime summary along lap0 + eps * lapI.
 
     Each epsilon is decomposed once: the spectral fields and the mode
     expansion come from the same EigenSystem.  Uses the modal path where the
     eigenbasis is well conditioned and falls back to numeric integration
-    otherwise.  Data and numeric failures (NetoscError, ValueError, numpy's
-    LinAlgError) are recorded per epsilon, not raised; any other exception
-    propagates.  Output order follows ``eps_list``.
+    otherwise; the beat frequency is read off node 0's trajectory.  A bad
+    time grid raises ValueError before any epsilon is probed.  Data and
+    numeric failures (NetoscError, ValueError, numpy's LinAlgError) are
+    recorded per epsilon, not raised; any other exception propagates.
+    Output order follows ``eps_list``.
     """
-    times = np.arange(0.0, t_end + dt / 2.0, dt)
+    times = _time_grid(t_end, dt)
     records = []
     for eps in eps_list:
         eps = float(eps)
@@ -497,14 +507,14 @@ def epsilon_sweep(lap0: LaplacianMatrix, lapI: LaplacianMatrix, eps_list,
             fields["peak_amplitude"] = float(np.max(np.abs(states)))
             if real:
                 fields["beat_frequency"] = float(
-                    estimate_beat_frequency(states[:, node], dt))
+                    estimate_beat_frequency(states[:, 0], dt))
         except DefectiveMatrix:
             try:
                 traj = integrate_numeric(lap, ic, dt, t_end)
                 fields["peak_amplitude"] = traj.peak_amplitude()
                 if fields.get("spectrum_real"):
                     fields["beat_frequency"] = float(
-                        estimate_beat_frequency(traj.states[:, node], dt))
+                        estimate_beat_frequency(traj.states[:, 0], dt))
             except (Unstable, ValueError) as exc:
                 fields["error"] = f"{type(exc).__name__}: {exc}"
         except (NetoscError, ValueError) as exc:  # LinAlgError is a ValueError

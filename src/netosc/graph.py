@@ -23,6 +23,9 @@ from .ingest import _numbered_rows, _parse_rows
 # (1 + max |entry|), and of the symmetry test, scaled by max(max |entry|, 1).
 _ENTRY_TOL = 1e-12
 
+# Relative tolerance of check_symmetrizable's mass and balance tests.
+_BALANCE_TOL = 1e-9
+
 
 def _is_symmetric(arr) -> bool:
     """|A - A^T| <= _ENTRY_TOL * max(max |A|, 1) entrywise."""
@@ -199,45 +202,22 @@ def gershgorin_disk(lap: LaplacianMatrix) -> GershgorinDisk:
     return GershgorinDisk(center=d, radius=d)
 
 
-def _undirected_components(pattern):
-    """Connected components of the symmetrized nonzero pattern."""
-    n = pattern.shape[0]
-    adj = (pattern != 0) | (pattern != 0).T
-    np.fill_diagonal(adj, False)
-    comp = -np.ones(n, dtype=int)
-    ncomp = 0
-    for start in range(n):
-        if comp[start] >= 0:
-            continue
-        stack = [start]
-        comp[start] = ncomp
-        while stack:
-            u = stack.pop()
-            for v in np.flatnonzero(adj[u]):
-                if comp[v] < 0:
-                    comp[v] = ncomp
-                    stack.append(v)
-        ncomp += 1
-    return ncomp
-
-
 def left_null_vector(lap: LaplacianMatrix) -> np.ndarray:
     """Left eigenvector m of the zero eigenvalue, with min nonzero |m_i| = 1.
 
-    Requires a connected nonzero pattern and a simple zero eigenvalue; the sign
-    is fixed so the largest-magnitude component is positive.
+    Raises Disconnected unless exactly one singular value is <= 1e-10 times
+    the largest: a simple zero eigenvalue, which also rules out a disconnected
+    graph, whose every component adds a zero eigenvalue.  The sign is fixed so
+    the largest-magnitude component is positive.
     """
     n = lap.n
     if n == 1:
         return np.ones(1)
-    if _undirected_components(lap.entries) != 1:
-        raise Disconnected("graph nonzero pattern is not connected")
-    # Null space of lap^T via SVD; simplicity of the zero eigenvalue shows up
-    # as exactly one vanishing singular value.
+    # Null space of lap^T via SVD
     u, s, vt = np.linalg.svd(lap.entries.T)
     smax = s[0] if s[0] > 0 else 1.0
-    if n >= 2 and s[-2] <= 1e-10 * smax:
-        raise Disconnected("zero eigenvalue is not simple")
+    if s[-2] <= 1e-10 * smax:
+        raise Disconnected("graph is disconnected or its zero eigenvalue is not simple")
     m = vt[-1]
     k = int(np.argmax(np.abs(m)))
     if m[k] < 0:
@@ -252,17 +232,17 @@ def left_null_vector(lap: LaplacianMatrix) -> np.ndarray:
     return m
 
 
-def check_symmetrizable(lap: LaplacianMatrix, tol: float = 1e-9):
+def check_symmetrizable(lap: LaplacianMatrix):
     """Symmetrizable decomposition of ``lap``, or a NotSymmetrizable verdict.
 
-    Positive-mass and detailed-balance checks both use ``tol`` relative to the
-    largest edge weight and mass.  Returns SymmetrizableDecomposition on
-    success; the returned lap_sym is diag(m) @ lap, symmetrized to kill
+    Positive-mass and detailed-balance checks both use _BALANCE_TOL relative
+    to the largest edge weight and mass.  Returns SymmetrizableDecomposition
+    on success; the returned lap_sym is diag(m) @ lap, symmetrized to kill
     floating-point fuzz.
     """
     m = left_null_vector(lap)
     mmax = np.max(np.abs(m)) if lap.n > 1 else 1.0
-    bad = np.flatnonzero(m <= tol * mmax)
+    bad = np.flatnonzero(m <= _BALANCE_TOL * mmax)
     if bad.size:
         i = int(bad[0])
         return NotSymmetrizable(
@@ -270,7 +250,7 @@ def check_symmetrizable(lap: LaplacianMatrix, tol: float = 1e-9):
             detail=f"component m[{i}] = {m[i]:.3e} is not positive")
     off = -lap.entries + np.diag(np.diag(lap.entries))
     wmax = np.max(off) if lap.n > 1 else 0.0
-    thresh = tol * max(wmax, 1e-300) * mmax
+    thresh = _BALANCE_TOL * max(wmax, 1e-300) * mmax
     bal = m[:, None] * off - (m[:, None] * off).T
     viol = np.abs(bal)
     if lap.n > 1 and np.max(viol) > thresh:

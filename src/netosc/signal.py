@@ -172,14 +172,14 @@ class BeatDemo:
         return {k: self.spectra[k].peak_frequency_index() for k in self.PANELS}
 
 
-def beat_demo(omega1: float, omega2: float, n: int,
-              smooth_window: int = 64) -> BeatDemo:
+def beat_demo(omega1: float, omega2: float, n: int) -> BeatDemo:
     """Beat-formation demonstration with driving frequencies omega1, omega2.
 
     ``n`` must be a power of two >= 256; both frequencies must lie in
-    (0, pi).  With (0.10, 0.11, 4096) the tone spectra peak at bins 65 and 72,
-    the squared sum at 137 and 6..7, and after window-64 smoothing the beat
-    line dominates.
+    (0, pi).  Panel "e" smooths the squared sum with a window of 64 samples.
+    With (0.10, 0.11, 4096) the tone spectra peak at bins 65 and 72, the
+    squared sum at 137 and 6..7, and after the smoothing the beat line
+    dominates.
     """
     if n < 256 or (n & (n - 1)) != 0:
         raise ValueError(f"n must be a power of two >= 256, got {n}")
@@ -191,7 +191,7 @@ def beat_demo(omega1: float, omega2: float, n: int,
     s2 = TimeSeries(np.cos(omega2 * t))
     ssum = TimeSeries(s1.values + s2.values)
     ssq = square_series(ssum)
-    ssm = smooth_series(ssq, smooth_window)
+    ssm = smooth_series(ssq, 64)
     signals = {"a": s1, "b": s2, "c": ssum, "d": ssq, "e": ssm}
     spectra = {k: normalize_spectrum(dft_spectrum(v)) for k, v in signals.items()}
     return BeatDemo(signals=signals, spectra=spectra)

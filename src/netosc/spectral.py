@@ -105,26 +105,32 @@ def eigendecompose(mat) -> EigenSystem:
     return EigenSystem(eigenvalues=lam, eigenvectors=vec, basis_condition=cond, scale=scale)
 
 
-def spectrum_is_real(es: EigenSystem, tol_im: float | None = None) -> bool:
-    """True when every eigenvalue is real within ``tol_im``
-    (default 1e-8 times the source matrix's d_max)."""
-    if tol_im is None:
-        tol_im = REAL_TOL_FACTOR * es.scale
-    return bool(np.max(np.abs(es.eigenvalues.imag), initial=0.0) <= tol_im)
+def _real_within_tol(eigenvalues, scale) -> bool:
+    """The real-spectrum rule: max |Im lambda| <= REAL_TOL_FACTOR * scale."""
+    return bool(np.max(np.abs(eigenvalues.imag), initial=0.0) <= REAL_TOL_FACTOR * scale)
+
+
+def _zero_mask(es: EigenSystem) -> np.ndarray:
+    """The zero-mode rule: |lambda| <= ZERO_TOL_FACTOR * scale, per mode."""
+    return np.abs(es.eigenvalues) <= ZERO_TOL_FACTOR * es.scale
+
+
+def spectrum_is_real(es: EigenSystem) -> bool:
+    """True when every |Im lambda| <= 1e-8 times the source matrix's d_max."""
+    return _real_within_tol(es.eigenvalues, es.scale)
 
 
 def eigen_gap(es: EigenSystem) -> float:
-    """Minimum distance between consecutive sorted real eigenvalues.
+    """Minimum distance between consecutive (sorted) real eigenvalues.
 
-    Pairs where both eigenvalues sit in the zero mode are excluded; a repeated
+    Pairs of two zero modes (_zero_mask) are excluded; a repeated
     nonzero eigenvalue yields a gap of 0.  Raises ComplexSpectrum when the
     spectrum is not real.
     """
     if not spectrum_is_real(es):
         raise ComplexSpectrum("eigen gap is defined for real spectra only")
-    lam = np.sort(es.eigenvalues.real)
-    zero = np.abs(lam) <= ZERO_TOL_FACTOR * max(es.scale, 1.0)
-    gaps = np.diff(lam)[~(zero[:-1] & zero[1:])]
+    zero = _zero_mask(es)
+    gaps = np.diff(es.eigenvalues.real)[~(zero[:-1] & zero[1:])]
     if not gaps.size:
         raise ValueError("eigen gap needs at least two nonzero modes")
     return float(gaps.min())
@@ -133,9 +139,8 @@ def eigen_gap(es: EigenSystem) -> float:
 def mode_frequencies(es: EigenSystem) -> EigenFrequencies:
     """Eigenfrequencies omega = sqrt(lambda), principal branch (Re >= 0);
     eigenvalues inside the zero-mode tolerance map to omega = 0 exactly."""
-    zero_tol = ZERO_TOL_FACTOR * es.scale
     om = np.sqrt(es.eigenvalues.astype(complex))
-    om[np.abs(es.eigenvalues) <= zero_tol] = 0.0
+    om[_zero_mask(es)] = 0.0
     om.flags.writeable = False
     return EigenFrequencies(omegas=om)
 
@@ -164,10 +169,8 @@ def critical_epsilon(lap0: LaplacianMatrix, lapI: LaplacianMatrix,
 
     def is_real(eps):
         arr, symmetric, scale = _entries(compose_epsilon((lap0, lapI), eps))
-        if symmetric:  # the symmetric solver's eigenvalues are exactly real
-            return True
-        lam = np.linalg.eigvals(arr)
-        return bool(np.max(np.abs(lam.imag), initial=0.0) <= REAL_TOL_FACTOR * scale)
+        # the symmetric solver's eigenvalues are exactly real
+        return symmetric or _real_within_tol(np.linalg.eigvals(arr), scale)
 
     if is_real(hi):
         raise NoTransition(f"spectrum still real at eps = {hi}")

@@ -188,6 +188,19 @@ class TestSimulate:
         result = run(["simulate", "--graph", str(model_json), "--x0", "1,2"])
         assert result.exit_code == 1
 
+    def test_half_step_grid_matches_numeric(self, model_json, tmp_path):
+        # t_end / dt = 1.5: the modal and the Verlet grid must agree in length
+        out = tmp_path / "sim"
+        result = run(["simulate", "--graph", str(model_json),
+                      "--x0", ",".join(str(v) for v in MODEL_X0),
+                      "--eps", "1.5", "--t-end", "0.015", "--dt", "0.01",
+                      "--out", str(out)])
+        assert result.exit_code == 0
+        modal = (out / "trajectory_modal.csv").read_text().splitlines()
+        numeric = (out / "trajectory_numeric.csv").read_text().splitlines()
+        assert len(modal) == len(numeric) == 4
+        assert [r.split(",")[0] for r in modal] == [r.split(",")[0] for r in numeric]
+
 
 class TestSweep:
     def test_model_regimes(self, model_json, tmp_path):
@@ -200,6 +213,28 @@ class TestSweep:
         records = summary_of(result)["records"]
         assert [r["spectrum_real"] for r in records] == [True, True, True, False]
         assert (out / "sweep.json").exists()
+
+
+class TestBadTimeFlags:
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--dt", "0"), ("--dt", "nan"), ("--dt", "inf"),
+        ("--t-end", "nan"), ("--t-end", "inf"), ("--t-end", "-1"),
+    ])
+    def test_usage_error_before_any_solve(self, model_json, capsys, eigendecompose_calls,
+                                          command, flag, value):
+        argv = [command, "--graph", str(model_json),
+                "--x0", ",".join(str(v) for v in MODEL_X0), flag, value]
+        if command == "sweep":
+            argv += ["--eps", "0,1.5"]
+        result = run(argv)
+        assert result.exit_code == 1
+        assert capsys.readouterr().err.strip() == result.summary
+        error = summary_of(result)["error"]
+        assert error["type"] == "ValueError"
+        assert error["message"].startswith(
+            "dt must be positive and t_end nonnegative, both finite")
+        assert eigendecompose_calls == []
 
 
 class TestCentrality:

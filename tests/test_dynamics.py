@@ -35,7 +35,7 @@ from netosc.graph import (
     undirected_graph,
 )
 from netosc.signal import estimate_beat_frequency
-from netosc.spectral import eigendecompose, mode_frequencies
+from netosc.spectral import EigenSystem, eigendecompose, mode_frequencies, spectrum_is_real
 
 
 def model(eps):
@@ -224,6 +224,33 @@ class TestIntegrateNumeric:
     def test_stability_guard(self):
         with pytest.raises(ValueError):
             integrate_numeric(model(0.0), model_ic(), dt=0.5, t_end=1.0)
+
+    def test_step_limit_without_links(self):
+        assert dynamics._verlet_step_limit(0.0) == np.inf
+        traj = integrate_numeric(LaplacianMatrix(np.zeros((2, 2))),
+                                 InitialCondition(x0=[1.0, 2.0], v0=[0.5, 0.0]),
+                                 dt=1.0, t_end=2.0)
+        assert np.array_equal(traj.states, [[1.0, 2.0], [1.5, 2.0], [2.0, 2.0]])
+
+
+class TestTimeGrid:
+    @pytest.mark.parametrize("t_end, dt", [(100.0, 0.01), (255.0, 1.0), (200.0, 0.05),
+                                           (50.0, 0.05), (10.0, 0.01), (1.0, 0.01)])
+    def test_matches_half_step_arange(self, t_end, dt):
+        # away from exact half steps the grid is the arange the CLI once built
+        grid = dynamics._time_grid(t_end, dt)
+        assert np.array_equal(grid, np.arange(0.0, t_end + dt / 2.0, dt))
+
+    def test_half_step_length_follows_round(self):
+        assert dynamics._time_grid(0.015, 0.01).size == 3
+        assert dynamics._time_grid(0.0, 0.01).tolist() == [0.0]
+
+    @pytest.mark.parametrize("t_end, dt", [(1.0, 0.0), (1.0, -0.1), (1.0, np.nan),
+                                           (1.0, np.inf), (np.nan, 0.1), (np.inf, 0.1),
+                                           (-1.0, 0.1)])
+    def test_bad_grid_rejected(self, t_end, dt):
+        with pytest.raises(ValueError, match="both finite"):
+            dynamics._time_grid(t_end, dt)
 
     @pytest.mark.parametrize("case", sorted(LOOP_CASES))
     def test_transfer_matrix_matches_substep_loop(self, case):
@@ -466,6 +493,12 @@ class TestOscillationCentrality:
         cent = oscillation_centrality(lap)
         assert np.allclose(cent, [1.0, 1.0], atol=1e-12)
 
+    @pytest.mark.parametrize("w", [1e-10, 1e-3, 1.0, 1e3])
+    def test_degree_at_any_weight_scale(self, w):
+        ring = [(k, (k + 1) % 6) for k in range(6)]
+        cent = oscillation_centrality(laplacian_of(undirected_graph(6, ring, weight=w)))
+        assert np.allclose(cent, 2.0 * w, rtol=1e-9, atol=0.0)
+
     def test_affine_to_betweenness_on_trees(self):
         trees = [
             (4, [(0, 1), (1, 2), (2, 3)]),
@@ -489,7 +522,29 @@ class TestOscillationCentrality:
             oscillation_centrality(model(1.5))
 
 
+class TestSpectrumReal:
+    @pytest.mark.parametrize("im_factor", [0.0, 1e-10, 1e-6])
+    def test_matches_spectrum_is_real(self, im_factor):
+        scale = 4.0
+        im = im_factor * scale
+        lam = np.array([0.0, 2.0 - im * 1j, 2.0 + im * 1j, 4.0])
+        es = EigenSystem(eigenvalues=lam, eigenvectors=np.eye(4, dtype=complex),
+                         basis_condition=1.0, scale=scale)
+        zeros = np.zeros(4, dtype=complex)
+        sol = dynamics.ModalSolution(mass=np.ones(4), eigensystem=es,
+                                     omegas=mode_frequencies(es).omegas,
+                                     c_plus=zeros, c_minus=zeros, zero_modes=())
+        assert sol.spectrum_real is spectrum_is_real(es) is (im_factor <= 1e-8)
+
+
 class TestEpsilonSweep:
+    @pytest.mark.parametrize("t_end, dt", [(-1.0, 0.05), (10.0, 0.0)])
+    def test_bad_time_grid_raises(self, t_end, dt, eigendecompose_calls):
+        with pytest.raises(ValueError, match="both finite"):
+            epsilon_sweep(LaplacianMatrix(MODEL_L0), LaplacianMatrix(MODEL_LI),
+                          [0.0, 1.5], model_ic(), t_end=t_end, dt=dt)
+        assert eigendecompose_calls == []
+
     def test_regime_classification(self):
         records = epsilon_sweep(
             LaplacianMatrix(MODEL_L0), LaplacianMatrix(MODEL_LI),

@@ -199,6 +199,13 @@ class TestLeftNullVector:
         with pytest.raises(Disconnected):
             left_null_vector(lap)
 
+    def test_two_disjoint_weighted_pairs_raise(self):
+        lap = laplacian_of(undirected_graph(4, [(0, 1, 2.0), (2, 3, 0.5)]))
+        with pytest.raises(Disconnected, match="disconnected"):
+            left_null_vector(lap)
+        with pytest.raises(Disconnected, match="disconnected"):
+            check_symmetrizable(lap)
+
     def test_zero_not_simple_raises(self):
         # two sinks reachable from a common source: weakly connected but the
         # zero eigenvalue has multiplicity 2

@@ -145,7 +145,7 @@ class TestEigenGap:
     def test_matches_pair_list(self, diag):
         es = eigendecompose(np.diag(diag))
         lam = np.sort(es.eigenvalues.real)
-        zero_tol = 1e-9 * max(es.scale, 1.0)
+        zero_tol = 1e-9 * es.scale
         gaps = [lam[k + 1] - lam[k] for k in range(lam.size - 1)
                 if not (abs(lam[k]) <= zero_tol and abs(lam[k + 1]) <= zero_tol)]
         assert eigen_gap(es) == min(gaps)
@@ -153,6 +153,13 @@ class TestEigenGap:
     def test_zero_modes_only_raises(self):
         with pytest.raises(ValueError):
             eigen_gap(eigendecompose(np.zeros((3, 3))))
+
+    @pytest.mark.parametrize("w", [1e-10, 1e-3, 1.0, 1e3])
+    def test_six_ring_at_any_weight_scale(self, w):
+        # spectrum w * {0, 1, 1, 3, 3, 4}: one zero mode, a repeated pair
+        ring = [(k, (k + 1) % 6) for k in range(6)]
+        es = eigendecompose(laplacian_of(undirected_graph(6, ring, weight=w)))
+        assert eigen_gap(es) == pytest.approx(0.0, abs=1e-9 * w)
 
 
 class TestModeFrequencies:
