@@ -232,26 +232,6 @@ class TestIntegrateNumeric:
                                  dt=1.0, t_end=2.0)
         assert np.array_equal(traj.states, [[1.0, 2.0], [1.5, 2.0], [2.0, 2.0]])
 
-
-class TestTimeGrid:
-    @pytest.mark.parametrize("t_end, dt", [(100.0, 0.01), (255.0, 1.0), (200.0, 0.05),
-                                           (50.0, 0.05), (10.0, 0.01), (1.0, 0.01)])
-    def test_matches_half_step_arange(self, t_end, dt):
-        # away from exact half steps the grid is the arange the CLI once built
-        grid = dynamics._time_grid(t_end, dt)
-        assert np.array_equal(grid, np.arange(0.0, t_end + dt / 2.0, dt))
-
-    def test_half_step_length_follows_round(self):
-        assert dynamics._time_grid(0.015, 0.01).size == 3
-        assert dynamics._time_grid(0.0, 0.01).tolist() == [0.0]
-
-    @pytest.mark.parametrize("t_end, dt", [(1.0, 0.0), (1.0, -0.1), (1.0, np.nan),
-                                           (1.0, np.inf), (np.nan, 0.1), (np.inf, 0.1),
-                                           (-1.0, 0.1)])
-    def test_bad_grid_rejected(self, t_end, dt):
-        with pytest.raises(ValueError, match="both finite"):
-            dynamics._time_grid(t_end, dt)
-
     @pytest.mark.parametrize("case", sorted(LOOP_CASES))
     def test_transfer_matrix_matches_substep_loop(self, case):
         lap, ic = LOOP_CASES[case]()
@@ -274,6 +254,26 @@ class TestTimeGrid:
         t_div, _, _ = verlet_substep_loop(lap, ic, 0.02, t_end)
         assert t_div is not None
         assert exc.value.t_diverge == t_div
+
+
+class TestTimeGrid:
+    @pytest.mark.parametrize("t_end, dt", [(100.0, 0.01), (255.0, 1.0), (200.0, 0.05),
+                                           (50.0, 0.05), (10.0, 0.01), (1.0, 0.01)])
+    def test_matches_half_step_arange(self, t_end, dt):
+        # away from exact half steps the grid is the arange the CLI once built
+        grid = dynamics._time_grid(t_end, dt)
+        assert np.array_equal(grid, np.arange(0.0, t_end + dt / 2.0, dt))
+
+    def test_half_step_length_follows_round(self):
+        assert dynamics._time_grid(0.015, 0.01).size == 3
+        assert dynamics._time_grid(0.0, 0.01).tolist() == [0.0]
+
+    @pytest.mark.parametrize("t_end, dt", [(1.0, 0.0), (1.0, -0.1), (1.0, np.nan),
+                                           (1.0, np.inf), (np.nan, 0.1), (np.inf, 0.1),
+                                           (-1.0, 0.1)])
+    def test_bad_grid_rejected(self, t_end, dt):
+        with pytest.raises(ValueError, match="both finite"):
+            dynamics._time_grid(t_end, dt)
 
 
 class TestNodeEnergies:
