@@ -282,8 +282,9 @@ def _cmd_critical_eps(params, artifacts):
     lap0, lapI = _model_parts(params["graph"])
     tol = _resolve(params, "tol", 1e-3)
     bracket = (params["lo"], params["hi"])
-    eps_star = spectral.critical_epsilon(lap0, lapI, bracket=bracket, tol=tol)
-    results = {"eps_star": eps_star, "bracket": list(bracket), "tol": tol}
+    eps_star, lo, hi, solves = spectral._locate_transition(lap0, lapI, bracket, tol)
+    results = {"eps_star": eps_star, "bracket": list(bracket), "final_bracket": [lo, hi],
+               "solves": solves, "tol": tol}
     return [params["graph"]], results
 
 
@@ -411,7 +412,7 @@ COMMANDS = (
      GRAPH + (_arg("--betweenness", action="store_true",
                    help="reweight links by shortest-path counts first"),) + OUT,
      _cmd_centrality),
-    ("critical-eps", "bisect the real-to-complex transition",
+    ("critical-eps", "locate the first real-to-complex transition",
      GRAPH + (_arg("--lo", type=float, required=True),
               _arg("--hi", type=float, required=True),
               _arg("--tol", type=float)),

@@ -54,16 +54,30 @@ from .spectral import (
 # Trajectories whose max |x_i| crosses this are reported as unstable.
 DIVERGENCE_CUTOFF = 1e12
 
+# integrate_numeric tests for divergence once per this many output steps.
+DIVERGENCE_CHECK_BLOCK = 64
+
 # Internal velocity-Verlet steps per output step of integrate_numeric.
 VERLET_SUBSTEPS = 10
 
+# Most points a time grid may hold (80 MB of float64 times alone).
+MAX_TIME_POINTS = 10_000_000
+
 
 def _time_grid(t_end, dt) -> np.ndarray:
-    """Times k * dt, k = 0 .. round(t_end / dt): the modal and numeric grid."""
+    """Times k * dt, k = 0 .. round(t_end / dt): the modal and numeric grid.
+
+    Raises ValueError before allocating when the grid would hold more than
+    MAX_TIME_POINTS points or t_end / dt overflows.
+    """
     if not (math.isfinite(dt) and math.isfinite(t_end) and dt > 0 and t_end >= 0):
         raise ValueError(f"dt must be positive and t_end nonnegative, both finite; "
                          f"got dt = {dt}, t_end = {t_end}")
-    return np.arange(int(round(t_end / dt)) + 1) * dt
+    steps = float(t_end) / float(dt)
+    if not (math.isfinite(steps) and round(steps) < MAX_TIME_POINTS):
+        raise ValueError(f"t_end / dt = {steps:.6g} exceeds the {MAX_TIME_POINTS} time "
+                         f"points a grid may hold; got dt = {dt}, t_end = {t_end}")
+    return np.arange(round(steps) + 1) * dt
 
 
 def _verlet_step_limit(d_max) -> float:
@@ -288,7 +302,8 @@ def integrate_numeric(lap: LaplacianMatrix, ic: InitialCondition,
     and one output step is its 10th power, applied once.  No eigenbasis is
     used.  Raises ValueError for a bad grid or a dt above the stability guard
     0.2 / sqrt(2 d_max), and Unstable with the first output time at which any
-    |x_i| exceeds 1e12.
+    |x_i| exceeds 1e12; the test runs once per DIVERGENCE_CHECK_BLOCK = 64
+    output steps, over each of them.
     """
     if ic.n != lap.n:
         raise ValueError(f"initial condition size {ic.n} != n = {lap.n}")
@@ -304,9 +319,13 @@ def integrate_numeric(lap: LaplacianMatrix, ic: InitialCondition,
     transfer = np.linalg.matrix_power(step, VERLET_SUBSTEPS)
     phase = np.empty((times.size, 2 * n))
     phase[0, :n], phase[0, n:] = ic.x0, ic.v0
-    for k in range(1, times.size):
-        phase[k] = transfer @ phase[k - 1]
-        if np.max(np.abs(phase[k, :n])) > DIVERGENCE_CUTOFF:
+    for start in range(1, times.size, DIVERGENCE_CHECK_BLOCK):
+        stop = min(start + DIVERGENCE_CHECK_BLOCK, times.size)
+        for k in range(start, stop):
+            phase[k] = transfer @ phase[k - 1]
+        over = np.flatnonzero(np.max(np.abs(phase[start:stop, :n]), axis=1) > DIVERGENCE_CUTOFF)
+        if over.size:
+            k = start + int(over[0])
             raise Unstable(f"|x| crossed {DIVERGENCE_CUTOFF:.0e} at t = {times[k]:.6g}",
                            t_diverge=float(times[k]))
     return Trajectory(times=times, states=phase[:, :n], velocities=phase[:, n:])

@@ -86,11 +86,11 @@ class ComplexSpectrum(NumericError):
 
 
 class BadBracket(NumericError):
-    """Bisection bracket does not satisfy real(lo) / non-real(hi)."""
+    """Transition bracket is empty, has tol <= 0, or is non-real at lo."""
 
 
 class NoTransition(NumericError):
-    """No real-to-complex transition inside the bracket (hi side is real)."""
+    """The transition search found a real spectrum at every point up to hi."""
 
 
 class Unstable(NumericError):

@@ -3,8 +3,11 @@
 Real symmetric inputs get an orthonormal basis; general real inputs get a
 complex eigendecomposition with conjugate-paired eigenvalues.  Eigenfrequencies
 are principal square roots of eigenvalues; a non-real eigenfrequency marks the
-onset of exponentially growing oscillation amplitude.  The real-to-complex
-transition along the family lap0 + eps * lapI is located by bisection.
+onset of exponentially growing oscillation amplitude.  The first
+real-to-complex transition along the family lap0 + eps * lapI is located by a
+march whose steps a local model of colliding eigenvalue pairs bounds, then
+refined by regula falsi; a complex window narrower than an allowed step can be
+missed.
 """
 
 from __future__ import annotations
@@ -25,6 +28,14 @@ REAL_TOL_FACTOR = 1e-8
 
 # Zero-mode detection: |lambda| <= ZERO_TOL_FACTOR * d_max counts as the zero mode.
 ZERO_TOL_FACTOR = 1e-9
+
+# critical_epsilon's march: a step goes MARCH_THETA of the way to the collision
+# the pair model predicts and at most the trust-region cap, which starts at
+# MARCH_CAP0 times the bracket width and grows by MARCH_GROWTH after each
+# real step.
+MARCH_THETA = 0.8
+MARCH_CAP0 = 0.05
+MARCH_GROWTH = 2.0
 
 
 @dataclass(frozen=True)
@@ -145,48 +156,167 @@ def mode_frequencies(es: EigenSystem) -> EigenFrequencies:
     return EigenFrequencies(omegas=om)
 
 
-def critical_epsilon(lap0: LaplacianMatrix, lapI: LaplacianMatrix,
-                     bracket: tuple[float, float], tol: float) -> float:
-    """Bisect for an eps at which lap0 + eps*lapI turns from a real to a
-    non-real spectrum.
+def _solve_at(parts, eps, vectors):
+    """One eigensolve of lap0 + eps*lapI: (eigenvalues, real, scale, coupling).
 
-    Requires a real spectrum at bracket[0] and a non-real one at bracket[1];
-    raises NoTransition when the hi side is still real, BadBracket when the lo
-    side is already non-real.  The returned midpoint sits in a bracket of
-    width <= tol.  Bisection finds *a* crossing inside the bracket, which is
-    the first one only when the bracket holds a single transition; nothing
-    checks that here, and no coarse scan guards against it.
+    ``real`` is _real_within_tol's verdict; symmetric compositions
+    (eigendecompose's symmetry test) are real by construction.  With
+    ``vectors`` and a real spectrum, ``coupling`` is W = X^-1 lapI X in the
+    eigenbasis X, else None.
+    """
+    arr, symmetric, scale = _entries(compose_epsilon(parts, eps))
+    lap_i = parts[1].entries
+    if symmetric and vectors:
+        lam, vec = np.linalg.eigh(arr)
+        return lam, True, scale, vec.T @ lap_i @ vec
+    if symmetric:
+        return np.linalg.eigvalsh(arr), True, scale, None
+    if not vectors:
+        lam = np.linalg.eigvals(arr)
+        return lam, _real_within_tol(lam, scale), scale, None
+    lam, vec = np.linalg.eig(arr)
+    if not _real_within_tol(lam, scale):
+        return lam, False, scale, None
+    return lam, True, scale, np.linalg.solve(vec, lap_i @ vec)
 
-    The predicate computes eigenvalues only and applies spectrum_is_real's
-    |Im lambda| <= 1e-8 d_max test.  Symmetric compositions (eigendecompose's
-    symmetry test) count as real without a solve, since the symmetric solver
-    returns exactly real eigenvalues.  With no eigenbasis to check, the
-    predicate never raises DefectiveMatrix, unlike eigendecompose.
+
+def _pair_collision(eigenvalues, coupling):
+    """(distance, centre) of the nearest predicted real-to-complex collision.
+
+    Each mode pair a, b with gap g = lambda_a - lambda_b > 0 gets the 2x2
+    reduced model whose squared splitting along eps + delta is
+    disc(delta) = (g + delta dW)^2 + 4 delta^2 W_ab W_ba, dW = W_aa - W_bb.
+    With W_ab W_ba = -s^2 < 0 it factors as
+    (g + delta (dW - 2 s)) (g + delta (dW + 2 s)), so its smallest positive
+    root is g / (2 s - dW) when 2 s > dW; otherwise the pair stays real.
+    ``centre`` is the colliding pair's midpoint; distance is inf when no pair
+    collides.
+    """
+    lam = eigenvalues.real
+    gap = lam[:, None] - lam[None, :]
+    diag = np.diag(coupling).real
+    product = (coupling * coupling.T).real
+    closing = 2.0 * np.sqrt(np.maximum(-product, 0.0)) - (diag[:, None] - diag[None, :])
+    hit = (gap > 0) & (product < 0) & (closing > 0)
+    dist = np.divide(gap, closing, out=np.full(gap.shape, np.inf), where=hit)
+    a, b = np.unravel_index(np.argmin(dist), dist.shape)
+    return float(dist[a, b]), 0.5 * (lam[a] + lam[b])
+
+
+def _splitting(eigenvalues, real, scale, centre):
+    """(signed squared splitting, centre) of the pair nearest ``centre``.
+
+    On a real spectrum: the squared gap of the sorted neighbours whose
+    midpoint is nearest.  Otherwise -(2 Im lambda)^2 of the non-real
+    eigenvalue whose real part is nearest.  Near a generic exceptional point
+    both sides are one function, linear in eps.
+    """
+    if real:
+        lam = np.sort(eigenvalues.real)
+        mid = 0.5 * (lam[1:] + lam[:-1])
+        k = np.argmin(np.abs(mid - centre))
+        return float((lam[k + 1] - lam[k]) ** 2), mid[k]
+    off = eigenvalues[np.abs(eigenvalues.imag) > REAL_TOL_FACTOR * scale]
+    k = np.argmin(np.abs(off.real - centre))
+    return -float((2.0 * off[k].imag) ** 2), off[k].real
+
+
+def _locate_transition(lap0, lapI, bracket, tol):
+    """critical_epsilon's search: (eps, lo, hi, solves).
+
+    [lo, hi] is the final bracket, real at lo and non-real at hi, and eps its
+    midpoint; ``solves`` counts eigensolves, decompositions and
+    eigenvalue-only solves alike.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (lo < hi) or tol <= 0:
         raise BadBracket(f"need lo < hi and tol > 0, got ({lo}, {hi}), tol={tol}")
-
-    def is_real(eps):
-        arr, symmetric, scale = _entries(compose_epsilon((lap0, lapI), eps))
-        # the symmetric solver's eigenvalues are exactly real
-        return symmetric or _real_within_tol(np.linalg.eigvals(arr), scale)
-
-    if is_real(hi):
-        raise NoTransition(f"spectrum still real at eps = {hi}")
-    if not is_real(lo):
+    parts = (lap0, lapI)
+    solves = 1
+    lam, real, scale, coupling = _solve_at(parts, lo, True)
+    if not real:
         raise BadBracket(f"spectrum already non-real at eps = {lo}")
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if is_real(mid):
-            lo = mid
+    cap = MARCH_CAP0 * (hi - lo)
+    x, last_target = lo, None
+    dist, centre = _pair_collision(lam, coupling)
+    while True:
+        target = x + dist
+        modelled = MARCH_THETA * dist <= cap
+        if not modelled:
+            trial = x + cap
+        elif last_target is not None and abs(target - last_target) <= (1 - MARCH_THETA) * dist:
+            trial = target + 0.5 * tol      # two models agree: probe just past
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            trial = x + MARCH_THETA * dist
+        trial = min(max(trial, x + 0.5 * tol, np.nextafter(x, hi)), hi)
+        solves += 1
+        lam_t, real_t, scale_t, coupling_t = _solve_at(parts, trial, True)
+        if real_t:
+            if trial >= hi:
+                raise NoTransition(f"spectrum real at every march point up to eps = {hi}")
+            x, lam, scale, coupling = trial, lam_t, scale_t, coupling_t
+            dist, centre = _pair_collision(lam, coupling)
+            last_target = target if modelled else None
+            cap *= MARCH_GROWTH
+        elif modelled or trial - x <= tol:
+            break
+        else:
+            cap = 0.5 * (trial - x)     # a collision the model missed: retreat
+    # Illinois regula falsi on the tracked pair's signed squared splitting
+    f_lo, centre = _splitting(lam, True, scale, centre)
+    f_hi, centre = _splitting(lam_t, False, scale_t, centre)
+    lo, hi = x, trial
+    last_real, run = None, 0        # side of the last iterate, and its streak
+    while hi - lo > tol:
+        # three iterates in a row on one side: bisect instead
+        c = (lo * f_hi - hi * f_lo) / (f_hi - f_lo) if run < 3 else 0.5 * (lo + hi)
+        c = min(max(c, lo + 0.5 * tol), hi - 0.5 * tol)
+        if not lo < c < hi:
+            break
+        solves += 1
+        lam_c, real_c, scale_c, _ = _solve_at(parts, c, False)
+        f_c, centre = _splitting(lam_c, real_c, scale_c, centre)
+        run = run + 1 if real_c == last_real else 1
+        last_real = real_c
+        if real_c:
+            lo, f_lo = c, f_c
+        else:
+            hi, f_hi = c, f_c
+        if run > 1:     # Illinois: halve the value at the end kept twice
+            if real_c:
+                f_hi *= 0.5
+            else:
+                f_lo *= 0.5
+    return float(0.5 * (lo + hi)), float(lo), float(hi), solves
+
+
+def critical_epsilon(lap0: LaplacianMatrix, lapI: LaplacianMatrix,
+                     bracket: tuple[float, float], tol: float) -> float:
+    """An eps at which lap0 + eps*lapI turns from a real to a non-real
+    spectrum: the first such eps in the bracket unless a complex window is
+    narrower than a march step.
+
+    Requires a real spectrum at bracket[0] (BadBracket otherwise); bracket[1]
+    may be real or not.  The march starts at bracket[0] with one
+    decomposition per real point and predicts, from the coupling of every mode
+    pair in that eigenbasis, the nearest pair collision (_pair_collision).  It
+    steps MARCH_THETA = 0.8 of the way there, never more than a trust-region
+    cap (0.05 of the bracket width, doubled after each real step); once two
+    successive predictions agree it probes just past the collision.  A
+    non-real point the model did not predict halves the cap back toward the
+    last real point.  The march thus certifies nothing between its real
+    points: it can miss a complex window narrower than an allowed step.
+    NoTransition means every march point up to bracket[1] was real.
+
+    The bracket around the first non-real point is then refined by Illinois
+    regula falsi on the tracked pair's signed squared splitting (_splitting),
+    eigenvalues only, each iterate at least tol/2 inside the bracket, until
+    it is at most tol wide; the midpoint is returned.  Real means
+    spectrum_is_real's |Im lambda| <= 1e-8 d_max test, and symmetric
+    compositions count as real.  No eigenbasis is checked, so unlike
+    eigendecompose this never raises DefectiveMatrix.
+    """
+    return _locate_transition(lap0, lapI, bracket, tol)[0]
 
 
 def spectrum_report_rows(es: EigenSystem):

@@ -42,6 +42,10 @@ class TestCriticalEps:
         assert result.exit_code == 0
         doc = summary_of(result)
         assert 1.65 < doc["eps_star"] < 1.66
+        lo, hi = doc["final_bracket"]
+        assert doc["bracket"] == [0.0, 3.0]
+        assert lo < doc["eps_star"] < hi and hi - lo <= 1e-3
+        assert isinstance(doc["solves"], int) and 0 < doc["solves"] < 12
 
     def test_no_transition_exit_code(self, ring_json):
         result = run(["critical-eps", "--graph", str(ring_json),
@@ -234,6 +238,23 @@ class TestBadTimeFlags:
         assert error["type"] == "ValueError"
         assert error["message"].startswith(
             "dt must be positive and t_end nonnegative, both finite")
+        assert eigendecompose_calls == []
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("dt", ["1e-320", "1e-9"])
+    def test_oversized_grid_is_usage_error(self, model_json, capsys, eigendecompose_calls,
+                                           command, dt):
+        # 1 / 1e-320 overflows; 1 / 1e-9 asks for 1e9 + 1 points
+        argv = [command, "--graph", str(model_json),
+                "--x0", ",".join(str(v) for v in MODEL_X0), "--t-end", "1", "--dt", dt]
+        if command == "sweep":
+            argv += ["--eps", "0,1.5"]
+        result = run(argv)
+        assert result.exit_code == 1
+        assert capsys.readouterr().err.strip() == result.summary
+        error = summary_of(result)["error"]
+        assert error["type"] == "ValueError"
+        assert "time points a grid may hold" in error["message"]
         assert eigendecompose_calls == []
 
 

@@ -255,6 +255,21 @@ class TestIntegrateNumeric:
         assert t_div is not None
         assert exc.value.t_diverge == t_div
 
+    def test_divergence_on_the_last_grid_point(self):
+        # the grid ends on the first step past the cutoff, inside a partial
+        # last block of the once-per-block test; one step shorter stays finite
+        lap = model(1.66)
+        ic = InitialCondition.at_rest(1e10 * MODEL_X0)
+        b = mode_frequencies(eigendecompose(lap)).max_growth_rate
+        t_div, _, _ = verlet_substep_loop(lap, ic, 0.02, 10.0 / b)
+        k = round(t_div / 0.02)
+        assert k % dynamics.DIVERGENCE_CHECK_BLOCK != 0
+        with pytest.raises(Unstable) as exc:
+            integrate_numeric(lap, ic, dt=0.02, t_end=k * 0.02)
+        assert exc.value.t_diverge == t_div
+        traj = integrate_numeric(lap, ic, dt=0.02, t_end=(k - 1) * 0.02)
+        assert np.max(np.abs(traj.states)) <= dynamics.DIVERGENCE_CUTOFF
+
 
 class TestTimeGrid:
     @pytest.mark.parametrize("t_end, dt", [(100.0, 0.01), (255.0, 1.0), (200.0, 0.05),
@@ -274,6 +289,20 @@ class TestTimeGrid:
     def test_bad_grid_rejected(self, t_end, dt):
         with pytest.raises(ValueError, match="both finite"):
             dynamics._time_grid(t_end, dt)
+
+    @pytest.mark.parametrize("t_end, dt", [
+        (1.0, 1e-320), (1e300, 1e-300), (1.0, 1e-9),
+        (float(dynamics.MAX_TIME_POINTS), 1.0)])
+    def test_oversized_grid_rejected_before_allocation(self, t_end, dt):
+        # the last case is one point over the limit
+        with pytest.raises(ValueError, match="time points a grid may hold"):
+            dynamics._time_grid(t_end, dt)
+
+    def test_largest_grid_size_is_allowed(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "MAX_TIME_POINTS", 11)
+        assert dynamics._time_grid(10.0, 1.0).size == 11
+        with pytest.raises(ValueError, match="time points a grid may hold"):
+            dynamics._time_grid(11.0, 1.0)
 
 
 class TestNodeEnergies:

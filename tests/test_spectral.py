@@ -1,7 +1,11 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import MODEL_L0, MODEL_LI, seeded_digraph
+from netosc import spectral
 from netosc.errors import BadBracket, ComplexSpectrum, NoTransition
 from netosc.graph import (
     LaplacianMatrix,
@@ -43,6 +47,20 @@ def critical_epsilon_full_decomposition(lap0, lapI, bracket, tol):
             break
         lo, hi = (mid, hi) if is_real(mid) else (lo, mid)
     return 0.5 * (lo + hi)
+
+
+def assert_matches_full_decomposition(lap0, lapI, bracket, tol=1e-9):
+    """On a single-transition bracket: within tol of the full-decomposition
+    bisection, real just below and non-real just above by that predicate, and
+    real on a fine grid below."""
+    eps = critical_epsilon(lap0, lapI, bracket, tol)
+    assert abs(eps - critical_epsilon_full_decomposition(lap0, lapI, bracket, tol)) <= tol
+
+    def is_real(e):
+        return spectrum_is_real(eigendecompose(compose_epsilon((lap0, lapI), float(e))))
+
+    assert is_real(eps - tol) and not is_real(eps + tol)
+    assert all(is_real(e) for e in np.linspace(bracket[0], eps - tol, 200))
 
 
 def digraph_split(seed):
@@ -248,15 +266,13 @@ class TestCriticalEpsilon:
                 assert not spectrum_is_real(es)
 
     def test_model_matches_full_decomposition_predicate(self):
-        args = (LaplacianMatrix(MODEL_L0), LaplacianMatrix(MODEL_LI), (0.0, 3.0), 1e-9)
-        assert critical_epsilon(*args) == critical_epsilon_full_decomposition(*args)
+        assert_matches_full_decomposition(
+            LaplacianMatrix(MODEL_L0), LaplacianMatrix(MODEL_LI), (0.0, 3.0))
 
     @pytest.mark.parametrize("seed", TRANSITION_SEEDS)
     def test_digraph_matches_full_decomposition_predicate(self, seed):
         lap0, lapI = digraph_split(seed)
-        eps = critical_epsilon(lap0, lapI, (0.0, 1.0), 1e-9)
-        assert 0.0 < eps < 1.0
-        assert eps == critical_epsilon_full_decomposition(lap0, lapI, (0.0, 1.0), 1e-9)
+        assert_matches_full_decomposition(lap0, lapI, (0.0, 1.0))
 
     @pytest.mark.parametrize("seed, bracket, error", [
         (0, (0.0, 1.0), NoTransition), (2, (0.9, 1.0), BadBracket)])
@@ -271,6 +287,68 @@ class TestCriticalEpsilon:
         sym = laplacian_of(undirected_graph(4, [(0, 1), (1, 2), (2, 3)]))
         with pytest.raises(NoTransition):
             critical_epsilon(sym, sym, (0.0, 1.0), 1e-6)
+
+
+# digraphs whose bracket (0, 1) holds a later transition after the first
+TRANSITION_GRAPHS = json.loads(
+    (Path(__file__).parent / "transition_graphs.json").read_text())["graphs"]
+
+
+def fixture_split(name):
+    graph = next(g for g in TRANSITION_GRAPHS if g["name"] == name)
+    split = canonical_split(laplacian_of(WeightedDigraph(n=graph["n"], edges=graph["edges"])))
+    return graph, split.lap_sym_part, split.lap_oneway
+
+
+def eigensolve_calls(monkeypatch):
+    """Calls to numpy's eigensolvers, counted by name."""
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("eig", "eigvals", "eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+    return calls
+
+
+class TestFirstCrossing:
+    @pytest.mark.parametrize("name", [g["name"] for g in TRANSITION_GRAPHS])
+    def test_first_crossing_before_the_bisection_one(self, name):
+        graph, lap0, lapI = fixture_split(name)
+        lo, hi = graph["first"]
+        eps = critical_epsilon(lap0, lapI, (0.0, 1.0), 1e-6)
+        assert lo < eps <= hi < graph["bisection"]
+        assert not spectrum_is_real(eigendecompose(compose_epsilon((lap0, lapI), hi)))
+        for e in np.linspace(0.0, eps - 1e-6, 12):
+            assert spectrum_is_real(eigendecompose(compose_epsilon((lap0, lapI), float(e))))
+
+    def test_bracket_ending_in_a_real_window(self):
+        # eps = 0.1 lies in the real window between the first and the second transition
+        graph, lap0, lapI = fixture_split("n = 50, fifth draw of rng seed 9")
+        assert spectrum_is_real(eigendecompose(compose_epsilon((lap0, lapI), 0.1)))
+        eps = critical_epsilon(lap0, lapI, (0.0, 0.1), 1e-6)
+        assert 0.066 < eps < 0.068
+        assert abs(eps - critical_epsilon(lap0, lapI, (0.0, 1.0), 1e-6)) <= 1e-6
+
+    @pytest.mark.parametrize("name", [g["name"] for g in TRANSITION_GRAPHS if g["n"] == 200])
+    def test_solve_count(self, name, monkeypatch):
+        _, lap0, lapI = fixture_split(name)
+        calls = eigensolve_calls(monkeypatch)
+        eps, lo, hi, solves = spectral._locate_transition(lap0, lapI, (0.0, 1.0), 1e-6)
+        assert solves == len(calls) <= 12
+        assert lo < eps < hi and hi - lo <= 1e-6
+
+    def test_final_bracket_real_to_nonreal(self):
+        lap0, lapI = LaplacianMatrix(MODEL_L0), LaplacianMatrix(MODEL_LI)
+        eps, lo, hi, solves = spectral._locate_transition(lap0, lapI, (0.0, 3.0), 1e-3)
+        assert eps == critical_epsilon(lap0, lapI, (0.0, 3.0), 1e-3) == 0.5 * (lo + hi)
+        assert 0 < hi - lo <= 1e-3
+        assert spectrum_is_real(eigendecompose(model_at(lo)))
+        assert not spectrum_is_real(eigendecompose(model_at(hi)))
 
 
 class TestReport:
