@@ -47,8 +47,6 @@ from .ingest import (
     TrendSegment,
     bin_counts,
     fuse_trends,
-    load_event_log,
-    load_trend_csv,
     slice_period,
 )
 from .signal import (

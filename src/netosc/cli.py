@@ -2,12 +2,16 @@
 
 ``COMMANDS`` declares each subcommand once (name, help, arguments, handler);
 the parser and the dispatch are generated from it, and ``_ERROR_EXITS`` maps
-each exception type to its exit code and stream.  Every subcommand prints a
-machine-readable JSON summary on stdout (input digests, resolved parameters,
-and results) and writes CSV artifacts to the --out directory.  Option
-precedence is flags > NETOSC_* environment variables > built-in defaults; all
-resolved values are echoed in the summary.  Exit codes: 0 success, 1 usage
-error, 2 data error, 3 numeric failure.
+each exception type it catches to an exit code and stream.  ``_Files.read``
+reads each input once, for its digest and its UTF-8 text, and every graph
+input is an epsilon-family lap0 + eps * lapI that is the input itself at
+eps = 1.  Every subcommand prints a machine-readable JSON summary on stdout
+(input digests, resolved parameters, and results) and writes CSV artifacts
+to the --out directory.  Option precedence is flags > NETOSC_* environment
+variables > built-in defaults; all resolved values are echoed in the summary.
+Exit codes: 0 success, 1 usage error or unreadable path, 2 data error
+(non-UTF-8 input included), 3 numeric failure; any other exception is a
+programming error and propagates.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -50,13 +53,15 @@ def _jsonable(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-class _Artifacts:
-    """The files a command writes under --out, listed in the order written.
-    Without --out nothing is rendered or written.
+class _Files:
+    """The files a command reads, with their digests, and the files it writes
+    under --out, listed in the order written.  Without --out nothing is
+    rendered or written.
 
-    Each artifact is rendered first, then the old file is unlinked and a new
-    one written, so a render error leaves the old file as it was and a
-    symlink at an artifact path is replaced, not followed.  Truncating an
+    Each input is read once, as bytes: the summary's digest is of the bytes
+    the command parsed.  Each artifact is rendered first, then the old file
+    is unlinked and a new one written, so a render error leaves the old file
+    as it was and a symlink at an artifact path is replaced, not followed.  Truncating an
     existing file in place (and equally ``os.replace`` over it) stalled
     ≈60 ms per file on an ext4 root mounted with ``discard``; unlink plus
     create took ≈0.05 ms.  Nothing is fsynced: artifacts are reproducible.
@@ -64,7 +69,17 @@ class _Artifacts:
 
     def __init__(self, out):
         self.out = Path(out) if out else None
+        self.inputs = {}
         self.paths = []
+
+    def read(self, path):
+        """The text of ``path``; bytes that are not UTF-8 raise ParseError."""
+        data = Path(path).read_bytes()
+        self.inputs[str(path)] = hashlib.sha256(data).hexdigest()
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8: {exc}") from exc
 
     def write(self, name, render, *args):
         if self.out is not None:
@@ -114,13 +129,12 @@ def _logbin_rows(sp):
         lo = hi
 
 
-def _write_spectrum(artifacts, name, sp, log_bins=False):
+def _write_spectrum(files, name, sp, log_bins=False):
     """The spectrum CSV, plus its log2-banded masses when ``log_bins``."""
-    artifacts.write(f"{name}.csv", _csv, "bin_index,frequency_index_f,magnitude",
-                    zip(range(sp.bins.size), sp.freq_indices, sp.bins))
+    files.write(f"{name}.csv", _csv, "bin_index,frequency_index_f,magnitude",
+                zip(range(sp.bins.size), sp.freq_indices, sp.bins))
     if log_bins:
-        artifacts.write(f"{name}_logbins.csv", _csv, "f_lo,f_hi,mass",
-                        _logbin_rows(sp))
+        files.write(f"{name}_logbins.csv", _csv, "f_lo,f_hi,mass", _logbin_rows(sp))
 
 
 def _series_csv(ts, header="t,value"):
@@ -132,38 +146,31 @@ def _states_csv(times, states):
     return _csv(header, ((t, *row) for t, row in zip(times, states)))
 
 
-def _load_model(path):
-    """Graph or matrix input.
+def _load_model(files, path):
+    """Graph or matrix input as the epsilon-family (lap0, lapI), plus the
+    digraph when the input is one.
 
     JSON accepts {"n", "edges"} (digraph), {"lap0", "lapI"} (explicit split
     matrices), or {"laplacian"} (single matrix); .csv reads an edge list.
-    Returns (lap0, lapI_or_None, digraph_or_None).
+    Every form but the explicit pair is split by graph.canonical_split, which
+    compose_epsilon recomposes exactly at eps = 1.
+    Returns ((lap0, lapI), digraph_or_None).
     """
-    text = Path(path).read_text(encoding="utf-8")
+    text = files.read(path)
     if str(path).endswith(".csv"):
         g = graph.graph_from_edge_csv(text)
-        return graph.laplacian_of(g), None, g
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {path}: {exc}") from exc
-    if isinstance(doc, dict) and "lap0" in doc and "lapI" in doc:
-        return (graph.LaplacianMatrix(doc["lap0"]),
-                graph.LaplacianMatrix(doc["lapI"]),
-                None)
-    if isinstance(doc, dict) and "laplacian" in doc:
-        return graph.LaplacianMatrix(doc["laplacian"]), None, None
-    g = graph.graph_from_json(text)
-    return graph.laplacian_of(g), None, g
-
-
-def _model_parts(path):
-    """(lap0, lapI) for epsilon work: explicit parts or the canonical split."""
-    lap0, lapI, _ = _load_model(path)
-    if lapI is None:
-        split = graph.canonical_split(lap0)
-        return split.lap_sym_part, split.lap_oneway
-    return lap0, lapI
+    else:
+        try:
+            doc = json.loads(text)
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+            raise ParseError(f"invalid JSON in {path}: {exc}") from exc
+        if isinstance(doc, dict) and "lap0" in doc and "lapI" in doc:
+            return (graph.LaplacianMatrix(doc["lap0"]),
+                    graph.LaplacianMatrix(doc["lapI"])), None
+        if isinstance(doc, dict) and "laplacian" in doc:
+            return graph.canonical_split(graph.LaplacianMatrix(doc["laplacian"])), None
+        g = graph.graph_from_json(text)
+    return graph.canonical_split(graph.laplacian_of(g)), g
 
 
 def _parse_vector(text):
@@ -176,27 +183,14 @@ def _initial_condition(params):
     return dynamics.InitialCondition(x0=x0, v0=v0)
 
 
-def _summary(command, params, inputs, results, outputs):
-    doc = {
-        "command": command,
-        "params": params,
-        "inputs": {str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest()
-                   for p in inputs},
-        "outputs": [str(o) for o in outputs],
-        "generated_at": datetime.now(timezone.utc).isoformat(),
-    }
-    doc.update(results)
-    return _json(doc)
-
-
 # --- subcommand handlers -------------------------------------------------------
-# Each takes the parsed flags as a dict, resolves its defaults into it, writes
-# its artifacts and returns (input paths, results).
+# Each takes the parsed flags as a dict and a _Files, resolves its defaults
+# into the dict, reads its inputs and writes its artifacts through the _Files,
+# and returns its results.
 
-def _cmd_analyze_graph(params, artifacts):
-    lap0, lapI, _ = _load_model(params["graph"])
-    eps = _resolve(params, "eps", 1.0)
-    lap = graph.compose_epsilon((lap0, lapI), eps) if lapI is not None else lap0
+def _cmd_analyze_graph(params, files):
+    parts, _ = _load_model(files, params["graph"])
+    lap = graph.compose_epsilon(parts, _resolve(params, "eps", 1.0))
     es = spectral.eigendecompose(lap)
     disk = graph.gershgorin_disk(lap)
     verdict = graph.check_symmetrizable(lap)
@@ -214,18 +208,17 @@ def _cmd_analyze_graph(params, artifacts):
     else:
         results["verdict"] = {"reason": verdict.reason, "pair": list(verdict.pair),
                               "detail": verdict.detail}
-    artifacts.write("laplacian.csv", _csv, None, lap.entries)
-    artifacts.write("spectrum.csv", _csv, "mu,re_lambda,im_lambda,re_omega,im_omega",
-                    spectral.spectrum_report_rows(es))
+    files.write("laplacian.csv", _csv, None, lap.entries)
+    files.write("spectrum.csv", _csv, "mu,re_lambda,im_lambda,re_omega,im_omega",
+                spectral.spectrum_report_rows(es))
     if verdict:
-        artifacts.write("laplacian_sym.csv", _csv, None, verdict.lap_sym.entries)
-    return [params["graph"]], results
+        files.write("laplacian_sym.csv", _csv, None, verdict.lap_sym.entries)
+    return results
 
 
-def _cmd_simulate(params, artifacts):
-    lap0, lapI, _ = _load_model(params["graph"])
-    eps = _resolve(params, "eps", 1.0 if lapI is not None else 0.0)
-    lap = graph.compose_epsilon((lap0, lapI), eps) if lapI is not None else lap0
+def _cmd_simulate(params, files):
+    parts, _ = _load_model(files, params["graph"])
+    lap = graph.compose_epsilon(parts, _resolve(params, "eps", 1.0))
     t_end = _resolve(params, "t_end", 100.0)
     dt = _resolve(params, "dt", 0.01)
     times = dynamics._time_grid(t_end, dt)
@@ -250,22 +243,21 @@ def _cmd_simulate(params, artifacts):
             np.max(np.abs(traj.states - states)))
     else:
         results["numeric_skipped"] = f"dt {dt} exceeds stability guard {guard:.6g}"
-    artifacts.write("trajectory_modal.csv", _states_csv, times, states)
+    files.write("trajectory_modal.csv", _states_csv, times, states)
     if traj is not None:
-        artifacts.write("trajectory_numeric.csv", _states_csv, traj.times, traj.states)
-    artifacts.write("energy.csv", _series_csv, energy.series, "t,E")
-    return [params["graph"]], results
+        files.write("trajectory_numeric.csv", _states_csv, traj.times, traj.states)
+    files.write("energy.csv", _series_csv, energy.series, "t,E")
+    return results
 
 
-def _cmd_centrality(params, artifacts):
-    lap0, lapI, g = _load_model(params["graph"])
+def _cmd_centrality(params, files):
+    parts, g = _load_model(files, params["graph"])
     if params["betweenness"]:
         if g is None:
             raise DataError("betweenness reweighting needs an edge-list graph input")
-        g = dynamics.betweenness_weights(g)
-        lap = graph.laplacian_of(g)
+        lap = graph.laplacian_of(dynamics.betweenness_weights(g))
     else:
-        lap = lap0 if lapI is None else graph.compose_epsilon((lap0, lapI), 1.0)
+        lap = graph.compose_epsilon(parts, 1.0)
     values = dynamics.oscillation_centrality(lap)
     degree = np.diag(lap.entries)
     results = {
@@ -273,35 +265,34 @@ def _cmd_centrality(params, artifacts):
         "degree": degree.tolist(),
         "ranking": np.argsort(-values, kind="stable").tolist(),
     }
-    artifacts.write("centrality.csv", _csv, "node,oscillation_energy,degree",
-                    zip(range(values.size), values, degree))
-    return [params["graph"]], results
+    files.write("centrality.csv", _csv, "node,oscillation_energy,degree",
+                zip(range(values.size), values, degree))
+    return results
 
 
-def _cmd_critical_eps(params, artifacts):
-    lap0, lapI = _model_parts(params["graph"])
+def _cmd_critical_eps(params, files):
+    (lap0, lapI), _ = _load_model(files, params["graph"])
     tol = _resolve(params, "tol", 1e-3)
     bracket = (params["lo"], params["hi"])
     eps_star, lo, hi, solves = spectral._locate_transition(lap0, lapI, bracket, tol)
-    results = {"eps_star": eps_star, "bracket": list(bracket), "final_bracket": [lo, hi],
-               "solves": solves, "tol": tol}
-    return [params["graph"]], results
+    return {"eps_star": eps_star, "bracket": list(bracket), "final_bracket": [lo, hi],
+            "solves": solves, "tol": tol}
 
 
-def _cmd_sweep(params, artifacts):
-    lap0, lapI = _model_parts(params["graph"])
+def _cmd_sweep(params, files):
+    (lap0, lapI), _ = _load_model(files, params["graph"])
     t_end = _resolve(params, "t_end", 200.0)
     dt = _resolve(params, "dt", 0.05)
     eps_list = [float(v) for v in params["eps"].split(",")]
     records = dynamics.epsilon_sweep(lap0, lapI, eps_list, _initial_condition(params),
                                      t_end=t_end, dt=dt)
     results = {"records": [r.as_dict() for r in records]}
-    artifacts.write("sweep.json", lambda: _json(results["records"]) + "\n")
-    return [params["graph"]], results
+    files.write("sweep.json", lambda: _json(results["records"]) + "\n")
+    return results
 
 
-def _cmd_spectrum(params, artifacts):
-    series = ingest.load_series_csv(params["in"])
+def _cmd_spectrum(params, files):
+    series = ingest.parse_series_csv(files.read(params["in"]))
     window = _resolve(params, "window", 20, cast=int)
     sp = signal.analyze_period(series, window=window)
     cutoff = _resolve(params, "cutoff", max(1, len(series) // 8), cast=int)
@@ -311,12 +302,12 @@ def _cmd_spectrum(params, artifacts):
         "low_freq_share": signal.low_freq_share(sp, cutoff),
         "cutoff": cutoff,
     }
-    _write_spectrum(artifacts, "spectrum", sp, params["log_bins"])
-    return [params["in"]], results
+    _write_spectrum(files, "spectrum", sp, params["log_bins"])
+    return results
 
 
-def _cmd_bin(params, artifacts):
-    log = ingest.load_event_log(params["events"])
+def _cmd_bin(params, files):
+    log = ingest.parse_event_log(files.read(params["events"]))
     bin_seconds = _resolve(params, "bin_seconds", 960, cast=int)
     n_bins = _resolve(params, "n_bins", 256, cast=int)
     if params["t0"] is None:
@@ -329,12 +320,12 @@ def _cmd_bin(params, artifacts):
         "out_of_range": dropped,
         "mean_count": float(series.values.mean()),
     }
-    artifacts.write("series.csv", _series_csv, series)
-    return [params["events"]], results
+    files.write("series.csv", _series_csv, series)
+    return results
 
 
-def _cmd_fuse_trends(params, artifacts):
-    segments = [ingest.load_trend_csv(p) for p in params["files"]]
+def _cmd_fuse_trends(params, files):
+    segments = [ingest.parse_trend_csv(files.read(p)) for p in params["files"]]
     fused = ingest.fuse_trends(segments)
     results = {
         "segments": len(segments),
@@ -343,32 +334,32 @@ def _cmd_fuse_trends(params, artifacts):
         "origin": fused.origin,
         "step": fused.dt,
     }
-    artifacts.write("fused.csv", _series_csv, fused)
-    return list(params["files"]), results
+    files.write("fused.csv", _series_csv, fused)
+    return results
 
 
-def _cmd_beat_demo(params, artifacts):
+def _cmd_beat_demo(params, files):
     w1 = _resolve(params, "w1", 0.10)
     w2 = _resolve(params, "w2", 0.11)
     n = _resolve(params, "n", 4096, cast=int)
     demo = signal.beat_demo(w1, w2, n)
     for key in demo.PANELS:
-        artifacts.write(f"signal_{key}.csv", _series_csv, demo.signals[key])
-        _write_spectrum(artifacts, f"spectrum_{key}", demo.spectra[key])
-    return [], {"peak_bins": demo.peak_bins()}
+        files.write(f"signal_{key}.csv", _series_csv, demo.signals[key])
+        _write_spectrum(files, f"spectrum_{key}", demo.spectra[key])
+    return {"peak_bins": demo.peak_bins()}
 
 
-def _cmd_compare_periods(params, artifacts):
-    series = ingest.load_series_csv(params["in"])
+def _cmd_compare_periods(params, files):
+    series = ingest.parse_series_csv(files.read(params["in"]))
     window = _resolve(params, "window", 20, cast=int)
-    cutoff = params["cutoff"]
+    cutoff = _resolve(params, "cutoff", None, cast=int)
     chunks = [chunk.partition(":") for chunk in params["periods"].split(",")]
     periods = [(int(start), int(length)) for start, _, length in chunks]
     table, spectra = [], []
     for idx, (start, length) in enumerate(periods):
         sp = signal.analyze_period(ingest.slice_period(series, start, length),
                                    window=window)
-        cut = int(cutoff) if cutoff is not None else max(1, length // 16)
+        cut = cutoff if cutoff is not None else max(1, length // 16)
         table.append({
             "period": idx,
             "start_index": start,
@@ -378,10 +369,10 @@ def _cmd_compare_periods(params, artifacts):
         })
         spectra.append(sp)
     for idx, sp in enumerate(spectra):
-        _write_spectrum(artifacts, f"spectrum_{idx}", sp, params["log_bins"])
-    artifacts.write("shares.csv", _csv, "period,start_index,length,cutoff,low_freq_share",
-                    (row.values() for row in table))
-    return [params["in"]], {"table": table}
+        _write_spectrum(files, f"spectrum_{idx}", sp, params["log_bins"])
+    files.write("shares.csv", _csv, "period,start_index,length,cutoff,low_freq_share",
+                (row.values() for row in table))
+    return {"table": table}
 
 
 # --- the table ---------------------------------------------------------------
@@ -442,13 +433,14 @@ COMMANDS = (
 )
 
 # Exception type -> (exit code, stream); the nearest class in the raised
-# exception's MRO decides.
+# exception's MRO decides.  Only these types are caught: any other exception
+# is a programming error and propagates.
 _ERROR_EXITS = {
     DataError: (2, "stdout"),
     NumericError: (3, "stdout"),
+    np.linalg.LinAlgError: (3, "stdout"),
     ValueError: (1, "stderr"),
-    FileNotFoundError: (1, "stderr"),
-    Exception: (3, "stdout"),
+    OSError: (1, "stderr"),
 }
 
 
@@ -480,18 +472,19 @@ def run(argv) -> CommandResult:
         code = 0 if exc.code in (0, None) else 1
         return CommandResult(exit_code=code, outputs=[], summary="")
     command, handler = params.pop("command"), params.pop("handler")
-    artifacts = _Artifacts(params.get("out"))
+    files = _Files(params.get("out"))
     try:
-        inputs, results = handler(params, artifacts)
-        summary = _summary(command, params, inputs, results, artifacts.paths)
-    except Exception as exc:  # structured error instead of a bare crash
+        results = handler(params, files)
+        summary = _json({"command": command, "params": params, "inputs": files.inputs,
+                         "outputs": files.paths, **results})
+    except tuple(_ERROR_EXITS) as exc:
         code, stream = next(_ERROR_EXITS[cls] for cls in type(exc).__mro__
                             if cls in _ERROR_EXITS)
         summary = _error_summary(command, exc)
         print(summary, file=getattr(sys, stream))
         return CommandResult(exit_code=code, outputs=[], summary=summary)
     print(summary)
-    return CommandResult(exit_code=0, outputs=artifacts.paths, summary=summary)
+    return CommandResult(exit_code=0, outputs=files.paths, summary=summary)
 
 
 def main():

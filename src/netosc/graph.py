@@ -12,7 +12,8 @@ lap0 + eps * lapI interpolates away from the symmetrizable point.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +26,10 @@ _ENTRY_TOL = 1e-12
 
 # Relative tolerance of check_symmetrizable's mass and balance tests.
 _BALANCE_TOL = 1e-9
+
+# Largest node count a digraph may declare: one n x n float64 matrix is then
+# 200 MB at most.
+MAX_NODES = 5_000
 
 
 def _is_symmetric(arr) -> bool:
@@ -47,6 +52,8 @@ class WeightedDigraph:
     def __post_init__(self):
         if self.n < 1:
             raise InvalidGraph(f"node count must be positive, got {self.n}")
+        if self.n > MAX_NODES:
+            raise InvalidGraph(f"node count {self.n} exceeds the limit of {MAX_NODES}")
         object.__setattr__(
             self, "edges",
             tuple((int(s), int(d), float(w)) for s, d, w in self.edges),
@@ -91,7 +98,7 @@ class LaplacianMatrix:
     def __init__(self, entries):
         try:
             arr = np.array(entries, dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidGraph(f"Laplacian must be a numeric matrix: {exc}") from exc
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise InvalidGraph(f"Laplacian must be square, got shape {arr.shape}")
@@ -107,6 +114,17 @@ class LaplacianMatrix:
             raise InvalidGraph("off-diagonal entries must be <= 0")
         if np.diag(arr).min(initial=0.0) < -scale:
             raise InvalidGraph("diagonal entries must be >= 0")
+        self._freeze(arr)
+
+    @classmethod
+    def _derived(cls, arr):
+        """``arr`` without the checks: a matrix derived from a validated
+        Laplacian, whose rules hold by construction."""
+        lap = object.__new__(cls)
+        lap._freeze(arr)
+        return lap
+
+    def _freeze(self, arr):
         arr.flags.writeable = False
         object.__setattr__(self, "n", arr.shape[0])
         object.__setattr__(self, "entries", arr)
@@ -178,8 +196,7 @@ class NotSymmetrizable:
         return False
 
 
-@dataclass(frozen=True)
-class OneWaySplit:
+class OneWaySplit(NamedTuple):
     """Symmetrizable part plus one-way-link part; parts sum to the original."""
 
     lap_sym_part: LaplacianMatrix
@@ -306,19 +323,20 @@ def canonical_split(lap: LaplacianMatrix) -> OneWaySplit:
     np.fill_diagonal(one, d_one)
     sym += 0.0  # clear negative zeros
     one += 0.0
-    return OneWaySplit(lap_sym_part=LaplacianMatrix(sym),
-                       lap_oneway=LaplacianMatrix(one))
+    # The parts keep the input's signs and row sums to the input's tolerance
+    # by construction, and are not checked again: the input's row-sum error
+    # lands in the one-way part, whose own, smaller scale need not cover it.
+    return OneWaySplit(lap_sym_part=LaplacianMatrix._derived(sym),
+                       lap_oneway=LaplacianMatrix._derived(one))
 
 
 def compose_epsilon(split, eps: float) -> LaplacianMatrix:
-    """Laplacian lap0 + eps * lapI; eps = 0 returns lap0 exactly.
+    """Laplacian lap0 + eps * lapI; eps = 0 returns lap0 exactly, and eps = 1
+    recomposes a canonical_split exactly.
 
-    ``split`` is a OneWaySplit or an explicit (lap0, lapI) pair.
+    ``split`` is a OneWaySplit or any (lap0, lapI) pair.
     """
-    if isinstance(split, OneWaySplit):
-        lap0, lapI = split.lap_sym_part, split.lap_oneway
-    else:
-        lap0, lapI = split
+    lap0, lapI = split
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
     if lap0.n != lapI.n:
@@ -334,7 +352,7 @@ def graph_from_json(text: str) -> WeightedDigraph:
     """Parse {"n": int, "edges": [[src, dst, w], ...]}."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
         raise ParseError('graph JSON requires keys "n" and "edges"')

@@ -130,11 +130,6 @@ def parse_event_log(text: str) -> EventLog:
     return EventLog(timestamps=np.sort(np.array(_parse_rows(rows[1:], stamp))))
 
 
-def load_event_log(path) -> EventLog:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_event_log(fh.read())
-
-
 def bin_counts(log: EventLog, bin_seconds: int, t0: float,
                n_bins: int) -> tuple[TimeSeries, int]:
     """Counts per half-open bin [t0 + k*bin, t0 + (k+1)*bin).
@@ -146,9 +141,12 @@ def bin_counts(log: EventLog, bin_seconds: int, t0: float,
         raise ValueError("bin_seconds must be positive")
     if n_bins < 2:
         raise ValueError("need at least 2 bins")
-    idx = np.floor((log.timestamps - t0) / bin_seconds).astype(int)
-    in_range = (idx >= 0) & (idx < n_bins)
-    counts = np.bincount(idx[in_range], minlength=n_bins).astype(float)
+    # Bin positions stay floats until masked: a timestamp far from t0 has no
+    # int bin index, and one too far to subtract becomes +-inf.
+    with np.errstate(over="ignore"):
+        pos = np.floor((log.timestamps - t0) / bin_seconds)
+    in_range = (pos >= 0) & (pos < n_bins)
+    counts = np.bincount(pos[in_range].astype(int), minlength=n_bins).astype(float)
     series = TimeSeries(values=counts, dt=float(bin_seconds), origin=float(t0))
     return series, int(np.sum(~in_range))
 
@@ -240,11 +238,6 @@ def parse_trend_csv(text: str) -> TrendSegment:
                         values=np.array(values))
 
 
-def load_trend_csv(path) -> TrendSegment:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_trend_csv(fh.read())
-
-
 def parse_series_csv(text: str) -> TimeSeries:
     """Series CSV: two columns read as (t, value); one column as values.
 
@@ -278,8 +271,3 @@ def parse_series_csv(text: str) -> TimeSeries:
         raise ParseError("time column is not uniformly spaced")
     dt = float(steps[0]) if steps.size else 1.0
     return TimeSeries(values=vs, dt=dt, origin=float(ts[0]))
-
-
-def load_series_csv(path) -> TimeSeries:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_series_csv(fh.read())

@@ -1,3 +1,6 @@
+import builtins
+import hashlib
+import io
 import json
 
 import numpy as np
@@ -5,9 +8,19 @@ import pytest
 
 from conftest import MODEL_L0, MODEL_LI, MODEL_X0, seeded_digraph
 from netosc import signal
-from netosc.cli import _Artifacts, _csv, run
+from netosc.cli import _csv, _Files, run
+from netosc.dynamics import oscillation_centrality
 from netosc.errors import DefectiveMatrix, ParseError, Unstable
-from netosc.graph import LaplacianMatrix, check_symmetrizable, compose_epsilon, laplacian_of
+from netosc.graph import (
+    MAX_NODES,
+    LaplacianMatrix,
+    WeightedDigraph,
+    canonical_split,
+    check_symmetrizable,
+    compose_epsilon,
+    laplacian_of,
+)
+from netosc.spectral import eigendecompose
 
 
 @pytest.fixture
@@ -343,6 +356,21 @@ class TestComparePeriods:
         assert (out / "spectrum_0.csv").exists()
         assert (out / "spectrum_1.csv").exists()
 
+    def test_cutoff_env(self, tmp_path, monkeypatch):
+        path = tmp_path / "series.csv"
+        path.write_text("t,value\n" + "".join(
+            f"{t},{5.0 + float(np.cos(0.3 * t))!r}\n" for t in range(512)))
+        argv = ["compare-periods", "--in", str(path), "--periods", "0:256,256:128"]
+
+        def cutoffs(*flags):
+            doc = summary_of(run(argv + list(flags)))
+            return doc["params"]["cutoff"], [row["cutoff"] for row in doc["table"]]
+
+        assert cutoffs() == (None, [16, 8])
+        monkeypatch.setenv("NETOSC_CUTOFF", "5")
+        assert cutoffs() == (5, [5, 5])
+        assert cutoffs("--cutoff", "7") == (7, [7, 7])
+
 
 class TestPipelineInterop:
     def test_energy_csv_feeds_spectrum(self, model_json, tmp_path):
@@ -367,7 +395,6 @@ class TestDeterminism:
             result = run(["beat-demo", "--w1", "0.10", "--w2", "0.11",
                           "--n", "1024", "--out", str(out)])
             doc = summary_of(result)
-            doc.pop("generated_at")
             doc["outputs"] = [p.split("/")[-1] for p in doc["outputs"]]
             doc["params"]["out"] = ""
             files = {p.name: p.read_text() for p in sorted(out.iterdir())}
@@ -387,7 +414,8 @@ class TestErrorTable:
          {"basis_condition": 1e14}),
         (ValueError("bad value"), 1, "err", {}),
         (FileNotFoundError("missing"), 1, "err", {}),
-        (RuntimeError("unexpected"), 3, "out", {}),
+        (np.linalg.LinAlgError("eig did not converge"), 3, "out", {}),
+        (IsADirectoryError("a directory"), 1, "err", {}),
     ])
     def test_exit_code_and_stream(self, monkeypatch, capsys, exc, code, stream, extra):
         def fail(*args, **kwargs):
@@ -405,6 +433,21 @@ class TestErrorTable:
             "error": {"type": type(exc).__name__, "message": str(exc), **extra},
         }
 
+    def test_programming_error_propagates(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise RuntimeError("unexpected")
+
+        monkeypatch.setattr(signal, "beat_demo", fail)
+        with pytest.raises(RuntimeError, match="unexpected"):
+            run(["beat-demo"])
+        assert capsys.readouterr().out == ""
+
+    def test_directory_input_is_usage_error(self, tmp_path, capsys):
+        result = run(["spectrum", "--in", str(tmp_path)])
+        assert result.exit_code == 1
+        assert capsys.readouterr().err.strip() == result.summary
+        assert summary_of(result)["error"]["type"] == "IsADirectoryError"
+
     @pytest.mark.parametrize("token", ["nan", "inf"])
     def test_non_finite_series_is_data_error(self, tmp_path, token):
         path = tmp_path / "series.csv"
@@ -420,6 +463,7 @@ class TestErrorTable:
         ("analyze-graph", {"laplacian": [[1, -1], [0]]}, "InvalidGraph"),
         ("analyze-graph", {"lap0": [[1, -1], [-1, 1]], "lapI": [[1, -1], [0]]},
          "InvalidGraph"),
+        ("analyze-graph", {"laplacian": [[10**400, 0], [0, 0]]}, "InvalidGraph"),
     ])
     def test_malformed_graph_is_data_error(self, tmp_path, command, doc, error_type):
         path = tmp_path / "graph.json"
@@ -427,6 +471,14 @@ class TestErrorTable:
         result = run([command, "--graph", str(path)])
         assert result.exit_code == 2
         assert summary_of(result)["error"]["type"] == error_type
+
+    @pytest.mark.parametrize("command", ["centrality", "analyze-graph"])
+    def test_deeply_nested_json_is_parse_error(self, tmp_path, command):
+        path = tmp_path / "graph.json"
+        path.write_text('{"laplacian": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        result = run([command, "--graph", str(path)])
+        assert result.exit_code == 2
+        assert summary_of(result)["error"]["type"] == "ParseError"
 
     @pytest.mark.parametrize("edge", [[0.7, 1, 1], [1, "0", 1], [True, 1, 1],
                                       [0, 1, "1"]])
@@ -519,16 +571,16 @@ class TestArtifactReplacement:
         assert len(short) < len(long)
 
     def test_render_error_keeps_previous_bytes(self, tmp_path):
-        _Artifacts(tmp_path).write("a.csv", lambda: "old\n")
+        _Files(tmp_path).write("a.csv", lambda: "old\n")
 
         def fail():
             raise RuntimeError("render failed")
 
-        artifacts = _Artifacts(tmp_path)
+        files = _Files(tmp_path)
         with pytest.raises(RuntimeError):
-            artifacts.write("a.csv", fail)
+            files.write("a.csv", fail)
         assert (tmp_path / "a.csv").read_bytes() == b"old\n"
-        assert artifacts.paths == []
+        assert files.paths == []
 
     def test_symlink_is_replaced_not_followed(self, tmp_path):
         target = tmp_path / "target.csv"
@@ -550,3 +602,186 @@ class TestNoSeed:
     def test_params_carry_no_seed(self):
         doc = summary_of(run(["beat-demo", "--n", "256"]))
         assert doc["params"] == {"n": 256, "out": None, "w1": 0.1, "w2": 0.11}
+
+
+def _graph_files(tmp_path, g):
+    """``g`` as a digraph JSON, an edge CSV and a {"laplacian"} file."""
+    texts = {
+        "g.json": json.dumps({"n": g.n, "edges": [list(e) for e in g.edges]}),
+        "g.csv": "src,dst,w\n" + "".join(f"{s},{d},{w!r}\n" for s, d, w in g.edges),
+        "lap.json": json.dumps({"laplacian": laplacian_of(g).entries.tolist()}),
+    }
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+    return [tmp_path / name for name in texts]
+
+
+def _model_digraph():
+    """The symmetrizable part of the 5-node model as a digraph."""
+    return WeightedDigraph(n=5, edges=tuple(
+        (i, j, float(-MODEL_L0[i, j])) for i in range(5) for j in range(5)
+        if i != j and MODEL_L0[i, j] != 0.0))
+
+
+class TestEpsilonFamily:
+    @pytest.mark.parametrize("form", [0, 1, 2], ids=["json", "csv", "laplacian"])
+    def test_analyze_graph_honours_eps(self, tmp_path, form):
+        g = seeded_digraph(1, 8)
+        path = _graph_files(tmp_path, g)[form]
+        lap = compose_epsilon(canonical_split(laplacian_of(g)), 0.5)
+        doc = summary_of(run(["analyze-graph", "--graph", str(path), "--eps", "0.5"]))
+        assert doc["params"]["eps"] == 0.5
+        assert doc["eigenvalues"] == [[lam.real, lam.imag]
+                                      for lam in eigendecompose(lap).eigenvalues]
+        assert doc["symmetrizable"] is False
+
+    def test_simulate_honours_eps(self, tmp_path):
+        g = seeded_digraph(2, 6)
+        path = _graph_files(tmp_path, g)[0]
+        sym = tmp_path / "sym.json"
+        sym.write_text(json.dumps(
+            {"laplacian": canonical_split(laplacian_of(g)).lap_sym_part.entries.tolist()}))
+        x0 = ",".join(str(v) for v in range(6))
+        tables = []
+        for graph_path, eps in ((path, ["--eps", "0"]), (sym, [])):
+            out = tmp_path / graph_path.stem
+            assert run(["simulate", "--graph", str(graph_path), "--x0", x0,
+                        "--t-end", "2", "--out", str(out)] + eps).exit_code == 0
+            tables.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert tables[0] == tables[1]
+
+    def test_default_is_the_input_itself(self, tmp_path):
+        g = _model_digraph()
+        lap = laplacian_of(g)
+        x0 = ",".join(str(v) for v in MODEL_X0)
+        for command, extra in (("analyze-graph", []), ("centrality", []),
+                               ("simulate", ["--x0", x0, "--t-end", "2"])):
+            artifacts = []
+            for path in _graph_files(tmp_path, g):
+                out = tmp_path / f"{command}_{path.name}"
+                result = run([command, "--graph", str(path), "--out", str(out)] + extra)
+                assert result.exit_code == 0
+                doc = summary_of(result)
+                if command == "simulate":
+                    assert doc["params"]["eps"] == 1.0
+                if command == "centrality":
+                    assert doc["centrality"] == oscillation_centrality(lap).tolist()
+                artifacts.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+            assert artifacts[0] == artifacts[1] == artifacts[2]
+            if command == "analyze-graph":
+                assert artifacts[0]["laplacian.csv"] == _reference_matrix_csv(lap).encode()
+
+
+_SERIES = "t,value\n" + "".join(f"{t},{5.0 + float(np.cos(0.9 * t))!r}\n" for t in range(64))
+_EVENTS = "timestamp\n" + "".join(f"{60.0 * k}\n" for k in range(32))
+_TRENDS = ("datetime,value\n2019-01-06T22:00:00,100\n2019-01-06T23:00:00,90\n"
+           "2019-01-07T00:00:00,80\n",
+           "datetime,value\n2019-01-07T00:00:00,40\n2019-01-07T01:00:00,100\n"
+           "2019-01-07T02:00:00,50\n",
+           "datetime,value\n2019-01-07T02:00:00,100\n2019-01-07T03:00:00,20\n")
+_RING = "src,dst,w\n" + "".join(f"{k},{(k + 1) % 4},1\n{(k + 1) % 4},{k},1\n"
+                                for k in range(4))
+
+# command -> (argv with input names, {input name: valid text, bad text})
+# Each bad text holds an unparsable line 4.
+_INPUT_COMMANDS = {
+    "spectrum": (["spectrum", "--in", "series.csv"],
+                 {"series.csv": (_SERIES, "t,value\n0,1\n1,2\n2,x\n3,1\n")}),
+    "bin": (["bin", "--events", "events.csv", "--bin-seconds", "120", "--t0", "0",
+             "--n-bins", "8"],
+            {"events.csv": (_EVENTS, "timestamp\n1\n2\nx\n")}),
+    "fuse-trends": (["fuse-trends", "a.csv", "b.csv", "c.csv"],
+                    {"a.csv": (_TRENDS[0], _TRENDS[0]),
+                     "b.csv": (_TRENDS[1], "datetime,value\n2019-01-07T00:00:00,40\n"
+                                           "2019-01-07T01:00:00,100\nx\n"),
+                     "c.csv": (_TRENDS[2], _TRENDS[2])}),
+    "centrality": (["centrality", "--graph", "ring.csv"],
+                   {"ring.csv": (_RING, "src,dst,w\n0,1,1\n1,0,1\n1,2\n")}),
+}
+
+
+def _run_on(tmp_path, command, which=0, newline="\n", raw=None):
+    """Run ``command`` on its inputs written under ``tmp_path`` (the valid
+    texts, or the bad ones when ``which`` is 1) with ``newline`` line ends;
+    ``raw`` replaces the bytes of the inputs it names."""
+    argv, texts = _INPUT_COMMANDS[command]
+    tmp_path.mkdir(exist_ok=True)
+    paths = {}
+    for name, pair in texts.items():
+        paths[name] = tmp_path / name
+        data = pair[which].replace("\n", newline).encode()
+        paths[name].write_bytes((raw or {}).get(name, data))
+    return run([str(paths[a]) if a in paths else a for a in argv]), paths
+
+
+def _results(result):
+    doc = summary_of(result)
+    for key in ("params", "inputs", "outputs"):
+        doc.pop(key)
+    return doc
+
+
+class TestInputsReadOnce:
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """Paths opened for reading, through open() or pathlib, in order."""
+        calls = []
+        original = io.open
+
+        def counting(file, mode="r", *args, **kwargs):
+            if "r" in mode:
+                calls.append(str(file))
+            return original(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counting)
+        monkeypatch.setattr(builtins, "open", counting)
+        return calls
+
+    @pytest.mark.parametrize("command", sorted(_INPUT_COMMANDS))
+    def test_one_read_per_input(self, tmp_path, reads, command):
+        result, paths = _run_on(tmp_path, command)
+        assert result.exit_code == 0
+        assert reads == [str(p) for p in paths.values()]
+        assert summary_of(result)["inputs"] == {
+            str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in paths.values()}
+
+    @pytest.mark.parametrize("command", sorted(_INPUT_COMMANDS))
+    def test_non_utf8_input_is_parse_error(self, tmp_path, command):
+        name = sorted(_INPUT_COMMANDS[command][1])[-1]
+        result, paths = _run_on(tmp_path, command, raw={name: b"\xff\xfe0,1\n"})
+        assert result.exit_code == 2
+        error = summary_of(result)["error"]
+        assert error["type"] == "ParseError"
+        assert error["message"].startswith(f"{paths[name]} is not UTF-8")
+
+    @pytest.mark.parametrize("command", sorted(_INPUT_COMMANDS))
+    def test_crlf_input_matches_lf(self, tmp_path, command):
+        lf, _ = _run_on(tmp_path / "lf", command)
+        crlf, _ = _run_on(tmp_path / "crlf", command, newline="\r\n")
+        assert crlf.exit_code == lf.exit_code == 0
+        assert _results(crlf) == _results(lf)
+        lf, _ = _run_on(tmp_path / "lf_bad", command, which=1)
+        crlf, _ = _run_on(tmp_path / "crlf_bad", command, which=1, newline="\r\n")
+        assert crlf.exit_code == lf.exit_code == 2
+        assert summary_of(crlf) == summary_of(lf)
+        assert summary_of(lf)["error"]["message"].startswith("line 4:")
+
+    def test_graph_json_read_once(self, tmp_path, reads):
+        path = _graph_files(tmp_path, _model_digraph())[0]
+        assert run(["analyze-graph", "--graph", str(path)]).exit_code == 0
+        assert reads == [str(path)]
+
+
+class TestNodeLimit:
+    @pytest.mark.parametrize("name, text", [
+        ("big.json", json.dumps({"n": MAX_NODES + 1, "edges": [[0, 1, 1], [1, 0, 1]]})),
+        ("big.csv", f"src,dst,w\n0,{MAX_NODES},1\n{MAX_NODES},0,1\n"),
+    ])
+    def test_too_many_nodes_is_data_error(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        result = run(["centrality", "--graph", str(path)])
+        assert result.exit_code == 2
+        error = summary_of(result)["error"]
+        assert error["type"] == "InvalidGraph"
+        assert error["message"] == f"node count {MAX_NODES + 1} exceeds the limit of 5000"

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import MODEL_L0, MODEL_LI, MODEL_L0_SYM, MODEL_MASS, seeded_digraph
+from netosc import graph
 from netosc.errors import Disconnected, InvalidGraph, ParseError
 from netosc.graph import (
+    MAX_NODES,
     LaplacianMatrix,
+    OneWaySplit,
     NotSymmetrizable,
     WeightedDigraph,
     canonical_split,
@@ -114,6 +117,14 @@ class TestWeightedDigraph:
     def test_rejects_out_of_range(self):
         with pytest.raises(InvalidGraph):
             WeightedDigraph(n=2, edges=((0, 2, 1.0),))
+
+    def test_node_limit(self, monkeypatch):
+        with pytest.raises(InvalidGraph, match="exceeds the limit of 5000"):
+            WeightedDigraph(n=MAX_NODES + 1, edges=((0, 1, 1.0),))
+        monkeypatch.setattr(graph, "MAX_NODES", 3)
+        assert WeightedDigraph(n=3, edges=((0, 2, 1.0),)).n == 3
+        with pytest.raises(InvalidGraph, match="node count 4 exceeds the limit of 3"):
+            WeightedDigraph(n=4, edges=((0, 1, 1.0),))
 
 
 class TestLaplacianOf:
@@ -337,6 +348,21 @@ class TestCanonicalSplit:
             recomposed = split.lap_sym_part.entries + one
             assert np.array_equal(recomposed, mat)
 
+    def test_heavy_weights_with_slight_asymmetry(self):
+        # Degrees near 1e6 carry row-sum errors near 1e-10, far above the
+        # 1e-12 tolerance of a one-way part with entries below 5e-3.
+        rng = np.random.default_rng(0)
+        edges = []
+        for i in range(6):
+            for j in range(i + 1, 6):
+                w = float(rng.uniform(1e5, 2e5))
+                edges += [(i, j, w), (j, i, w + float(rng.uniform(0.0, 1e-3)))]
+        lap = laplacian_of(WeightedDigraph(n=6, edges=tuple(edges)))
+        split = canonical_split(lap)
+        assert np.max(split.lap_oneway.entries) < 5e-3
+        assert np.array_equal(compose_epsilon(split, 1.0).entries, lap.entries)
+        assert split.lap_sym_part.is_symmetric()
+
     def test_recompose_exact_on_model(self, model_lap0, model_lapI):
         lap = compose_epsilon((model_lap0, model_lapI), 1.0)
         split = canonical_split(lap)
@@ -380,6 +406,12 @@ class TestComposeEpsilon:
         lap = compose_epsilon((model_lap0, null), 2.0)
         assert np.array_equal(lap.entries, model_lap0.entries)
 
+    def test_split_and_pair_compose_alike(self, model_lap0, model_lapI):
+        split = OneWaySplit(model_lap0, model_lapI)
+        assert split == (model_lap0, model_lapI)
+        assert (compose_epsilon(split, 0.5)
+                == compose_epsilon((model_lap0, model_lapI), 0.5))
+
     def test_rejects_negative_eps(self, model_lap0, model_lapI):
         with pytest.raises(ValueError):
             compose_epsilon((model_lap0, model_lapI), -0.5)
@@ -397,6 +429,8 @@ class TestInterchange:
             graph_from_json("not json")
         with pytest.raises(ParseError):
             graph_from_json('{"nodes": 3}')
+        with pytest.raises(ParseError):
+            graph_from_json("[" * 100_000)
 
     def test_edge_csv(self):
         g = graph_from_edge_csv("src,dst,w\n0,1,2.0\n1,0,1.0\n")

@@ -7,8 +7,6 @@ from netosc.ingest import (
     TrendSegment,
     bin_counts,
     fuse_trends,
-    load_event_log,
-    load_series_csv,
     parse_event_log,
     parse_series_csv,
     parse_trend_csv,
@@ -49,7 +47,7 @@ class TestParseEventLog:
     def test_load_from_file(self, tmp_path):
         p = tmp_path / "events.csv"
         p.write_text("timestamp\n5\n1\n")
-        log = load_event_log(p)
+        log = parse_event_log(p.read_text())
         assert np.array_equal(log.timestamps, [1.0, 5.0])
 
 
@@ -70,6 +68,16 @@ class TestBinCounts:
         series, dropped = bin_counts(log, bin_seconds=60, t0=0.0, n_bins=2)
         assert series.values.sum() == 1.0
         assert dropped == 2
+
+    def test_far_timestamps_are_out_of_range(self):
+        # no int bin index exists for 1e300 s, and 1e308 - (-1e308) overflows
+        log = EventLog(np.array([-1e308, 0.0, 30.0, 1e300, 1e308]))
+        series, dropped = bin_counts(log, bin_seconds=60, t0=0.0, n_bins=2)
+        assert np.array_equal(series.values, [2.0, 0.0])
+        assert dropped == 3
+        series, dropped = bin_counts(log, bin_seconds=60, t0=-1e308, n_bins=2)
+        assert np.array_equal(series.values, [1.0, 0.0])
+        assert dropped == 4
 
     def test_conserves_in_range_events(self):
         rng = np.random.default_rng(3)
@@ -258,4 +266,4 @@ class TestParseSeriesCsv:
     def test_load_from_file(self, tmp_path):
         p = tmp_path / "series.csv"
         p.write_text("t,value\n0,1\n1,3\n")
-        assert np.array_equal(load_series_csv(p).values, [1.0, 3.0])
+        assert np.array_equal(parse_series_csv(p.read_text()).values, [1.0, 3.0])
