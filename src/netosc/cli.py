@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics, graph, ingest, signal, spectral
-from .errors import DataError, NumericError, ParseError
+from .errors import DataError, InvalidGraph, NumericError, ParseError
 
 @dataclass(frozen=True)
 class CommandResult:
@@ -165,8 +165,11 @@ def _load_model(files, path):
         except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
             raise ParseError(f"invalid JSON in {path}: {exc}") from exc
         if isinstance(doc, dict) and "lap0" in doc and "lapI" in doc:
-            return (graph.LaplacianMatrix(doc["lap0"]),
-                    graph.LaplacianMatrix(doc["lapI"])), None
+            lap0, lapI = graph.LaplacianMatrix(doc["lap0"]), graph.LaplacianMatrix(doc["lapI"])
+            if lap0.n != lapI.n:
+                raise InvalidGraph(f"lap0 is {lap0.n}x{lap0.n} but lapI is {lapI.n}x{lapI.n}; "
+                                   f"the pair must have one size")
+            return (lap0, lapI), None
         if isinstance(doc, dict) and "laplacian" in doc:
             return graph.canonical_split(graph.LaplacianMatrix(doc["laplacian"])), None
         g = graph.graph_from_json(text)

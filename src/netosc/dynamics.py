@@ -57,6 +57,11 @@ DIVERGENCE_CUTOFF = 1e12
 # integrate_numeric tests for divergence once per this many output steps.
 DIVERGENCE_CHECK_BLOCK = 64
 
+# evaluate_states and total_energy_series walk the time grid in blocks of this
+# many columns.  A power of two keeps every column bit-identical to a
+# whole-grid evaluation; other widths changed last bits through BLAS.
+MODAL_TIME_BLOCK = 128
+
 # Internal velocity-Verlet steps per output step of integrate_numeric.
 VERLET_SUBSTEPS = 10
 
@@ -212,7 +217,7 @@ def _expand(es: EigenSystem, mass, ic: InitialCondition) -> ModalSolution:
     at0 = np.stack([c_plus + c_minus, 1j * om * (c_plus - c_minus)], axis=1)
     for k, offset, drift in zero_modes:
         at0[k] = offset, drift
-    x0_check, v0_check = _reconstruct(sol, at0, "initial-condition reconstruction")
+    x0_check, v0_check = _to_real(_node_values(sol, at0).T, "initial-condition reconstruction")
     scale = 1.0 + max(np.max(np.abs(ic.x0)), np.max(np.abs(ic.v0)))
     if (np.max(np.abs(x0_check - ic.x0)) > 1e-8 * scale
             or np.max(np.abs(v0_check - ic.v0)) > 1e-8 * scale):
@@ -239,36 +244,78 @@ def modal_solve(lap: LaplacianMatrix, ic: InitialCondition,
     return _expand(eigendecompose(lap), np.ones(lap.n), ic)
 
 
+def _time_blocks(times):
+    """Slices of MODAL_TIME_BLOCK consecutive columns covering ``times``.
+
+    A lone last column joins the block before it: numpy would evaluate a
+    one-column block with a matrix-vector kernel and a pairwise sum, which
+    differ in the last bits from the whole-grid matmul and column sum.
+    """
+    starts = list(range(0, times.size, MODAL_TIME_BLOCK))
+    if len(starts) > 1 and times.size - starts[-1] == 1:
+        starts.pop()
+    return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [times.size])]
+
+
+def _phases(omegas, times):
+    """exp(i w t) and exp(-i w t), one row per mode and one column per time.
+
+    The second is the conjugate of the first when every w is exactly real.
+    """
+    arg = 1j * np.outer(omegas, times)
+    fwd = np.exp(arg)
+    if not omegas.imag.any():
+        return fwd, fwd.conj()
+    return fwd, np.exp(-arg)
+
+
 def _mode_amplitudes(sol: ModalSolution, times):
-    times = np.asarray(times, dtype=float)
-    at = np.zeros((sol.n, times.size), dtype=complex)
-    nz = sol.omegas != 0
-    if np.any(nz):
-        arg = 1j * np.outer(sol.omegas[nz], times)
-        at[nz] = sol.c_plus[nz, None] * np.exp(arg) + sol.c_minus[nz, None] * np.exp(-arg)
-    for k, offset, drift in sol.zero_modes:
+    fwd, back = _phases(sol.omegas, times)
+    at = sol.c_plus[:, None] * fwd
+    at += sol.c_minus[:, None] * back
+    for k, offset, drift in sol.zero_modes:  # c+ = c- = 0 there
         at[k] = offset + drift * times
     return at
 
 
+def _check_residue(worst_imag, max_real, what):
+    """The one rule for a complex result that should be real."""
+    if worst_imag > 1e-8 * (1.0 + max_real):
+        raise DefectiveMatrix(f"{what} has imaginary residue {worst_imag:.3e}")
+
+
 def _to_real(arr, what):
-    scale = 1.0 + np.max(np.abs(arr.real), initial=0.0)
-    worst = np.max(np.abs(arr.imag), initial=0.0)
-    if worst > 1e-8 * scale:
-        raise DefectiveMatrix(f"{what} has imaginary residue {worst:.3e}")
+    _check_residue(np.max(np.abs(arr.imag), initial=0.0),
+                   np.max(np.abs(arr.real), initial=0.0), what)
     return np.ascontiguousarray(arr.real)
 
 
-def _reconstruct(sol: ModalSolution, amplitudes, what):
-    """Node values diag(mass)^-1/2 V a of mode-amplitude columns a, one row
-    per column, real within _to_real's tolerance."""
-    x = (sol.eigvecs @ amplitudes) / np.sqrt(sol.mass)[:, None]
-    return _to_real(x.T, what)
+def _node_values(sol: ModalSolution, amplitudes):
+    """Node values diag(mass)^-1/2 V a of mode-amplitude columns a, one
+    column each, complex."""
+    return (sol.eigvecs @ amplitudes) / np.sqrt(sol.mass)[:, None]
 
 
 def evaluate_states(sol: ModalSolution, times) -> np.ndarray:
-    """States x(t) for a vector of times, shape (len(times), n)."""
-    return _reconstruct(sol, _mode_amplitudes(sol, times), "state reconstruction")
+    """States x(t) for a vector of times, shape (len(times), n).
+
+    The grid is evaluated in blocks of MODAL_TIME_BLOCK = 128 times, written
+    straight into the result, so working memory beyond the result is
+    O(n * 128).  exp(-i w t) is the conjugate of exp(i w t) when every w is
+    exactly real.  Raises DefectiveMatrix when the largest imaginary part over
+    the whole grid exceeds 1e-8 * (1 + the largest real part).
+    """
+    times = np.asarray(times, dtype=float).ravel()
+    states = np.empty((times.size, sol.n))
+    worst_imag = max_real = 0.0
+    for cols in _time_blocks(times):
+        x = _node_values(sol, _mode_amplitudes(sol, times[cols]))
+        states[cols] = x.real.T
+        worst_imag = np.maximum(worst_imag, np.max(np.abs(x.imag)))
+        max_real = np.maximum(max_real, np.max(np.abs(x.real)))
+        del x  # free this block before the next is built
+    _check_residue(worst_imag, max_real, "state reconstruction")
+    return states
 
 
 def evaluate_state(sol: ModalSolution, t: float) -> np.ndarray:
@@ -322,7 +369,7 @@ def integrate_numeric(lap: LaplacianMatrix, ic: InitialCondition,
     for start in range(1, times.size, DIVERGENCE_CHECK_BLOCK):
         stop = min(start + DIVERGENCE_CHECK_BLOCK, times.size)
         for k in range(start, stop):
-            phase[k] = transfer @ phase[k - 1]
+            np.matmul(transfer, phase[k - 1], out=phase[k])
         over = np.flatnonzero(np.max(np.abs(phase[start:stop, :n]), axis=1) > DIVERGENCE_CUTOFF)
         if over.size:
             k = start + int(over[0])
@@ -364,17 +411,24 @@ def total_energy_series(sol: ModalSolution, times) -> EnergyReport:
 
     With the coupling C = (A w)(A w)^T o V^T V, diagonal zeroed, and
     p = exp(i w t), q = exp(-i w t) per mode and time, the pair sum is
-    1/2 sum_mu p_mu (C q)_mu: one matmul over the whole time grid.
+    1/2 sum_mu p_mu (C q)_mu: one matmul per block of MODAL_TIME_BLOCK = 128
+    times, so working memory beyond the series is O(n * 128).  q is the
+    conjugate of p when every w is exactly real.
     """
-    times = np.asarray(times, dtype=float)
+    times = np.asarray(times, dtype=float).ravel()
     amp = np.sqrt(2.0 * (np.abs(sol.c_plus) ** 2 + np.abs(sol.c_minus) ** 2))
     om = sol.omegas
     stationary = 0.5 * float(np.sum(amp ** 2 * np.abs(om) ** 2))
     weight = amp * om
     coupling = np.outer(weight, weight) * (sol.eigvecs.T @ sol.eigvecs)
     np.fill_diagonal(coupling, 0.0)
-    arg = 1j * np.outer(om, times)
-    energy = stationary + 0.5 * np.sum(np.exp(arg) * (coupling @ np.exp(-arg)), axis=0)
+    energy = np.empty(times.size, dtype=complex)
+    for cols in _time_blocks(times):
+        fwd, back = _phases(om, times[cols])
+        pairs = coupling @ back
+        pairs *= fwd
+        energy[cols] = stationary + 0.5 * np.sum(pairs, axis=0)
+        del fwd, back, pairs  # free this block before the next is built
     if sol.spectrum_real:
         series_values = _to_real(energy, "energy series")
     else:

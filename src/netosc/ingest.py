@@ -242,7 +242,8 @@ def parse_series_csv(text: str) -> TimeSeries:
     """Series CSV: two columns read as (t, value); one column as values.
 
     A non-numeric first row is treated as a header, whatever its names.  The
-    time column must be uniformly spaced; it sets the series' step and origin.
+    time column must step forward by a finite, uniform amount; it sets the
+    series' step and origin.
     """
     rows = _numbered_rows(text)
     if not rows:
@@ -266,7 +267,11 @@ def parse_series_csv(text: str) -> TimeSeries:
     if width == 1:
         return TimeSeries(values=columns[0])
     ts, vs = columns
-    steps = np.diff(ts)
+    with np.errstate(over="ignore"):  # an overflowing step is reported below
+        steps = np.diff(ts)
+    if steps.size and not 0.0 < steps[0] < np.inf:
+        raise ParseError(f"time column must step forward by a finite amount, "
+                         f"got a first step of {steps[0]}")
     if steps.size and np.max(np.abs(steps - steps[0])) > 1e-9 * max(abs(steps[0]), 1.0):
         raise ParseError("time column is not uniformly spaced")
     dt = float(steps[0]) if steps.size else 1.0

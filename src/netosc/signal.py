@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllZero, BadCutoff, TooShort, WindowTooLarge
+from .errors import AllZero, BadCutoff, OutOfRange, TooShort, WindowTooLarge
 
 
 @dataclass(frozen=True)
@@ -80,10 +80,19 @@ class Spectrum:
 
 
 def dft_spectrum(s: TimeSeries) -> Spectrum:
-    """Raw magnitude spectrum at bins 0 .. floor(N/2)."""
+    """Raw magnitude spectrum at bins 0 .. floor(N/2).
+
+    Raises OutOfRange when the values are too large for the DFT: a magnitude,
+    or the total that normalize_spectrum divides by, is not finite.
+    """
     if len(s) < 4:
         raise TooShort(f"need at least 4 samples, got {len(s)}")
-    mag = np.abs(np.fft.rfft(s.values))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        mag = np.abs(np.fft.rfft(s.values))
+        total = mag.sum()
+    if not np.isfinite(total):
+        raise OutOfRange(f"series values up to {np.max(np.abs(s.values)):.3g} "
+                         f"overflow the DFT magnitudes")
     return Spectrum(bins=mag, n_samples=len(s), normalized=False)
 
 

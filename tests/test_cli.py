@@ -472,6 +472,34 @@ class TestErrorTable:
         assert result.exit_code == 2
         assert summary_of(result)["error"]["type"] == error_type
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze-graph"],
+        ["simulate", "--x0", "1,2"],
+        ["critical-eps", "--lo", "0", "--hi", "1"],
+        ["sweep", "--eps", "0,1", "--x0", "1,2"],
+    ], ids=lambda argv: argv[0])
+    def test_mismatched_explicit_pair_is_data_error(self, tmp_path, argv):
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps({"lap0": [[1, -1], [-1, 1]],
+                                    "lapI": np.zeros((3, 3)).tolist()}))
+        result = run([argv[0], "--graph", str(path), *argv[1:]])
+        assert result.exit_code == 2
+        error = summary_of(result)["error"]
+        assert error["type"] == "InvalidGraph"
+        assert "2x2" in error["message"] and "3x3" in error["message"]
+
+    @pytest.mark.parametrize("rows, error_type", [
+        ("3,1\n2,2\n1,3\n0,4\n", "ParseError"),            # time runs backwards
+        ("1e308,1\n-1e308,2\n0,3\n1,2\n", "ParseError"),   # time step overflows
+        ("0,1e308\n1,-1e308\n2,1e308\n3,5\n4,1\n", "OutOfRange"),  # DFT overflows
+    ], ids=["backwards", "time-overflow", "dft-overflow"])
+    def test_unusable_series_is_data_error(self, tmp_path, rows, error_type):
+        path = tmp_path / "series.csv"
+        path.write_text("t,value\n" + rows)
+        result = run(["spectrum", "--in", str(path), "--window", "1"])
+        assert result.exit_code == 2
+        assert summary_of(result)["error"]["type"] == error_type
+
     @pytest.mark.parametrize("command", ["centrality", "analyze-graph"])
     def test_deeply_nested_json_is_parse_error(self, tmp_path, command):
         path = tmp_path / "graph.json"

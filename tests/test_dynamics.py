@@ -1,3 +1,5 @@
+import dataclasses
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -29,6 +31,7 @@ from netosc.dynamics import (
 from netosc.graph import (
     LaplacianMatrix,
     WeightedDigraph,
+    canonical_split,
     check_symmetrizable,
     compose_epsilon,
     laplacian_of,
@@ -97,6 +100,64 @@ def energy_pair_loop(sol, times):
                 sol.eigvecs[:, mu], sol.eigvecs[:, nu])
             energy += coef * np.cos((om[mu] - om[nu]) * times)
     return energy.real
+
+
+def real_or_raise(arr, what):
+    """Reference: the imaginary-residue rule over a whole array."""
+    worst = np.max(np.abs(arr.imag), initial=0.0)
+    if worst > 1e-8 * (1.0 + np.max(np.abs(arr.real), initial=0.0)):
+        raise DefectiveMatrix(f"{what} has imaginary residue {worst:.3e}")
+    return np.ascontiguousarray(arr.real)
+
+
+def mode_amplitudes_whole_grid(sol, times):
+    """Reference: mode amplitudes over the whole time grid at once, with
+    exp(-i w t) evaluated on its own and zero modes masked out."""
+    times = np.asarray(times, dtype=float)
+    at = np.zeros((sol.n, times.size), dtype=complex)
+    nz = sol.omegas != 0
+    if np.any(nz):
+        arg = 1j * np.outer(sol.omegas[nz], times)
+        at[nz] = sol.c_plus[nz, None] * np.exp(arg) + sol.c_minus[nz, None] * np.exp(-arg)
+    for k, offset, drift in sol.zero_modes:
+        at[k] = offset + drift * times
+    return at
+
+
+def states_whole_grid(sol, times):
+    """Reference: evaluate_states as one n x T evaluation."""
+    x = (sol.eigvecs @ mode_amplitudes_whole_grid(sol, times)) / np.sqrt(sol.mass)[:, None]
+    return real_or_raise(x.T, "state reconstruction")
+
+
+def energy_whole_grid(sol, times):
+    """Reference: total_energy_series' values as one n x T matmul."""
+    times = np.asarray(times, dtype=float)
+    amp = np.sqrt(2.0 * (np.abs(sol.c_plus) ** 2 + np.abs(sol.c_minus) ** 2))
+    om = sol.omegas
+    stationary = 0.5 * float(np.sum(amp ** 2 * np.abs(om) ** 2))
+    weight = amp * om
+    coupling = np.outer(weight, weight) * (sol.eigvecs.T @ sol.eigvecs)
+    np.fill_diagonal(coupling, 0.0)
+    arg = 1j * np.outer(om, times)
+    energy = stationary + 0.5 * np.sum(np.exp(arg) * (coupling @ np.exp(-arg)), axis=0)
+    if sol.spectrum_real:
+        return real_or_raise(energy, "energy series")
+    return np.ascontiguousarray(energy.real)
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of the DefectiveMatrix it raises."""
+    try:
+        return f(*args)
+    except DefectiveMatrix as exc:
+        return type(exc), str(exc)
+
+
+def same_outcome(a, b):
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        return a.shape == b.shape and np.array_equal(a, b)
+    return a == b
 
 
 class TestModalSolve:
@@ -374,6 +435,103 @@ class TestTotalEnergySeries:
         sol = modal_solve(model(0.0), model_ic(), sym=dec)
         report = total_energy_series(sol, np.linspace(0.0, 1.0, 11))
         assert np.array_equal(report.per_node, node_energies(sol).per_node)
+
+
+BLOCK = dynamics.MODAL_TIME_BLOCK
+
+
+def model_solution(name):
+    """Blocked-evaluation cases: an oblique real spectrum, a complex one (the
+    README model at eps = 1.7), a zero mode with drift, and the sym= path
+    with mass != 1."""
+    if name == "real":
+        return modal_solve(model(1.5), model_ic())
+    if name == "complex":
+        return modal_solve(model(1.7), model_ic())
+    if name == "drift":
+        return modal_solve(model(1.5), InitialCondition(
+            x0=MODEL_X0, v0=np.array([1.0, -2.0, 0.5, 0.0, 3.0])))
+    dec = check_symmetrizable(model(0.0))
+    return modal_solve(model(0.0), model_ic(), sym=dec)
+
+
+class TestBlockedEvaluation:
+    """evaluate_states and total_energy_series walk the grid in blocks of
+    MODAL_TIME_BLOCK columns; each column must equal the whole-grid value."""
+
+    LENGTHS = (0, 1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 1001, 10001)
+
+    def test_block_is_a_power_of_two(self):
+        assert BLOCK >= 8 and BLOCK & (BLOCK - 1) == 0
+
+    @pytest.mark.parametrize("length", LENGTHS)
+    def test_blocks_cover_the_grid_once(self, length):
+        cols = dynamics._time_blocks(np.zeros(length))
+        covered = np.concatenate([np.arange(length)[c] for c in cols]) if cols else []
+        assert np.array_equal(covered, np.arange(length))
+        assert all(c.stop - c.start <= BLOCK + 1 for c in cols)
+        assert length < 2 or all(c.stop - c.start >= 2 for c in cols)
+
+    @pytest.mark.parametrize("length", LENGTHS)
+    @pytest.mark.parametrize("name", ["real", "complex", "drift", "sym"])
+    def test_states_equal_whole_grid(self, name, length):
+        sol = model_solution(name)
+        assert sol.spectrum_real == (name != "complex")
+        assert (name == "drift") == any(drift != 0.0 for _, _, drift in sol.zero_modes)
+        times = np.arange(length) * 0.05
+        got = outcome(evaluate_states, sol, times)
+        assert same_outcome(got, outcome(states_whole_grid, sol, times))
+        assert not isinstance(got, np.ndarray) or got.shape == (length, sol.n)
+
+    @pytest.mark.parametrize("length", LENGTHS)
+    @pytest.mark.parametrize("name", ["real", "complex", "drift", "sym"])
+    def test_energy_equals_whole_grid(self, name, length):
+        sol = model_solution(name)
+        times = np.arange(length) * 0.05
+        report = total_energy_series(sol, times)
+        if length < 2:
+            assert report.series is None
+        else:
+            assert np.array_equal(report.series.values, energy_whole_grid(sol, times))
+
+    def test_residue_in_a_late_block_follows_the_global_rule(self):
+        # one mode, x = cos(w t) + i delta sin(w t): the imaginary part grows
+        # over the grid, so for delta near the threshold only late blocks
+        # carry enough of it to trip the rule
+        lap = laplacian_of(undirected_graph(2, [(0, 1)]))
+        base = modal_solve(lap, InitialCondition.at_rest([1.0, -1.0]))
+        mode = int(np.flatnonzero(base.omegas != 0)[0])
+        times = np.arange(4 * BLOCK) * (1.5 / (4 * BLOCK * abs(base.omegas[mode])))
+        tripped_late = False
+        for delta in np.geomspace(1e-9, 1e-6, 40):
+            c_plus, c_minus = base.c_plus.copy(), base.c_minus.copy()
+            c_plus[mode] *= 1.0 + delta
+            c_minus[mode] *= 1.0 - delta
+            sol = dataclasses.replace(base, c_plus=c_plus, c_minus=c_minus)
+            want = outcome(states_whole_grid, sol, times)
+            assert same_outcome(outcome(evaluate_states, sol, times), want)
+            first_block_raises = not isinstance(
+                outcome(states_whole_grid, sol, times[:BLOCK]), np.ndarray)
+            tripped_late |= not isinstance(want, np.ndarray) and not first_block_raises
+        assert tripped_late
+
+    @pytest.mark.parametrize("evaluate", [evaluate_states, total_energy_series])
+    def test_working_memory_is_per_block(self, evaluate):
+        n, length = 200, 1001
+        split = canonical_split(laplacian_of(seeded_digraph(5, n)))
+        sol = modal_solve(compose_epsilon(split, 0.0),
+                          InitialCondition.at_rest(np.random.default_rng(5).normal(size=n)))
+        times = np.arange(length) * 0.01
+        evaluate(sol, times)
+        tracemalloc.start()
+        try:
+            result = evaluate(sol, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = result.nbytes if isinstance(result, np.ndarray) else result.series.values.nbytes
+        block_array = n * BLOCK * np.dtype(complex).itemsize
+        assert peak <= kept + 6 * block_array
 
 
 def betweenness_loop(g):

@@ -257,6 +257,18 @@ class TestParseSeriesCsv:
         with pytest.raises(ParseError, match="uniformly spaced"):
             parse_series_csv("0,1\n1,1\n3,1\n")
 
+    @pytest.mark.parametrize("text, step", [
+        ("t,value\n3,1\n2,2\n1,3\n0,4\n", "-1.0"),
+        ("t,value\n1e308,1\n-1e308,2\n0,3\n1,2\n", "-inf"),
+        ("t,value\n-1e308,1\n1e308,2\n", "inf"),
+        ("t,value\n5,1\n5,2\n", "0.0"),
+    ], ids=["backwards", "overflow-down", "overflow-up", "standing"])
+    def test_time_must_step_forward_by_a_finite_amount(self, text, step):
+        # overflowing steps raise no numpy warning (warnings are errors here)
+        with pytest.raises(ParseError, match="step forward by a finite amount") as err:
+            parse_series_csv(text)
+        assert str(err.value).endswith(f"first step of {step}")
+
     def test_empty(self):
         with pytest.raises(EmptyInput):
             parse_series_csv("\n")

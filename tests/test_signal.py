@@ -8,7 +8,7 @@ import pytest
 
 import netosc
 
-from netosc.errors import AllZero, BadCutoff, TooShort, WindowTooLarge
+from netosc.errors import AllZero, BadCutoff, OutOfRange, TooShort, WindowTooLarge
 from netosc.signal import (
     Spectrum,
     TimeSeries,
@@ -48,6 +48,16 @@ class TestDftSpectrum:
     def test_too_short(self):
         with pytest.raises(TooShort):
             dft_spectrum(TimeSeries(np.array([1.0, 2.0, 3.0])))
+
+    @pytest.mark.parametrize("values", [
+        [1e308, -1e308, 1e308, 5.0, 1.0],  # the DFT itself overflows
+        # two tones of magnitude 1.6e308: each bin is finite, their total is not
+        4e307 * (np.cos(np.pi * np.arange(8) / 4) + np.cos(np.pi * np.arange(8) / 2)),
+    ], ids=["bins", "total"])
+    def test_overflow_is_out_of_range(self, values):
+        # no numpy warning either: warnings are errors here
+        with pytest.raises(OutOfRange, match="overflow the DFT"):
+            dft_spectrum(TimeSeries(np.array(values)))
 
     def test_parseval(self):
         rng = np.random.default_rng(5)
