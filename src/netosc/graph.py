@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import Disconnected, InvalidGraph, ParseError
+from .errors import Disconnected, InvalidGraph, OutOfRange, ParseError
 from .ingest import _numbered_rows, _parse_rows
 
 # Entry-level tolerance of the Laplacian invariant checks, scaled by
@@ -30,6 +30,10 @@ _BALANCE_TOL = 1e-9
 # Largest node count a digraph may declare: one n x n float64 matrix is then
 # 200 MB at most.
 MAX_NODES = 5_000
+
+# Largest entry or weight magnitude: MAX_NODES^2 squares of it sum to 2.5e307,
+# so Frobenius norms (and degree sums) stay finite at any allowed size.
+MAX_ENTRY = 1e150
 
 
 def _is_symmetric(arr) -> bool:
@@ -104,7 +108,10 @@ class LaplacianMatrix:
             raise InvalidGraph(f"Laplacian must be square, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise InvalidGraph("Laplacian entries must be finite")
-        scale = _ENTRY_TOL * (1.0 + np.max(np.abs(arr), initial=0.0))
+        peak = np.max(np.abs(arr), initial=0.0)
+        if peak > MAX_ENTRY:
+            raise OutOfRange(f"Laplacian entries above {MAX_ENTRY:.0e} in magnitude")
+        scale = _ENTRY_TOL * (1.0 + peak)
         rowsum = arr.sum(axis=1)
         if np.max(np.abs(rowsum), initial=0.0) > scale:
             raise InvalidGraph(
@@ -207,6 +214,8 @@ def laplacian_of(g: WeightedDigraph) -> LaplacianMatrix:
     """Laplacian D - A of a weighted digraph."""
     mat = np.zeros((g.n, g.n))
     s, d, w = np.array(g.edges).reshape(-1, 3).T
+    if w.max(initial=0.0) > MAX_ENTRY:     # before the degree sums can overflow
+        raise OutOfRange(f"edge weights above {MAX_ENTRY:.0e} in magnitude")
     s, d = s.astype(int), d.astype(int)
     mat[s, d] = -w  # at most one edge per ordered pair
     np.add.at(mat, (s, s), w)  # degrees summed in edge order

@@ -5,9 +5,9 @@ complex eigendecomposition with conjugate-paired eigenvalues.  Eigenfrequencies
 are principal square roots of eigenvalues; a non-real eigenfrequency marks the
 onset of exponentially growing oscillation amplitude.  The first
 real-to-complex transition along the family lap0 + eps * lapI is located by a
-march whose steps a local model of colliding eigenvalue pairs bounds, then
-refined by regula falsi; a complex window narrower than an allowed step can be
-missed.
+march whose steps first- and second-order models of colliding eigenvalue pairs
+bound, then refined by regula falsi unless the march brackets it directly; a
+complex window narrower than an allowed step can be missed.
 """
 
 from __future__ import annotations
@@ -30,12 +30,18 @@ REAL_TOL_FACTOR = 1e-8
 ZERO_TOL_FACTOR = 1e-9
 
 # critical_epsilon's march: a step goes MARCH_THETA of the way to the collision
-# the pair model predicts and at most the trust-region cap, which starts at
-# MARCH_CAP0 times the bracket width and grows by MARCH_GROWTH after each
-# real step.
+# the first-order pair model predicts, or MARCH_SECOND of the way to the
+# second-order one when the two agree within (1 - MARCH_THETA); within
+# MARCH_JUMP * tol it brackets the collision directly, and a second-order step
+# landing non-real over MARCH_RETREAT * tol past the last real point is retaken
+# first-order.  No step exceeds the trust-region cap, which starts at
+# MARCH_CAP0 times the bracket width and grows by MARCH_GROWTH per real step.
 MARCH_THETA = 0.8
 MARCH_CAP0 = 0.05
 MARCH_GROWTH = 2.0
+MARCH_SECOND = 0.95
+MARCH_JUMP = 30.0
+MARCH_RETREAT = 1e3
 
 
 @dataclass(frozen=True)
@@ -181,7 +187,7 @@ def _solve_at(parts, eps, vectors):
 
 
 def _pair_collision(eigenvalues, coupling):
-    """(distance, centre) of the nearest predicted real-to-complex collision.
+    """(first, second, centre) of the nearest predicted real-to-complex collision.
 
     Each mode pair a, b with gap g = lambda_a - lambda_b > 0 gets the 2x2
     reduced model whose squared splitting along eps + delta is
@@ -189,8 +195,9 @@ def _pair_collision(eigenvalues, coupling):
     With W_ab W_ba = -s^2 < 0 it factors as
     (g + delta (dW - 2 s)) (g + delta (dW + 2 s)), so its smallest positive
     root is g / (2 s - dW) when 2 s > dW; otherwise the pair stays real.
-    ``centre`` is the colliding pair's midpoint; distance is inf when no pair
-    collides.
+    ``first`` is the nearest such root over all pairs, ``second`` the
+    colliding pair's _second_order distance and ``centre`` its midpoint;
+    both distances are inf when no pair collides.
     """
     lam = eigenvalues.real
     gap = lam[:, None] - lam[None, :]
@@ -200,7 +207,34 @@ def _pair_collision(eigenvalues, coupling):
     hit = (gap > 0) & (product < 0) & (closing > 0)
     dist = np.divide(gap, closing, out=np.full(gap.shape, np.inf), where=hit)
     a, b = np.unravel_index(np.argmin(dist), dist.shape)
-    return float(dist[a, b]), 0.5 * (lam[a] + lam[b])
+    first = float(dist[a, b])
+    second = _second_order(lam, coupling, a, b, first) if hit[a, b] else np.inf
+    return first, second, 0.5 * (lam[a] + lam[b])
+
+
+def _second_order(lam, coupling, a, b, first):
+    """Collision distance of the pair P = (a, b) in its second-order model:
+    the Loewdin (Schur-complement) reduction onto P, the other modes Q taken
+    at the pair's midpoint mu,
+    H(delta) = Lambda_P + delta W_PP + delta^2 W_PQ (mu - Lambda_Q)^-1 W_QP.
+    Its squared splitting (H_aa - H_bb)^2 + 4 H_ab H_ba is a quartic in delta;
+    the result is its positive real root nearest ``first``, or inf.  Exact
+    with no Q modes; O(n) given W.
+    """
+    pair, q = [a, b], np.ones(lam.size, dtype=bool)
+    q[pair] = False
+    w = coupling[np.ix_(pair, pair)]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        s = coupling[np.ix_(pair, q)] / (0.5 * (lam[a] + lam[b]) - lam[q])
+        s = s @ coupling[np.ix_(q, pair)]
+        diff = [s[0, 0] - s[1, 1], w[0, 0] - w[1, 1], lam[a] - lam[b]]  # H_aa - H_bb
+        cross = np.polymul([s[0, 1], w[0, 1]], [s[1, 0], w[1, 0]])  # H_ab H_ba / delta^2
+        quartic = (np.polymul(diff, diff) + 4.0 * np.append(cross, [0.0, 0.0])).real
+    if not np.all(np.isfinite(quartic)):
+        return np.inf      # a mode at the pair's midpoint
+    roots = np.roots(quartic)
+    roots = roots[(roots.imag == 0) & (roots.real > 0)].real
+    return float(roots[np.argmin(np.abs(roots - first))]) if roots.size else np.inf
 
 
 def _splitting(eigenvalues, real, scale, centre):
@@ -237,17 +271,19 @@ def _locate_transition(lap0, lapI, bracket, tol):
     if not real:
         raise BadBracket(f"spectrum already non-real at eps = {lo}")
     cap = MARCH_CAP0 * (hi - lo)
-    x, last_target = lo, None
-    dist, centre = _pair_collision(lam, coupling)
+    x = lo
+    first, second, centre = _pair_collision(lam, coupling)
     while True:
-        target = x + dist
-        modelled = MARCH_THETA * dist <= cap
-        if not modelled:
-            trial = x + cap
-        elif last_target is not None and abs(target - last_target) <= (1 - MARCH_THETA) * dist:
-            trial = target + 0.5 * tol      # two models agree: probe just past
+        near = abs(second - first)
+        jump = near <= MARCH_JUMP * tol and second <= cap
+        step2 = near <= (1 - MARCH_THETA) * first and MARCH_SECOND * second <= cap
+        modelled = jump or step2 or MARCH_THETA * first <= cap
+        if jump:
+            trial = x + second + 0.45 * tol     # a bracket strictly inside tol
+        elif step2:
+            trial = x + MARCH_SECOND * second
         else:
-            trial = x + MARCH_THETA * dist
+            trial = x + (MARCH_THETA * first if modelled else cap)
         trial = min(max(trial, x + 0.5 * tol, np.nextafter(x, hi)), hi)
         solves += 1
         lam_t, real_t, scale_t, coupling_t = _solve_at(parts, trial, True)
@@ -255,13 +291,23 @@ def _locate_transition(lap0, lapI, bracket, tol):
             if trial >= hi:
                 raise NoTransition(f"spectrum real at every march point up to eps = {hi}")
             x, lam, scale, coupling = trial, lam_t, scale_t, coupling_t
-            dist, centre = _pair_collision(lam, coupling)
-            last_target = target if modelled else None
+            first, second, centre = _pair_collision(lam, coupling)
             cap *= MARCH_GROWTH
-        elif modelled or trial - x <= tol:
-            break
         else:
-            cap = 0.5 * (trial - x)     # a collision the model missed: retreat
+            if jump and trial - x > tol:    # bracket the collision from below too
+                solves += 1
+                c = trial - 0.9 * tol
+                lam_c, real_c, scale_c, _ = _solve_at(parts, c, False)
+                if real_c:
+                    x, lam, scale = c, lam_c, scale_c
+                    break
+                trial, lam_t, scale_t = c, lam_c, scale_c
+            if (jump or step2) and trial - x > MARCH_RETREAT * tol:
+                second = np.inf     # too wide for the refine: retake the first-order step
+            elif modelled or trial - x <= tol:
+                break
+            else:
+                cap = 0.5 * (trial - x)     # a collision the model missed: retreat
     # Illinois regula falsi on the tracked pair's signed squared splitting
     f_lo, centre = _splitting(lam, True, scale, centre)
     f_hi, centre = _splitting(lam_t, False, scale_t, centre)
@@ -299,10 +345,17 @@ def critical_epsilon(lap0: LaplacianMatrix, lapI: LaplacianMatrix,
     Requires a real spectrum at bracket[0] (BadBracket otherwise); bracket[1]
     may be real or not.  The march starts at bracket[0] with one
     decomposition per real point and predicts, from the coupling of every mode
-    pair in that eigenbasis, the nearest pair collision (_pair_collision).  It
-    steps MARCH_THETA = 0.8 of the way there, never more than a trust-region
-    cap (0.05 of the bracket width, doubled after each real step); once two
-    successive predictions agree it probes just past the collision.  A
+    pair in that eigenbasis, the nearest pair collision (_pair_collision) to
+    first order and, for the colliding pair, to second order (_second_order).
+    A step goes MARCH_THETA = 0.8 of the way to the first-order collision, or
+    MARCH_SECOND = 0.95 of the way to the second-order one when the two agree
+    within 1 - MARCH_THETA of the first, never past a trust-region cap (0.05
+    of the bracket width, doubled after each real step).  When they agree
+    within MARCH_JUMP = 30 tol, the march solves 0.45 tol past the
+    second-order collision and, if non-real there, 0.9 tol below it: a real
+    point ends the search with that bracket.  A second-order step landing
+    non-real over MARCH_RETREAT = 1e3 tol past the last real point is retaken
+    as the first-order step, since so wide a bracket is slow to refine.  A
     non-real point the model did not predict halves the cap back toward the
     last real point.  The march thus certifies nothing between its real
     points: it can miss a complex window narrower than an allowed step.

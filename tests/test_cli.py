@@ -58,7 +58,7 @@ class TestCriticalEps:
         lo, hi = doc["final_bracket"]
         assert doc["bracket"] == [0.0, 3.0]
         assert lo < doc["eps_star"] < hi and hi - lo <= 1e-3
-        assert isinstance(doc["solves"], int) and 0 < doc["solves"] < 12
+        assert isinstance(doc["solves"], int) and 0 < doc["solves"] <= 6
 
     def test_no_transition_exit_code(self, ring_json):
         result = run(["critical-eps", "--graph", str(ring_json),
@@ -499,6 +499,25 @@ class TestErrorTable:
         result = run(["spectrum", "--in", str(path), "--window", "1"])
         assert result.exit_code == 2
         assert summary_of(result)["error"]["type"] == error_type
+
+    @pytest.mark.parametrize("doc, x0", [
+        ({"laplacian": [[1e308, -1e308], [-1e308, 1e308]]}, "1,0"),
+        ({"n": 3, "edges": [[0, 1, 1e300], [1, 0, 2e300], [1, 2, 1e300],
+                            [2, 1, 1.5e300], [2, 0, 1e300], [0, 2, 1.2e300]]}, "1,0,0"),
+    ], ids=["laplacian-1e308", "digraph-1e300"])
+    @pytest.mark.parametrize("argv", [
+        ["analyze-graph"],
+        ["simulate", "--t-end", "1", "--dt", "0.01"],
+        ["critical-eps", "--lo", "0", "--hi", "1"],
+        ["sweep", "--eps", "0,1"],
+    ], ids=lambda argv: argv[0])
+    def test_overflowing_magnitude_is_out_of_range(self, tmp_path, argv, doc, x0):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        x0_args = ["--x0", x0] if argv[0] in ("simulate", "sweep") else []
+        result = run([argv[0], "--graph", str(path), *argv[1:], *x0_args])
+        assert result.exit_code == 2
+        assert summary_of(result)["error"]["type"] == "OutOfRange"
 
     @pytest.mark.parametrize("command", ["centrality", "analyze-graph"])
     def test_deeply_nested_json_is_parse_error(self, tmp_path, command):

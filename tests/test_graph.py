@@ -3,8 +3,9 @@ import pytest
 
 from conftest import MODEL_L0, MODEL_LI, MODEL_L0_SYM, MODEL_MASS, seeded_digraph
 from netosc import graph
-from netosc.errors import Disconnected, InvalidGraph, ParseError
+from netosc.errors import Disconnected, InvalidGraph, OutOfRange, ParseError
 from netosc.graph import (
+    MAX_ENTRY,
     MAX_NODES,
     LaplacianMatrix,
     OneWaySplit,
@@ -157,6 +158,17 @@ class TestLaplacianOf:
     def test_matches_edge_loop(self, seed, n):
         g = seeded_digraph(seed, n)
         assert_bits_equal(laplacian_of(g).entries, laplacian_loop(g))
+
+    def test_magnitude_limit(self):
+        # the Frobenius norm of MAX_NODES^2 entries at the limit is finite
+        assert np.isfinite(np.sqrt(MAX_NODES ** 2 * MAX_ENTRY ** 2))
+        lap = laplacian_of(undirected_graph(2, [(0, 1)], weight=MAX_ENTRY))
+        assert lap.d_max == MAX_ENTRY
+        above = float(np.nextafter(MAX_ENTRY, np.inf))
+        with pytest.raises(OutOfRange, match="edge weights"):
+            laplacian_of(undirected_graph(2, [(0, 1)], weight=above))
+        with pytest.raises(OutOfRange, match="Laplacian entries"):
+            LaplacianMatrix([[above, -above], [-above, above]])
 
     def test_helper_refuses_small_n(self):
         # a ring plus n chords needs 2n distinct unordered pairs
