@@ -47,12 +47,6 @@ def _resolve(params, name, default, cast=float):
     return value
 
 
-def _jsonable(obj):
-    if isinstance(obj, (np.generic, np.ndarray)):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 class _Files:
     """The files a command reads, with their digests, and the files it writes
     under --out, listed in the order written.  Without --out nothing is
@@ -116,7 +110,7 @@ def _csv(header, rows):
 
 
 def _json(obj):
-    return json.dumps(obj, sort_keys=True, indent=2, default=_jsonable)
+    return json.dumps(obj, sort_keys=True, indent=2)
 
 
 def _logbin_rows(sp):

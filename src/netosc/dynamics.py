@@ -18,7 +18,7 @@ total energy gains cross terms beating at the eigenfrequency differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -539,15 +539,7 @@ class SweepRecord:
     error: str | None = None
 
     def as_dict(self):
-        return {
-            "eps": self.eps,
-            "spectrum_real": self.spectrum_real,
-            "max_im_omega": self.max_im_omega,
-            "eigen_gap": self.eigen_gap,
-            "peak_amplitude": self.peak_amplitude,
-            "beat_frequency": self.beat_frequency,
-            "error": self.error,
-        }
+        return asdict(self)
 
 
 def epsilon_sweep(lap0: LaplacianMatrix, lapI: LaplacianMatrix, eps_list,

@@ -4,9 +4,9 @@ Real symmetric inputs get an orthonormal basis; general real inputs get a
 complex eigendecomposition with conjugate-paired eigenvalues.  Eigenfrequencies
 are principal square roots of eigenvalues; a non-real eigenfrequency marks the
 onset of exponentially growing oscillation amplitude.  The first
-real-to-complex transition along the family lap0 + eps * lapI is located by a
-march whose steps first- and second-order models of colliding eigenvalue pairs
-bound, then refined by regula falsi unless the march brackets it directly; a
+real-to-complex transition along the family lap0 + eps * lapI is located by
+one march whose steps first- and second-order models of colliding eigenvalue
+pairs bound, and which narrows its own bracket once a step lands non-real; a
 complex window narrower than an allowed step can be missed.
 """
 
@@ -32,16 +32,15 @@ ZERO_TOL_FACTOR = 1e-9
 # critical_epsilon's march: a step goes MARCH_THETA of the way to the collision
 # the first-order pair model predicts, or MARCH_SECOND of the way to the
 # second-order one when the two agree within (1 - MARCH_THETA); within
-# MARCH_JUMP * tol it brackets the collision directly, and a second-order step
-# landing non-real over MARCH_RETREAT * tol past the last real point is retaken
-# first-order.  No step exceeds the trust-region cap, which starts at
-# MARCH_CAP0 times the bracket width and grows by MARCH_GROWTH per real step.
+# MARCH_JUMP * tol it brackets the collision directly.  No step exceeds the
+# trust-region cap, which starts at MARCH_CAP0 times the bracket width, grows
+# by MARCH_GROWTH per real step and is reset to half the bracket per non-real
+# one.
 MARCH_THETA = 0.8
 MARCH_CAP0 = 0.05
 MARCH_GROWTH = 2.0
 MARCH_SECOND = 0.95
 MARCH_JUMP = 30.0
-MARCH_RETREAT = 1e3
 
 
 @dataclass(frozen=True)
@@ -163,7 +162,7 @@ def mode_frequencies(es: EigenSystem) -> EigenFrequencies:
 
 
 def _solve_at(parts, eps, vectors):
-    """One eigensolve of lap0 + eps*lapI: (eigenvalues, real, scale, coupling).
+    """One eigensolve of lap0 + eps*lapI: (eigenvalues, real, coupling).
 
     ``real`` is _real_within_tol's verdict; symmetric compositions
     (eigendecompose's symmetry test) are real by construction.  With
@@ -174,20 +173,20 @@ def _solve_at(parts, eps, vectors):
     lap_i = parts[1].entries
     if symmetric and vectors:
         lam, vec = np.linalg.eigh(arr)
-        return lam, True, scale, vec.T @ lap_i @ vec
+        return lam, True, vec.T @ lap_i @ vec
     if symmetric:
-        return np.linalg.eigvalsh(arr), True, scale, None
+        return np.linalg.eigvalsh(arr), True, None
     if not vectors:
         lam = np.linalg.eigvals(arr)
-        return lam, _real_within_tol(lam, scale), scale, None
+        return lam, _real_within_tol(lam, scale), None
     lam, vec = np.linalg.eig(arr)
     if not _real_within_tol(lam, scale):
-        return lam, False, scale, None
-    return lam, True, scale, np.linalg.solve(vec, lap_i @ vec)
+        return lam, False, None
+    return lam, True, np.linalg.solve(vec, lap_i @ vec)
 
 
 def _pair_collision(eigenvalues, coupling):
-    """(first, second, centre) of the nearest predicted real-to-complex collision.
+    """(first, second): distances to the nearest predicted real-to-complex collision.
 
     Each mode pair a, b with gap g = lambda_a - lambda_b > 0 gets the 2x2
     reduced model whose squared splitting along eps + delta is
@@ -195,9 +194,9 @@ def _pair_collision(eigenvalues, coupling):
     With W_ab W_ba = -s^2 < 0 it factors as
     (g + delta (dW - 2 s)) (g + delta (dW + 2 s)), so its smallest positive
     root is g / (2 s - dW) when 2 s > dW; otherwise the pair stays real.
-    ``first`` is the nearest such root over all pairs, ``second`` the
-    colliding pair's _second_order distance and ``centre`` its midpoint;
-    both distances are inf when no pair collides.
+    ``first`` is the nearest such root over all pairs and ``second`` the
+    colliding pair's _second_order distance; both are inf when no pair
+    collides.
     """
     lam = eigenvalues.real
     gap = lam[:, None] - lam[None, :]
@@ -209,7 +208,7 @@ def _pair_collision(eigenvalues, coupling):
     a, b = np.unravel_index(np.argmin(dist), dist.shape)
     first = float(dist[a, b])
     second = _second_order(lam, coupling, a, b, first) if hit[a, b] else np.inf
-    return first, second, 0.5 * (lam[a] + lam[b])
+    return first, second
 
 
 def _second_order(lam, coupling, a, b, first):
@@ -237,24 +236,6 @@ def _second_order(lam, coupling, a, b, first):
     return float(roots[np.argmin(np.abs(roots - first))]) if roots.size else np.inf
 
 
-def _splitting(eigenvalues, real, scale, centre):
-    """(signed squared splitting, centre) of the pair nearest ``centre``.
-
-    On a real spectrum: the squared gap of the sorted neighbours whose
-    midpoint is nearest.  Otherwise -(2 Im lambda)^2 of the non-real
-    eigenvalue whose real part is nearest.  Near a generic exceptional point
-    both sides are one function, linear in eps.
-    """
-    if real:
-        lam = np.sort(eigenvalues.real)
-        mid = 0.5 * (lam[1:] + lam[:-1])
-        k = np.argmin(np.abs(mid - centre))
-        return float((lam[k + 1] - lam[k]) ** 2), mid[k]
-    off = eigenvalues[np.abs(eigenvalues.imag) > REAL_TOL_FACTOR * scale]
-    k = np.argmin(np.abs(off.real - centre))
-    return -float((2.0 * off[k].imag) ** 2), off[k].real
-
-
 def _locate_transition(lap0, lapI, bracket, tol):
     """critical_epsilon's search: (eps, lo, hi, solves).
 
@@ -267,73 +248,42 @@ def _locate_transition(lap0, lapI, bracket, tol):
         raise BadBracket(f"need lo < hi and tol > 0, got ({lo}, {hi}), tol={tol}")
     parts = (lap0, lapI)
     solves = 1
-    lam, real, scale, coupling = _solve_at(parts, lo, True)
+    lam, real, coupling = _solve_at(parts, lo, True)
     if not real:
         raise BadBracket(f"spectrum already non-real at eps = {lo}")
     cap = MARCH_CAP0 * (hi - lo)
-    x = lo
-    first, second, centre = _pair_collision(lam, coupling)
-    while True:
+    x, top = lo, np.inf     # last real and first non-real march points
+    first, second = _pair_collision(lam, coupling)
+    # the float test ends a bracket too narrow to hold a point strictly inside
+    while top - x > tol and np.nextafter(x, hi) < top:
         near = abs(second - first)
         jump = near <= MARCH_JUMP * tol and second <= cap
-        step2 = near <= (1 - MARCH_THETA) * first and MARCH_SECOND * second <= cap
-        modelled = jump or step2 or MARCH_THETA * first <= cap
         if jump:
             trial = x + second + 0.45 * tol     # a bracket strictly inside tol
-        elif step2:
+        elif near <= (1 - MARCH_THETA) * first and MARCH_SECOND * second <= cap:
             trial = x + MARCH_SECOND * second
         else:
-            trial = x + (MARCH_THETA * first if modelled else cap)
-        trial = min(max(trial, x + 0.5 * tol, np.nextafter(x, hi)), hi)
+            trial = x + min(MARCH_THETA * first, cap)
+        trial = min(max(trial, x + 0.5 * tol, np.nextafter(x, hi)), hi, top - 0.5 * tol)
         solves += 1
-        lam_t, real_t, scale_t, coupling_t = _solve_at(parts, trial, True)
-        if real_t:
+        lam, real, coupling = _solve_at(parts, trial, True)
+        if real:
             if trial >= hi:
                 raise NoTransition(f"spectrum real at every march point up to eps = {hi}")
-            x, lam, scale, coupling = trial, lam_t, scale_t, coupling_t
-            first, second, centre = _pair_collision(lam, coupling)
+            x = trial
+            first, second = _pair_collision(lam, coupling)
             cap *= MARCH_GROWTH
         else:
-            if jump and trial - x > tol:    # bracket the collision from below too
+            top = trial
+            if jump and top - x > tol:      # bracket the collision from below too
                 solves += 1
-                c = trial - 0.9 * tol
-                lam_c, real_c, scale_c, _ = _solve_at(parts, c, False)
-                if real_c:
-                    x, lam, scale = c, lam_c, scale_c
-                    break
-                trial, lam_t, scale_t = c, lam_c, scale_c
-            if (jump or step2) and trial - x > MARCH_RETREAT * tol:
-                second = np.inf     # too wide for the refine: retake the first-order step
-            elif modelled or trial - x <= tol:
-                break
-            else:
-                cap = 0.5 * (trial - x)     # a collision the model missed: retreat
-    # Illinois regula falsi on the tracked pair's signed squared splitting
-    f_lo, centre = _splitting(lam, True, scale, centre)
-    f_hi, centre = _splitting(lam_t, False, scale_t, centre)
-    lo, hi = x, trial
-    last_real, run = None, 0        # side of the last iterate, and its streak
-    while hi - lo > tol:
-        # three iterates in a row on one side: bisect instead
-        c = (lo * f_hi - hi * f_lo) / (f_hi - f_lo) if run < 3 else 0.5 * (lo + hi)
-        c = min(max(c, lo + 0.5 * tol), hi - 0.5 * tol)
-        if not lo < c < hi:
-            break
-        solves += 1
-        lam_c, real_c, scale_c, _ = _solve_at(parts, c, False)
-        f_c, centre = _splitting(lam_c, real_c, scale_c, centre)
-        run = run + 1 if real_c == last_real else 1
-        last_real = real_c
-        if real_c:
-            lo, f_lo = c, f_c
-        else:
-            hi, f_hi = c, f_c
-        if run > 1:     # Illinois: halve the value at the end kept twice
-            if real_c:
-                f_hi *= 0.5
-            else:
-                f_lo *= 0.5
-    return float(0.5 * (lo + hi)), float(lo), float(hi), solves
+                c = top - 0.9 * tol
+                if _solve_at(parts, c, False)[1]:
+                    x = c
+                else:
+                    top = c
+            cap = 0.5 * (top - x)
+    return float(0.5 * (x + top)), float(x), float(top), solves
 
 
 def critical_epsilon(lap0: LaplacianMatrix, lapI: LaplacianMatrix,
@@ -352,19 +302,14 @@ def critical_epsilon(lap0: LaplacianMatrix, lapI: LaplacianMatrix,
     within 1 - MARCH_THETA of the first, never past a trust-region cap (0.05
     of the bracket width, doubled after each real step).  When they agree
     within MARCH_JUMP = 30 tol, the march solves 0.45 tol past the
-    second-order collision and, if non-real there, 0.9 tol below it: a real
-    point ends the search with that bracket.  A second-order step landing
-    non-real over MARCH_RETREAT = 1e3 tol past the last real point is retaken
-    as the first-order step, since so wide a bracket is slow to refine.  A
-    non-real point the model did not predict halves the cap back toward the
-    last real point.  The march thus certifies nothing between its real
-    points: it can miss a complex window narrower than an allowed step.
-    NoTransition means every march point up to bracket[1] was real.
-
-    The bracket around the first non-real point is then refined by Illinois
-    regula falsi on the tracked pair's signed squared splitting (_splitting),
-    eigenvalues only, each iterate at least tol/2 inside the bracket, until
-    it is at most tol wide; the midpoint is returned.  Real means
+    second-order collision and, if non-real there, eigenvalues only 0.9 tol
+    below it.  A non-real point becomes the top of the bracket: the cap is
+    reset to half the bracket, every later point lies at least tol/2 inside
+    it, and the march goes on from its last real point with the same models
+    until the bracket is at most tol wide; the midpoint is returned.  The
+    march thus certifies nothing between its real points: it can miss a
+    complex window narrower than an allowed step.  NoTransition means every
+    march point up to bracket[1] was real.  Real means
     spectrum_is_real's |Im lambda| <= 1e-8 d_max test, and symmetric
     compositions count as real.  No eigenbasis is checked, so unlike
     eigendecompose this never raises DefectiveMatrix.

@@ -774,6 +774,25 @@ class TestEpsilonSweep:
             "eps": 1.0, "spectrum_real": None, "max_im_omega": None, "eigen_gap": None,
             "peak_amplitude": 1.0, "beat_frequency": None, "error": None}
 
+    def test_verlet_fallback_error_is_recorded(self):
+        # the fallback's dt is over integrate_numeric's guard 0.2 / sqrt(2 d_max)
+        chain = LaplacianMatrix([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [0.0, 0.0, 0.0]])
+        zero = LaplacianMatrix(np.zeros((3, 3)))
+        records = epsilon_sweep(zero, chain, [1.0], InitialCondition.at_rest([1.0, 0.0, 0.0]),
+                                t_end=5.0, dt=0.5)
+        assert records[0].as_dict() == {
+            "eps": 1.0, "spectrum_real": None, "max_im_omega": None, "eigen_gap": None,
+            "peak_amplitude": None, "beat_frequency": None,
+            "error": "ValueError: dt = 0.5 exceeds stability guard 0.141421"}
+
+    def test_modal_error_keeps_the_fields_before_it(self):
+        # five samples are too few for the beat estimate, which comes last
+        rec = epsilon_sweep(LaplacianMatrix(MODEL_L0), LaplacianMatrix(MODEL_LI),
+                            [0.0], model_ic(), t_end=0.2, dt=0.05)[0]
+        assert rec.error == "TooShort: beat estimation needs at least 8 samples"
+        assert rec.spectrum_real is True and rec.beat_frequency is None
+        assert rec.eigen_gap > 0 and rec.peak_amplitude > 0
+
     def test_unexpected_error_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
             raise TypeError("not a physics failure")
@@ -788,5 +807,5 @@ class TestEpsilonSweep:
             LaplacianMatrix(MODEL_L0), LaplacianMatrix(MODEL_LI),
             [0.5], model_ic(), t_end=10.0, dt=0.05)
         d = records[0].as_dict()
-        assert set(d) == {"eps", "spectrum_real", "max_im_omega", "eigen_gap",
-                          "peak_amplitude", "beat_frequency", "error"}
+        assert list(d) == ["eps", "spectrum_real", "max_im_omega", "eigen_gap",
+                           "peak_amplitude", "beat_frequency", "error"]

@@ -318,6 +318,9 @@ def eigensolve_calls(monkeypatch):
 
 # its complex window (0.0781, 0.083) is narrower than the march's step over it
 MISSED_WINDOW = "modal-n200 seed 607 graph 7"
+# the one pool graph whose jump lands non-real at the probe below it too (twice),
+# so its search ends on a point clipped to the narrowed bracket
+NARROWED = "modal-n200 seed 605 graph 10"
 
 
 def model_collision(a, b, eps):
@@ -331,7 +334,7 @@ class TestPairModel:
     def test_two_modes_give_the_exceptional_point(self, eps):
         # [[1 + e, e], [-e, 0]]: squared splitting (1 - e) (1 + 3 e), so e* = 1
         a, b = np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[1.0, 1.0], [-1.0, 0.0]])
-        first, second, _ = model_collision(a, b, eps)
+        first, second = model_collision(a, b, eps)
         assert second == pytest.approx(1.0 - eps, rel=1e-12)
         assert first == pytest.approx(1.0 - eps, rel=1e-12)
 
@@ -348,7 +351,7 @@ class TestPairModel:
                 lo = mid
         errors = []
         for delta in (0.1, 0.01):
-            first, second, _ = model_collision(a, b, lo - delta)
+            first, second = model_collision(a, b, lo - delta)
             assert abs(second - delta) < abs(first - delta)
             errors.append((abs(first - delta), abs(second - delta)))
         # delta shrinks tenfold, so log10 of each error ratio is that model's order
@@ -382,7 +385,7 @@ class TestFirstCrossing:
         _, lap0, lapI = fixture_split(name)
         calls = eigensolve_calls(monkeypatch)
         eps, lo, hi, solves = spectral._locate_transition(lap0, lapI, (0.0, 1.0), 1e-6)
-        assert solves == len(calls) <= 6
+        assert solves == len(calls) <= (8 if name == NARROWED else 6)
         assert lo < eps < hi and hi - lo <= 1e-6
 
     def test_final_bracket_real_to_nonreal(self):
