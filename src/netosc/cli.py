@@ -85,59 +85,42 @@ class _Files:
             self.paths.append(str(path))
 
 
-_INTEGERS = (int, np.integer)
+def _csv(header, *columns):
+    """CSV text: the header line (none when ``header`` is None), then one line
+    per row of the equal-length ``columns``.
 
-
-def _csv(header, rows):
-    """One line per row after the header (none when ``header`` is None):
-    integers as they are, every other value with 17 significant digits.
-
-    Each row is formatted by one %-template, ``%s`` for an integer and
-    ``%.17g`` for any other value, built from the types of the row's values
-    and rebuilt whenever they differ from the previous row's, so a column
-    that mixes integers and floats is still formatted value by value."""
-    lines = [] if header is None else [header]
-    types = template = None
-    for row in rows:
-        row = tuple(row)
-        kinds = tuple(map(type, row))
-        if kinds != types:
-            types = kinds
-            template = ",".join("%s" if issubclass(t, _INTEGERS) else "%.17g"
-                                for t in kinds)
-        lines.append(template % row)
-    return "\n".join(lines) + "\n"
+    Each column's format is chosen once from its dtype: %d for an integer
+    kind, %.17g for any other.  The one-line template is repeated once per
+    row and applied with a single % to all the cells, each taken through
+    ``tolist``, in row order; the cells are freed before the header is
+    joined on."""
+    columns = [np.asarray(col) for col in columns]
+    line = ",".join("%d" if col.dtype.kind in "iu" else "%.17g" for col in columns) + "\n"
+    body = line * len(columns[0]) % tuple(
+        [cell for row in zip(*(col.tolist() for col in columns)) for cell in row])
+    return body if header is None else f"{header}\n{body}"
 
 
 def _json(obj):
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
-def _logbin_rows(sp):
-    lo = 1
-    fmax = int(sp.freq_indices[-1])
-    while lo <= fmax:
-        hi = min(2 * lo, fmax + 1)
-        mask = (sp.freq_indices >= lo) & (sp.freq_indices < hi)
-        yield lo, hi - 1, float(sp.bins[mask].sum())
-        lo = hi
-
-
 def _write_spectrum(files, name, sp, log_bins=False):
-    """The spectrum CSV, plus its log2-banded masses when ``log_bins``."""
+    """The spectrum CSV, plus when ``log_bins`` the masses of the bands
+    [lo, hi] of frequency index, lo = 1, 2, 4, ..."""
+    f = sp.freq_indices
     files.write(f"{name}.csv", _csv, "bin_index,frequency_index_f,magnitude",
-                zip(range(sp.bins.size), sp.freq_indices, sp.bins))
+                np.arange(f.size), f, sp.bins)
     if log_bins:
-        files.write(f"{name}_logbins.csv", _csv, "f_lo,f_hi,mass", _logbin_rows(sp))
-
-
-def _series_csv(ts, header="t,value"):
-    return _csv(header, zip(ts.times, ts.values))
+        lo = 2 ** np.arange(int(f[-1]).bit_length())
+        hi = np.minimum(2 * lo - 1, f[-1])
+        mass = [sp.bins[(f >= a) & (f <= b)].sum() for a, b in zip(lo, hi)]
+        files.write(f"{name}_logbins.csv", _csv, "f_lo,f_hi,mass", lo, hi, mass)
 
 
 def _states_csv(times, states):
     header = "t," + ",".join(f"x_{i}" for i in range(states.shape[1]))
-    return _csv(header, ((t, *row) for t, row in zip(times, states)))
+    return _csv(header, times, *states.T)
 
 
 def _load_model(files, path):
@@ -205,11 +188,12 @@ def _cmd_analyze_graph(params, files):
     else:
         results["verdict"] = {"reason": verdict.reason, "pair": list(verdict.pair),
                               "detail": verdict.detail}
-    files.write("laplacian.csv", _csv, None, lap.entries)
+    om = spectral.mode_frequencies(es).omegas
+    files.write("laplacian.csv", _csv, None, *lap.entries.T)
     files.write("spectrum.csv", _csv, "mu,re_lambda,im_lambda,re_omega,im_omega",
-                spectral.spectrum_report_rows(es))
+                np.arange(es.n), es.eigenvalues.real, es.eigenvalues.imag, om.real, om.imag)
     if verdict:
-        files.write("laplacian_sym.csv", _csv, None, verdict.lap_sym.entries)
+        files.write("laplacian_sym.csv", _csv, None, *verdict.lap_sym.entries.T)
     return results
 
 
@@ -243,7 +227,8 @@ def _cmd_simulate(params, files):
     files.write("trajectory_modal.csv", _states_csv, times, states)
     if traj is not None:
         files.write("trajectory_numeric.csv", _states_csv, traj.times, traj.states)
-    files.write("energy.csv", _series_csv, energy.series, "t,E")
+    if energy.series is not None:   # none on a one-point grid
+        files.write("energy.csv", _csv, "t,E", energy.series.times, energy.series.values)
     return results
 
 
@@ -263,7 +248,7 @@ def _cmd_centrality(params, files):
         "ranking": np.argsort(-values, kind="stable").tolist(),
     }
     files.write("centrality.csv", _csv, "node,oscillation_energy,degree",
-                zip(range(values.size), values, degree))
+                np.arange(values.size), values, degree)
     return results
 
 
@@ -317,7 +302,7 @@ def _cmd_bin(params, files):
         "out_of_range": dropped,
         "mean_count": float(series.values.mean()),
     }
-    files.write("series.csv", _series_csv, series)
+    files.write("series.csv", _csv, "t,value", series.times, series.values)
     return results
 
 
@@ -331,7 +316,7 @@ def _cmd_fuse_trends(params, files):
         "origin": fused.origin,
         "step": fused.dt,
     }
-    files.write("fused.csv", _series_csv, fused)
+    files.write("fused.csv", _csv, "t,value", fused.times, fused.values)
     return results
 
 
@@ -341,7 +326,8 @@ def _cmd_beat_demo(params, files):
     n = _resolve(params, "n", 4096, cast=int)
     demo = signal.beat_demo(w1, w2, n)
     for key in demo.PANELS:
-        files.write(f"signal_{key}.csv", _series_csv, demo.signals[key])
+        sig = demo.signals[key]
+        files.write(f"signal_{key}.csv", _csv, "t,value", sig.times, sig.values)
         _write_spectrum(files, f"spectrum_{key}", demo.spectra[key])
     return {"peak_bins": demo.peak_bins()}
 
@@ -367,8 +353,8 @@ def _cmd_compare_periods(params, files):
         spectra.append(sp)
     for idx, sp in enumerate(spectra):
         _write_spectrum(files, f"spectrum_{idx}", sp, params["log_bins"])
-    files.write("shares.csv", _csv, "period,start_index,length,cutoff,low_freq_share",
-                (row.values() for row in table))
+    files.write("shares.csv", _csv, ",".join(table[0]),
+                *([row[key] for row in table] for key in table[0]))
     return {"table": table}
 
 

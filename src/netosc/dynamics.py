@@ -176,9 +176,6 @@ class Trajectory:
         if not np.all(np.isfinite(self.states)):
             raise ValueError("trajectory contains non-finite states")
 
-    def peak_amplitude(self):
-        return float(np.max(np.abs(self.states)))
-
 
 @dataclass(frozen=True)
 class EnergyReport:
@@ -200,8 +197,7 @@ def _expand(es: EigenSystem, mass, ic: InitialCondition) -> ModalSolution:
     sqrt_m = np.sqrt(mass)
     y0 = (sqrt_m * ic.x0).astype(complex)
     yd0 = (sqrt_m * ic.v0).astype(complex)
-    a0 = np.linalg.solve(es.eigenvectors, y0)
-    ad0 = np.linalg.solve(es.eigenvectors, yd0)
+    a0, ad0 = np.linalg.solve(es.eigenvectors, np.stack([y0, yd0], axis=1)).T
     om = mode_frequencies(es).omegas
     nonzero = om != 0
     c_plus = np.zeros_like(a0)
@@ -302,18 +298,22 @@ def evaluate_states(sol: ModalSolution, times) -> np.ndarray:
     The grid is evaluated in blocks of MODAL_TIME_BLOCK = 128 times, written
     straight into the result, so working memory beyond the result is
     O(n * 128).  exp(-i w t) is the conjugate of exp(i w t) when every w is
-    exactly real.  Raises DefectiveMatrix when the largest imaginary part over
+    exactly real.  Raises Unstable when a growing mode carries a state past
+    the float range, and DefectiveMatrix when the largest imaginary part over
     the whole grid exceeds 1e-8 * (1 + the largest real part).
     """
     times = np.asarray(times, dtype=float).ravel()
     states = np.empty((times.size, sol.n))
     worst_imag = max_real = 0.0
-    for cols in _time_blocks(times):
-        x = _node_values(sol, _mode_amplitudes(sol, times[cols]))
-        states[cols] = x.real.T
-        worst_imag = np.maximum(worst_imag, np.max(np.abs(x.imag)))
-        max_real = np.maximum(max_real, np.max(np.abs(x.real)))
-        del x  # free this block before the next is built
+    with np.errstate(over="ignore", invalid="ignore"):  # checked after the loop
+        for cols in _time_blocks(times):
+            x = _node_values(sol, _mode_amplitudes(sol, times[cols]))
+            states[cols] = x.real.T
+            worst_imag = np.maximum(worst_imag, np.max(np.abs(x.imag)))
+            max_real = np.maximum(max_real, np.max(np.abs(x.real)))
+            del x  # free this block before the next is built
+    if not (np.isfinite(worst_imag) and np.isfinite(max_real)):
+        raise Unstable("states overflow: a growing mode exceeds the float range")
     _check_residue(worst_imag, max_real, "state reconstruction")
     return states
 
@@ -349,8 +349,8 @@ def integrate_numeric(lap: LaplacianMatrix, ic: InitialCondition,
     and one output step is its 10th power, applied once.  No eigenbasis is
     used.  Raises ValueError for a bad grid or a dt above the stability guard
     0.2 / sqrt(2 d_max), and Unstable with the first output time at which any
-    |x_i| exceeds 1e12; the test runs once per DIVERGENCE_CHECK_BLOCK = 64
-    output steps, over each of them.
+    |x_i| exceeds 1e12 or is not finite; the test runs once per
+    DIVERGENCE_CHECK_BLOCK = 64 output steps, over each of them.
     """
     if ic.n != lap.n:
         raise ValueError(f"initial condition size {ic.n} != n = {lap.n}")
@@ -360,21 +360,23 @@ def integrate_numeric(lap: LaplacianMatrix, ic: InitialCondition,
         raise ValueError(f"dt = {dt} exceeds stability guard {limit:.6g}")
     h = dt / VERLET_SUBSTEPS
     n, lmat = lap.n, lap.entries
-    drift = np.eye(n) - 0.5 * h * h * lmat
-    step = np.block([[drift, h * np.eye(n)],
-                     [-0.5 * h * (lmat + lmat @ drift), drift]])
-    transfer = np.linalg.matrix_power(step, VERLET_SUBSTEPS)
-    phase = np.empty((times.size, 2 * n))
-    phase[0, :n], phase[0, n:] = ic.x0, ic.v0
-    for start in range(1, times.size, DIVERGENCE_CHECK_BLOCK):
-        stop = min(start + DIVERGENCE_CHECK_BLOCK, times.size)
-        for k in range(start, stop):
-            np.matmul(transfer, phase[k - 1], out=phase[k])
-        over = np.flatnonzero(np.max(np.abs(phase[start:stop, :n]), axis=1) > DIVERGENCE_CUTOFF)
-        if over.size:
-            k = start + int(over[0])
-            raise Unstable(f"|x| crossed {DIVERGENCE_CUTOFF:.0e} at t = {times[k]:.6g}",
-                           t_diverge=float(times[k]))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite |x| counts as crossed
+        drift = np.eye(n) - 0.5 * h * h * lmat
+        step = np.block([[drift, h * np.eye(n)],
+                         [-0.5 * h * (lmat + lmat @ drift), drift]])
+        transfer = np.linalg.matrix_power(step, VERLET_SUBSTEPS)
+        phase = np.empty((times.size, 2 * n))
+        phase[0, :n], phase[0, n:] = ic.x0, ic.v0
+        for start in range(1, times.size, DIVERGENCE_CHECK_BLOCK):
+            stop = min(start + DIVERGENCE_CHECK_BLOCK, times.size)
+            for k in range(start, stop):
+                np.matmul(transfer, phase[k - 1], out=phase[k])
+            peak = np.max(np.abs(phase[start:stop, :n]), axis=1)
+            over = np.flatnonzero(~(peak <= DIVERGENCE_CUTOFF))
+            if over.size:
+                k = start + int(over[0])
+                raise Unstable(f"|x| crossed {DIVERGENCE_CUTOFF:.0e} at t = {times[k]:.6g}",
+                               t_diverge=float(times[k]))
     return Trajectory(times=times, states=phase[:, :n], velocities=phase[:, n:])
 
 
@@ -413,22 +415,26 @@ def total_energy_series(sol: ModalSolution, times) -> EnergyReport:
     p = exp(i w t), q = exp(-i w t) per mode and time, the pair sum is
     1/2 sum_mu p_mu (C q)_mu: one matmul per block of MODAL_TIME_BLOCK = 128
     times, so working memory beyond the series is O(n * 128).  q is the
-    conjugate of p when every w is exactly real.
+    conjugate of p when every w is exactly real.  Raises Unstable when a
+    growing mode carries the energy past the float range.
     """
     times = np.asarray(times, dtype=float).ravel()
-    amp = np.sqrt(2.0 * (np.abs(sol.c_plus) ** 2 + np.abs(sol.c_minus) ** 2))
-    om = sol.omegas
-    stationary = 0.5 * float(np.sum(amp ** 2 * np.abs(om) ** 2))
-    weight = amp * om
-    coupling = np.outer(weight, weight) * (sol.eigvecs.T @ sol.eigvecs)
-    np.fill_diagonal(coupling, 0.0)
-    energy = np.empty(times.size, dtype=complex)
-    for cols in _time_blocks(times):
-        fwd, back = _phases(om, times[cols])
-        pairs = coupling @ back
-        pairs *= fwd
-        energy[cols] = stationary + 0.5 * np.sum(pairs, axis=0)
-        del fwd, back, pairs  # free this block before the next is built
+    with np.errstate(over="ignore", invalid="ignore"):  # checked after the loop
+        amp = np.sqrt(2.0 * (np.abs(sol.c_plus) ** 2 + np.abs(sol.c_minus) ** 2))
+        om = sol.omegas
+        stationary = 0.5 * float(np.sum(amp ** 2 * np.abs(om) ** 2))
+        weight = amp * om
+        coupling = np.outer(weight, weight) * (sol.eigvecs.T @ sol.eigvecs)
+        np.fill_diagonal(coupling, 0.0)
+        energy = np.empty(times.size, dtype=complex)
+        for cols in _time_blocks(times):
+            fwd, back = _phases(om, times[cols])
+            pairs = coupling @ back
+            pairs *= fwd
+            energy[cols] = stationary + 0.5 * np.sum(pairs, axis=0)
+            del fwd, back, pairs  # free this block before the next is built
+    if not np.all(np.isfinite(energy)):
+        raise Unstable("energy series overflows: a growing mode exceeds the float range")
     if sol.spectrum_real:
         series_values = _to_real(energy, "energy series")
     else:
@@ -562,26 +568,19 @@ def epsilon_sweep(lap0: LaplacianMatrix, lapI: LaplacianMatrix, eps_list,
         fields = {"eps": eps}
         try:
             lap = compose_epsilon((lap0, lapI), eps)
-            es = eigendecompose(lap)
-            real = spectrum_is_real(es)
-            fields["spectrum_real"] = real
-            fields["max_im_omega"] = mode_frequencies(es).max_growth_rate
-            if real and lap.n >= 2:
-                fields["eigen_gap"] = eigen_gap(es)
-            states = evaluate_states(_expand(es, np.ones(lap.n), ic), times)
-            fields["peak_amplitude"] = float(np.max(np.abs(states)))
-            if real:
-                fields["beat_frequency"] = float(
-                    estimate_beat_frequency(states[:, 0], dt))
-        except DefectiveMatrix:
             try:
-                traj = integrate_numeric(lap, ic, dt, t_end)
-                fields["peak_amplitude"] = traj.peak_amplitude()
-                if fields.get("spectrum_real"):
-                    fields["beat_frequency"] = float(
-                        estimate_beat_frequency(traj.states[:, 0], dt))
-            except (Unstable, ValueError) as exc:
-                fields["error"] = f"{type(exc).__name__}: {exc}"
+                es = eigendecompose(lap)
+                real = spectrum_is_real(es)
+                fields["spectrum_real"] = real
+                fields["max_im_omega"] = mode_frequencies(es).max_growth_rate
+                if real and lap.n >= 2:
+                    fields["eigen_gap"] = eigen_gap(es)
+                states = evaluate_states(_expand(es, np.ones(lap.n), ic), times)
+            except DefectiveMatrix:
+                states = integrate_numeric(lap, ic, dt, t_end).states
+            fields["peak_amplitude"] = float(np.max(np.abs(states)))
+            if fields.get("spectrum_real"):
+                fields["beat_frequency"] = float(estimate_beat_frequency(states[:, 0], dt))
         except (NetoscError, ValueError) as exc:  # LinAlgError is a ValueError
             fields["error"] = f"{type(exc).__name__}: {exc}"
         records.append(SweepRecord(**fields))

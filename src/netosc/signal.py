@@ -163,7 +163,11 @@ def low_freq_share(sp: Spectrum, cutoff_bin: int) -> float:
 
 
 def analyze_period(s: TimeSeries, window: int) -> Spectrum:
-    """The full chain: DFT, DC removal + unit normalization, smoothing."""
+    """The full chain: DFT, DC removal + unit normalization, smoothing.
+
+    Bins are 2 pi / (N dt) apart for N samples at step dt, so a beat slower
+    than one bin lands in the DC bin that the chain removes; resolving a
+    slow beat takes a long enough series."""
     return smooth_spectrum(normalize_spectrum(dft_spectrum(s)), window)
 
 

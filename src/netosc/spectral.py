@@ -201,9 +201,10 @@ def _pair_collision(eigenvalues, coupling):
     lam = eigenvalues.real
     gap = lam[:, None] - lam[None, :]
     diag = np.diag(coupling).real
-    product = (coupling * coupling.T).real
-    closing = 2.0 * np.sqrt(np.maximum(-product, 0.0)) - (diag[:, None] - diag[None, :])
-    hit = (gap > 0) & (product < 0) & (closing > 0)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite pair predicts nothing
+        product = (coupling * coupling.T).real
+        closing = 2.0 * np.sqrt(np.maximum(-product, 0.0)) - (diag[:, None] - diag[None, :])
+    hit = (gap > 0) & (product < 0) & (closing > 0) & np.isfinite(closing)
     dist = np.divide(gap, closing, out=np.full(gap.shape, np.inf), where=hit)
     a, b = np.unravel_index(np.argmin(dist), dist.shape)
     first = float(dist[a, b])
@@ -227,11 +228,12 @@ def _second_order(lam, coupling, a, b, first):
         s = coupling[np.ix_(pair, q)] / (0.5 * (lam[a] + lam[b]) - lam[q])
         s = s @ coupling[np.ix_(q, pair)]
         diff = [s[0, 0] - s[1, 1], w[0, 0] - w[1, 1], lam[a] - lam[b]]  # H_aa - H_bb
-        cross = np.polymul([s[0, 1], w[0, 1]], [s[1, 0], w[1, 0]])  # H_ab H_ba / delta^2
-        quartic = (np.polymul(diff, diff) + 4.0 * np.append(cross, [0.0, 0.0])).real
-    if not np.all(np.isfinite(quartic)):
-        return np.inf      # a mode at the pair's midpoint
-    roots = np.roots(quartic)
+        cross = np.convolve([s[0, 1], w[0, 1]], [s[1, 0], w[1, 0]])  # H_ab H_ba / delta^2
+        quartic = (np.convolve(diff, diff) + 4.0 * np.append(cross, [0.0, 0.0])).real
+        try:
+            roots = np.roots(quartic)
+        except np.linalg.LinAlgError:   # a non-finite companion matrix: a mode at the
+            return np.inf               # pair's midpoint, or a negligible leading coefficient
     roots = roots[(roots.imag == 0) & (roots.real > 0)].real
     return float(roots[np.argmin(np.abs(roots - first))]) if roots.size else np.inf
 
@@ -316,9 +318,3 @@ def critical_epsilon(lap0: LaplacianMatrix, lapI: LaplacianMatrix,
     """
     return _locate_transition(lap0, lapI, bracket, tol)[0]
 
-
-def spectrum_report_rows(es: EigenSystem):
-    """Rows (mu, re_lambda, im_lambda, re_omega, im_omega) in sorted order."""
-    om = mode_frequencies(es).omegas
-    return [(mu, lam.real, lam.imag, w.real, w.imag)
-            for mu, (lam, w) in enumerate(zip(es.eigenvalues, om))]

@@ -243,6 +243,17 @@ class TestDivergence:
         assert est / 2.0 == pytest.approx(min_diff / 2.0, rel=0.10)
 
 
+    @pytest.mark.parametrize("series", [evaluate_states, total_energy_series])
+    def test_growth_past_the_float_range_is_unstable(self, series):
+        # |Im w| = 340 on a one-way 3-cycle at weight 1e6: exp(3400) at t = 10
+        cycle = LaplacianMatrix(1e6 * np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0],
+                                                [-1.0, 0.0, 1.0]]))
+        sol = modal_solve(cycle, InitialCondition.at_rest([1.0, 0.0, 0.0]))
+        series(sol, [0.0, 1.0])
+        with pytest.raises(Unstable, match="a growing mode exceeds the float range"):
+            series(sol, [0.0, 10.0])
+
+
 class TestIntegrateNumeric:
     def test_matches_modal_solution(self):
         dec = check_symmetrizable(model(0.0))
@@ -330,6 +341,18 @@ class TestIntegrateNumeric:
         assert exc.value.t_diverge == t_div
         traj = integrate_numeric(lap, ic, dt=0.02, t_end=(k - 1) * 0.02)
         assert np.max(np.abs(traj.states)) <= dynamics.DIVERGENCE_CUTOFF
+
+
+    def test_overflow_is_unstable(self):
+        # split at a weight ratio of 1e20, the symmetric part keeps links of
+        # 1e80 but no degree, so the step guard 0.2 / sqrt(2 d_max) is inf
+        g = WeightedDigraph(n=3, edges=[(0, 1, 1e100), (1, 0, 1e80), (1, 2, 1e100),
+                                        (2, 1, 1e80), (2, 0, 1e100), (0, 2, 1e80)])
+        lap = canonical_split(laplacian_of(g)).lap_sym_part
+        assert lap.d_max == 0.0 and np.max(np.abs(lap.entries)) == 1e80
+        with pytest.raises(Unstable) as exc:
+            integrate_numeric(lap, InitialCondition.at_rest([1.0, 0.0, 0.0]), dt=0.1, t_end=1.0)
+        assert exc.value.t_diverge == 0.1
 
 
 class TestTimeGrid:
@@ -792,6 +815,19 @@ class TestEpsilonSweep:
         assert rec.error == "TooShort: beat estimation needs at least 8 samples"
         assert rec.spectrum_real is True and rec.beat_frequency is None
         assert rec.eigen_gap > 0 and rec.peak_amplitude > 0
+
+    def test_verlet_fallback_error_after_the_spectrum_is_recorded(self, monkeypatch):
+        # a defective expansion falls back to Verlet, whose six samples are
+        # then too few for the beat estimate
+        def defective(*args, **kwargs):
+            raise DefectiveMatrix("initial condition not reproduced by the mode expansion")
+
+        monkeypatch.setattr(dynamics, "_expand", defective)
+        rec = epsilon_sweep(LaplacianMatrix(MODEL_L0), LaplacianMatrix(MODEL_LI),
+                            [0.0], model_ic(), t_end=0.1, dt=0.02)[0]
+        assert rec.error == "TooShort: beat estimation needs at least 8 samples"
+        assert rec.spectrum_real is True and rec.beat_frequency is None
+        assert rec.eigen_gap > 0 and rec.peak_amplitude == 10.0
 
     def test_unexpected_error_propagates(self, monkeypatch):
         def broken(*args, **kwargs):

@@ -80,3 +80,45 @@ def test_any_bytes_exit_0_or_2(tmp_path_factory, kind, data):
     assert result.exit_code in KINDS[kind][3]
     if result.exit_code == 3:
         assert json.loads(result.summary)["error"]["type"] == "NotSymmetrizableError"
+
+
+@st.composite
+def _weighted_digraph(draw):
+    """A digraph on 2-6 nodes with weights m * 10^e, e from -300 to 152: a few
+    lie above graph.MAX_ENTRY = 1e150, most below it."""
+    n = draw(st.integers(2, 6))
+    pairs = [[i, j] for i in range(n) for j in range(n) if i != j]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique_by=tuple))
+    weight = st.builds(lambda m, e: m * 10.0 ** e,
+                       st.floats(1.0, 10.0, exclude_max=True), st.integers(-300, 152))
+    return {"n": n, "edges": [edge + [draw(weight)] for edge in edges]}
+
+
+def _finite(value):
+    if isinstance(value, dict):
+        return all(map(_finite, value.values()))
+    if isinstance(value, list):
+        return all(map(_finite, value))
+    return not isinstance(value, float) or np.isfinite(value)
+
+
+NUMERIC = {
+    "analyze-graph": [],
+    "simulate": ["--t-end", "1", "--dt", "0.1", "X0"],
+    "critical-eps": ["--lo", "0", "--hi", "1"],
+    "sweep": ["--eps", "0,0.5,1", "--t-end", "1", "--dt", "0.1", "X0"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(NUMERIC))
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(doc=_weighted_digraph())
+def test_any_weight_scale_exits_0_2_or_3(tmp_path_factory, command, doc):
+    path = tmp_path_factory.mktemp("scale") / "g.json"
+    path.write_text(json.dumps(doc))
+    x0 = "--x0=" + ",".join(["1"] + ["0"] * (doc["n"] - 1))
+    result = run([command, "--graph", str(path),
+                  *(x0 if a == "X0" else a for a in NUMERIC[command])])
+    assert result.exit_code in (0, 2, 3)
+    if result.exit_code == 0:
+        assert _finite(json.loads(result.summary))

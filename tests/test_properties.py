@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import seeded_digraph
 from netosc.dynamics import (
     InitialCondition,
     evaluate_states,
@@ -20,7 +21,8 @@ from netosc.graph import (
     laplacian_of,
     scaled_laplacian,
 )
-from netosc.spectral import eigendecompose, mode_frequencies, spectrum_is_real
+from netosc.signal import analyze_period, low_freq_share
+from netosc.spectral import critical_epsilon, eigendecompose, mode_frequencies, spectrum_is_real
 
 
 def random_digraph_matrix(rng, n, density=0.5, w_lo=0.05, w_hi=8.0):
@@ -269,3 +271,29 @@ class TestDivergenceLaw:
             assert rate == pytest.approx(b, rel=0.05)
             found += 1
         assert found >= 3
+
+
+class TestLowFrequencyContrast:
+    """The paper's headline claim: as the one-way part grows toward the first
+    real-to-complex transition eps*, low-frequency modes dominate the energy
+    series.  N = 4096 samples resolve the slowest beats, which a shorter
+    series puts in the DC bin that analyze_period removes."""
+
+    def test_share_below_eps_star_exceeds_share_at_zero(self):
+        n_samples = 4096
+        times = np.arange(n_samples) * 1.0
+        window, cutoff = 20 * n_samples // 256, 16 * n_samples // 256
+        shares = []
+        for seed in range(12):
+            split = canonical_split(laplacian_of(seeded_digraph(seed, 20)))
+            eps_star = critical_epsilon(split.lap_sym_part, split.lap_oneway, (0.0, 4.0), 1e-6)
+            ic = InitialCondition.at_rest(np.random.default_rng(seed).normal(size=20))
+            row = []
+            for eps in (0.0, 0.5 * eps_star, 0.99 * eps_star):
+                sol = modal_solve(compose_epsilon(split, eps), ic)
+                series = total_energy_series(sol, times).series
+                row.append(low_freq_share(analyze_period(series, window=window), cutoff))
+            assert row[1] > row[0] and row[2] > row[0], (seed, row)
+            shares.append(row)
+        zero, half, near = np.median(shares, axis=0)
+        assert half >= 2.0 * zero and near >= 2.0 * zero

@@ -22,7 +22,6 @@ from netosc.spectral import (
     eigendecompose,
     mode_frequencies,
     spectrum_is_real,
-    spectrum_report_rows,
 )
 
 
@@ -431,15 +430,3 @@ class TestFirstCrossing:
         assert failures == []
         assert np.mean(solves) <= 5.5 and max(solves) <= 12
 
-
-class TestReport:
-    def test_rows_sorted_and_consistent(self):
-        es = eigendecompose(model_at(1.66))
-        rows = spectrum_report_rows(es)
-        assert [r[0] for r in rows] == list(range(5))
-        res = [r[1] for r in rows]
-        assert res == sorted(res)
-        for _, rl, il, rw, iw in rows:
-            w = complex(rw, iw)
-            if w != 0:
-                assert abs(w * w - complex(rl, il)) <= 1e-8 * (1 + abs(complex(rl, il)))
