@@ -64,12 +64,10 @@ from .signal import (
     square_series,
 )
 from .spectral import (
-    EigenFrequencies,
     EigenSystem,
     critical_epsilon,
     eigen_gap,
     eigendecompose,
-    mode_frequencies,
     spectrum_is_real,
 )
 

@@ -188,7 +188,7 @@ def _cmd_analyze_graph(params, files):
     else:
         results["verdict"] = {"reason": verdict.reason, "pair": list(verdict.pair),
                               "detail": verdict.detail}
-    om = spectral.mode_frequencies(es).omegas
+    om = es.omegas
     files.write("laplacian.csv", _csv, None, *lap.entries.T)
     files.write("spectrum.csv", _csv, "mu,re_lambda,im_lambda,re_omega,im_omega",
                 np.arange(es.n), es.eigenvalues.real, es.eigenvalues.imag, om.real, om.imag)
@@ -209,7 +209,7 @@ def _cmd_simulate(params, files):
     results = {
         "n": lap.n,
         "spectrum_real": spectral.spectrum_is_real(sol.eigensystem),
-        "max_im_omega": spectral.mode_frequencies(sol.eigensystem).max_growth_rate,
+        "max_im_omega": sol.eigensystem.max_growth_rate,
         "peak_amplitude": float(np.max(np.abs(states))),
     }
     energy = dynamics.total_energy_series(sol, times)

@@ -42,14 +42,7 @@ from .graph import (
     undirected_graph,
 )
 from .signal import TimeSeries, estimate_beat_frequency
-from .spectral import (
-    EigenSystem,
-    _zero_mask,
-    eigen_gap,
-    eigendecompose,
-    mode_frequencies,
-    spectrum_is_real,
-)
+from .spectral import EigenSystem, eigen_gap, eigendecompose, spectrum_is_real
 
 # Trajectories whose max |x_i| crosses this are reported as unstable.
 DIVERGENCE_CUTOFF = 1e12
@@ -127,20 +120,23 @@ class ModalSolution:
     the scaled symmetric matrix when a symmetrizable decomposition was given,
     else of the Laplacian itself, with mass all-ones.  Zero modes are stored
     as (mode index, offset, drift) triples realizing a(t) = offset + drift * t,
-    the w -> 0 limit of the oscillator solution.  ``spectrum_real`` is
-    spectrum_is_real of the eigensystem.
+    the w -> 0 limit of the oscillator solution.  ``omegas`` and
+    ``spectrum_real`` are read off the eigensystem.
     """
 
     mass: np.ndarray
     eigensystem: EigenSystem
-    omegas: np.ndarray
     c_plus: np.ndarray
     c_minus: np.ndarray
     zero_modes: tuple
 
     @property
     def n(self):
-        return self.omegas.size
+        return self.eigensystem.n
+
+    @property
+    def omegas(self):
+        return self.eigensystem.omegas
 
     @property
     def eigvecs(self):
@@ -198,7 +194,7 @@ def _expand(es: EigenSystem, mass, ic: InitialCondition) -> ModalSolution:
     y0 = (sqrt_m * ic.x0).astype(complex)
     yd0 = (sqrt_m * ic.v0).astype(complex)
     a0, ad0 = np.linalg.solve(es.eigenvectors, np.stack([y0, yd0], axis=1)).T
-    om = mode_frequencies(es).omegas
+    om = es.omegas
     nonzero = om != 0
     c_plus = np.zeros_like(a0)
     c_minus = np.zeros_like(a0)
@@ -207,8 +203,8 @@ def _expand(es: EigenSystem, mass, ic: InitialCondition) -> ModalSolution:
     zero_modes = tuple(
         (int(k), float(a0[k].real), float(ad0[k].real))
         for k in np.flatnonzero(~nonzero))
-    sol = ModalSolution(mass=mass, eigensystem=es, omegas=om,
-                        c_plus=c_plus, c_minus=c_minus, zero_modes=zero_modes)
+    sol = ModalSolution(mass=mass, eigensystem=es, c_plus=c_plus, c_minus=c_minus,
+                        zero_modes=zero_modes)
     # amplitudes a(0) and their derivatives da/dt(0), as columns
     at0 = np.stack([c_plus + c_minus, 1j * om * (c_plus - c_minus)], axis=1)
     for k, offset, drift in zero_modes:
@@ -505,7 +501,7 @@ def oscillation_centrality(lap: LaplacianMatrix) -> np.ndarray:
     if isinstance(dec, NotSymmetrizable):
         raise NotSymmetrizableError(f"{dec.reason}: {dec.detail}")
     es = eigendecompose(scaled_laplacian(dec))
-    keep = ~_zero_mask(es)
+    keep = es.omegas != 0
     return (np.abs(es.eigenvectors[:, keep]) ** 2) @ es.eigenvalues.real[keep]
 
 
@@ -572,7 +568,7 @@ def epsilon_sweep(lap0: LaplacianMatrix, lapI: LaplacianMatrix, eps_list,
                 es = eigendecompose(lap)
                 real = spectrum_is_real(es)
                 fields["spectrum_real"] = real
-                fields["max_im_omega"] = mode_frequencies(es).max_growth_rate
+                fields["max_im_omega"] = es.max_growth_rate
                 if real and lap.n >= 2:
                     fields["eigen_gap"] = eigen_gap(es)
                 states = evaluate_states(_expand(es, np.ones(lap.n), ic), times)

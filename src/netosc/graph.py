@@ -151,10 +151,6 @@ class LaplacianMatrix:
         """Largest weighted out-degree (largest diagonal entry, floored at 0)."""
         return float(max(np.max(np.diag(self.entries)), 0.0))
 
-    def weight(self, i, j):
-        """Weight of the directed link i -> j (0 if absent)."""
-        return float(-self.entries[i, j]) if i != j else 0.0
-
     def is_symmetric(self):
         return _is_symmetric(self.entries)
 

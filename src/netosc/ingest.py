@@ -59,10 +59,6 @@ class TrendSegment:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
-    @property
-    def end(self):
-        return self.start + self.step * (self.values.size - 1)
-
 
 def _parse_timestamp(token, kind):
     if kind == "epoch":

@@ -34,8 +34,8 @@ ZERO_TOL_FACTOR = 1e-9
 # second-order one when the two agree within (1 - MARCH_THETA); within
 # MARCH_JUMP * tol it brackets the collision directly.  No step exceeds the
 # trust-region cap, which starts at MARCH_CAP0 times the bracket width, grows
-# by MARCH_GROWTH per real step and is reset to half the bracket per non-real
-# one.
+# by MARCH_GROWTH per real step until a point lands non-real and is reset to
+# half the bracket per non-real one.
 MARCH_THETA = 0.8
 MARCH_CAP0 = 0.05
 MARCH_GROWTH = 2.0
@@ -61,12 +61,15 @@ class EigenSystem:
     def n(self):
         return self.eigenvalues.size
 
-
-@dataclass(frozen=True)
-class EigenFrequencies:
-    """Principal square roots of eigenvalues (Re >= 0), zero modes snapped to 0."""
-
-    omegas: np.ndarray
+    @property
+    def omegas(self):
+        """Eigenfrequencies omega = sqrt(lambda), principal branch (Re >= 0),
+        read-only; eigenvalues inside the zero-mode tolerance map to omega = 0
+        exactly."""
+        om = np.sqrt(self.eigenvalues.astype(complex))
+        om[_zero_mask(self)] = 0.0
+        om.flags.writeable = False
+        return om
 
     @property
     def max_growth_rate(self):
@@ -152,37 +155,29 @@ def eigen_gap(es: EigenSystem) -> float:
     return float(gaps.min())
 
 
-def mode_frequencies(es: EigenSystem) -> EigenFrequencies:
-    """Eigenfrequencies omega = sqrt(lambda), principal branch (Re >= 0);
-    eigenvalues inside the zero-mode tolerance map to omega = 0 exactly."""
-    om = np.sqrt(es.eigenvalues.astype(complex))
-    om[_zero_mask(es)] = 0.0
-    om.flags.writeable = False
-    return EigenFrequencies(omegas=om)
-
-
 def _solve_at(parts, eps, vectors):
     """One eigensolve of lap0 + eps*lapI: (eigenvalues, real, coupling).
 
-    ``real`` is _real_within_tol's verdict; symmetric compositions
-    (eigendecompose's symmetry test) are real by construction.  With
-    ``vectors`` and a real spectrum, ``coupling`` is W = X^-1 lapI X in the
-    eigenbasis X, else None.
+    ``real`` is _real_within_tol's verdict; symmetric compositions with
+    ``vectors`` (eigendecompose's symmetry test) are real by construction.
+    With ``vectors`` and a real spectrum, ``coupling`` is W = X^-1 lapI X in
+    the eigenbasis X, else None; a singular X gives None too.
     """
     arr, symmetric, scale = _entries(compose_epsilon(parts, eps))
     lap_i = parts[1].entries
     if symmetric and vectors:
         lam, vec = np.linalg.eigh(arr)
         return lam, True, vec.T @ lap_i @ vec
-    if symmetric:
-        return np.linalg.eigvalsh(arr), True, None
     if not vectors:
         lam = np.linalg.eigvals(arr)
         return lam, _real_within_tol(lam, scale), None
     lam, vec = np.linalg.eig(arr)
     if not _real_within_tol(lam, scale):
         return lam, False, None
-    return lam, True, np.linalg.solve(vec, lap_i @ vec)
+    try:
+        return lam, True, np.linalg.solve(vec, lap_i @ vec)
+    except np.linalg.LinAlgError:   # a singular eigenbasis: a point without a model
+        return lam, True, None
 
 
 def _pair_collision(eigenvalues, coupling):
@@ -196,8 +191,10 @@ def _pair_collision(eigenvalues, coupling):
     root is g / (2 s - dW) when 2 s > dW; otherwise the pair stays real.
     ``first`` is the nearest such root over all pairs and ``second`` the
     colliding pair's _second_order distance; both are inf when no pair
-    collides.
+    collides or there is no coupling (None).
     """
+    if coupling is None:
+        return np.inf, np.inf
     lam = eigenvalues.real
     gap = lam[:, None] - lam[None, :]
     diag = np.diag(coupling).real
@@ -274,7 +271,8 @@ def _locate_transition(lap0, lapI, bracket, tol):
                 raise NoTransition(f"spectrum real at every march point up to eps = {hi}")
             x = trial
             first, second = _pair_collision(lam, coupling)
-            cap *= MARCH_GROWTH
+            if top == np.inf:
+                cap *= MARCH_GROWTH
         else:
             top = trial
             if jump and top - x > tol:      # bracket the collision from below too
@@ -302,19 +300,21 @@ def critical_epsilon(lap0: LaplacianMatrix, lapI: LaplacianMatrix,
     A step goes MARCH_THETA = 0.8 of the way to the first-order collision, or
     MARCH_SECOND = 0.95 of the way to the second-order one when the two agree
     within 1 - MARCH_THETA of the first, never past a trust-region cap (0.05
-    of the bracket width, doubled after each real step).  When they agree
-    within MARCH_JUMP = 30 tol, the march solves 0.45 tol past the
-    second-order collision and, if non-real there, eigenvalues only 0.9 tol
-    below it.  A non-real point becomes the top of the bracket: the cap is
-    reset to half the bracket, every later point lies at least tol/2 inside
-    it, and the march goes on from its last real point with the same models
-    until the bracket is at most tol wide; the midpoint is returned.  The
-    march thus certifies nothing between its real points: it can miss a
-    complex window narrower than an allowed step.  NoTransition means every
-    march point up to bracket[1] was real.  Real means
+    of the bracket width, doubled after each real step until a point lands
+    non-real).  When they agree within MARCH_JUMP = 30 tol, the march solves
+    0.45 tol past the second-order collision and, if non-real there,
+    eigenvalues only 0.9 tol below it.  A non-real point becomes the top of
+    the bracket: the cap is reset to half the bracket, every later point lies
+    at least tol/2 inside it, and the march goes on from its last real point
+    with the same models until the bracket is at most tol wide; the midpoint
+    is returned.  The march thus certifies nothing between its real points:
+    it can miss a complex window narrower than an allowed step.  NoTransition
+    means every march point up to bracket[1] was real.  Real means
     spectrum_is_real's |Im lambda| <= 1e-8 d_max test, and symmetric
     compositions count as real.  No eigenbasis is checked, so unlike
-    eigendecompose this never raises DefectiveMatrix.
+    eigendecompose this never raises DefectiveMatrix: a real point whose
+    eigenbasis is singular is a point without a model, and the next step is
+    bounded by the cap alone.
     """
     return _locate_transition(lap0, lapI, bracket, tol)[0]
 

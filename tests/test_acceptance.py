@@ -35,7 +35,7 @@ from netosc.graph import (
 )
 from netosc.ingest import TrendSegment, fuse_trends
 from netosc.signal import analyze_period, beat_demo, low_freq_share
-from netosc.spectral import eigendecompose, mode_frequencies, spectrum_is_real
+from netosc.spectral import eigendecompose, spectrum_is_real
 
 
 def criterion(number, title):
@@ -120,7 +120,7 @@ def test_criterion_4_regimes():
     lap = model(1.66)
     es = eigendecompose(lap)
     assert not spectrum_is_real(es)
-    b = mode_frequencies(es).max_growth_rate
+    b = es.max_growth_rate
     sol = modal_solve(lap, model_ic())
     t_end = 3.0 * np.log(10.0) / b
     times = np.linspace(0.0, t_end, 8192)

@@ -523,6 +523,54 @@ class TestErrorTable:
         assert result.exit_code == 2
         assert summary_of(result)["error"]["message"] == message
 
+    @pytest.mark.parametrize("argv, code, error_type, message", [
+        (["critical-eps", "--graph", "model.json", "--lo", "1", "--hi", "1"], 3,
+         "BadBracket", "need lo < hi and tol > 0, got (1.0, 1.0), tol=0.001"),
+        (["critical-eps", "--graph", "model.json", "--lo", "0", "--hi", "1", "--tol", "0"],
+         3, "BadBracket", "need lo < hi and tol > 0, got (0.0, 1.0), tol=0.0"),
+        # a real march point whose eigenbasis is singular predicts nothing; the
+        # march goes on in cap-bounded steps
+        (["critical-eps", "--graph", "singular.json", "--lo", "0", "--hi", "1"], 3,
+         "NoTransition", "spectrum real at every march point up to eps = 1.0"),
+        (["simulate", "--graph", "model.json", "--x0", "1,2,nan,4,5"], 1,
+         "ValueError", "initial condition must be finite"),
+        (["simulate", "--graph", "model.json", "--x0", "1,2,3,4,5", "--v0", "1"], 1,
+         "ValueError", "mismatched shapes (5,) vs (1,)"),
+        (["fuse-trends", "hourly.csv", "two-hourly.csv"], 2,
+         "NoOverlap", "segment step 7200.0 != 3600.0"),
+        (["fuse-trends", "hourly.csv", "earlier.csv"], 2,
+         "NoOverlap", "segments must be ordered by start time"),
+        (["fuse-trends", "zero-tail.csv", "zero-head.csv"], 2,
+         "ZeroAnchor", "shared-timestamp values and overlap means are both zero"),
+        (["fuse-trends", "decreasing.csv"], 2, "ParseError", "trend step must be positive"),
+    ], ids=["equal-bracket", "zero-tol", "singular-march-basis", "non-finite-x0", "v0-shape",
+            "step-mismatch", "earlier-start", "zero-anchor", "decreasing-time"])
+    def test_exit_code_type_and_message(self, tmp_path, monkeypatch, argv, code, error_type,
+                                        message):
+        inputs = {
+            "model.json": json.dumps({"lap0": MODEL_L0.tolist(), "lapI": MODEL_LI.tolist()}),
+            "singular.json": json.dumps({"n": 3, "edges": [
+                [0, 2, 2.21e+130], [2, 0, 8.45e+119], [2, 1, 4.23e+85]]}),
+            "hourly.csv": "datetime,value\n2019-01-06T22:00:00,100\n"
+                          "2019-01-06T23:00:00,90\n2019-01-07T00:00:00,80\n",
+            "two-hourly.csv": "datetime,value\n2019-01-07T00:00:00,40\n"
+                              "2019-01-07T02:00:00,100\n",
+            "earlier.csv": "datetime,value\n2019-01-06T21:00:00,40\n"
+                           "2019-01-06T22:00:00,100\n",
+            "zero-tail.csv": "datetime,value\n2019-01-06T22:00:00,100\n"
+                             "2019-01-06T23:00:00,0\n",
+            "zero-head.csv": "datetime,value\n2019-01-06T23:00:00,0\n"
+                             "2019-01-07T00:00:00,100\n",
+            "decreasing.csv": "datetime,value\n2019-01-07T00:00:00,100\n"
+                              "2019-01-06T23:00:00,90\n",
+        }
+        for name, text in inputs.items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        result = run(argv)
+        assert result.exit_code == code
+        assert summary_of(result)["error"] == {"type": error_type, "message": message}
+
     @pytest.mark.parametrize("argv", [
         ["analyze-graph"],
         ["simulate", "--x0", "1,2"],

@@ -38,7 +38,7 @@ from netosc.graph import (
     undirected_graph,
 )
 from netosc.signal import estimate_beat_frequency
-from netosc.spectral import EigenSystem, eigendecompose, mode_frequencies, spectrum_is_real
+from netosc.spectral import EigenSystem, eigendecompose, spectrum_is_real
 
 
 def model(eps):
@@ -220,7 +220,7 @@ class TestModalSolve:
 class TestDivergence:
     def test_growth_rate_matches_im_omega(self):
         lap = model(1.66)
-        om = mode_frequencies(eigendecompose(lap)).omegas
+        om = eigendecompose(lap).omegas
         b = np.max(np.abs(om.imag))
         sol = modal_solve(lap, model_ic())
         t_end = 3.0 * np.log(10.0) / b
@@ -231,7 +231,7 @@ class TestDivergence:
 
     def test_beat_envelope_at_eps_1_5(self):
         lap = model(1.5)
-        om = np.sort(mode_frequencies(eigendecompose(lap)).omegas.real)
+        om = np.sort(eigendecompose(lap).omegas.real)
         om = om[om > 1e-9]
         min_diff = min(om[j] - om[i] for i in range(len(om))
                        for j in range(i + 1, len(om)))
@@ -281,7 +281,7 @@ class TestIntegrateNumeric:
 
     def test_divergent_model_grows_or_raises(self):
         lap = model(1.66)
-        om = mode_frequencies(eigendecompose(lap)).omegas
+        om = eigendecompose(lap).omegas
         b = np.max(np.abs(om.imag))
         t_end = 3.0 * np.log(10.0) / b
         try:
@@ -319,7 +319,7 @@ class TestIntegrateNumeric:
         # thousand steps before |x| crosses the 1e12 cutoff
         lap = model(1.66)
         ic = InitialCondition.at_rest(1e10 * MODEL_X0)
-        b = mode_frequencies(eigendecompose(lap)).max_growth_rate
+        b = eigendecompose(lap).max_growth_rate
         t_end = 10.0 / b
         with pytest.raises(Unstable) as exc:
             integrate_numeric(lap, ic, dt=0.02, t_end=t_end)
@@ -332,7 +332,7 @@ class TestIntegrateNumeric:
         # last block of the once-per-block test; one step shorter stays finite
         lap = model(1.66)
         ic = InitialCondition.at_rest(1e10 * MODEL_X0)
-        b = mode_frequencies(eigendecompose(lap)).max_growth_rate
+        b = eigendecompose(lap).max_growth_rate
         t_div, _, _ = verlet_substep_loop(lap, ic, 0.02, 10.0 / b)
         k = round(t_div / 0.02)
         assert k % dynamics.DIVERGENCE_CHECK_BLOCK != 0
@@ -742,7 +742,6 @@ class TestSpectrumReal:
                          basis_condition=1.0, scale=scale)
         zeros = np.zeros(4, dtype=complex)
         sol = dynamics.ModalSolution(mass=np.ones(4), eigensystem=es,
-                                     omegas=mode_frequencies(es).omegas,
                                      c_plus=zeros, c_minus=zeros, zero_modes=())
         assert sol.spectrum_real is spectrum_is_real(es) is (im_factor <= 1e-8)
 

@@ -22,7 +22,7 @@ from netosc.graph import (
     scaled_laplacian,
 )
 from netosc.signal import analyze_period, low_freq_share
-from netosc.spectral import critical_epsilon, eigendecompose, mode_frequencies, spectrum_is_real
+from netosc.spectral import critical_epsilon, eigendecompose, spectrum_is_real
 
 
 def random_digraph_matrix(rng, n, density=0.5, w_lo=0.05, w_hi=8.0):
@@ -256,7 +256,7 @@ class TestDivergenceLaw:
             es = eigendecompose(lap)
             if spectrum_is_real(es):
                 continue
-            om = mode_frequencies(es).omegas
+            om = es.omegas
             b = float(np.max(np.abs(om.imag)))
             if b < 1e-3:
                 continue

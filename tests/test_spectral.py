@@ -20,7 +20,6 @@ from netosc.spectral import (
     critical_epsilon,
     eigen_gap,
     eigendecompose,
-    mode_frequencies,
     spectrum_is_real,
 )
 
@@ -94,6 +93,11 @@ class TestEigendecompose:
         lam = es.eigenvalues
         assert sorted(map(tuple, zip(lam.real, lam.imag))) == \
             sorted(map(tuple, zip(lam.real, -lam.imag)))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_entry_refused(self, entry):
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            eigendecompose(np.array([[entry]]))
 
     def test_symmetric_orthonormal(self):
         lap = laplacian_of(undirected_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]))
@@ -183,12 +187,12 @@ class TestEigenGap:
 class TestModeFrequencies:
     def test_square_roots(self):
         es = eigendecompose(np.diag([0.0, 4.0]))
-        om = mode_frequencies(es).omegas
+        om = es.omegas
         assert np.allclose(om, [0.0, 2.0])
 
     def test_slow_mode_frequency(self):
         es = eigendecompose(np.diag([0.0100, 1.0]))
-        om = mode_frequencies(es).omegas
+        om = es.omegas
         assert om[0] == pytest.approx(0.10, abs=1e-12)
 
     def test_negative_eigenvalue_principal_branch(self):
@@ -198,7 +202,7 @@ class TestModeFrequencies:
 
     def test_omega_squared_recovers_lambda(self):
         es = eigendecompose(model_at(1.66))
-        om = mode_frequencies(es).omegas
+        om = es.omegas
         for w, lam in zip(om, es.eigenvalues):
             if w != 0:
                 assert abs(w * w - lam) <= 1e-10 * (1.0 + abs(lam))
@@ -387,6 +391,17 @@ class TestFirstCrossing:
         assert solves == len(calls) <= (8 if name == NARROWED else 6)
         assert lo < eps < hi and hi - lo <= 1e-6
 
+    def test_cap_stops_growing_once_a_point_lands_non_real(self, monkeypatch):
+        graph = json.loads((Path(__file__).parent / "capped_march_graph.json").read_text())
+        split = canonical_split(laplacian_of(WeightedDigraph(n=graph["n"], edges=graph["edges"])))
+        calls = eigensolve_calls(monkeypatch)
+        eps, lo, hi, solves = spectral._locate_transition(
+            split.lap_sym_part, split.lap_oneway, (0.0, 1.0), 1e-6)
+        assert solves == len(calls) <= 8
+        assert lo < eps < hi and hi - lo <= 1e-6
+        assert spectrum_is_real(eigendecompose(compose_epsilon(split, lo)))
+        assert not spectrum_is_real(eigendecompose(compose_epsilon(split, hi)))
+
     def test_final_bracket_real_to_nonreal(self):
         lap0, lapI = LaplacianMatrix(MODEL_L0), LaplacianMatrix(MODEL_LI)
         eps, lo, hi, solves = spectral._locate_transition(lap0, lapI, (0.0, 3.0), 1e-3)
@@ -428,5 +443,5 @@ class TestFirstCrossing:
                         and not real(eps + tol) and all(real(e) for e in grid)):
                     failures.append((seed, k, eps))
         assert failures == []
-        assert np.mean(solves) <= 5.5 and max(solves) <= 12
+        assert np.mean(solves) <= 5.5 and max(solves) <= 8
 

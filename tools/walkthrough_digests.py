@@ -1,0 +1,60 @@
+"""Digests of the README's CLI walk-through, for byte-identity checks.
+
+Runs the benchmark's walk-through (``perfbench/workloads.CLI_COMMANDS``) in
+process, in a temporary directory, on the inputs ``perfbench/gen.py`` writes
+for the cli-readme workload at seed 7.  Prints one line per command with its
+exit code and the sha256 of its stdout, then one line per artifact with its
+sha256.  Exits 1 if any command exits non-zero.
+
+To check that a change keeps every byte, run it on two trees on one machine
+and diff the outputs:
+
+    PYTHONPATH=src python tools/walkthrough_digests.py > after.txt
+
+The digests are not compared with a committed copy: BLAS builds differ in
+the last bits of some results, so only runs on one machine are comparable.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import gen  # noqa: E402
+from workloads import CLI_COMMANDS, run_cli_inprocess, write_files  # noqa: E402
+
+SEED = 7
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main() -> int:
+    failed = False
+    with tempfile.TemporaryDirectory() as workdir:
+        write_files(workdir, gen.generate("cli-readme", SEED)["files"])
+        home = os.getcwd()
+        os.chdir(workdir)
+        try:
+            artifacts = []
+            for key, argv in CLI_COMMANDS:
+                rec = run_cli_inprocess(argv)
+                failed |= rec["returncode"] != 0
+                print(f"{key} exit {rec['returncode']} stdout "
+                      f"{_sha256(rec['stdout'].encode())}")
+                artifacts += rec["outputs"]
+            for path in artifacts:
+                print(f"{path} {_sha256(Path(path).read_bytes())}")
+        finally:
+            os.chdir(home)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
