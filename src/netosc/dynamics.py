@@ -153,9 +153,25 @@ class ModalSolution:
                     and np.max(np.abs(v.imag)) <= 1e-8)
 
 
+def _frozen(arr) -> bool:
+    """True when ``arr`` is an ndarray that is read-only, as is every array
+    in its chain of bases down to the one that owns the data."""
+    while isinstance(arr, np.ndarray) and not arr.flags.writeable:
+        if arr.base is None:
+            return True
+        arr = arr.base
+    return False
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly time-stepped states and velocities."""
+    """Uniformly time-stepped states and velocities.
+
+    A float array that is read-only down to the array owning its data (such
+    as integrate_numeric's views of its one history) is kept as it is; any
+    other input is copied into a read-only float array, so a caller's
+    writeable array is never aliased.
+    """
 
     times: np.ndarray
     states: np.ndarray
@@ -163,12 +179,18 @@ class Trajectory:
 
     def __post_init__(self):
         for name in ("times", "states", "velocities"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            arr = getattr(self, name)
+            if not (_frozen(arr) and arr.dtype == float):
+                arr = np.array(arr, dtype=float)
+                arr.flags.writeable = False
+                object.__setattr__(self, name, arr)
         steps = np.diff(self.times)
-        if steps.size and np.max(np.abs(steps - steps[0])) > 1e-12 * max(abs(steps[0]), 1.0):
-            raise ValueError("time grid must be uniform")
+        if steps.size:
+            # k * dt rounds each time by up to half an ulp, so on a long grid
+            # the steps differ by up to an ulp of the largest time
+            tol = 1e-12 * max(abs(steps[0]), 1.0) + 4.0 * np.spacing(np.max(np.abs(self.times)))
+            if np.max(np.abs(steps - steps[0])) > tol:
+                raise ValueError("time grid must be uniform")
         if not np.all(np.isfinite(self.states)):
             raise ValueError("trajectory contains non-finite states")
 
@@ -329,6 +351,60 @@ def state_amplitude_bound(sol: ModalSolution, t_end: float = 0.0) -> float:
     return float(np.max(per_node))
 
 
+def _verlet_step(lmat, h) -> np.ndarray:
+    """integrate_numeric's one-step transfer matrix, built in one (2n)^2 array.
+
+    Each block takes the operations of the np.block formulation in the same
+    order (0 - (h^2/2) L, then + 1 on the diagonal, is I - (h^2/2) L), so
+    every bit, the sign of every zero included, is the same.
+    """
+    n = lmat.shape[0]
+    step = np.zeros((2 * n, 2 * n))
+    drift, coupling = step[:n, :n], step[n:, :n]
+    np.multiply(lmat, 0.5 * h * h, out=drift)
+    np.subtract(0.0, drift, out=drift)
+    drift.flat[::n + 1] += 1.0
+    step[n:, n:] = drift
+    np.fill_diagonal(step[:n, n:], h)
+    np.matmul(lmat, drift, out=coupling)
+    coupling += lmat
+    coupling *= -0.5 * h
+    return step
+
+
+def _matrix_power(base, exponent) -> np.ndarray:
+    """``base`` to a power of at least 1, overwriting ``base``.
+
+    Follows np.linalg.matrix_power's loop, binary powering from the least
+    significant bit, so the bits match; for 10 that is s2 = s s, s4 = s2 s2,
+    s8 = s4 s4, then s2 s8.  The one exception is the power 3, which
+    matrix_power short-cuts as (s s) s.  Each product is written into a free
+    one of three buffers the size of ``base``, never into one of its
+    operands.
+    """
+    free = [np.empty_like(base), np.empty_like(base)]
+    power = result = None
+    while exponent > 0:
+        if power is None:
+            power = base
+        else:
+            out = free.pop()
+            np.matmul(power, power, out=out)
+            if power is not result:
+                free.append(power)
+            power = out
+        exponent, bit = divmod(exponent, 2)
+        if bit:
+            if result is None:
+                result = power
+            else:
+                out = free.pop()
+                np.matmul(result, power, out=out)
+                free.append(result)
+                result = out
+    return result
+
+
 def integrate_numeric(lap: LaplacianMatrix, ic: InitialCondition,
                       dt: float, t_end: float) -> Trajectory:
     """Velocity-Verlet integration of d2x/dt2 = -L x on _time_grid(t_end, dt).
@@ -343,7 +419,11 @@ def integrate_numeric(lap: LaplacianMatrix, ic: InitialCondition,
         [ -h/2 (L + L (I - h^2/2 L))   I - h^2/2 L  ]
 
     and one output step is its 10th power, applied once.  No eigenbasis is
-    used.  Raises ValueError for a bad grid or a dt above the stability guard
+    used.  The power is taken in np.linalg.matrix_power's product order, so
+    its bits are matrix_power's.  Working memory is the (T, 2n) history plus
+    the one (2n)^2 transfer matrix, or three (2n)^2 buffers while powering;
+    ``states`` and ``velocities`` are read-only views of the one history.
+    Raises ValueError for a bad grid or a dt above the stability guard
     0.2 / sqrt(2 d_max), and Unstable with the first output time at which any
     |x_i| exceeds 1e12 or is not finite; the test runs once per
     DIVERGENCE_CHECK_BLOCK = 64 output steps, over each of them.
@@ -354,13 +434,10 @@ def integrate_numeric(lap: LaplacianMatrix, ic: InitialCondition,
     limit = _verlet_step_limit(lap.d_max)
     if dt > limit:
         raise ValueError(f"dt = {dt} exceeds stability guard {limit:.6g}")
-    h = dt / VERLET_SUBSTEPS
-    n, lmat = lap.n, lap.entries
+    n = lap.n
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite |x| counts as crossed
-        drift = np.eye(n) - 0.5 * h * h * lmat
-        step = np.block([[drift, h * np.eye(n)],
-                         [-0.5 * h * (lmat + lmat @ drift), drift]])
-        transfer = np.linalg.matrix_power(step, VERLET_SUBSTEPS)
+        transfer = _matrix_power(_verlet_step(lap.entries, dt / VERLET_SUBSTEPS),
+                                 VERLET_SUBSTEPS)
         phase = np.empty((times.size, 2 * n))
         phase[0, :n], phase[0, n:] = ic.x0, ic.v0
         for start in range(1, times.size, DIVERGENCE_CHECK_BLOCK):
@@ -373,6 +450,8 @@ def integrate_numeric(lap: LaplacianMatrix, ic: InitialCondition,
                 k = start + int(over[0])
                 raise Unstable(f"|x| crossed {DIVERGENCE_CUTOFF:.0e} at t = {times[k]:.6g}",
                                t_diverge=float(times[k]))
+    del transfer  # Trajectory's checks run beside the history alone
+    phase.flags.writeable = times.flags.writeable = False
     return Trajectory(times=times, states=phase[:, :n], velocities=phase[:, n:])
 
 

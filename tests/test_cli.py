@@ -235,6 +235,21 @@ class TestSimulate:
         assert len(modal) == len(numeric) == 4
         assert [r.split(",")[0] for r in modal] == [r.split(",")[0] for r in numeric]
 
+    @pytest.mark.parametrize("graph, x0, t_end, dt", [
+        # a weak pair keeps the Verlet guard above dt = 0.1: 100,001 times
+        ({"n": 2, "edges": [[0, 1, 1e-4], [1, 0, 1e-4]]}, "1,2", "10000", "0.1"),
+        pytest.param({"lap0": MODEL_L0.tolist(), "lapI": MODEL_LI.tolist()},
+                     "10,2,7,5,6", "10000", "0.01", marks=pytest.mark.slow),
+    ])
+    def test_long_grid(self, tmp_path, graph, x0, t_end, dt):
+        # the steps of k * dt differ by ~1.5e-12 at t ~ 1e4
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(graph))
+        result = run(["simulate", "--graph", str(path), "--eps", "1.5", "--x0", x0,
+                      "--t-end", t_end, "--dt", dt])
+        assert result.exit_code == 0
+        assert "modal_numeric_max_error" in summary_of(result)
+
     def test_one_point_grid_has_no_energy_csv(self, model_json, tmp_path):
         # a single time has no energy series
         out = tmp_path / "sim"

@@ -16,6 +16,7 @@ from netosc.errors import (
 )
 from netosc.dynamics import (
     InitialCondition,
+    Trajectory,
     betweenness_weights,
     epsilon_sweep,
     evaluate_state,
@@ -85,6 +86,28 @@ def verlet_substep_loop(lap, ic, dt, t_end, substeps=10):
         states.append(x)
         vels.append(v)
     return None, np.array(states), np.array(vels)
+
+
+def verlet_block_power(lap, ic, dt, t_end):
+    """Reference: integrate_numeric's states and velocities with the transfer
+    matrix assembled by np.block and powered by np.linalg.matrix_power."""
+    times = dynamics._time_grid(t_end, dt)
+    h = dt / dynamics.VERLET_SUBSTEPS
+    n, lmat = lap.n, lap.entries
+    drift = np.eye(n) - 0.5 * h * h * lmat
+    step = np.block([[drift, h * np.eye(n)],
+                     [-0.5 * h * (lmat + lmat @ drift), drift]])
+    transfer = np.linalg.matrix_power(step, dynamics.VERLET_SUBSTEPS)
+    phase = np.empty((times.size, 2 * n))
+    phase[0, :n], phase[0, n:] = ic.x0, ic.v0
+    for k in range(1, times.size):
+        np.matmul(transfer, phase[k - 1], out=phase[k])
+    return phase[:, :n], phase[:, n:]
+
+
+def same_bits(got, want):
+    """Equal shapes and bytes: array_equal, and the sign of every zero too."""
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def energy_pair_loop(sol, times):
@@ -353,6 +376,98 @@ class TestIntegrateNumeric:
         with pytest.raises(Unstable) as exc:
             integrate_numeric(lap, InitialCondition.at_rest([1.0, 0.0, 0.0]), dt=0.1, t_end=1.0)
         assert exc.value.t_diverge == 0.1
+
+    def test_long_grid_is_uniform(self):
+        # 100,001 times k * 0.1: the steps differ by ~1.5e-12 from rounding
+        traj = integrate_numeric(LaplacianMatrix(np.zeros((2, 2))),
+                                 InitialCondition(x0=[1.0, 2.0], v0=[0.5, 0.0]),
+                                 dt=0.1, t_end=1e4)
+        assert traj.times.size == 100_001
+        assert traj.states[-1] == pytest.approx([5001.0, 2.0])
+
+    def test_working_memory(self):
+        # the (T, 2n) history plus one (2n)^2 transfer matrix, or three
+        # (2n)^2 buffers while the step matrix is powered
+        n, length = 200, 1001
+        lap = laplacian_of(seeded_digraph(5, n))
+        ic = InitialCondition.at_rest(np.random.default_rng(5).normal(size=n))
+        dt = 0.9 * dynamics._verlet_step_limit(lap.d_max)
+        integrate_numeric(lap, ic, dt, (length - 1) * dt)
+        tracemalloc.start()
+        try:
+            traj = integrate_numeric(lap, ic, dt, (length - 1) * dt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.states.shape == (length, n)
+        matrix = (2 * n) ** 2 * 8
+        history = length * 2 * n * 8
+        assert peak <= 1.15 * max(history + matrix, 3 * matrix)
+
+
+class TestVerletBits:
+    """integrate_numeric against the np.block + np.linalg.matrix_power
+    formulation it replaced: the same bits, or matrix_power's product order
+    has changed."""
+
+    CASES = dict(LOOP_CASES, **{"digraph-n200": lambda: (
+        laplacian_of(seeded_digraph(5, 200)),
+        InitialCondition.at_rest(np.random.default_rng(5).normal(size=200)))})
+
+    @pytest.mark.parametrize("length", [1, 2, 64, 65, 129, 1001])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_history_equals_block_power(self, case, length):
+        lap, ic = self.CASES[case]()
+        dt = 0.9 * dynamics._verlet_step_limit(lap.d_max)
+        traj = integrate_numeric(lap, ic, dt, (length - 1) * dt)
+        states, velocities = verlet_block_power(lap, ic, dt, (length - 1) * dt)
+        assert same_bits(traj.states, states)
+        assert same_bits(traj.velocities, velocities)
+
+    @pytest.mark.parametrize("exponent", range(1, 17))
+    def test_power_follows_matrix_power(self, exponent):
+        base = dynamics._verlet_step(laplacian_of(seeded_digraph(0, 12)).entries, 0.01)
+        want = np.linalg.matrix_power(base, exponent)
+        got = dynamics._matrix_power(base.copy(), exponent)
+        if exponent == 3:  # matrix_power's short cut (s s) s
+            assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+        else:
+            assert same_bits(got, want)
+
+
+class TestTrajectory:
+    def test_integrate_numeric_keeps_one_read_only_history(self):
+        lap, ic = LOOP_CASES["digraph-0"]()
+        traj = integrate_numeric(lap, ic, dt=0.01, t_end=1.0)
+        history = traj.states.base
+        assert history is traj.velocities.base and history.shape == (101, 24)
+        assert not (traj.states.flags.writeable or traj.velocities.flags.writeable
+                    or history.flags.writeable or traj.times.flags.writeable)
+
+    @pytest.mark.parametrize("read_only_view", [False, True])
+    def test_caller_arrays_are_not_aliased(self, read_only_view):
+        times, states, velocities = np.arange(3) * 0.5, np.ones((3, 2)), np.zeros((3, 2))
+        given = [times, states, velocities]
+        if read_only_view:  # read-only, but writeable through its base
+            given = [arr.view() for arr in given]
+            for arr in given:
+                arr.flags.writeable = False
+        traj = Trajectory(*given)
+        for arr in (times, states, velocities):
+            arr[...] = 7.0
+        assert np.array_equal(traj.times, [0.0, 0.5, 1.0])
+        assert np.array_equal(traj.states, np.ones((3, 2)))
+        assert np.array_equal(traj.velocities, np.zeros((3, 2)))
+        assert not (traj.times.flags.writeable or traj.states.flags.writeable
+                    or traj.velocities.flags.writeable)
+
+    def test_frozen_arrays_are_kept(self):
+        arrays = [np.arange(3) * 0.5, np.ones((3, 2)), np.zeros((3, 2))]
+        for arr in arrays:
+            arr.flags.writeable = False
+        traj = Trajectory(*arrays)
+        assert traj.times is arrays[0] and traj.states is arrays[1]
+        assert traj.velocities is arrays[2]
 
 
 class TestTimeGrid:
