@@ -385,9 +385,9 @@ def _is_json_int(v):
 def graph_from_edge_csv(text: str) -> WeightedDigraph:
     """Parse an edge-list CSV with header src,dst,w."""
     rows = _numbered_rows(text)
-    if not rows:
+    header_line, header = next(rows, (None, None))
+    if header is None:
         raise ParseError("empty edge CSV")
-    header_line, header = rows[0]
     if [h.strip().lower() for h in header.split(",")][:3] != ["src", "dst", "w"]:
         raise ParseError(f'expected header "src,dst,w", got "{header}"', line=header_line)
 
@@ -397,7 +397,7 @@ def graph_from_edge_csv(text: str) -> WeightedDigraph:
             raise ValueError(f"expected 3 fields, got {len(parts)}")
         return int(parts[0]), int(parts[1]), float(parts[2])
 
-    edges = _parse_rows(rows[1:], edge)
+    edges = list(_parse_rows(rows, edge))
     n = 1 + max((max(s, d) for s, d, _ in edges), default=-1)
     if n < 1:
         raise ParseError("edge CSV contains no edges")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import chain, islice
 
 import numpy as np
 
@@ -60,14 +61,21 @@ class TrendSegment:
         object.__setattr__(self, "values", v)
 
 
-def _parse_timestamp(token, kind):
-    if kind == "epoch":
-        return float(token)
+def _iso_timestamp(token):
+    """Epoch seconds of an ISO-8601 token; naive times read as UTC."""
     iso = token.replace("Z", "+00:00") if token.endswith("Z") else token
     stamp = datetime.fromisoformat(iso)
     if stamp.tzinfo is None:
         stamp = stamp.replace(tzinfo=timezone.utc)
     return stamp.timestamp()
+
+
+def _parse_timestamp(token):
+    """Epoch seconds of an epoch-seconds or ISO-8601 token."""
+    try:
+        return float(token)
+    except ValueError:
+        return _iso_timestamp(token)
 
 
 def _is_number(token):
@@ -82,22 +90,37 @@ def _timestamp_kind(token):
     return "epoch" if _is_number(token) else "iso"
 
 
+# Characters of text split into lines at a time by _numbered_rows.
+_BLOCK_CHARS = 1 << 16
+
+
 def _numbered_rows(text):
-    """(line number, stripped line) for every non-blank line."""
-    return [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), start=1)
-            if ln.strip()]
+    """Lazily, (line number, stripped line) for every non-blank line, the
+    lines and numbers of ``text.splitlines()``.
+
+    ``text`` is split in blocks of about ``_BLOCK_CHARS`` characters, each
+    cut just after a "\n".  That cut always ends a line, "\r\n" included,
+    so no line spans two blocks, and only one block's lines are held at a
+    time."""
+    lineno, start = 0, 0
+    while start < len(text):
+        cut = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
+        for ln in text[start:cut].splitlines():
+            lineno += 1
+            ln = ln.strip()
+            if ln:
+                yield lineno, ln
+        start = cut
 
 
 def _parse_rows(rows, parse_line):
-    """``parse_line`` over numbered rows; a ValueError it raises becomes a
-    ParseError naming the line."""
-    parsed = []
+    """Lazily, ``parse_line`` over numbered rows; a ValueError it raises
+    becomes a ParseError naming the line."""
     for lineno, ln in rows:
         try:
-            parsed.append(parse_line(ln))
+            yield parse_line(ln)
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from exc
-    return parsed
 
 
 def parse_event_log(text: str) -> EventLog:
@@ -107,23 +130,31 @@ def parse_event_log(text: str) -> EventLog:
     UTC); mixing the two raises ParseError naming the offending line.
     """
     rows = _numbered_rows(text)
-    if not rows:
+    header_line, header = next(rows, (None, None))
+    if header is None:
         raise EmptyInput("event log is empty")
-    header_line, header = rows[0]
     if header.lower() != "timestamp":
         raise ParseError(f'expected header "timestamp", got "{header}"',
                          line=header_line)
-    if len(rows) == 1:
+    first = next(rows, None)
+    if first is None:
         raise EmptyInput("event log has a header but no events")
-    kind = _timestamp_kind(rows[1][1])
+    kind = _timestamp_kind(first[1])
 
     def stamp(token):
-        if _timestamp_kind(token) != kind:
-            raise ValueError(f"timestamp format changed from {kind} to "
-                             f"{_timestamp_kind(token)}")
-        return _parse_timestamp(token, kind)
+        try:
+            seconds = float(token)
+        except ValueError:
+            if kind == "epoch":
+                raise ValueError("timestamp format changed from epoch to iso") from None
+            return _iso_timestamp(token)
+        if kind == "iso":
+            raise ValueError("timestamp format changed from iso to epoch")
+        return seconds
 
-    return EventLog(timestamps=np.sort(np.array(_parse_rows(rows[1:], stamp))))
+    stamps = np.fromiter(_parse_rows(chain([first], rows), stamp), dtype=float)
+    stamps.sort()
+    return EventLog(timestamps=stamps)
 
 
 def bin_counts(log: EventLog, bin_seconds: int, t0: float,
@@ -135,6 +166,8 @@ def bin_counts(log: EventLog, bin_seconds: int, t0: float,
     """
     if bin_seconds <= 0:
         raise ValueError("bin_seconds must be positive")
+    if not np.isfinite(t0):
+        raise ValueError(f"t0 must be finite, got {t0}")
     if n_bins < 2:
         raise ValueError("need at least 2 bins")
     # Bin positions stay floats until masked: a timestamp far from t0 has no
@@ -209,24 +242,25 @@ def parse_trend_csv(text: str) -> TrendSegment:
 
     Rows must be uniformly spaced in time (hourly in typical exports).
     """
-    lines = _numbered_rows(text)
-    if not lines:
+    rows = _numbered_rows(text)
+    header_line, header_text = next(rows, (None, None))
+    if header_text is None:
         raise EmptyInput("trend CSV is empty")
-    header = [h.strip().lower() for h in lines[0][1].split(",")]
+    header = [h.strip().lower() for h in header_text.split(",")]
     if header[:2] != ["datetime", "value"]:
-        raise ParseError(f'expected header "datetime,value", got "{lines[0][1]}"',
-                         line=lines[0][0])
-    if len(lines) < 3:
+        raise ParseError(f'expected header "datetime,value", got "{header_text}"',
+                         line=header_line)
+    head = list(islice(rows, 2))
+    if len(head) < 2:
         raise EmptyInput("trend CSV needs at least 2 rows")
 
     def fields(line):
         parts = line.split(",")
         if len(parts) != 2:
             raise ValueError(f"expected 2 fields, got {len(parts)}")
-        token = parts[0].strip()
-        return _parse_timestamp(token, _timestamp_kind(token)), float(parts[1])
+        return _parse_timestamp(parts[0].strip()), float(parts[1])
 
-    stamps, values = zip(*_parse_rows(lines[1:], fields))
+    stamps, values = zip(*_parse_rows(chain(head, rows), fields))
     steps = np.diff(stamps)
     if steps.size == 0 or np.any(np.abs(steps - steps[0]) > 1e-6):
         raise ParseError("trend rows must be uniformly spaced")
@@ -242,13 +276,14 @@ def parse_series_csv(text: str) -> TimeSeries:
     series' step and origin.
     """
     rows = _numbered_rows(text)
-    if not rows:
+    first = next(rows, None)
+    if first is None:
         raise EmptyInput("series CSV is empty")
-    if not _is_number(rows[0][1].split(",")[0].strip()):
-        rows = rows[1:]
-    if not rows:
+    if not _is_number(first[1].split(",")[0].strip()):
+        first = next(rows, None)
+    if first is None:
         raise EmptyInput("series CSV has no data rows")
-    width = min(len(rows[0][1].split(",")), 2)
+    width = min(len(first[1].split(",")), 2)
 
     def fields(line):
         parts = line.split(",")
@@ -259,7 +294,8 @@ def parse_series_csv(text: str) -> TimeSeries:
             raise ValueError(f"non-finite value in {line!r}")
         return values
 
-    columns = np.array(_parse_rows(rows, fields)).T
+    columns = np.fromiter(_parse_rows(chain([first], rows), fields),
+                          dtype=np.dtype((float, (width,)))).T
     if width == 1:
         return TimeSeries(values=columns[0])
     ts, vs = columns

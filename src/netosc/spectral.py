@@ -245,6 +245,10 @@ def _locate_transition(lap0, lapI, bracket, tol):
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (lo < hi) or tol <= 0:
         raise BadBracket(f"need lo < hi and tol > 0, got ({lo}, {hi}), tol={tol}")
+    # the march ends only once it has solved a non-real point, so hi may be
+    # inf; an infinite or NaN tol would end it at once with that end unsolved
+    if not (np.isfinite(lo) and np.isfinite(tol)):
+        raise BadBracket(f"need a finite lo and tol, got lo={lo}, tol={tol}")
     parts = (lap0, lapI)
     solves = 1
     lam, real, coupling = _solve_at(parts, lo, True)
@@ -292,11 +296,12 @@ def critical_epsilon(lap0: LaplacianMatrix, lapI: LaplacianMatrix,
     spectrum: the first such eps in the bracket unless a complex window is
     narrower than a march step.
 
-    Requires a real spectrum at bracket[0] (BadBracket otherwise); bracket[1]
-    may be real or not.  The march starts at bracket[0] with one
-    decomposition per real point and predicts, from the coupling of every mode
-    pair in that eigenbasis, the nearest pair collision (_pair_collision) to
-    first order and, for the colliding pair, to second order (_second_order).
+    Requires a finite tol and a real spectrum at a finite bracket[0]
+    (BadBracket otherwise); bracket[1] may be real or not, or inf.  The march
+    starts at bracket[0] with one decomposition per real point and predicts,
+    from the coupling of every mode pair in that eigenbasis, the nearest pair
+    collision (_pair_collision) to first order and, for the colliding pair, to
+    second order (_second_order).
     A step goes MARCH_THETA = 0.8 of the way to the first-order collision, or
     MARCH_SECOND = 0.95 of the way to the second-order one when the two agree
     within 1 - MARCH_THETA of the first, never past a trust-region cap (0.05

@@ -2,13 +2,14 @@ import builtins
 import hashlib
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import MODEL_L0, MODEL_LI, MODEL_X0, seeded_digraph
 from netosc import signal
-from netosc.cli import _csv, _Files, run
+from netosc.cli import _CSV_BLOCK_ROWS, _csv, _Files, _states_csv, run
 from netosc.dynamics import oscillation_centrality
 from netosc.errors import DefectiveMatrix, ParseError, Unstable
 from netosc.graph import (
@@ -66,6 +67,23 @@ class TestCriticalEps:
         assert result.exit_code == 3
         doc = summary_of(result)
         assert doc["error"]["type"] == "NoTransition"
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_refused(self, model_json, tol):
+        # not exit 0 with eps_star Infinity after one solve
+        result = run(["critical-eps", "--graph", str(model_json),
+                      "--lo", "0", "--hi", "3", "--tol", tol])
+        assert result.exit_code == 3
+        assert summary_of(result)["error"] == {
+            "type": "BadBracket", "message": f"need a finite lo and tol, got lo=0.0, tol={tol}"}
+
+    def test_infinite_hi_reports_solved_bracket(self, model_json):
+        result = run(["critical-eps", "--graph", str(model_json),
+                      "--lo", "0", "--hi", "inf", "--tol", "1e-3"])
+        assert result.exit_code == 0
+        doc = summary_of(result)
+        lo, hi = doc["final_bracket"]
+        assert 1.65 < lo < doc["eps_star"] < hi < 1.66 and hi - lo <= 1e-3
 
 
 class TestBeatDemo:
@@ -355,6 +373,16 @@ class TestBinAndFuse:
         assert doc["binned"] == 16.0
         assert doc["out_of_range"] == 16
         assert (out / "series.csv").exists()
+
+    @pytest.mark.parametrize("t0", ["nan", "inf", "-inf"])
+    def test_non_finite_t0_refused(self, tmp_path, t0):
+        # not exit 0 with every event silently out of range
+        events = tmp_path / "events.csv"
+        events.write_text("timestamp\n0\n60\n")
+        result = run(["bin", "--events", str(events), f"--t0={t0}"])
+        assert result.exit_code == 1
+        assert summary_of(result)["error"] == {
+            "type": "ValueError", "message": f"t0 must be finite, got {float(t0)}"}
 
     def test_fuse_trends_80_40(self, tmp_path):
         a = tmp_path / "a.csv"
@@ -680,17 +708,48 @@ class TestCsvRenderer:
         column = np.asarray(column)
         index = np.arange(column.size)
         rows = list(zip(index, column, column))
-        assert _csv("i,x,y", index, column, column) == _reference_csv("i,x,y", rows)
+        assert "".join(_csv("i,x,y", index, column, column)) == _reference_csv("i,x,y", rows)
 
     def test_states_table(self):
         rng = np.random.default_rng(0)
         times = np.arange(101) * 0.01
         states = rng.normal(size=(101, 5)) * 1e3
         rows = [(t, *row) for t, row in zip(times, states)]
-        assert _csv("t,x", times, *states.T) == _reference_csv("t,x", rows)
+        assert "".join(_csv("t,x", times, *states.T)) == _reference_csv("t,x", rows)
 
     def test_no_rows(self):
-        assert _csv("a,b", np.array([]), np.array([], dtype=int)) == "a,b\n"
+        assert "".join(_csv("a,b", np.array([]), np.array([], dtype=int))) == "a,b\n"
+
+    @pytest.mark.parametrize("rows", [0, 1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS,
+                                      _CSV_BLOCK_ROWS + 1, 3 * _CSV_BLOCK_ROWS + 7])
+    @pytest.mark.parametrize("header", ["t,k,x", None])
+    def test_block_boundaries(self, rows, header):
+        t = np.arange(rows) * 0.01
+        k = np.arange(rows)
+        x = np.random.default_rng(rows).normal(size=rows)
+        expected = _reference_csv("t,k,x", list(zip(t, k, x)))
+        if header is None:
+            expected = expected[len("t,k,x\n"):]
+        pieces = list(_csv(header, t, k, x))
+        assert "".join(pieces) == expected
+        blocks = [min(_CSV_BLOCK_ROWS, rows - start)
+                  for start in range(0, rows, _CSV_BLOCK_ROWS)]
+        lines = [1] * (header is not None) + blocks
+        assert [piece.count("\n") for piece in pieces] == lines
+
+    def test_states_csv_streams_in_bounded_memory(self, tmp_path):
+        # rendered as one string, these 100k rows of 6 cells peak at ~35 MiB
+        times = np.arange(100_000) * 0.01
+        states = np.random.default_rng(0).normal(size=(100_000, 5))
+        files = _Files(tmp_path)
+        tracemalloc.start()
+        try:
+            files.write("trajectory.csv", _states_csv, times, states)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        assert (tmp_path / "trajectory.csv").read_text().count("\n") == 100_001
 
 
 class TestArtifactReplacement:
@@ -727,11 +786,17 @@ class TestArtifactReplacement:
         def fail():
             raise RuntimeError("render failed")
 
-        files = _Files(tmp_path)
-        with pytest.raises(RuntimeError):
-            files.write("a.csv", fail)
-        assert (tmp_path / "a.csv").read_bytes() == b"old\n"
-        assert files.paths == []
+        def fail_after_first_piece():
+            yield "new\n"
+            raise RuntimeError("render failed")
+
+        for render in (fail, fail_after_first_piece):
+            files = _Files(tmp_path)
+            with pytest.raises(RuntimeError):
+                files.write("a.csv", render)
+            assert (tmp_path / "a.csv").read_bytes() == b"old\n"
+            assert files.paths == []
+            assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
 
     def test_symlink_is_replaced_not_followed(self, tmp_path):
         target = tmp_path / "target.csv"

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from netosc import ingest
 from netosc.errors import EmptyInput, NoOverlap, OutOfRange, ParseError, ZeroAnchor
 from netosc.ingest import (
     EventLog,
@@ -40,6 +43,15 @@ class TestParseEventLog:
             parse_event_log("timestamp\n100\n2019-01-01T00:00:00\n")
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("rows, message", [
+        ("100\n2019-01-01T00:00:00\n", "timestamp format changed from epoch to iso"),
+        ("2019-01-01T00:00:00\n100\n", "timestamp format changed from iso to epoch"),
+    ], ids=["epoch-then-iso", "iso-then-epoch"])
+    def test_mixed_formats_message(self, rows, message):
+        with pytest.raises(ParseError) as err:
+            parse_event_log("timestamp\n" + rows)
+        assert str(err.value) == f"line 3: {message}"
+
     def test_bad_header(self):
         with pytest.raises(ParseError):
             parse_event_log("time\n100\n")
@@ -51,7 +63,66 @@ class TestParseEventLog:
         assert np.array_equal(log.timestamps, [1.0, 5.0])
 
 
+class TestStreamedRows:
+    """Rows are split from the text block by block; the lines and their
+    numbers are those of ``text.splitlines()``."""
+
+    TEXT = ("a\r\nbb\n\n  \r\nccc\rd\x0be\u2028f\n" + "g" * 20 + "\r\n\r\n h \n"
+            + "\n" * 5 + "i\r\n" + "tail")
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 1 << 16])
+    def test_lines_and_numbers_of_splitlines(self, monkeypatch, block):
+        monkeypatch.setattr(ingest, "_BLOCK_CHARS", block)
+        expected = [(i, ln.strip()) for i, ln in enumerate(self.TEXT.splitlines(), start=1)
+                    if ln.strip()]
+        assert list(ingest._numbered_rows(self.TEXT)) == expected
+
+    @staticmethod
+    def _long_log(bad_token):
+        """A CRLF event log over several blocks, with a blank line after every
+        100th row, whose last-but-one row is ``bad_token``; and its line."""
+        lines = ["timestamp"]
+        for k in range(20_000):
+            lines.append(str(1_700_000_000 + k))
+            if k % 100 == 0:
+                lines.append("")
+        lines += [bad_token, "1700000000"]
+        text = "\r\n".join(lines) + "\r\n"
+        assert len(text) > 2 * ingest._BLOCK_CHARS
+        return text, len(lines) - 1
+
+    def test_parse_error_line_past_first_block(self):
+        text, line = self._long_log("2019-01-01T00:00:00")
+        with pytest.raises(ParseError) as err:
+            parse_event_log(text)
+        assert str(err.value) == f"line {line}: timestamp format changed from epoch to iso"
+
+    def test_series_parse_error_line_past_first_block(self):
+        text, line = self._long_log("x")
+        with pytest.raises(ParseError) as err:
+            parse_series_csv(text)
+        assert err.value.line == line
+
+    def test_event_log_memory_per_line(self):
+        # lists of the rows and of their values would hold ~190 B per line
+        n = 200_000
+        text = "timestamp\n" + "\n".join(str(1_700_000_000 + 7 * k) for k in range(n)) + "\n"
+        tracemalloc.start()
+        try:
+            log = parse_event_log(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(log) == n
+        assert peak <= 48 * n
+
+
 class TestBinCounts:
+    @pytest.mark.parametrize("t0", [np.nan, np.inf, -np.inf])
+    def test_non_finite_t0_refused(self, t0):
+        with pytest.raises(ValueError, match="t0 must be finite"):
+            bin_counts(EventLog(np.array([1.0, 2.0])), bin_seconds=60, t0=t0, n_bins=2)
+
     def test_all_in_one_bin(self):
         log = EventLog(np.array([10.0, 11.0, 12.0, 13.0, 14.0]))
         series, dropped = bin_counts(log, bin_seconds=60, t0=0.0, n_bins=4)

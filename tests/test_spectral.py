@@ -224,6 +224,20 @@ class TestCriticalEpsilon:
             critical_epsilon(LaplacianMatrix(MODEL_L0), LaplacianMatrix(MODEL_LI),
                              bracket=(2.0, 3.0), tol=1e-3)
 
+    @pytest.mark.parametrize("lo, tol", [(0.0, np.nan), (0.0, np.inf), (-np.inf, 1e-3)])
+    def test_non_finite_lo_or_tol_refused(self, lo, tol):
+        # a NaN or infinite tol would end the march before its first step,
+        # with the unsolved bracket end inf as eps*
+        with pytest.raises(BadBracket, match="need a finite lo and tol"):
+            critical_epsilon(LaplacianMatrix(MODEL_L0), LaplacianMatrix(MODEL_LI),
+                             bracket=(lo, 3.0), tol=tol)
+
+    def test_infinite_hi_allowed(self):
+        lap0, lapI = LaplacianMatrix(MODEL_L0), LaplacianMatrix(MODEL_LI)
+        eps, lo, hi, _ = spectral._locate_transition(lap0, lapI, (0.0, np.inf), 1e-3)
+        assert lo < eps < hi and 0 < hi - lo <= 1e-3
+        assert abs(eps - critical_epsilon(lap0, lapI, (0.0, 3.0), 1e-3)) <= 1e-3
+
     def test_three_cycle_matches_discriminant_oracle(self):
         # oracle: the cubic discriminant of det(L(eps) - lam I), computed from
         # trace / principal minors / determinant, goes negative exactly where

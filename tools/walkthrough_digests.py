@@ -4,7 +4,9 @@ Runs the benchmark's walk-through (``perfbench/workloads.CLI_COMMANDS``) in
 process, in a temporary directory, on the inputs ``perfbench/gen.py`` writes
 for the cli-readme workload at seed 7.  Prints one line per command with its
 exit code and the sha256 of its stdout, then one line per artifact with its
-sha256.  Exits 1 if any command exits non-zero.
+sha256.  Exits 1 if any command exits non-zero, or leaves in its --out
+directory a file that is not among the outputs it reports (a temporary file
+of the artifact writer, say); each such file is named on stderr.
 
 To check that a change keeps every byte, run it on two trees on one machine
 and diff the outputs:
@@ -26,7 +28,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import gen  # noqa: E402
-from workloads import CLI_COMMANDS, run_cli_inprocess, write_files  # noqa: E402
+from workloads import CLI_COMMANDS, _out_dir, run_cli_inprocess, write_files  # noqa: E402
 
 SEED = 7
 
@@ -49,6 +51,13 @@ def main() -> int:
                 print(f"{key} exit {rec['returncode']} stdout "
                       f"{_sha256(rec['stdout'].encode())}")
                 artifacts += rec["outputs"]
+                out = _out_dir(argv)
+                if out is not None:
+                    stray = {p for p in Path(out).rglob("*") if p.is_file()} - {
+                        Path(p) for p in rec["outputs"]}
+                    for path in sorted(stray):
+                        print(f"{key}: unreported file {path}", file=sys.stderr)
+                    failed |= bool(stray)
             for path in artifacts:
                 print(f"{path} {_sha256(Path(path).read_bytes())}")
         finally:
