@@ -1,17 +1,19 @@
 """Command-line interface: one table of subcommands over the library.
 
-``COMMANDS`` declares each subcommand once (name, help, arguments, handler);
-the parser and the dispatch are generated from it, and ``_ERROR_EXITS`` maps
-each exception type it catches to an exit code and stream.  ``_Files.read``
-reads each input once, for its digest and its UTF-8 text, and every graph
-input is an epsilon-family lap0 + eps * lapI that is the input itself at
-eps = 1.  Every subcommand prints a machine-readable JSON summary on stdout
-(input digests, resolved parameters, and results) and writes CSV artifacts
-to the --out directory.  Option precedence is flags > NETOSC_* environment
-variables > built-in defaults; all resolved values are echoed in the summary.
-Exit codes: 0 success, 1 usage error or unreadable path, 2 data error
-(non-UTF-8 input included), 3 numeric failure; any other exception is a
-programming error and propagates.
+``COMMANDS`` declares each subcommand once (name, help, arguments, handler),
+and each flag's type and default once; the parser and the dispatch are
+generated from it, and ``_ERROR_EXITS`` maps each exception type it catches to
+an exit code and stream.  A flag with a default falls back to NETOSC_<DEST>,
+parsed by the flag's own type before any input is read: precedence is flags >
+NETOSC_* > defaults.  Float flags are finite.  ``_Files.read`` reads each input
+once, for its digest and its UTF-8 text, and every graph input is an
+epsilon-family lap0 + eps * lapI that is the input itself at eps = 1.  Every
+subcommand prints a strict JSON summary on stdout (input digests, resolved
+parameters, and results) and writes CSV artifacts to the --out directory.
+Exit codes: 0 success, 1 usage error (a bad flag or NETOSC_* value included)
+or unreadable path, 2 data error (non-UTF-8 input included), 3 numeric
+failure; any other exception, a non-finite result included, is a programming
+error and propagates.
 """
 
 from __future__ import annotations
@@ -34,17 +36,6 @@ class CommandResult:
     exit_code: int
     outputs: list
     summary: str
-
-
-def _resolve(params, name, default, cast=float):
-    """flags > NETOSC_<NAME> environment > default.  The resolved value
-    replaces the flag's in ``params``, so the summary echoes it."""
-    value = params[name]
-    if value is None:
-        env = os.environ.get("NETOSC_" + name.upper())
-        value = default if env is None else cast(env)
-    params[name] = value
-    return value
 
 
 class _Files:
@@ -122,7 +113,7 @@ def _csv(header, *columns):
 
 
 def _json(obj):
-    return json.dumps(obj, sort_keys=True, indent=2)
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
 
 
 def _write_spectrum(files, name, sp, log_bins=False):
@@ -173,24 +164,35 @@ def _load_model(files, path):
     return graph.canonical_split(graph.laplacian_of(g)), g
 
 
-def _parse_vector(text):
-    return np.array([float(v) for v in text.split(",")])
+def _finite(text):
+    """The type of every scalar float flag: a float that is not nan or +-inf."""
+    if not np.isfinite(value := float(text)):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _parse_vector(text, what):
+    """A list flag's comma-separated floats; ValueError unless all are finite."""
+    values = np.array([float(v) for v in text.split(",")])
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} must be finite")
+    return values
 
 
 def _initial_condition(params):
-    x0 = _parse_vector(params["x0"])
-    v0 = _parse_vector(params["v0"]) if params["v0"] else np.zeros_like(x0)
+    x0 = _parse_vector(params["x0"], "initial condition")
+    v0 = _parse_vector(params["v0"], "initial condition") if params["v0"] else np.zeros_like(x0)
     return dynamics.InitialCondition(x0=x0, v0=v0)
 
 
 # --- subcommand handlers -------------------------------------------------------
-# Each takes the parsed flags as a dict and a _Files, resolves its defaults
-# into the dict, reads its inputs and writes its artifacts through the _Files,
-# and returns its results.
+# Each takes the parsed flags as a dict and a _Files, fills in the defaults
+# that depend on its data, reads its inputs and writes its artifacts through
+# the _Files, and returns its results.
 
 def _cmd_analyze_graph(params, files):
     parts, _ = _load_model(files, params["graph"])
-    lap = graph.compose_epsilon(parts, _resolve(params, "eps", 1.0))
+    lap = graph.compose_epsilon(parts, params["eps"])
     es = spectral.eigendecompose(lap)
     disk = graph.gershgorin_disk(lap)
     verdict = graph.check_symmetrizable(lap)
@@ -219,9 +221,8 @@ def _cmd_analyze_graph(params, files):
 
 def _cmd_simulate(params, files):
     parts, _ = _load_model(files, params["graph"])
-    lap = graph.compose_epsilon(parts, _resolve(params, "eps", 1.0))
-    t_end = _resolve(params, "t_end", 100.0)
-    dt = _resolve(params, "dt", 0.01)
+    lap = graph.compose_epsilon(parts, params["eps"])
+    t_end, dt = params["t_end"], params["dt"]
     times = dynamics._time_grid(t_end, dt)
     ic = _initial_condition(params)
     sol = dynamics.modal_solve(lap, ic)
@@ -274,20 +275,16 @@ def _cmd_centrality(params, files):
 
 def _cmd_critical_eps(params, files):
     (lap0, lapI), _ = _load_model(files, params["graph"])
-    tol = _resolve(params, "tol", 1e-3)
     bracket = (params["lo"], params["hi"])
-    eps_star, lo, hi, solves = spectral._locate_transition(lap0, lapI, bracket, tol)
+    eps_star, lo, hi, solves = spectral._locate_transition(lap0, lapI, bracket, params["tol"])
     return {"eps_star": eps_star, "bracket": list(bracket), "final_bracket": [lo, hi],
-            "solves": solves, "tol": tol}
+            "solves": solves, "tol": params["tol"]}
 
 
 def _cmd_sweep(params, files):
     (lap0, lapI), _ = _load_model(files, params["graph"])
-    t_end = _resolve(params, "t_end", 200.0)
-    dt = _resolve(params, "dt", 0.05)
-    eps_list = [float(v) for v in params["eps"].split(",")]
-    records = dynamics.epsilon_sweep(lap0, lapI, eps_list, _initial_condition(params),
-                                     t_end=t_end, dt=dt)
+    records = dynamics.epsilon_sweep(lap0, lapI, _parse_vector(params["eps"], "eps"),
+                                     _initial_condition(params), params["t_end"], params["dt"])
     results = {"records": [r.as_dict() for r in records]}
     files.write("sweep.json", lambda: [_json(results["records"]) + "\n"])
     return results
@@ -295,14 +292,14 @@ def _cmd_sweep(params, files):
 
 def _cmd_spectrum(params, files):
     series = ingest.parse_series_csv(files.read(params["in"]))
-    window = _resolve(params, "window", 20, cast=int)
-    sp = signal.analyze_period(series, window=window)
-    cutoff = _resolve(params, "cutoff", max(1, len(series) // 8), cast=int)
+    sp = signal.analyze_period(series, window=params["window"])
+    if params["cutoff"] is None:
+        params["cutoff"] = max(1, len(series) // 8)
     results = {
         "n_samples": sp.n_samples,
         "peak_frequency_index": sp.peak_frequency_index(),
-        "low_freq_share": signal.low_freq_share(sp, cutoff),
-        "cutoff": cutoff,
+        "low_freq_share": signal.low_freq_share(sp, params["cutoff"]),
+        "cutoff": params["cutoff"],
     }
     _write_spectrum(files, "spectrum", sp, params["log_bins"])
     return results
@@ -310,12 +307,10 @@ def _cmd_spectrum(params, files):
 
 def _cmd_bin(params, files):
     log = ingest.parse_event_log(files.read(params["events"]))
-    bin_seconds = _resolve(params, "bin_seconds", 960, cast=int)
-    n_bins = _resolve(params, "n_bins", 256, cast=int)
     if params["t0"] is None:
         params["t0"] = float(log.timestamps[0])
-    series, dropped = ingest.bin_counts(log, bin_seconds=bin_seconds,
-                                        t0=params["t0"], n_bins=n_bins)
+    series, dropped = ingest.bin_counts(log, bin_seconds=params["bin_seconds"],
+                                        t0=params["t0"], n_bins=params["n_bins"])
     results = {
         "events": len(log),
         "binned": float(series.values.sum()),
@@ -341,10 +336,7 @@ def _cmd_fuse_trends(params, files):
 
 
 def _cmd_beat_demo(params, files):
-    w1 = _resolve(params, "w1", 0.10)
-    w2 = _resolve(params, "w2", 0.11)
-    n = _resolve(params, "n", 4096, cast=int)
-    demo = signal.beat_demo(w1, w2, n)
+    demo = signal.beat_demo(params["w1"], params["w2"], params["n"])
     for key in demo.PANELS:
         sig = demo.signals[key]
         files.write(f"signal_{key}.csv", _csv, "t,value", sig.times, sig.values)
@@ -354,15 +346,13 @@ def _cmd_beat_demo(params, files):
 
 def _cmd_compare_periods(params, files):
     series = ingest.parse_series_csv(files.read(params["in"]))
-    window = _resolve(params, "window", 20, cast=int)
-    cutoff = _resolve(params, "cutoff", None, cast=int)
     chunks = [chunk.partition(":") for chunk in params["periods"].split(",")]
     periods = [(int(start), int(length)) for start, _, length in chunks]
     table, spectra = [], []
     for idx, (start, length) in enumerate(periods):
         sp = signal.analyze_period(ingest.slice_period(series, start, length),
-                                   window=window)
-        cut = cutoff if cutoff is not None else max(1, length // 16)
+                                   window=params["window"])
+        cut = params["cutoff"] if params["cutoff"] is not None else max(1, length // 16)
         table.append({
             "period": idx,
             "start_index": start,
@@ -384,50 +374,55 @@ def _arg(*flags, **options):
     return flags, options
 
 
+def _time_flags(t_end, dt):
+    return (_arg("--t-end", type=_finite, default=t_end),
+            _arg("--dt", type=_finite, default=dt))
+
+
 GRAPH = (_arg("--graph", required=True),)
 OUT = (_arg("--out"),)
-EPS = (_arg("--eps", type=float),)
+EPS = (_arg("--eps", type=_finite, default=1.0),)
 SERIES_IN = (_arg("--in", required=True, metavar="INFILE"),)
 INITIAL = (_arg("--x0", required=True, help="comma-separated initial states"),
            _arg("--v0", help="comma-separated initial velocities"))
-TIME_GRID = (_arg("--t-end", type=float), _arg("--dt", type=float))
-SPECTRUM = (_arg("--window", type=int),
-            _arg("--cutoff", type=int),
+SPECTRUM = (_arg("--window", type=int, default=20),
+            _arg("--cutoff", type=int, default=None),
             _arg("--log-bins", action="store_true"))
 
 
-# (name, help, arguments, handler) of each subcommand
+# (name, help, arguments, handler) of each subcommand.  An argument that
+# declares a default takes it from NETOSC_<DEST> when that is set.
 COMMANDS = (
     ("analyze-graph", "Laplacian, symmetrizability, spectrum",
      GRAPH + EPS + OUT, _cmd_analyze_graph),
     ("simulate", "modal + numeric trajectories and energy",
-     GRAPH + INITIAL + EPS + TIME_GRID + OUT, _cmd_simulate),
+     GRAPH + INITIAL + EPS + _time_flags(100.0, 0.01) + OUT, _cmd_simulate),
     ("centrality", "oscillation-energy node centrality",
      GRAPH + (_arg("--betweenness", action="store_true",
                    help="reweight links by shortest-path counts first"),) + OUT,
      _cmd_centrality),
     ("critical-eps", "locate the first real-to-complex transition",
-     GRAPH + (_arg("--lo", type=float, required=True),
-              _arg("--hi", type=float, required=True),
-              _arg("--tol", type=float)),
+     GRAPH + (_arg("--lo", type=_finite, required=True),
+              _arg("--hi", type=_finite, required=True),
+              _arg("--tol", type=_finite, default=1e-3)),
      _cmd_critical_eps),
     ("sweep", "per-epsilon regime summaries",
      GRAPH + (_arg("--eps", required=True, help="comma-separated epsilon values"),)
-     + INITIAL + TIME_GRID + OUT, _cmd_sweep),
+     + INITIAL + _time_flags(200.0, 0.05) + OUT, _cmd_sweep),
     ("spectrum", "normalized smoothed spectrum of a series",
      SERIES_IN + SPECTRUM + OUT, _cmd_spectrum),
     ("bin", "event log to binned counts",
      (_arg("--events", required=True),
-      _arg("--bin-seconds", type=int),
-      _arg("--t0", type=float),
-      _arg("--n-bins", type=int)) + OUT,
+      _arg("--bin-seconds", type=int, default=960),
+      _arg("--t0", type=_finite),
+      _arg("--n-bins", type=int, default=256)) + OUT,
      _cmd_bin),
     ("fuse-trends", "fuse overlapping trend segments",
      (_arg("files", nargs="+"),) + OUT, _cmd_fuse_trends),
     ("beat-demo", "two-tone beat formation bundle",
-     (_arg("--w1", type=float),
-      _arg("--w2", type=float),
-      _arg("--n", type=int)) + OUT,
+     (_arg("--w1", type=_finite, default=0.10),
+      _arg("--w2", type=_finite, default=0.11),
+      _arg("--n", type=int, default=4096)) + OUT,
      _cmd_beat_demo),
     ("compare-periods", "low-frequency shares across periods",
      SERIES_IN + (_arg("--periods", required=True,
@@ -455,7 +450,10 @@ def build_parser():
     for name, help_text, args, handler in COMMANDS:
         p = sub.add_parser(name, help=help_text)
         for flags, options in args:
-            p.add_argument(*flags, **options)
+            action = p.add_argument(*flags, **options)
+            if "default" in options:    # a string default is parsed by the type
+                action.default = os.environ.get("NETOSC_" + action.dest.upper(),
+                                                action.default)
         p.set_defaults(handler=handler)
     return parser
 
@@ -463,8 +461,9 @@ def build_parser():
 def _error_summary(command, exc):
     err = {"type": type(exc).__name__, "message": str(exc)}
     for key in ("t_diverge", "basis_condition"):
-        if getattr(exc, key, None) is not None:
-            err[key] = getattr(exc, key)
+        value = getattr(exc, key, None)
+        if value is not None:   # a non-finite value as its name: strict JSON
+            err[key] = value if np.isfinite(value) else str(value)
     return _json({"command": command, "error": err})
 
 
@@ -478,14 +477,14 @@ def run(argv) -> CommandResult:
     files = _Files(params.get("out"))
     try:
         results = handler(params, files)
-        summary = _json({"command": command, "params": params, "inputs": files.inputs,
-                         "outputs": files.paths, **results})
     except tuple(_ERROR_EXITS) as exc:
         code, stream = next(_ERROR_EXITS[cls] for cls in type(exc).__mro__
                             if cls in _ERROR_EXITS)
         summary = _error_summary(command, exc)
         print(summary, file=getattr(sys, stream))
         return CommandResult(exit_code=code, outputs=[], summary=summary)
+    summary = _json({"command": command, "params": params, "inputs": files.inputs,
+                     "outputs": files.paths, **results})
     print(summary)
     return CommandResult(exit_code=0, outputs=files.paths, summary=summary)
 

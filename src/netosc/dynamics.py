@@ -28,9 +28,11 @@ from .errors import (
     InvalidGraph,
     NetoscError,
     NotSymmetrizableError,
+    OutOfRange,
     Unstable,
 )
 from .graph import (
+    MAX_ENTRY,
     LaplacianMatrix,
     NotSymmetrizable,
     SymmetrizableDecomposition,
@@ -85,7 +87,8 @@ def _verlet_step_limit(d_max) -> float:
 
 @dataclass(frozen=True)
 class InitialCondition:
-    """Initial states x0 and state velocities v0."""
+    """Initial states x0 and state velocities v0: finite (ValueError) and at
+    most MAX_ENTRY in magnitude (OutOfRange), as Laplacian entries are."""
 
     x0: np.ndarray
     v0: np.ndarray
@@ -97,6 +100,8 @@ class InitialCondition:
             raise ValueError(f"mismatched shapes {x0.shape} vs {v0.shape}")
         if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(v0))):
             raise ValueError("initial condition must be finite")
+        if max(np.max(np.abs(x0), initial=0.0), np.max(np.abs(v0), initial=0.0)) > MAX_ENTRY:
+            raise OutOfRange(f"initial condition entries above {MAX_ENTRY:.0e} in magnitude")
         x0.flags.writeable = False
         v0.flags.writeable = False
         object.__setattr__(self, "x0", x0)

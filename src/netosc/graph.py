@@ -339,16 +339,20 @@ def compose_epsilon(split, eps: float) -> LaplacianMatrix:
     """Laplacian lap0 + eps * lapI; eps = 0 returns lap0 exactly, and eps = 1
     recomposes a canonical_split exactly.
 
-    ``split`` is a OneWaySplit or any (lap0, lapI) pair.
+    ``split`` is a OneWaySplit or any (lap0, lapI) pair.  ``eps`` must be
+    finite and >= 0 (ValueError); an entry that overflows makes the sum the
+    constructor's InvalidGraph.
     """
     lap0, lapI = split
-    if eps < 0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
+    if not 0 <= eps < np.inf:
+        raise ValueError(f"eps must be finite and >= 0, got {eps}")
     if lap0.n != lapI.n:
         raise ValueError("parts must have the same dimension")
     if eps == 0.0:
         return lap0
-    return LaplacianMatrix(lap0.entries + eps * lapI.entries)
+    with np.errstate(over="ignore"):    # an infinite entry is refused below
+        entries = lap0.entries + eps * lapI.entries
+    return LaplacianMatrix(entries)
 
 
 # --- interchange formats ----------------------------------------------------

@@ -258,10 +258,16 @@ def parse_trend_csv(text: str) -> TrendSegment:
         parts = line.split(",")
         if len(parts) != 2:
             raise ValueError(f"expected 2 fields, got {len(parts)}")
-        return _parse_timestamp(parts[0].strip()), float(parts[1])
+        row = _parse_timestamp(parts[0].strip()), float(parts[1])
+        if not np.all(np.isfinite(row)):
+            raise ValueError(f"non-finite value in {line!r}")
+        return row
 
     stamps, values = zip(*_parse_rows(chain(head, rows), fields))
-    steps = np.diff(stamps)
+    with np.errstate(over="ignore"):  # an overflowing step is reported below
+        steps = np.diff(stamps)
+    if not np.all(np.isfinite(steps)):
+        raise ParseError("trend steps overflow the float range")
     if steps.size == 0 or np.any(np.abs(steps - steps[0]) > 1e-6):
         raise ParseError("trend rows must be uniformly spaced")
     return TrendSegment(start=stamps[0], step=float(steps[0]),

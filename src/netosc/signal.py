@@ -226,13 +226,17 @@ def estimate_beat_frequency(values, dt: float = 1.0) -> float:
 
     Takes the analytic-signal envelope, removes its mean, and reads off the
     strongest spectral line with parabolic refinement.  For a two-tone signal
-    this recovers |omega_1 - omega_2|.
+    this recovers |omega_1 - omega_2|.  Raises OutOfRange, as dft_spectrum
+    does, when the values are too large for the DFTs.
     """
     v = np.asarray(values, dtype=float)
     if v.size < 8:
         raise TooShort("beat estimation needs at least 8 samples")
-    env = np.abs(_analytic_signal(v - v.mean()))
-    mag = np.abs(np.fft.rfft(env - env.mean()))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        env = np.abs(_analytic_signal(v - v.mean()))
+        mag = np.abs(np.fft.rfft(env - env.mean()))
+    if not np.all(np.isfinite(mag)):
+        raise OutOfRange(f"values up to {np.max(np.abs(v)):.3g} overflow the envelope DFT")
     if mag[1:].max(initial=0.0) == 0.0:
         return 0.0
     k = int(1 + np.argmax(mag[1:]))

@@ -268,6 +268,8 @@ def _locate_transition(lap0, lapI, bracket, tol):
         else:
             trial = x + min(MARCH_THETA * first, cap)
         trial = min(max(trial, x + 0.5 * tol, np.nextafter(x, hi)), hi, top - 0.5 * tol)
+        if not np.isfinite(trial):     # hi = inf, and no model bounds the step
+            raise NoTransition(f"no pair collision predicted above the real point eps = {x}")
         solves += 1
         lam, real, coupling = _solve_at(parts, trial, True)
         if real:
@@ -314,8 +316,9 @@ def critical_epsilon(lap0: LaplacianMatrix, lapI: LaplacianMatrix,
     with the same models until the bracket is at most tol wide; the midpoint
     is returned.  The march thus certifies nothing between its real points:
     it can miss a complex window narrower than an allowed step.  NoTransition
-    means every march point up to bracket[1] was real.  Real means
-    spectrum_is_real's |Im lambda| <= 1e-8 d_max test, and symmetric
+    means every march point up to bracket[1] was real, or, with bracket[1] =
+    inf, that no pair model bounds the step from the last real point.  Real
+    means spectrum_is_real's |Im lambda| <= 1e-8 d_max test, and symmetric
     compositions count as real.  No eigenbasis is checked, so unlike
     eigendecompose this never raises DefectiveMatrix: a real point whose
     eigenbasis is singular is a point without a model, and the next step is

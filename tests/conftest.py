@@ -1,5 +1,6 @@
 """Shared fixtures: the 5-node directed network model used across the suite."""
 
+import json
 import sys
 
 import numpy as np
@@ -110,6 +111,13 @@ def brute_force_betweenness(n, links):
                 through = sum(1 for p in paths if v in p)
                 bc[v] += through / len(paths)
     return bc
+
+
+def strict_json(text):
+    """``text`` as JSON, refusing the NaN and +-Infinity tokens."""
+    def refuse(token):
+        raise ValueError(f"{token} is not strict JSON")
+    return json.loads(text, parse_constant=refuse)
 
 
 def seeded_digraph(seed, n):

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import MODEL_L0, MODEL_LI, MODEL_X0, seeded_digraph
+from conftest import MODEL_L0, MODEL_LI, MODEL_X0, seeded_digraph, strict_json
 from netosc import signal
 from netosc.cli import _CSV_BLOCK_ROWS, _csv, _Files, _states_csv, run
 from netosc.dynamics import oscillation_centrality
@@ -46,7 +46,7 @@ def ring_json(tmp_path):
 
 
 def summary_of(result):
-    return json.loads(result.summary)
+    return strict_json(result.summary)
 
 
 class TestCriticalEps:
@@ -69,21 +69,19 @@ class TestCriticalEps:
         assert doc["error"]["type"] == "NoTransition"
 
     @pytest.mark.parametrize("tol", ["nan", "inf"])
-    def test_non_finite_tol_refused(self, model_json, tol):
-        # not exit 0 with eps_star Infinity after one solve
+    def test_non_finite_tol_refused(self, model_json, capsys, tol):
+        # not exit 0 with eps_star Infinity after one solve: a usage error
         result = run(["critical-eps", "--graph", str(model_json),
                       "--lo", "0", "--hi", "3", "--tol", tol])
-        assert result.exit_code == 3
-        assert summary_of(result)["error"] == {
-            "type": "BadBracket", "message": f"need a finite lo and tol, got lo=0.0, tol={tol}"}
+        assert (result.exit_code, result.summary) == (1, "")
+        assert f"argument --tol: '{tol}' is not a finite number" in capsys.readouterr().err
 
-    def test_infinite_hi_reports_solved_bracket(self, model_json):
+    def test_infinite_hi_reports_solved_bracket(self, model_json, capsys):
+        # an infinite bracket end is a usage error; the library still takes one
         result = run(["critical-eps", "--graph", str(model_json),
                       "--lo", "0", "--hi", "inf", "--tol", "1e-3"])
-        assert result.exit_code == 0
-        doc = summary_of(result)
-        lo, hi = doc["final_bracket"]
-        assert 1.65 < lo < doc["eps_star"] < hi < 1.66 and hi - lo <= 1e-3
+        assert (result.exit_code, result.summary) == (1, "")
+        assert "argument --hi: 'inf' is not a finite number" in capsys.readouterr().err
 
 
 class TestBeatDemo:
@@ -292,6 +290,37 @@ class TestSweep:
         assert [r["spectrum_real"] for r in records] == [True, True, True, False]
         assert (out / "sweep.json").exists()
 
+    @pytest.mark.parametrize("eps", ["1,inf", "nan", "0,-inf"])
+    def test_non_finite_eps_is_usage_error(self, model_json, tmp_path, eps):
+        # not exit 0 with "eps": Infinity in the summary and sweep.json
+        out = tmp_path / "sweep"
+        result = run(["sweep", "--graph", str(model_json), f"--eps={eps}",
+                      "--x0", ",".join(str(v) for v in MODEL_X0), "--out", str(out)])
+        assert result.exit_code == 1
+        assert summary_of(result)["error"] == {"type": "ValueError",
+                                               "message": "eps must be finite"}
+        assert not out.exists()
+
+    def test_overflowing_eps_is_a_record_error(self, model_json):
+        result = run(["sweep", "--graph", str(model_json), "--eps", "1,1e308",
+                      "--x0", ",".join(str(v) for v in MODEL_X0), "--t-end", "1"])
+        assert result.exit_code == 0
+        records = summary_of(result)["records"]
+        assert records[0]["error"] is None
+        assert records[1]["error"] == "InvalidGraph: Laplacian entries must be finite"
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("vectors", [["--x0=1e308,0,0,0,0"],
+                                         ["--x0=1,0,0,0,0", "--v0=1,1,1,1,-2e150"]])
+    def test_oversized_initial_condition_is_out_of_range(self, model_json, command, vectors):
+        # not a numpy warning from the mode expansion or the beat estimate
+        result = run([command, "--graph", str(model_json), "--eps", "0", "--t-end", "1",
+                      *vectors])
+        assert result.exit_code == 2
+        assert summary_of(result)["error"] == {
+            "type": "OutOfRange",
+            "message": "initial condition entries above 1e+150 in magnitude"}
+
 
 class TestBadTimeFlags:
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
@@ -307,12 +336,17 @@ class TestBadTimeFlags:
             argv += ["--eps", "0,1.5"]
         result = run(argv)
         assert result.exit_code == 1
-        assert capsys.readouterr().err.strip() == result.summary
+        assert eigendecompose_calls == []
+        err = capsys.readouterr().err
+        if not np.isfinite(float(value)):   # refused by the flag's type, nothing read
+            assert result.summary == ""
+            assert f"argument {flag}: '{value}' is not a finite number" in err
+            return
+        assert err.strip() == result.summary
         error = summary_of(result)["error"]
         assert error["type"] == "ValueError"
         assert error["message"].startswith(
             "dt must be positive and t_end nonnegative, both finite")
-        assert eigendecompose_calls == []
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     @pytest.mark.parametrize("dt", ["1e-320", "1e-9"])
@@ -375,14 +409,14 @@ class TestBinAndFuse:
         assert (out / "series.csv").exists()
 
     @pytest.mark.parametrize("t0", ["nan", "inf", "-inf"])
-    def test_non_finite_t0_refused(self, tmp_path, t0):
-        # not exit 0 with every event silently out of range
+    def test_non_finite_t0_refused(self, tmp_path, capsys, t0):
+        # not exit 0 with every event silently out of range: a usage error,
+        # raised before the log is read
         events = tmp_path / "events.csv"
         events.write_text("timestamp\n0\n60\n")
         result = run(["bin", "--events", str(events), f"--t0={t0}"])
-        assert result.exit_code == 1
-        assert summary_of(result)["error"] == {
-            "type": "ValueError", "message": f"t0 must be finite, got {float(t0)}"}
+        assert (result.exit_code, result.summary) == (1, "")
+        assert f"argument --t0: '{t0}' is not a finite number" in capsys.readouterr().err
 
     def test_fuse_trends_80_40(self, tmp_path):
         a = tmp_path / "a.csv"
@@ -400,6 +434,19 @@ class TestBinAndFuse:
         text = (out / "fused.csv").read_text()
         values = [float(ln.split(",")[1]) for ln in text.splitlines()[1:]]
         assert values == [50.0, 45.0, 40.0, 100.0]
+
+    @pytest.mark.parametrize("rows, message", [
+        ("2019-01-06T22:00:00,nan\n2019-01-06T23:00:00,100\n",
+         "line 2: non-finite value in '2019-01-06T22:00:00,nan'"),
+        ("0,100\ninf,50\n", "line 3: non-finite value in 'inf,50'"),
+    ], ids=["nan-value", "inf-epoch"])
+    def test_non_finite_trend_row_is_parse_error(self, tmp_path, rows, message):
+        # not exit 1 with a raw ValueError, nor exit 0 with "step": Infinity
+        path = tmp_path / "trend.csv"
+        path.write_text("datetime,value\n" + rows)
+        result = run(["fuse-trends", str(path)])
+        assert result.exit_code == 2
+        assert summary_of(result)["error"] == {"type": "ParseError", "message": message}
 
 
 class TestComparePeriods:
@@ -487,6 +534,9 @@ class TestErrorTable:
         (FileNotFoundError("missing"), 1, "err", {}),
         (np.linalg.LinAlgError("eig did not converge"), 3, "out", {}),
         (IsADirectoryError("a directory"), 1, "err", {}),
+        # a non-finite diagnostic is written as its name, so the JSON stays strict
+        (DefectiveMatrix("singular", basis_condition=np.inf), 3, "out",
+         {"basis_condition": "inf"}),
     ])
     def test_exit_code_and_stream(self, monkeypatch, capsys, exc, code, stream, extra):
         def fail(*args, **kwargs):
@@ -499,7 +549,7 @@ class TestErrorTable:
         assert result.outputs == []
         assert getattr(captured, stream).strip() == result.summary
         assert getattr(captured, "err" if stream == "out" else "out") == ""
-        assert json.loads(result.summary) == {
+        assert summary_of(result) == {
             "command": "beat-demo",
             "error": {"type": type(exc).__name__, "message": str(exc), **extra},
         }
@@ -840,6 +890,13 @@ def _model_digraph():
 
 
 class TestEpsilonFamily:
+    def test_overflowing_eps_is_invalid_graph(self, model_json):
+        # not a numpy overflow warning on the way (warnings are errors here)
+        result = run(["analyze-graph", "--graph", str(model_json), "--eps", "1e308"])
+        assert result.exit_code == 2
+        assert summary_of(result)["error"] == {"type": "InvalidGraph",
+                                               "message": "Laplacian entries must be finite"}
+
     @pytest.mark.parametrize("form", [0, 1, 2], ids=["json", "csv", "laplacian"])
     def test_analyze_graph_honours_eps(self, tmp_path, form):
         g = seeded_digraph(1, 8)

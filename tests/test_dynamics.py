@@ -12,6 +12,7 @@ from netosc.errors import (
     Disconnected,
     InvalidGraph,
     NotSymmetrizableError,
+    OutOfRange,
     Unstable,
 )
 from netosc.dynamics import (
@@ -208,6 +209,13 @@ class TestModalSolve:
         states = evaluate_states(sol, times)
         bound = state_amplitude_bound(sol, t_end=200.0)
         assert np.max(np.abs(states[:, 0])) <= bound + 1e-9
+
+    @pytest.mark.parametrize("x0, v0", [([1e308, 0.0], [0.0, 0.0]), ([0.0, 0.0], [0.0, -2e150])])
+    def test_initial_condition_bounded_like_entries(self, x0, v0):
+        # beyond MAX_ENTRY the mode expansion overflows
+        with pytest.raises(OutOfRange, match="initial condition entries above 1e"):
+            InitialCondition(x0=x0, v0=v0)
+        assert InitialCondition(x0=[1e150, -1e150], v0=[-1e150, 0.0]).n == 2
 
     def test_initial_condition_reproduced(self):
         ic = InitialCondition(x0=MODEL_X0, v0=np.array([1.0, -2.0, 0.5, 0.0, 3.0]))

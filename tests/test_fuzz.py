@@ -1,6 +1,6 @@
-"""Property-based fuzzing of the CLI loaders: any bytes given to an input file
-end in exit 0 or a typed data error (exit 2), never in an exception escaping
-``run``."""
+"""Property-based fuzzing of the CLI: any bytes given to an input file end in
+exit 0 or a typed data error (exit 2), any weight scale and any float flag
+value in exit 0-3, never in an exception escaping ``run``."""
 
 import json
 
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MODEL_L0
+from conftest import MODEL_L0, MODEL_LI, strict_json
 from netosc.cli import run
 
 _TONE = 5.0 + np.cos(2 * np.pi * 8 * np.arange(64) / 64)
@@ -94,14 +94,6 @@ def _weighted_digraph(draw):
     return {"n": n, "edges": [edge + [draw(weight)] for edge in edges]}
 
 
-def _finite(value):
-    if isinstance(value, dict):
-        return all(map(_finite, value.values()))
-    if isinstance(value, list):
-        return all(map(_finite, value))
-    return not isinstance(value, float) or np.isfinite(value)
-
-
 NUMERIC = {
     "analyze-graph": [],
     "simulate": ["--t-end", "1", "--dt", "0.1", "X0"],
@@ -121,4 +113,94 @@ def test_any_weight_scale_exits_0_2_or_3(tmp_path_factory, command, doc):
                   *(x0 if a == "X0" else a for a in NUMERIC[command])])
     assert result.exit_code in (0, 2, 3)
     if result.exit_code == 0:
-        assert _finite(json.loads(result.summary))
+        strict_json(result.summary)     # no NaN or Infinity
+
+
+# signed zeros, infinities, NaN, the smallest subnormal, the largest
+# magnitudes, and negatives of any size
+_VALUES = st.one_of(
+    st.sampled_from(["0", "-0", "inf", "-inf", "nan", "5e-324", "1e308", "-1e308"]),
+    st.floats(max_value=0.0, exclude_max=True).map(repr))
+
+
+def _listed(min_size, max_size):
+    """A list flag's value: 1s and _VALUES, comma-separated."""
+    return st.lists(st.one_of(st.just("1"), _VALUES),
+                    min_size=min_size, max_size=max_size).map(",".join)
+
+
+_STATES = _listed(5, 5)     # one value per node of the model
+# command -> (valid argv, MODEL and EVENTS standing for the inputs; the values
+# drawn for each float flag, which replace the valid one or are added)
+FLOAT_FLAGS = {
+    "analyze-graph": (["--graph", "MODEL"], {"--eps": _VALUES}),
+    "simulate": (["--graph", "MODEL", "--x0", "1,0,0,0,0", "--t-end", "1", "--dt", "0.1"],
+                 {"--eps": _VALUES, "--t-end": _VALUES, "--dt": _VALUES,
+                  "--x0": _STATES, "--v0": _STATES}),
+    "critical-eps": (["--graph", "MODEL", "--lo", "0", "--hi", "3"],
+                     {"--lo": _VALUES, "--hi": _VALUES, "--tol": _VALUES}),
+    "sweep": (["--graph", "MODEL", "--eps", "0,1.5", "--x0", "1,0,0,0,0", "--t-end", "1",
+               "--dt", "0.1"],
+              {"--eps": _listed(1, 3), "--t-end": _VALUES, "--dt": _VALUES,
+               "--x0": _STATES, "--v0": _STATES}),
+    "bin": (["--events", "EVENTS"], {"--t0": _VALUES}),
+    "beat-demo": (["--n", "256"], {"--w1": _VALUES, "--w2": _VALUES}),
+}
+
+
+@pytest.fixture(scope="module")
+def numeric_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("flags")
+    (root / "model.json").write_text(json.dumps({"lap0": MODEL_L0.tolist(),
+                                                 "lapI": MODEL_LI.tolist()}))
+    (root / "events.csv").write_text(_EVENTS)
+    return {"MODEL": str(root / "model.json"), "EVENTS": str(root / "events.csv")}
+
+
+@pytest.mark.parametrize("command", sorted(FLOAT_FLAGS))
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_any_float_flag_exits_0_to_3(numeric_inputs, command, data):
+    argv, drawn = FLOAT_FLAGS[command]
+    flags = dict(zip(argv[::2], (numeric_inputs.get(v, v) for v in argv[1::2])))
+    for flag, values in drawn.items():
+        flags[flag] = data.draw(st.one_of(st.just(flags.get(flag)), values), label=flag)
+    # --flag=value: argparse reads a separate "-1,2" or "-1e308" as a flag
+    result = run([command] + [f"{k}={v}" for k, v in flags.items() if v is not None])
+    assert result.exit_code in (0, 1, 2, 3)
+    if result.summary == "":        # refused by argparse
+        assert result.exit_code == 1
+        return
+    doc = strict_json(result.summary)
+    if command == "critical-eps" and result.exit_code == 0:
+        _check_transition(doc)
+
+
+def _check_transition(doc):
+    lo, hi = doc["final_bracket"]
+    assert doc["bracket"][0] <= doc["eps_star"] <= doc["bracket"][1]
+    assert np.isfinite(lo) and np.isfinite(hi)
+
+
+@pytest.mark.parametrize("flags", [["--tol=5e-324"], ["--tol=1e308"], ["--hi=1e308"],
+                                   ["--lo=5e-324"], ["--lo=-0", "--hi=1e308", "--tol=5e-324"]])
+def test_extreme_transition_bracket_is_finite(numeric_inputs, flags):
+    # the drawn flags above seldom all reach a solved bracket
+    result = run(["critical-eps", "--graph", numeric_inputs["MODEL"], "--lo", "0", "--hi", "3",
+                  *flags])
+    assert result.exit_code == 0
+    _check_transition(strict_json(result.summary))
+
+
+@pytest.mark.parametrize("argv, name, value, flag", [
+    (["critical-eps", "--graph", "MODEL", "--lo", "0", "--hi", "3"], "NETOSC_TOL", "nan",
+     "--tol"),
+    (["beat-demo"], "NETOSC_N", "abc", "--n"),
+], ids=["tol-nan", "n-abc"])
+def test_bad_env_value_is_usage_error(numeric_inputs, monkeypatch, capsys, argv, name, value,
+                                      flag):
+    # parsed by the flag's own type, before any input is read: no summary
+    monkeypatch.setenv(name, value)
+    result = run([numeric_inputs.get(a, a) for a in argv])
+    assert (result.exit_code, result.summary) == (1, "")
+    assert f"argument {flag}: " in capsys.readouterr().err

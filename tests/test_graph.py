@@ -428,6 +428,17 @@ class TestComposeEpsilon:
         with pytest.raises(ValueError):
             compose_epsilon((model_lap0, model_lapI), -0.5)
 
+    @pytest.mark.parametrize("eps", [np.inf, np.nan])
+    def test_rejects_non_finite_eps(self, model_lap0, model_lapI, eps):
+        with pytest.raises(ValueError, match="eps must be finite"):
+            compose_epsilon((model_lap0, model_lapI), eps)
+
+    def test_overflowing_entry_is_invalid_graph(self, model_lap0, model_lapI):
+        # 1e308 * 2 overflows: a typed error, and no numpy warning (warnings
+        # are errors here)
+        with pytest.raises(InvalidGraph, match="entries must be finite"):
+            compose_epsilon((model_lap0, model_lapI), 1e308)
+
 
 class TestInterchange:
     def test_json_roundtrip(self):

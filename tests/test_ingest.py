@@ -293,6 +293,20 @@ class TestParseTrendCsv:
         with pytest.raises(EmptyInput):
             parse_trend_csv("")
 
+    @pytest.mark.parametrize("rows, line", [
+        ("2019-01-01T00:00:00,nan\n2019-01-01T01:00:00,100\n", 2),
+        ("0,100\ninf,50\n", 3),
+    ], ids=["nan-value", "inf-epoch"])
+    def test_non_finite_row_names_line(self, rows, line):
+        with pytest.raises(ParseError, match="non-finite value") as err:
+            parse_trend_csv("datetime,value\n" + rows)
+        assert err.value.line == line
+
+    def test_overflowing_step_refused(self):
+        # no numpy overflow warning either (warnings are errors here)
+        with pytest.raises(ParseError, match="overflow the float range"):
+            parse_trend_csv("datetime,value\n-1e308,100\n1e308,50\n")
+
 
 class TestParseSeriesCsv:
     def test_two_columns_set_step_and_origin(self):

@@ -243,6 +243,12 @@ class TestBeatEstimator:
         om = estimate_beat_frequency(v, dt=1.0)
         assert om == pytest.approx(0.03, rel=0.1)
 
+    def test_overflowing_values_are_out_of_range(self):
+        # not a frequency read off NaN spectra, nor a numpy warning
+        v = 1e308 * np.cos(0.5 * np.arange(64))
+        with pytest.raises(OutOfRange, match="overflow the envelope DFT"):
+            estimate_beat_frequency(v)
+
 
 def moving_average_loop(values, window):
     """The per-sample loop the vectorised moving average replaced."""

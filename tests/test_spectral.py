@@ -238,6 +238,14 @@ class TestCriticalEpsilon:
         assert lo < eps < hi and 0 < hi - lo <= 1e-3
         assert abs(eps - critical_epsilon(lap0, lapI, (0.0, 3.0), 1e-3)) <= 1e-3
 
+    def test_infinite_hi_without_a_predicted_collision(self):
+        # a symmetric ring predicts no pair collision, so no model bounds the
+        # first step: NoTransition, not a solve at eps = inf
+        ring = undirected_graph(4, [(k, (k + 1) % 4) for k in range(4)])
+        lap0, lapI = canonical_split(laplacian_of(ring))
+        with pytest.raises(NoTransition, match="no pair collision predicted"):
+            spectral._locate_transition(lap0, lapI, (0.0, np.inf), 1e-3)
+
     def test_three_cycle_matches_discriminant_oracle(self):
         # oracle: the cubic discriminant of det(L(eps) - lam I), computed from
         # trace / principal minors / determinant, goes negative exactly where
