@@ -19,7 +19,6 @@ error and propagates.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -30,6 +29,15 @@ import numpy as np
 
 from . import dynamics, graph, ingest, signal, spectral
 from .errors import DataError, InvalidGraph, NumericError, ParseError
+
+try:    # CPython's built-in SHA-256 (3.12+, then 3.10-3.11): hashlib loads OpenSSL
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:     # an interpreter built without the builtin
+        from hashlib import sha256 as _sha256
+
 
 @dataclass(frozen=True)
 class CommandResult:
@@ -44,15 +52,22 @@ class _Files:
     rendered or written.
 
     Each input is read once, as bytes: the summary's digest is of the bytes
-    the command parsed.  A renderer returns an artifact's text as an iterable
-    of pieces, which are streamed to a new temporary sibling file; only then
-    is the old file unlinked and the temporary file renamed into place.  A
-    render error at any piece therefore leaves the old file as it was and no
-    temporary file, and a symlink at an artifact path is replaced, not
-    followed.  Truncating an existing file in place (and equally
-    ``os.replace`` over it) stalled ≈60 ms per file on an ext4 root mounted
-    with ``discard``; the temporary write, unlink and rename of a 1.3 MB
-    artifact took ≈0.6 ms.  Nothing is fsynced: artifacts are reproducible.
+    the command parsed, its SHA-256 by CPython's built-in hash, not by
+    hashlib's.  hashlib maps OpenSSL's libcrypto, which cost every process
+    ≈3.7 MiB of RSS and ≈3 ms of import beside numpy (2-vCPU x86_64 VM,
+    Python 3.11).  The trade is hashing speed: the builtin hashes at
+    ≈230 MB/s against OpenSSL's ≈1.25 GB/s, ≈2 ms more on a 550 KB event
+    log and ≈0.35 s more per 100 MB of input.
+
+    A renderer returns an artifact's text as an iterable of pieces, which
+    are streamed to a new temporary sibling file; only then is the old file
+    unlinked and the temporary file renamed into place.  A render error at
+    any piece therefore leaves the old file as it was and no temporary file,
+    and a symlink at an artifact path is replaced, not followed.  Truncating
+    an existing file in place (and equally ``os.replace`` over it) stalled
+    ≈60 ms per file on an ext4 root mounted with ``discard``; the temporary
+    write, unlink and rename of a 1.3 MB artifact took ≈0.6 ms.  Nothing is
+    fsynced: artifacts are reproducible.
     """
 
     def __init__(self, out):
@@ -63,7 +78,7 @@ class _Files:
     def read(self, path):
         """The text of ``path``; bytes that are not UTF-8 raise ParseError."""
         data = Path(path).read_bytes()
-        self.inputs[str(path)] = hashlib.sha256(data).hexdigest()
+        self.inputs[str(path)] = _sha256(data).hexdigest()
         try:
             return data.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -241,8 +256,9 @@ def _cmd_simulate(params, files):
     traj = None
     if dt <= guard:
         traj = dynamics.integrate_numeric(lap, ic, dt=dt, t_end=t_end)
-        results["modal_numeric_max_error"] = float(
-            np.max(np.abs(traj.states - states)))
+        gap = traj.states - states     # the one full-grid temporary, freed
+        results["modal_numeric_max_error"] = float(np.max(np.abs(gap, out=gap)))
+        del gap                         # before the artifacts are rendered
     else:
         results["numeric_skipped"] = f"dt {dt} exceeds stability guard {guard:.6g}"
     files.write("trajectory_modal.csv", _states_csv, times, states)

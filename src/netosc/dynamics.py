@@ -43,10 +43,12 @@ from .graph import (
     scaled_laplacian,
     undirected_graph,
 )
-from .signal import TimeSeries, estimate_beat_frequency
+from .signal import TimeSeries, _read_only_floats, estimate_beat_frequency
 from .spectral import EigenSystem, eigen_gap, eigendecompose, spectrum_is_real
 
-# Trajectories whose max |x_i| crosses this are reported as unstable.
+# Trajectories whose max |x_i| crosses this many times the scale
+# max(1, |x0|_inf, |v0|_inf) of their initial condition are reported as
+# unstable.
 DIVERGENCE_CUTOFF = 1e12
 
 # integrate_numeric tests for divergence once per this many output steps.
@@ -158,16 +160,6 @@ class ModalSolution:
                     and np.max(np.abs(v.imag)) <= 1e-8)
 
 
-def _frozen(arr) -> bool:
-    """True when ``arr`` is an ndarray that is read-only, as is every array
-    in its chain of bases down to the one that owns the data."""
-    while isinstance(arr, np.ndarray) and not arr.flags.writeable:
-        if arr.base is None:
-            return True
-        arr = arr.base
-    return False
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Uniformly time-stepped states and velocities.
@@ -184,11 +176,7 @@ class Trajectory:
 
     def __post_init__(self):
         for name in ("times", "states", "velocities"):
-            arr = getattr(self, name)
-            if not (_frozen(arr) and arr.dtype == float):
-                arr = np.array(arr, dtype=float)
-                arr.flags.writeable = False
-                object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _read_only_floats(getattr(self, name)))
         steps = np.diff(self.times)
         if steps.size:
             # k * dt rounds each time by up to half an ulp, so on a long grid
@@ -430,8 +418,9 @@ def integrate_numeric(lap: LaplacianMatrix, ic: InitialCondition,
     ``states`` and ``velocities`` are read-only views of the one history.
     Raises ValueError for a bad grid or a dt above the stability guard
     0.2 / sqrt(2 d_max), and Unstable with the first output time at which any
-    |x_i| exceeds 1e12 or is not finite; the test runs once per
-    DIVERGENCE_CHECK_BLOCK = 64 output steps, over each of them.
+    |x_i| exceeds DIVERGENCE_CUTOFF * max(1, |x0|_inf, |v0|_inf) (1e12 for
+    an initial condition of scale at most 1) or is not finite; the test runs
+    once per DIVERGENCE_CHECK_BLOCK = 64 output steps, over each of them.
     """
     if ic.n != lap.n:
         raise ValueError(f"initial condition size {ic.n} != n = {lap.n}")
@@ -440,6 +429,8 @@ def integrate_numeric(lap: LaplacianMatrix, ic: InitialCondition,
     if dt > limit:
         raise ValueError(f"dt = {dt} exceeds stability guard {limit:.6g}")
     n = lap.n
+    cutoff = DIVERGENCE_CUTOFF * max(1.0, np.max(np.abs(ic.x0), initial=0.0),
+                                     np.max(np.abs(ic.v0), initial=0.0))
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite |x| counts as crossed
         transfer = _matrix_power(_verlet_step(lap.entries, dt / VERLET_SUBSTEPS),
                                  VERLET_SUBSTEPS)
@@ -450,10 +441,10 @@ def integrate_numeric(lap: LaplacianMatrix, ic: InitialCondition,
             for k in range(start, stop):
                 np.matmul(transfer, phase[k - 1], out=phase[k])
             peak = np.max(np.abs(phase[start:stop, :n]), axis=1)
-            over = np.flatnonzero(~(peak <= DIVERGENCE_CUTOFF))
+            over = np.flatnonzero(~(peak <= cutoff))
             if over.size:
                 k = start + int(over[0])
-                raise Unstable(f"|x| crossed {DIVERGENCE_CUTOFF:.0e} at t = {times[k]:.6g}",
+                raise Unstable(f"|x| crossed {cutoff:.6g} at t = {times[k]:.6g}",
                                t_diverge=float(times[k]))
     del transfer  # Trajectory's checks run beside the history alone
     phase.flags.writeable = times.flags.writeable = False

@@ -17,22 +17,27 @@ from itertools import chain, islice
 import numpy as np
 
 from .errors import EmptyInput, NoOverlap, OutOfRange, ParseError, ZeroAnchor
-from .signal import TimeSeries
+from .signal import TimeSeries, _read_only_floats
 
 
 @dataclass(frozen=True)
 class EventLog:
-    """Non-decreasing event timestamps in epoch seconds."""
+    """Non-decreasing event timestamps in epoch seconds.
+
+    A float array that is read-only down to the array owning its data (such
+    as parse_event_log's sorted array) is kept as it is; any other input is
+    copied into a read-only float array.  The order test compares
+    neighbours, so beyond the timestamps it holds one byte per event.
+    """
 
     timestamps: np.ndarray
 
     def __post_init__(self):
-        ts = np.array(self.timestamps, dtype=float)
+        ts = _read_only_floats(self.timestamps)
         if not np.all(np.isfinite(ts)):
             raise ParseError("timestamps must be finite")
-        if np.any(np.diff(ts) < 0):
+        if not np.all(ts[1:] >= ts[:-1]):
             raise ParseError("timestamps must be sorted")
-        ts.flags.writeable = False
         object.__setattr__(self, "timestamps", ts)
 
     def __len__(self):
@@ -154,6 +159,7 @@ def parse_event_log(text: str) -> EventLog:
 
     stamps = np.fromiter(_parse_rows(chain([first], rows), stamp), dtype=float)
     stamps.sort()
+    stamps.flags.writeable = False  # EventLog keeps it without a copy
     return EventLog(timestamps=stamps)
 
 
@@ -171,9 +177,12 @@ def bin_counts(log: EventLog, bin_seconds: int, t0: float,
     if n_bins < 2:
         raise ValueError("need at least 2 bins")
     # Bin positions stay floats until masked: a timestamp far from t0 has no
-    # int bin index, and one too far to subtract becomes +-inf.
+    # int bin index, and one too far to subtract becomes +-inf.  One array
+    # beside the timestamps, updated in place.
     with np.errstate(over="ignore"):
-        pos = np.floor((log.timestamps - t0) / bin_seconds)
+        pos = log.timestamps - t0
+        pos /= bin_seconds
+        np.floor(pos, out=pos)
     in_range = (pos >= 0) & (pos < n_bins)
     counts = np.bincount(pos[in_range].astype(int), minlength=n_bins).astype(float)
     series = TimeSeries(values=counts, dt=float(bin_seconds), origin=float(t0))

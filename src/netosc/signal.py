@@ -18,6 +18,26 @@ import numpy as np
 from .errors import AllZero, BadCutoff, OutOfRange, TooShort, WindowTooLarge
 
 
+def _frozen(arr) -> bool:
+    """True when ``arr`` is an ndarray that is read-only, as is every array
+    in its chain of bases down to the one that owns the data."""
+    while isinstance(arr, np.ndarray) and not arr.flags.writeable:
+        if arr.base is None:
+            return True
+        arr = arr.base
+    return False
+
+
+def _read_only_floats(arr) -> np.ndarray:
+    """``arr`` itself when it is a float array that is _frozen, else a
+    read-only float copy, so a caller's writeable array is never aliased or
+    frozen."""
+    if not (_frozen(arr) and arr.dtype == float):
+        arr = np.array(arr, dtype=float)
+        arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """Uniformly sampled real signal."""

@@ -234,9 +234,43 @@ class TestSimulate:
         assert result.exit_code == 0
         assert len(eigendecompose_calls) == 1
 
+    def test_cross_check_memory(self, model_json, tmp_path):
+        # README grid, 10,001 x 5: the Verlet history (0.76 MiB), the modal
+        # states (0.38 MiB), times, energy and one CSV block; the difference
+        # and its absolute value as two temporaries had peaked at 2.2 MiB
+        argv = ["simulate", "--graph", str(model_json), "--eps", "1.5",
+                "--x0", ",".join(str(v) for v in MODEL_X0), "--out", str(tmp_path)]
+        run(argv)
+        tracemalloc.start()
+        try:
+            result = run(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 0
+        assert peak <= 2.0 * 2**20
+
     def test_bad_vector_usage_error(self, model_json):
         result = run(["simulate", "--graph", str(model_json), "--x0", "1,2"])
         assert result.exit_code == 1
+
+    def test_large_initial_state_is_not_divergent(self, model_json):
+        # the divergence cutoff scales with max(1, |x0|, |v0|): a bounded run
+        # from 1e13 is cross-checked, where an absolute 1e12 had exited 3
+        result = run(["simulate", "--graph", str(model_json), "--x0", "1e13,0,0,0,0",
+                      "--t-end", "1"])
+        assert result.exit_code == 0
+        doc = summary_of(result)
+        assert doc["spectrum_real"] is True
+        assert doc["modal_numeric_max_error"] <= 1e-5 * doc["peak_amplitude"]
+
+    def test_divergence_message_names_its_threshold(self, model_json):
+        result = run(["simulate", "--graph", str(model_json), "--eps", "3",
+                      "--x0=-2,0,0,0,0", "--t-end", "200", "--dt", "0.02"])
+        assert result.exit_code == 3
+        err = summary_of(result)["error"]
+        assert err["type"] == "Unstable"
+        assert err["message"] == f"|x| crossed 2e+12 at t = {err['t_diverge']:.6g}"
 
     def test_half_step_grid_matches_numeric(self, model_json, tmp_path):
         # t_end / dt = 1.5: the modal and the Verlet grid must agree in length

@@ -70,9 +70,11 @@ LOOP_CASES = {
 
 
 def verlet_substep_loop(lap, ic, dt, t_end, substeps=10):
-    """Reference: velocity Verlet as an explicit loop over substeps."""
+    """Reference: velocity Verlet as an explicit loop over substeps, divergent
+    once |x| crosses 1e12 times the scale max(1, |x0|, |v0|)."""
     steps = int(round(t_end / dt))
     h = dt / substeps
+    cutoff = 1e12 * max(1.0, np.max(np.abs(ic.x0)), np.max(np.abs(ic.v0)))
     x, v = ic.x0.copy(), ic.v0.copy()
     acc = -(lap.entries @ x)
     states, vels = [x], [v]
@@ -82,7 +84,7 @@ def verlet_substep_loop(lap, ic, dt, t_end, substeps=10):
             acc_new = -(lap.entries @ x)
             v = v + 0.5 * h * (acc + acc_new)
             acc = acc_new
-        if np.max(np.abs(x)) > 1e12:
+        if np.max(np.abs(x)) > cutoff:
             return k * dt, None, None
         states.append(x)
         vels.append(v)
@@ -346,12 +348,12 @@ class TestIntegrateNumeric:
         assert np.max(np.abs(traj.velocities - vels)) <= 1e-10 * np.max(np.abs(vels))
 
     def test_divergence_time_matches_substep_loop(self):
-        # a large start keeps the slow growth (|Im w| ~ 0.015) to a few
-        # thousand steps before |x| crosses the 1e12 cutoff
-        lap = model(1.66)
+        # the cutoff scales with the large start, so |x| must grow by 1e12;
+        # the fast growth at eps = 3 (|Im w| ~ 0.2) takes about 7,000 steps
+        lap = model(3.0)
         ic = InitialCondition.at_rest(1e10 * MODEL_X0)
         b = eigendecompose(lap).max_growth_rate
-        t_end = 10.0 / b
+        t_end = 40.0 / b
         with pytest.raises(Unstable) as exc:
             integrate_numeric(lap, ic, dt=0.02, t_end=t_end)
         t_div, _, _ = verlet_substep_loop(lap, ic, 0.02, t_end)
@@ -361,17 +363,18 @@ class TestIntegrateNumeric:
     def test_divergence_on_the_last_grid_point(self):
         # the grid ends on the first step past the cutoff, inside a partial
         # last block of the once-per-block test; one step shorter stays finite
-        lap = model(1.66)
+        lap = model(3.0)
         ic = InitialCondition.at_rest(1e10 * MODEL_X0)
         b = eigendecompose(lap).max_growth_rate
-        t_div, _, _ = verlet_substep_loop(lap, ic, 0.02, 10.0 / b)
+        t_div, _, _ = verlet_substep_loop(lap, ic, 0.02, 40.0 / b)
         k = round(t_div / 0.02)
         assert k % dynamics.DIVERGENCE_CHECK_BLOCK != 0
         with pytest.raises(Unstable) as exc:
             integrate_numeric(lap, ic, dt=0.02, t_end=k * 0.02)
         assert exc.value.t_diverge == t_div
+        assert str(exc.value).startswith("|x| crossed 1e+23 at t = ")
         traj = integrate_numeric(lap, ic, dt=0.02, t_end=(k - 1) * 0.02)
-        assert np.max(np.abs(traj.states)) <= dynamics.DIVERGENCE_CUTOFF
+        assert np.max(np.abs(traj.states)) <= dynamics.DIVERGENCE_CUTOFF * 1e11
 
 
     def test_overflow_is_unstable(self):

@@ -114,7 +114,54 @@ class TestStreamedRows:
         finally:
             tracemalloc.stop()
         assert len(log) == n
-        assert peak <= 48 * n
+        # the float array, grown by 1.5x, and the one-byte order and finite
+        # masks of EventLog: a copy and a float diff there held 16 B more
+        assert peak <= 16 * n
+
+
+class TestEventLog:
+    def test_keeps_parsed_array(self):
+        log = parse_event_log("timestamp\n300\n100\n200\n")
+        assert not log.timestamps.flags.writeable
+        assert EventLog(log.timestamps).timestamps is log.timestamps
+
+    def test_copies_callers_array(self):
+        stamps = np.array([1.0, 2.0, 3.0])
+        log = EventLog(stamps)
+        assert stamps.flags.writeable and not log.timestamps.flags.writeable
+        stamps[0] = 0.5
+        assert log.timestamps[0] == 1.0
+        # read-only, but a view of a writeable array: still copied
+        view = stamps[:]
+        view.flags.writeable = False
+        assert EventLog(view).timestamps is not view
+        # an int array is copied into floats
+        assert EventLog(np.arange(3)).timestamps.dtype == float
+
+    @pytest.mark.parametrize("stamps, message", [
+        ([1.0, np.nan, 3.0], "timestamps must be finite"),
+        ([1.0, np.inf], "timestamps must be finite"),
+        ([1.0, 3.0, 2.0], "timestamps must be sorted"),
+        ([2.0, 2.0 - 1e-9], "timestamps must be sorted"),
+    ])
+    def test_refused(self, stamps, message):
+        with pytest.raises(ParseError, match=message):
+            EventLog(np.array(stamps))
+
+    def test_ties_and_single_event(self):
+        assert len(EventLog(np.array([5.0, 5.0, 5.0]))) == 3
+        assert len(EventLog(np.array([5.0]))) == 1
+
+    def test_memory_beside_a_frozen_array(self):
+        stamps = np.arange(1_000_000, dtype=float)
+        stamps.flags.writeable = False
+        tracemalloc.start()
+        try:
+            EventLog(stamps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * stamps.size      # one-byte masks, no float copy
 
 
 class TestBinCounts:
@@ -149,6 +196,20 @@ class TestBinCounts:
         series, dropped = bin_counts(log, bin_seconds=60, t0=-1e308, n_bins=2)
         assert np.array_equal(series.values, [1.0, 0.0])
         assert dropped == 4
+
+    def test_memory_beside_the_log(self):
+        # one float position per event, updated in place, and its masks; a
+        # floor of a temporary difference held 8 B more
+        n = 200_000
+        log = EventLog(1.7e9 + 7.0 * np.arange(n))
+        tracemalloc.start()
+        try:
+            series, dropped = bin_counts(log, bin_seconds=960, t0=1.7e9, n_bins=256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert series.values.sum() + dropped == n
+        assert peak <= 14 * n
 
     def test_conserves_in_range_events(self):
         rng = np.random.default_rng(3)

@@ -3,13 +3,15 @@
 Runs the benchmark's walk-through (``perfbench/workloads.CLI_COMMANDS``) in
 process, in a temporary directory, on the inputs ``perfbench/gen.py`` writes
 for the cli-readme workload at seed 7.  Prints one line per command with its
-exit code and the sha256 of its stdout, then one line per artifact with its
-sha256.  Exits 1 if any command exits non-zero, or leaves in its --out
+exit code and the sha256 of its stdout, followed by one line per input
+digest its summary reports, ``<key> input <path> <sha256>``; then one line
+per artifact with its sha256.  Exits 1 if any command exits non-zero, or leaves in its --out
 directory a file that is not among the outputs it reports (a temporary file
 of the artifact writer, say); each such file is named on stderr.
 
 To check that a change keeps every byte, run it on two trees on one machine
-and diff the outputs:
+and diff the outputs.  Run this copy of the tool on both trees, from each
+tree's root, so both print the same kinds of line:
 
     PYTHONPATH=src python tools/walkthrough_digests.py > after.txt
 
@@ -20,6 +22,7 @@ the last bits of some results, so only runs on one machine are comparable.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import sys
 import tempfile
@@ -50,6 +53,9 @@ def main() -> int:
                 failed |= rec["returncode"] != 0
                 print(f"{key} exit {rec['returncode']} stdout "
                       f"{_sha256(rec['stdout'].encode())}")
+                inputs = json.loads(rec["stdout"]).get("inputs", {}) if rec["stdout"] else {}
+                for path, digest in inputs.items():
+                    print(f"{key} input {path} {digest}")
                 artifacts += rec["outputs"]
                 out = _out_dir(argv)
                 if out is not None:
