@@ -58,7 +58,6 @@ from .signal import (
     dft_spectrum,
     estimate_beat_frequency,
     low_freq_share,
-    normalize_spectrum,
     smooth_series,
     smooth_spectrum,
     square_series,

@@ -13,7 +13,8 @@ parameters, and results) and writes CSV artifacts to the --out directory.
 Exit codes: 0 success, 1 usage error (a bad flag or NETOSC_* value included)
 or unreadable path, 2 data error (non-UTF-8 input included), 3 numeric
 failure; any other exception, a non-finite result included, is a programming
-error and propagates.
+error and propagates.  ``main`` also exits 1, with one line on stderr, when
+stdout is closed before the summary is written.
 """
 
 from __future__ import annotations
@@ -506,7 +507,17 @@ def run(argv) -> CommandResult:
 
 
 def main():
-    raise SystemExit(run(sys.argv[1:]).exit_code)
+    try:
+        code = run(sys.argv[1:]).exit_code
+        sys.stdout.flush()  # a summary still buffered fails here, not at exit
+    except BrokenPipeError:
+        # stdout is closed; point it at devnull so that the interpreter's
+        # final flush of the unwritten summary fails no second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("netosc: stdout was closed before the summary was written",
+              file=sys.stderr)
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -82,6 +82,18 @@ def _time_grid(t_end, dt) -> np.ndarray:
     return np.arange(round(steps) + 1) * dt
 
 
+def _check_uniform(times):
+    """Raise ValueError unless ``times`` (1-D) steps by one fixed, finite
+    amount; a NaN or infinite time fails the comparison."""
+    steps = np.diff(times)
+    if steps.size:
+        # k * dt rounds each time by up to half an ulp, so on a long grid
+        # the steps differ by up to an ulp of the largest time
+        tol = 1e-12 * max(abs(steps[0]), 1.0) + 4.0 * np.spacing(np.max(np.abs(times)))
+        if not np.max(np.abs(steps - steps[0])) <= tol:
+            raise ValueError("time grid must be uniform")
+
+
 def _verlet_step_limit(d_max) -> float:
     """integrate_numeric's stability guard 0.2 / sqrt(2 d_max); inf at d_max 0."""
     return 0.2 / math.sqrt(2.0 * d_max) if d_max > 0 else math.inf
@@ -177,13 +189,7 @@ class Trajectory:
     def __post_init__(self):
         for name in ("times", "states", "velocities"):
             object.__setattr__(self, name, _read_only_floats(getattr(self, name)))
-        steps = np.diff(self.times)
-        if steps.size:
-            # k * dt rounds each time by up to half an ulp, so on a long grid
-            # the steps differ by up to an ulp of the largest time
-            tol = 1e-12 * max(abs(steps[0]), 1.0) + 4.0 * np.spacing(np.max(np.abs(self.times)))
-            if np.max(np.abs(steps - steps[0])) > tol:
-                raise ValueError("time grid must be uniform")
+        _check_uniform(self.times)
         if not np.all(np.isfinite(self.states)):
             raise ValueError("trajectory contains non-finite states")
 
@@ -365,37 +371,19 @@ def _verlet_step(lmat, h) -> np.ndarray:
     return step
 
 
-def _matrix_power(base, exponent) -> np.ndarray:
-    """``base`` to a power of at least 1, overwriting ``base``.
+def _tenth_power(step) -> np.ndarray:
+    """``step`` to the power VERLET_SUBSTEPS = 10, overwriting ``step``.
 
-    Follows np.linalg.matrix_power's loop, binary powering from the least
-    significant bit, so the bits match; for 10 that is s2 = s s, s4 = s2 s2,
-    s8 = s4 s4, then s2 s8.  The one exception is the power 3, which
-    matrix_power short-cuts as (s s) s.  Each product is written into a free
-    one of three buffers the size of ``base``, never into one of its
-    operands.
+    The products are np.linalg.matrix_power's for 10, so the bits match:
+    s2 = s s, s4 = s2 s2, s8 = s4 s4 (into ``step`` itself), then s2 s8.
+    Each is written into one of three buffers the size of ``step``, never
+    into one of its operands.
     """
-    free = [np.empty_like(base), np.empty_like(base)]
-    power = result = None
-    while exponent > 0:
-        if power is None:
-            power = base
-        else:
-            out = free.pop()
-            np.matmul(power, power, out=out)
-            if power is not result:
-                free.append(power)
-            power = out
-        exponent, bit = divmod(exponent, 2)
-        if bit:
-            if result is None:
-                result = power
-            else:
-                out = free.pop()
-                np.matmul(result, power, out=out)
-                free.append(result)
-                result = out
-    return result
+    s2, s4 = np.empty_like(step), np.empty_like(step)
+    np.matmul(step, step, out=s2)
+    np.matmul(s2, s2, out=s4)
+    np.matmul(s4, s4, out=step)
+    return np.matmul(s2, step, out=s4)
 
 
 def integrate_numeric(lap: LaplacianMatrix, ic: InitialCondition,
@@ -432,8 +420,7 @@ def integrate_numeric(lap: LaplacianMatrix, ic: InitialCondition,
     cutoff = DIVERGENCE_CUTOFF * max(1.0, np.max(np.abs(ic.x0), initial=0.0),
                                      np.max(np.abs(ic.v0), initial=0.0))
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite |x| counts as crossed
-        transfer = _matrix_power(_verlet_step(lap.entries, dt / VERLET_SUBSTEPS),
-                                 VERLET_SUBSTEPS)
+        transfer = _tenth_power(_verlet_step(lap.entries, dt / VERLET_SUBSTEPS))
         phase = np.empty((times.size, 2 * n))
         phase[0, :n], phase[0, n:] = ic.x0, ic.v0
         for start in range(1, times.size, DIVERGENCE_CHECK_BLOCK):
@@ -486,10 +473,12 @@ def total_energy_series(sol: ModalSolution, times) -> EnergyReport:
     p = exp(i w t), q = exp(-i w t) per mode and time, the pair sum is
     1/2 sum_mu p_mu (C q)_mu: one matmul per block of MODAL_TIME_BLOCK = 128
     times, so working memory beyond the series is O(n * 128).  q is the
-    conjugate of p when every w is exactly real.  Raises Unstable when a
-    growing mode carries the energy past the float range.
+    conjugate of p when every w is exactly real.  Raises ValueError when
+    ``times`` is not a uniform grid, and Unstable when a growing mode carries
+    the energy past the float range.
     """
     times = np.asarray(times, dtype=float).ravel()
+    _check_uniform(times)
     with np.errstate(over="ignore", invalid="ignore"):  # checked after the loop
         amp = np.sqrt(2.0 * (np.abs(sol.c_plus) ** 2 + np.abs(sol.c_minus) ** 2))
         om = sol.omegas

@@ -1,12 +1,13 @@
 """Spectral analysis of activity time series.
 
-The processing chain used throughout: magnitude DFT, drop the zero-frequency
-bin, normalize the remaining bins to sum 1, then (optionally) smooth with a
-centered moving average.  Frequency is indexed as f = omega/(2*pi) * N, so a
-tone cos(omega * t) sampled N times at unit spacing peaks at bin
-round(omega * N / (2*pi)).  Squaring a two-tone signal moves energy to the sum
-and difference frequencies; time-domain smoothing then suppresses the sum line
-and leaves the low-frequency beat dominant.
+The processing chain used throughout: dft_spectrum (magnitude DFT, the
+zero-frequency bin dropped, the rest normalized to sum 1; every Spectrum is
+one), then optionally smooth_spectrum (a centered moving average).
+Frequency is indexed as f = omega/(2*pi) * N, so a tone cos(omega * t)
+sampled N times at unit spacing peaks at bin round(omega * N / (2*pi)).
+Squaring a two-tone signal moves energy to the sum and difference
+frequencies; time-domain smoothing then suppresses the sum line and leaves
+the low-frequency beat dominant.
 """
 
 from __future__ import annotations
@@ -67,16 +68,11 @@ class TimeSeries:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Magnitude spectrum over integer frequency indices.
-
-    Raw spectra carry bins f = 0 .. floor(N/2); normalized spectra drop the
-    zero-frequency bin, so their first entry is f = 1 and the magnitudes sum
-    to 1.
-    """
+    """Magnitudes at frequency indices f = 1 .. floor(N/2), the zero-frequency
+    bin dropped, normalized to sum 1."""
 
     bins: np.ndarray
     n_samples: int
-    normalized: bool
 
     def __post_init__(self):
         b = np.array(self.bins, dtype=float)
@@ -87,23 +83,19 @@ class Spectrum:
 
     @property
     def freq_indices(self):
-        start = 1 if self.normalized else 0
-        return np.arange(start, start + self.bins.size)
+        return np.arange(1, 1 + self.bins.size)
 
     def peak_frequency_index(self):
-        """Frequency index of the largest non-DC magnitude."""
-        if self.normalized:
-            return int(1 + np.argmax(self.bins))
-        if self.bins.size < 2:
-            return 0
-        return int(1 + np.argmax(self.bins[1:]))
+        """Frequency index of the largest magnitude."""
+        return int(1 + np.argmax(self.bins))
 
 
 def dft_spectrum(s: TimeSeries) -> Spectrum:
-    """Raw magnitude spectrum at bins 0 .. floor(N/2).
+    """Magnitude DFT without its zero-frequency bin, scaled to sum 1.
 
-    Raises OutOfRange when the values are too large for the DFT: a magnitude,
-    or the total that normalize_spectrum divides by, is not finite.
+    Raises OutOfRange when the values are too large for the DFT (a
+    magnitude, or their total, is not finite), and AllZero when no
+    oscillating mode carries any magnitude.
     """
     if len(s) < 4:
         raise TooShort(f"need at least 4 samples, got {len(s)}")
@@ -113,21 +105,11 @@ def dft_spectrum(s: TimeSeries) -> Spectrum:
     if not np.isfinite(total):
         raise OutOfRange(f"series values up to {np.max(np.abs(s.values)):.3g} "
                          f"overflow the DFT magnitudes")
-    return Spectrum(bins=mag, n_samples=len(s), normalized=False)
-
-
-def normalize_spectrum(sp: Spectrum) -> Spectrum:
-    """Drop the zero-frequency bin and scale the rest to sum 1.
-
-    Idempotent; raises AllZero when no oscillating mode carries any magnitude.
-    """
-    if sp.normalized:
-        return sp
-    rest = sp.bins[1:]
+    rest = mag[1:]
     total = rest.sum()
     if total == 0.0:
         raise AllZero("no nonzero oscillating modes")
-    return Spectrum(bins=rest / total, n_samples=sp.n_samples, normalized=True)
+    return Spectrum(bins=rest / total, n_samples=len(s))
 
 
 def _moving_average(values, window, unit):
@@ -145,18 +127,15 @@ def _moving_average(values, window, unit):
 
 
 def smooth_spectrum(sp: Spectrum, window: int) -> Spectrum:
-    """Centered moving average over bins; window 1 is the identity.
-
-    Normalized input is re-normalized to unit mass afterwards.
-    """
+    """Centered moving average over bins, re-normalized to unit mass; window
+    1 is the identity.  An all-zero spectrum stays all zero."""
     if window == 1:
         return sp
     sm = _moving_average(sp.bins, window, f"{sp.bins.size} bins")
-    if sp.normalized:
-        total = sm.sum()
-        if total > 0:
-            sm = sm / total
-    return Spectrum(bins=sm, n_samples=sp.n_samples, normalized=sp.normalized)
+    total = sm.sum()
+    if total > 0:
+        sm = sm / total
+    return Spectrum(bins=sm, n_samples=sp.n_samples)
 
 
 def square_series(s: TimeSeries) -> TimeSeries:
@@ -172,10 +151,7 @@ def smooth_series(s: TimeSeries, window: int) -> TimeSeries:
 
 
 def low_freq_share(sp: Spectrum, cutoff_bin: int) -> float:
-    """Fraction of a normalized spectrum's mass at frequency indices
-    <= cutoff_bin."""
-    if not sp.normalized:
-        raise BadCutoff("low_freq_share requires a normalized spectrum")
+    """Fraction of the spectrum's mass at frequency indices <= cutoff_bin."""
     max_f = sp.bins.size  # indices run 1 .. size
     if not (1 <= cutoff_bin <= max_f):
         raise BadCutoff(f"cutoff must lie in [1, {max_f}], got {cutoff_bin}")
@@ -183,12 +159,12 @@ def low_freq_share(sp: Spectrum, cutoff_bin: int) -> float:
 
 
 def analyze_period(s: TimeSeries, window: int) -> Spectrum:
-    """The full chain: DFT, DC removal + unit normalization, smoothing.
+    """The full chain: dft_spectrum, then smooth_spectrum.
 
     Bins are 2 pi / (N dt) apart for N samples at step dt, so a beat slower
     than one bin lands in the DC bin that the chain removes; resolving a
     slow beat takes a long enough series."""
-    return smooth_spectrum(normalize_spectrum(dft_spectrum(s)), window)
+    return smooth_spectrum(dft_spectrum(s), window)
 
 
 @dataclass(frozen=True)
@@ -226,7 +202,7 @@ def beat_demo(omega1: float, omega2: float, n: int) -> BeatDemo:
     ssq = square_series(ssum)
     ssm = smooth_series(ssq, 64)
     signals = {"a": s1, "b": s2, "c": ssum, "d": ssq, "e": ssm}
-    spectra = {k: normalize_spectrum(dft_spectrum(v)) for k, v in signals.items()}
+    spectra = {k: dft_spectrum(v) for k, v in signals.items()}
     return BeatDemo(signals=signals, spectra=spectra)
 
 

@@ -2,7 +2,11 @@ import builtins
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1092,3 +1096,22 @@ class TestNodeLimit:
         error = summary_of(result)["error"]
         assert error["type"] == "InvalidGraph"
         assert error["message"] == f"node count {MAX_NODES + 1} exceeds the limit of 5000"
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_one_stderr_line_not_a_traceback(self, tmp_path, unbuffered):
+        # the summary is written after the artifacts, to a pipe whose reader
+        # has gone: a buffered stdout fails only when it is flushed
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "netosc.cli", "beat-demo", "--n", "256"],
+                                  cwd=tmp_path, stdout=write_end, stderr=subprocess.PIPE,
+                                  text=True, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == "netosc: stdout was closed before the summary was written\n"

@@ -435,15 +435,10 @@ class TestVerletBits:
         assert same_bits(traj.states, states)
         assert same_bits(traj.velocities, velocities)
 
-    @pytest.mark.parametrize("exponent", range(1, 17))
-    def test_power_follows_matrix_power(self, exponent):
+    def test_power_follows_matrix_power(self):
         base = dynamics._verlet_step(laplacian_of(seeded_digraph(0, 12)).entries, 0.01)
-        want = np.linalg.matrix_power(base, exponent)
-        got = dynamics._matrix_power(base.copy(), exponent)
-        if exponent == 3:  # matrix_power's short cut (s s) s
-            assert np.allclose(got, want, rtol=1e-14, atol=0.0)
-        else:
-            assert same_bits(got, want)
+        want = np.linalg.matrix_power(base, 10)
+        assert same_bits(dynamics._tenth_power(base.copy()), want)
 
 
 class TestTrajectory:
@@ -471,6 +466,11 @@ class TestTrajectory:
         assert np.array_equal(traj.velocities, np.zeros((3, 2)))
         assert not (traj.times.flags.writeable or traj.states.flags.writeable
                     or traj.velocities.flags.writeable)
+
+    @pytest.mark.parametrize("times", [[0.0, 1.0, 5.0], [0.0, 1.0, np.nan]])
+    def test_non_uniform_grid_is_refused(self, times):
+        with pytest.raises(ValueError, match="time grid must be uniform"):
+            Trajectory(times, np.ones((3, 2)), np.zeros((3, 2)))
 
     def test_frozen_arrays_are_kept(self):
         arrays = [np.arange(3) * 0.5, np.ones((3, 2)), np.zeros((3, 2))]
@@ -578,6 +578,15 @@ class TestTotalEnergySeries:
         e = total_energy_series(sol, times).series.values
         ref = energy_pair_loop(sol, times)
         assert np.max(np.abs(e - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("times", [[0.0, 1.0, 5.0, 5.5], [0.0, 1.0, np.nan],
+                                       [0.0, 1.0, np.inf]])
+    def test_non_uniform_grid_is_refused(self, times):
+        # not a series of step 1 read off the first two times, nor an
+        # Unstable "overflow" from a non-finite time
+        sol = modal_solve(model(1.5), model_ic())
+        with pytest.raises(ValueError, match="time grid must be uniform"):
+            total_energy_series(sol, times)
 
     def test_per_node_matches_node_energies(self):
         dec = check_symmetrizable(model(0.0))

@@ -17,7 +17,6 @@ from netosc.signal import (
     dft_spectrum,
     estimate_beat_frequency,
     low_freq_share,
-    normalize_spectrum,
     smooth_series,
     smooth_spectrum,
     square_series,
@@ -41,9 +40,9 @@ class TestDftSpectrum:
         assert abs(sp.peak_frequency_index() - 71.71) <= 1.0
 
     def test_constant_all_dc(self):
-        sp = dft_spectrum(TimeSeries(np.full(64, 2.5)))
-        assert sp.bins[0] > 0
-        assert np.max(sp.bins[1:]) == 0.0
+        # a constant series is all DC, which the spectrum drops
+        with pytest.raises(AllZero, match="no nonzero oscillating modes"):
+            dft_spectrum(TimeSeries(np.full(64, 2.5)))
 
     def test_too_short(self):
         with pytest.raises(TooShort):
@@ -59,62 +58,61 @@ class TestDftSpectrum:
         with pytest.raises(OutOfRange, match="overflow the DFT"):
             dft_spectrum(TimeSeries(np.array(values)))
 
-    def test_parseval(self):
-        rng = np.random.default_rng(5)
-        for n in (16, 100, 1024):
-            v = rng.normal(size=n)
-            sp = dft_spectrum(TimeSeries(v))
-            full = np.square(sp.bins)
-            # reassemble the full-DFT energy from the half spectrum
-            inner = full[1:-1] if n % 2 == 0 else full[1:]
-            total = full[0] + 2 * inner.sum() + (full[-1] if n % 2 == 0 else 0.0)
-            assert total == pytest.approx(n * np.sum(v * v), rel=1e-6)
+    @pytest.mark.parametrize("n", [4, 5, 16, 100, 1024])
+    def test_bins_start_at_one_and_sum_to_one(self, n):
+        sp = dft_spectrum(TimeSeries(np.random.default_rng(n).normal(size=n)))
+        assert sp.bins.size == n // 2 and sp.n_samples == n
+        assert np.array_equal(sp.freq_indices, np.arange(1, n // 2 + 1))
+        assert sp.bins.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestNormalizeSpectrum:
-    def test_arithmetic(self):
-        sp = Spectrum(bins=np.array([10.0, 1.0, 1.0, 2.0]), n_samples=8, normalized=False)
-        out = normalize_spectrum(sp)
-        assert np.allclose(out.bins, [0.25, 0.25, 0.5])
-        assert out.normalized
+    """dft_spectrum's normalization: |rfft| without its DC bin, over its sum."""
 
-    def test_idempotent(self):
-        sp = normalize_spectrum(dft_spectrum(tone(0.3, 256)))
-        again = normalize_spectrum(sp)
-        assert again is sp
+    def test_arithmetic(self):
+        for n in (8, 9, 256, 4096):
+            v = np.random.default_rng(n).normal(size=n)
+            mag = np.abs(np.fft.rfft(v))
+            want = mag[1:] / mag[1:].sum()
+            assert dft_spectrum(TimeSeries(v)).bins.tobytes() == want.tobytes(), n
 
     def test_offset_invariance(self):
         rng = np.random.default_rng(2)
         v = rng.normal(size=256)
-        a = normalize_spectrum(dft_spectrum(TimeSeries(v)))
-        b = normalize_spectrum(dft_spectrum(TimeSeries(v + 17.3)))
+        a = dft_spectrum(TimeSeries(v))
+        b = dft_spectrum(TimeSeries(v + 17.3))
         assert np.allclose(a.bins, b.bins, atol=1e-9)
 
     def test_all_zero(self):
         with pytest.raises(AllZero):
-            normalize_spectrum(dft_spectrum(TimeSeries(np.full(32, 4.0))))
+            dft_spectrum(TimeSeries(np.zeros(32)))
 
 
 class TestSmoothSpectrum:
     def test_window_one_identity(self):
-        sp = normalize_spectrum(dft_spectrum(tone(0.3, 256)))
+        sp = dft_spectrum(tone(0.3, 256))
         assert smooth_spectrum(sp, 1) is sp
 
     def test_delta_spreads(self):
         bins = np.zeros(64)
         bins[30] = 1.0
-        sp = Spectrum(bins=bins, n_samples=128, normalized=True)
+        sp = Spectrum(bins=bins, n_samples=128)
         sm = smooth_spectrum(sp, 3)
         assert np.allclose(sm.bins[29:32], 1.0 / 3.0, atol=1e-12)
         assert sm.bins.sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_all_zero_stays_zero(self):
+        # Spectrum is public, so a caller can build one with no mass
+        sm = smooth_spectrum(Spectrum(bins=np.zeros(16), n_samples=32), 5)
+        assert np.array_equal(sm.bins, np.zeros(16))
+
     def test_mass_preserved(self):
-        sp = normalize_spectrum(dft_spectrum(tone(0.21, 512)))
+        sp = dft_spectrum(tone(0.21, 512))
         sm = smooth_spectrum(sp, 20)
         assert sm.bins.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_window_too_large(self):
-        sp = normalize_spectrum(dft_spectrum(tone(0.3, 64)))
+        sp = dft_spectrum(tone(0.3, 64))
         with pytest.raises(WindowTooLarge):
             smooth_spectrum(sp, 100)
 
@@ -136,24 +134,24 @@ class TestTimeDomain:
     def test_sum_has_no_low_mass_but_square_does(self):
         t = np.arange(4096, dtype=float)
         ssum = TimeSeries(np.cos(0.10 * t) + np.cos(0.11 * t))
-        sp_sum = normalize_spectrum(dft_spectrum(ssum))
+        sp_sum = dft_spectrum(ssum)
         assert low_freq_share(sp_sum, 20) <= 0.01
-        sp_sq = normalize_spectrum(dft_spectrum(square_series(ssum)))
+        sp_sq = dft_spectrum(square_series(ssum))
         assert low_freq_share(sp_sq, 20) > 0.01
 
 
 class TestLowFreqShare:
     def test_full_cutoff_is_one(self):
-        sp = normalize_spectrum(dft_spectrum(tone(0.3, 256)))
+        sp = dft_spectrum(tone(0.3, 256))
         assert low_freq_share(sp, sp.bins.size) == pytest.approx(1.0, abs=1e-12)
 
     def test_flat_spectrum_fraction(self):
         b = 40
-        sp = Spectrum(bins=np.full(b, 1.0 / b), n_samples=2 * b, normalized=True)
+        sp = Spectrum(bins=np.full(b, 1.0 / b), n_samples=2 * b)
         assert low_freq_share(sp, 10) == pytest.approx(0.25, abs=1e-12)
 
     def test_bad_cutoff(self):
-        sp = normalize_spectrum(dft_spectrum(tone(0.3, 64)))
+        sp = dft_spectrum(tone(0.3, 64))
         with pytest.raises(BadCutoff):
             low_freq_share(sp, 0)
         with pytest.raises(BadCutoff):
@@ -277,7 +275,7 @@ class TestMovingAverage:
         with pytest.raises(WindowTooLarge):
             smooth_series(s, window)
         with pytest.raises(WindowTooLarge):
-            smooth_spectrum(normalize_spectrum(dft_spectrum(s)), window)
+            smooth_spectrum(dft_spectrum(s), window)
 
 
 class TestAnalyticSignal:
