@@ -14,18 +14,14 @@ from .dynamics import (
     Trajectory,
     betweenness_weights,
     epsilon_sweep,
-    evaluate_state,
     evaluate_states,
-    fit_growth_rate,
     integrate_numeric,
     modal_solve,
     node_energies,
     oscillation_centrality,
-    state_amplitude_bound,
     total_energy_series,
 )
 from .graph import (
-    GershgorinDisk,
     LaplacianMatrix,
     NotSymmetrizable,
     OneWaySplit,
@@ -34,9 +30,6 @@ from .graph import (
     canonical_split,
     check_symmetrizable,
     compose_epsilon,
-    gershgorin_disk,
-    graph_from_edge_csv,
-    graph_from_json,
     laplacian_of,
     left_null_vector,
     scaled_laplacian,
@@ -47,6 +40,8 @@ from .ingest import (
     TrendSegment,
     bin_counts,
     fuse_trends,
+    graph_from_edge_csv,
+    graph_from_json,
     slice_period,
 )
 from .signal import (

@@ -162,7 +162,7 @@ def _load_model(files, path):
     """
     text = files.read(path)
     if str(path).endswith(".csv"):
-        g = graph.graph_from_edge_csv(text)
+        g = ingest.graph_from_edge_csv(text)
     else:
         try:
             doc = json.loads(text)
@@ -176,7 +176,7 @@ def _load_model(files, path):
             return (lap0, lapI), None
         if isinstance(doc, dict) and "laplacian" in doc:
             return graph.canonical_split(graph.LaplacianMatrix(doc["laplacian"])), None
-        g = graph.graph_from_json(text)
+        g = ingest.graph_from_json(text)
     return graph.canonical_split(graph.laplacian_of(g)), g
 
 
@@ -210,12 +210,11 @@ def _cmd_analyze_graph(params, files):
     parts, _ = _load_model(files, params["graph"])
     lap = graph.compose_epsilon(parts, params["eps"])
     es = spectral.eigendecompose(lap)
-    disk = graph.gershgorin_disk(lap)
     verdict = graph.check_symmetrizable(lap)
     results = {
         "n": lap.n,
         "d_max": lap.d_max,
-        "gershgorin": {"center": disk.center, "radius": disk.radius},
+        "gershgorin": {"center": lap.d_max, "radius": lap.d_max},
         "spectrum_real": spectral.spectrum_is_real(es),
         "basis_condition": es.basis_condition,
         "eigenvalues": [[lam.real, lam.imag] for lam in es.eigenvalues],
@@ -239,7 +238,7 @@ def _cmd_simulate(params, files):
     parts, _ = _load_model(files, params["graph"])
     lap = graph.compose_epsilon(parts, params["eps"])
     t_end, dt = params["t_end"], params["dt"]
-    times = dynamics._time_grid(t_end, dt)
+    times = dynamics.time_grid(t_end, dt)
     ic = _initial_condition(params)
     sol = dynamics.modal_solve(lap, ic)
     states = dynamics.evaluate_states(sol, times)
@@ -253,7 +252,7 @@ def _cmd_simulate(params, files):
     results["energy_stationary"] = energy.total
     # numeric cross-check only where the step is stable; coarse grids are
     # fine for the modal path alone
-    guard = dynamics._verlet_step_limit(lap.d_max)
+    guard = dynamics.verlet_step_limit(lap.d_max)
     traj = None
     if dt <= guard:
         traj = dynamics.integrate_numeric(lap, ic, dt=dt, t_end=t_end)
@@ -293,7 +292,7 @@ def _cmd_centrality(params, files):
 def _cmd_critical_eps(params, files):
     (lap0, lapI), _ = _load_model(files, params["graph"])
     bracket = (params["lo"], params["hi"])
-    eps_star, lo, hi, solves = spectral._locate_transition(lap0, lapI, bracket, params["tol"])
+    eps_star, lo, hi, solves = spectral.locate_transition(lap0, lapI, bracket, params["tol"])
     return {"eps_star": eps_star, "bracket": list(bracket), "final_bracket": [lo, hi],
             "solves": solves, "tol": params["tol"]}
 

@@ -39,11 +39,10 @@ from .graph import (
     WeightedDigraph,
     check_symmetrizable,
     compose_epsilon,
-    laplacian_of,
     scaled_laplacian,
     undirected_graph,
 )
-from .signal import TimeSeries, _read_only_floats, estimate_beat_frequency
+from .signal import TimeSeries, estimate_beat_frequency, read_only_floats
 from .spectral import EigenSystem, eigen_gap, eigendecompose, spectrum_is_real
 
 # Trajectories whose max |x_i| crosses this many times the scale
@@ -66,7 +65,7 @@ VERLET_SUBSTEPS = 10
 MAX_TIME_POINTS = 10_000_000
 
 
-def _time_grid(t_end, dt) -> np.ndarray:
+def time_grid(t_end, dt) -> np.ndarray:
     """Times k * dt, k = 0 .. round(t_end / dt): the modal and numeric grid.
 
     Raises ValueError before allocating when the grid would hold more than
@@ -94,7 +93,7 @@ def _check_uniform(times):
             raise ValueError("time grid must be uniform")
 
 
-def _verlet_step_limit(d_max) -> float:
+def verlet_step_limit(d_max) -> float:
     """integrate_numeric's stability guard 0.2 / sqrt(2 d_max); inf at d_max 0."""
     return 0.2 / math.sqrt(2.0 * d_max) if d_max > 0 else math.inf
 
@@ -188,7 +187,7 @@ class Trajectory:
 
     def __post_init__(self):
         for name in ("times", "states", "velocities"):
-            object.__setattr__(self, name, _read_only_floats(getattr(self, name)))
+            object.__setattr__(self, name, read_only_floats(getattr(self, name)))
         _check_uniform(self.times)
         if not np.all(np.isfinite(self.states)):
             raise ValueError("trajectory contains non-finite states")
@@ -196,11 +195,12 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """Per-node energies, stationary total, and optionally the E(t) series."""
+    """Stationary total energy; node_energies also fills ``per_node``, and
+    total_energy_series ``series`` (None on a one-point grid)."""
 
-    per_node: np.ndarray
     total: float
     series: TimeSeries | None = None
+    per_node: np.ndarray | None = None
 
 
 def _expand(es: EigenSystem, mass, ic: InitialCondition) -> ModalSolution:
@@ -335,21 +335,6 @@ def evaluate_states(sol: ModalSolution, times) -> np.ndarray:
     return states
 
 
-def evaluate_state(sol: ModalSolution, t: float) -> np.ndarray:
-    """State x(t) at a single time."""
-    return evaluate_states(sol, [t])[0]
-
-
-def state_amplitude_bound(sol: ModalSolution, t_end: float = 0.0) -> float:
-    """Time-independent envelope bound on max_i |x_i(t)| for real spectra
-    (zero-mode drift contributes linearly up to ``t_end``)."""
-    coef = np.abs(sol.c_plus) + np.abs(sol.c_minus)
-    for k, offset, drift in sol.zero_modes:
-        coef[k] = abs(offset) + abs(drift) * t_end
-    per_node = (np.abs(sol.eigvecs) @ coef) / np.sqrt(sol.mass)
-    return float(np.max(per_node))
-
-
 def _verlet_step(lmat, h) -> np.ndarray:
     """integrate_numeric's one-step transfer matrix, built in one (2n)^2 array.
 
@@ -388,7 +373,7 @@ def _tenth_power(step) -> np.ndarray:
 
 def integrate_numeric(lap: LaplacianMatrix, ic: InitialCondition,
                       dt: float, t_end: float) -> Trajectory:
-    """Velocity-Verlet integration of d2x/dt2 = -L x on _time_grid(t_end, dt).
+    """Velocity-Verlet integration of d2x/dt2 = -L x on time_grid(t_end, dt).
 
     Each output step advances through VERLET_SUBSTEPS = 10 Verlet steps, so
     the global error stays O(dt^2) in the output step with a constant small
@@ -412,8 +397,8 @@ def integrate_numeric(lap: LaplacianMatrix, ic: InitialCondition,
     """
     if ic.n != lap.n:
         raise ValueError(f"initial condition size {ic.n} != n = {lap.n}")
-    times = _time_grid(t_end, dt)
-    limit = _verlet_step_limit(lap.d_max)
+    times = time_grid(t_end, dt)
+    limit = verlet_step_limit(lap.d_max)
     if dt > limit:
         raise ValueError(f"dt = {dt} exceeds stability guard {limit:.6g}")
     n = lap.n
@@ -438,13 +423,6 @@ def integrate_numeric(lap: LaplacianMatrix, ic: InitialCondition,
     return Trajectory(times=times, states=phase[:, :n], velocities=phase[:, n:])
 
 
-def _per_node_energy(sol: ModalSolution) -> np.ndarray:
-    """sum_mu lambda_mu (|c+|^2 + |c-|^2) |v_mu(i)|^2 for every node i."""
-    lam = (sol.omegas ** 2).real
-    weights = lam * (np.abs(sol.c_plus) ** 2 + np.abs(sol.c_minus) ** 2)
-    return (np.abs(sol.eigvecs) ** 2) @ weights
-
-
 def node_energies(sol: ModalSolution) -> EnergyReport:
     """Per-node oscillation energies sum_mu lambda_mu (|c+|^2+|c-|^2) v_mu(i)^2.
 
@@ -455,8 +433,10 @@ def node_energies(sol: ModalSolution) -> EnergyReport:
         raise NotSymmetrizableError(
             "node energies need an orthonormal eigenbasis; "
             "the underlying graph is not symmetrizable")
-    per_node = _per_node_energy(sol)
-    return EnergyReport(per_node=per_node, total=float(per_node.sum()))
+    lam = (sol.omegas ** 2).real
+    weights = lam * (np.abs(sol.c_plus) ** 2 + np.abs(sol.c_minus) ** 2)
+    per_node = (np.abs(sol.eigvecs) ** 2) @ weights
+    return EnergyReport(total=float(per_node.sum()), per_node=per_node)
 
 
 def total_energy_series(sol: ModalSolution, times) -> EnergyReport:
@@ -503,7 +483,7 @@ def total_energy_series(sol: ModalSolution, times) -> EnergyReport:
     if times.size >= 2:
         dt = float(times[1] - times[0])
         series = TimeSeries(values=series_values, dt=dt, origin=float(times[0]))
-    return EnergyReport(per_node=_per_node_energy(sol), total=stationary, series=series)
+    return EnergyReport(total=stationary, series=series)
 
 
 def betweenness_weights(g: WeightedDigraph) -> WeightedDigraph:
@@ -569,29 +549,6 @@ def oscillation_centrality(lap: LaplacianMatrix) -> np.ndarray:
     return (np.abs(es.eigenvectors[:, keep]) ** 2) @ es.eigenvalues.real[keep]
 
 
-def fit_growth_rate(times, amplitudes) -> float:
-    """Exponential growth rate of an amplitude envelope.
-
-    Reduces the curve to the maxima of 24 equal chunks (so beat nulls do not
-    bias the fit), keeps the contiguous trailing chunks within one decade of
-    the largest maximum, and returns the slope of a linear fit to log max.
-    """
-    times = np.asarray(times, dtype=float)
-    amplitudes = np.asarray(amplitudes, dtype=float)
-    idx_chunks = np.array_split(np.arange(times.size), 24)
-    tc = np.array([times[c].mean() for c in idx_chunks if c.size])
-    ac = np.array([amplitudes[c].max() for c in idx_chunks if c.size])
-    mask = ac >= ac.max() / 10.0
-    # use the contiguous tail only
-    start = len(mask) - 1
-    while start > 0 and mask[start - 1]:
-        start -= 1
-    tc, ac = tc[start:], ac[start:]
-    if tc.size < 4 or np.any(ac <= 0):
-        raise ValueError("not enough growth to fit a rate")
-    return float(np.polyfit(tc, np.log(ac), 1)[0])
-
-
 @dataclass(frozen=True)
 class SweepRecord:
     """Summary of one epsilon probe."""
@@ -621,7 +578,7 @@ def epsilon_sweep(lap0: LaplacianMatrix, lapI: LaplacianMatrix, eps_list,
     recorded per epsilon, not raised; any other exception propagates.
     Output order follows ``eps_list``.
     """
-    times = _time_grid(t_end, dt)
+    times = time_grid(t_end, dt)
     records = []
     for eps in eps_list:
         eps = float(eps)

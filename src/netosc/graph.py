@@ -11,14 +11,12 @@ lap0 + eps * lapI interpolates away from the symmetrizable point.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import Disconnected, InvalidGraph, OutOfRange, ParseError
-from .ingest import _numbered_rows, _parse_rows
+from .errors import Disconnected, InvalidGraph, OutOfRange
 
 # Entry-level tolerance of the Laplacian invariant checks, scaled by
 # (1 + max |entry|), and of the symmetry test, scaled by max(max |entry|, 1).
@@ -36,7 +34,7 @@ MAX_NODES = 5_000
 MAX_ENTRY = 1e150
 
 
-def _is_symmetric(arr) -> bool:
+def is_symmetric(arr) -> bool:
     """|A - A^T| <= _ENTRY_TOL * max(max |A|, 1) entrywise."""
     scale = max(np.max(np.abs(arr), initial=0.0), 1.0)
     return bool(np.max(np.abs(arr - arr.T), initial=0.0) <= _ENTRY_TOL * scale)
@@ -148,22 +146,9 @@ class LaplacianMatrix:
 
     @property
     def d_max(self):
-        """Largest weighted out-degree (largest diagonal entry, floored at 0)."""
+        """Largest weighted out-degree (largest diagonal entry, floored at 0):
+        the center and radius of the Gershgorin disk holding the spectrum."""
         return float(max(np.max(np.diag(self.entries)), 0.0))
-
-    def is_symmetric(self):
-        return _is_symmetric(self.entries)
-
-
-@dataclass(frozen=True)
-class GershgorinDisk:
-    """Disk centered at d_max with radius d_max; contains the whole spectrum."""
-
-    center: float
-    radius: float
-
-    def contains(self, z, slack=0.0):
-        return abs(complex(z) - self.center) <= self.radius + slack
 
 
 @dataclass(frozen=True)
@@ -179,7 +164,7 @@ class SymmetrizableDecomposition:
         object.__setattr__(self, "m", m)
         if np.any(m <= 0):
             raise InvalidGraph("mass vector must be positive")
-        if not self.lap_sym.is_symmetric():
+        if not is_symmetric(self.lap_sym.entries):
             raise InvalidGraph("lap_sym must be symmetric")
 
 
@@ -216,12 +201,6 @@ def laplacian_of(g: WeightedDigraph) -> LaplacianMatrix:
     mat[s, d] = -w  # at most one edge per ordered pair
     np.add.at(mat, (s, s), w)  # degrees summed in edge order
     return LaplacianMatrix(mat)
-
-
-def gershgorin_disk(lap: LaplacianMatrix) -> GershgorinDisk:
-    """Largest Gershgorin disk: center and radius both equal d_max."""
-    d = lap.d_max
-    return GershgorinDisk(center=d, radius=d)
 
 
 def left_null_vector(lap: LaplacianMatrix) -> np.ndarray:
@@ -353,56 +332,3 @@ def compose_epsilon(split, eps: float) -> LaplacianMatrix:
     with np.errstate(over="ignore"):    # an infinite entry is refused below
         entries = lap0.entries + eps * lapI.entries
     return LaplacianMatrix(entries)
-
-
-# --- interchange formats ----------------------------------------------------
-
-def graph_from_json(text: str) -> WeightedDigraph:
-    """Parse {"n": int, "edges": [[src, dst, w], ...]}."""
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
-        raise ParseError('graph JSON requires keys "n" and "edges"')
-    n = doc["n"]
-    if not _is_json_int(n):
-        raise ParseError(f'"n" must be an integer, got {n!r}')
-    edges = []
-    try:
-        for s, d, w in doc["edges"]:
-            if not (_is_json_int(s) and _is_json_int(d)):
-                raise ValueError(f"endpoints must be integers, got {s!r}, {d!r}")
-            if not isinstance(w, (int, float)) or isinstance(w, bool):
-                raise ValueError(f"weight must be a number, got {w!r}")
-            edges.append((s, d, float(w)))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"malformed edge list: {exc}") from exc
-    return WeightedDigraph(n=n, edges=tuple(edges))
-
-
-def _is_json_int(v):
-    """A JSON integer: an ``int`` that is not a ``bool``."""
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def graph_from_edge_csv(text: str) -> WeightedDigraph:
-    """Parse an edge-list CSV with header src,dst,w."""
-    rows = _numbered_rows(text)
-    header_line, header = next(rows, (None, None))
-    if header is None:
-        raise ParseError("empty edge CSV")
-    if [h.strip().lower() for h in header.split(",")][:3] != ["src", "dst", "w"]:
-        raise ParseError(f'expected header "src,dst,w", got "{header}"', line=header_line)
-
-    def edge(line):
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"expected 3 fields, got {len(parts)}")
-        return int(parts[0]), int(parts[1]), float(parts[2])
-
-    edges = list(_parse_rows(rows, edge))
-    n = 1 + max((max(s, d) for s, d, _ in edges), default=-1)
-    if n < 1:
-        raise ParseError("edge CSV contains no edges")
-    return WeightedDigraph(n=n, edges=tuple(edges))

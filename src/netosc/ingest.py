@@ -1,7 +1,9 @@
-"""Event-log and search-interest ingestion.
+"""Text input formats: graphs, event logs, search interest and series.
 
-Event logs are timestamp CSVs binned into fixed intervals (16-minute bins
-sliced into 256- or 128-sample analysis periods is the usual configuration).
+Graphs are JSON {"n", "edges"} documents or edge-list CSVs with header
+src,dst,w, whose node count is one more than the largest endpoint.  Event
+logs are timestamp CSVs binned into fixed intervals (16-minute bins sliced
+into 256- or 128-sample analysis periods is the usual configuration).
 Trends segments are hourly interest values normalized per segment to max 100;
 chains of overlapping segments are fused left to right by rescaling everything
 accumulated so far through the value ratio at the first shared timestamp, then
@@ -10,6 +12,7 @@ renormalizing the result to max 100.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import chain, islice
@@ -17,7 +20,8 @@ from itertools import chain, islice
 import numpy as np
 
 from .errors import EmptyInput, NoOverlap, OutOfRange, ParseError, ZeroAnchor
-from .signal import TimeSeries, _read_only_floats
+from .graph import WeightedDigraph
+from .signal import TimeSeries, read_only_floats
 
 
 @dataclass(frozen=True)
@@ -33,7 +37,7 @@ class EventLog:
     timestamps: np.ndarray
 
     def __post_init__(self):
-        ts = _read_only_floats(self.timestamps)
+        ts = read_only_floats(self.timestamps)
         if not np.all(np.isfinite(ts)):
             raise ParseError("timestamps must be finite")
         if not np.all(ts[1:] >= ts[:-1]):
@@ -323,3 +327,54 @@ def parse_series_csv(text: str) -> TimeSeries:
         raise ParseError("time column is not uniformly spaced")
     dt = float(steps[0]) if steps.size else 1.0
     return TimeSeries(values=vs, dt=dt, origin=float(ts[0]))
+
+
+def graph_from_json(text: str) -> WeightedDigraph:
+    """Parse {"n": int, "edges": [[src, dst, w], ...]}."""
+    try:
+        doc = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+        raise ParseError(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
+        raise ParseError('graph JSON requires keys "n" and "edges"')
+    n = doc["n"]
+    if not _is_json_int(n):
+        raise ParseError(f'"n" must be an integer, got {n!r}')
+    edges = []
+    try:
+        for s, d, w in doc["edges"]:
+            if not (_is_json_int(s) and _is_json_int(d)):
+                raise ValueError(f"endpoints must be integers, got {s!r}, {d!r}")
+            if not isinstance(w, (int, float)) or isinstance(w, bool):
+                raise ValueError(f"weight must be a number, got {w!r}")
+            edges.append((s, d, float(w)))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"malformed edge list: {exc}") from exc
+    return WeightedDigraph(n=n, edges=tuple(edges))
+
+
+def _is_json_int(v):
+    """A JSON integer: an ``int`` that is not a ``bool``."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def graph_from_edge_csv(text: str) -> WeightedDigraph:
+    """Parse an edge-list CSV with header src,dst,w."""
+    rows = _numbered_rows(text)
+    header_line, header = next(rows, (None, None))
+    if header is None:
+        raise EmptyInput("edge CSV is empty")
+    if [h.strip().lower() for h in header.split(",")][:3] != ["src", "dst", "w"]:
+        raise ParseError(f'expected header "src,dst,w", got "{header}"', line=header_line)
+
+    def edge(line):
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise ValueError(f"expected 3 fields, got {len(parts)}")
+        return int(parts[0]), int(parts[1]), float(parts[2])
+
+    edges = list(_parse_rows(rows, edge))
+    if not edges:
+        raise EmptyInput("edge CSV contains no edges")
+    n = 1 + max(max(s, d, 0) for s, d, _ in edges)    # a negative endpoint is out of range
+    return WeightedDigraph(n=n, edges=tuple(edges))

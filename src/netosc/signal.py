@@ -29,7 +29,7 @@ def _frozen(arr) -> bool:
     return False
 
 
-def _read_only_floats(arr) -> np.ndarray:
+def read_only_floats(arr) -> np.ndarray:
     """``arr`` itself when it is a float array that is _frozen, else a
     read-only float copy, so a caller's writeable array is never aliased or
     frozen."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadBracket, ComplexSpectrum, DefectiveMatrix, NoTransition
-from .graph import LaplacianMatrix, _is_symmetric, compose_epsilon
+from .graph import LaplacianMatrix, compose_epsilon, is_symmetric
 
 # Eigenvector bases with condition number beyond this are treated as defective;
 # the mode expansion is numerically meaningless past it.
@@ -80,13 +80,13 @@ class EigenSystem:
 def _entries(mat):
     """(entries, is_symmetric, d_max scale) of a dense real matrix.
 
-    Symmetric is graph._is_symmetric's test, the one LaplacianMatrix uses;
-    the scale is the largest diagonal entry, floored at 0.
+    Symmetric is graph.is_symmetric's test, the one SymmetrizableDecomposition
+    uses; the scale is the largest diagonal entry, floored at 0.
     """
     arr = mat.entries if isinstance(mat, LaplacianMatrix) else np.asarray(mat, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("matrix entries must be finite")
-    return arr, _is_symmetric(arr), float(np.max(np.diag(arr), initial=0.0))
+    return arr, is_symmetric(arr), float(np.max(np.diag(arr), initial=0.0))
 
 
 def eigendecompose(mat) -> EigenSystem:
@@ -235,12 +235,41 @@ def _second_order(lam, coupling, a, b, first):
     return float(roots[np.argmin(np.abs(roots - first))]) if roots.size else np.inf
 
 
-def _locate_transition(lap0, lapI, bracket, tol):
-    """critical_epsilon's search: (eps, lo, hi, solves).
+def locate_transition(lap0: LaplacianMatrix, lapI: LaplacianMatrix,
+                      bracket: tuple[float, float], tol: float):
+    """(eps, lo, hi, solves): an eps at which lap0 + eps*lapI turns from a
+    real to a non-real spectrum, the first such eps in the bracket unless a
+    complex window is narrower than a march step.
 
     [lo, hi] is the final bracket, real at lo and non-real at hi, and eps its
     midpoint; ``solves`` counts eigensolves, decompositions and
     eigenvalue-only solves alike.
+
+    Requires a finite tol and a real spectrum at a finite bracket[0]
+    (BadBracket otherwise); bracket[1] may be real or not, or inf.  The march
+    starts at bracket[0] with one decomposition per real point and predicts,
+    from the coupling of every mode pair in that eigenbasis, the nearest pair
+    collision (_pair_collision) to first order and, for the colliding pair, to
+    second order (_second_order).
+    A step goes MARCH_THETA = 0.8 of the way to the first-order collision, or
+    MARCH_SECOND = 0.95 of the way to the second-order one when the two agree
+    within 1 - MARCH_THETA of the first, never past a trust-region cap (0.05
+    of the bracket width, doubled after each real step until a point lands
+    non-real).  When they agree within MARCH_JUMP = 30 tol, the march solves
+    0.45 tol past the second-order collision and, if non-real there,
+    eigenvalues only 0.9 tol below it.  A non-real point becomes the top of
+    the bracket: the cap is reset to half the bracket, every later point lies
+    at least tol/2 inside it, and the march goes on from its last real point
+    with the same models until the bracket is at most tol wide.  The march
+    thus certifies nothing between its real points: it can miss a complex
+    window narrower than an allowed step.  NoTransition means every march
+    point up to bracket[1] was real, or, with bracket[1] = inf, that no pair
+    model bounds the step from the last real point.  Real means
+    spectrum_is_real's |Im lambda| <= 1e-8 d_max test, and symmetric
+    compositions count as real.  No eigenbasis is checked, so unlike
+    eigendecompose this never raises DefectiveMatrix: a real point whose
+    eigenbasis is singular is a point without a model, and the next step is
+    bounded by the cap alone.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (lo < hi) or tol <= 0:
@@ -294,35 +323,5 @@ def _locate_transition(lap0, lapI, bracket, tol):
 
 def critical_epsilon(lap0: LaplacianMatrix, lapI: LaplacianMatrix,
                      bracket: tuple[float, float], tol: float) -> float:
-    """An eps at which lap0 + eps*lapI turns from a real to a non-real
-    spectrum: the first such eps in the bracket unless a complex window is
-    narrower than a march step.
-
-    Requires a finite tol and a real spectrum at a finite bracket[0]
-    (BadBracket otherwise); bracket[1] may be real or not, or inf.  The march
-    starts at bracket[0] with one decomposition per real point and predicts,
-    from the coupling of every mode pair in that eigenbasis, the nearest pair
-    collision (_pair_collision) to first order and, for the colliding pair, to
-    second order (_second_order).
-    A step goes MARCH_THETA = 0.8 of the way to the first-order collision, or
-    MARCH_SECOND = 0.95 of the way to the second-order one when the two agree
-    within 1 - MARCH_THETA of the first, never past a trust-region cap (0.05
-    of the bracket width, doubled after each real step until a point lands
-    non-real).  When they agree within MARCH_JUMP = 30 tol, the march solves
-    0.45 tol past the second-order collision and, if non-real there,
-    eigenvalues only 0.9 tol below it.  A non-real point becomes the top of
-    the bracket: the cap is reset to half the bracket, every later point lies
-    at least tol/2 inside it, and the march goes on from its last real point
-    with the same models until the bracket is at most tol wide; the midpoint
-    is returned.  The march thus certifies nothing between its real points:
-    it can miss a complex window narrower than an allowed step.  NoTransition
-    means every march point up to bracket[1] was real, or, with bracket[1] =
-    inf, that no pair model bounds the step from the last real point.  Real
-    means spectrum_is_real's |Im lambda| <= 1e-8 d_max test, and symmetric
-    compositions count as real.  No eigenbasis is checked, so unlike
-    eigendecompose this never raises DefectiveMatrix: a real point whose
-    eigenbasis is singular is a point without a model, and the next step is
-    bounded by the cap alone.
-    """
-    return _locate_transition(lap0, lapI, bracket, tol)[0]
-
+    """The eps of locate_transition(lap0, lapI, bracket, tol), a float."""
+    return locate_transition(lap0, lapI, bracket, tol)[0]

@@ -1,4 +1,4 @@
-"""Shared fixtures: the 5-node directed network model used across the suite."""
+"""Shared fixtures: the 5-node directed network model, and the suite's oracles."""
 
 import json
 import sys
@@ -111,6 +111,39 @@ def brute_force_betweenness(n, links):
                 through = sum(1 for p in paths if v in p)
                 bc[v] += through / len(paths)
     return bc
+
+
+def state_amplitude_bound(sol, t_end: float = 0.0) -> float:
+    """Time-independent envelope bound on max_i |x_i(t)| for real spectra
+    (zero-mode drift contributes linearly up to ``t_end``)."""
+    coef = np.abs(sol.c_plus) + np.abs(sol.c_minus)
+    for k, offset, drift in sol.zero_modes:
+        coef[k] = abs(offset) + abs(drift) * t_end
+    per_node = (np.abs(sol.eigvecs) @ coef) / np.sqrt(sol.mass)
+    return float(np.max(per_node))
+
+
+def fit_growth_rate(times, amplitudes) -> float:
+    """Exponential growth rate of an amplitude envelope.
+
+    Reduces the curve to the maxima of 24 equal chunks (so beat nulls do not
+    bias the fit), keeps the contiguous trailing chunks within one decade of
+    the largest maximum, and returns the slope of a linear fit to log max.
+    """
+    times = np.asarray(times, dtype=float)
+    amplitudes = np.asarray(amplitudes, dtype=float)
+    idx_chunks = np.array_split(np.arange(times.size), 24)
+    tc = np.array([times[c].mean() for c in idx_chunks if c.size])
+    ac = np.array([amplitudes[c].max() for c in idx_chunks if c.size])
+    mask = ac >= ac.max() / 10.0
+    # use the contiguous tail only
+    start = len(mask) - 1
+    while start > 0 and mask[start - 1]:
+        start -= 1
+    tc, ac = tc[start:], ac[start:]
+    if tc.size < 4 or np.any(ac <= 0):
+        raise ValueError("not enough growth to fit a rate")
+    return float(np.polyfit(tc, np.log(ac), 1)[0])
 
 
 def strict_json(text):

@@ -11,17 +11,15 @@ import numpy as np
 import pytest
 
 from conftest import MODEL_L0, MODEL_LI, MODEL_L0_SYM, MODEL_MASS, MODEL_X0, \
-    brute_force_betweenness
+    brute_force_betweenness, fit_growth_rate, state_amplitude_bound
 from netosc.cli import run
 from netosc.dynamics import (
     InitialCondition,
     betweenness_weights,
     evaluate_states,
-    fit_growth_rate,
     integrate_numeric,
     modal_solve,
     oscillation_centrality,
-    state_amplitude_bound,
     total_energy_series,
 )
 from netosc.graph import (
@@ -29,7 +27,6 @@ from netosc.graph import (
     NotSymmetrizable,
     check_symmetrizable,
     compose_epsilon,
-    gershgorin_disk,
     laplacian_of,
     undirected_graph,
 )
@@ -264,10 +261,9 @@ def test_criterion_8_gershgorin():
                     w = rng.uniform(0.05, 9.0)
                     mat[i, j] -= w
                     mat[i, i] += w
-        lap = LaplacianMatrix(mat)
-        disk = gershgorin_disk(lap)
+        d = LaplacianMatrix(mat).d_max   # the disk's center and radius
         for lam in np.linalg.eigvals(mat):
-            assert disk.contains(lam, slack=1e-8)
+            assert abs(lam - d) <= d + 1e-8
 
 
 @criterion(9, "energy-series low-frequency share at eps=1.5 at least twice eps=0")

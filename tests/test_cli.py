@@ -161,7 +161,7 @@ class TestAnalyzeGraph:
         doc = summary_of(result)
         assert doc["symmetrizable"] is True
         assert np.allclose(doc["mass"], [3, 4, 1, 2, 4], atol=1e-8)
-        assert doc["gershgorin"]["center"] == 23.0
+        assert doc["gershgorin"] == {"center": 23.0, "radius": 23.0}
         assert (out / "laplacian.csv").exists()
         assert (out / "spectrum.csv").exists()
         assert (out / "laplacian_sym.csv").exists()
@@ -208,6 +208,16 @@ class TestAnalyzeGraph:
         assert text == _reference_matrix_csv(lap)
         back = np.array([[float(v) for v in line.split(",")] for line in text.splitlines()])
         assert np.array_equal(back, lap.entries)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "edge CSV is empty"), ("src,dst,w\n", "edge CSV contains no edges")],
+        ids=["empty", "header-only"])
+    def test_edge_csv_without_edges_is_empty_input(self, tmp_path, text, message):
+        path = tmp_path / "e.csv"
+        path.write_text(text)
+        result = run(["analyze-graph", "--graph", str(path)])
+        assert result.exit_code == 2
+        assert summary_of(result)["error"] == {"type": "EmptyInput", "message": message}
 
     def test_model_not_symmetrizable_at_eps1(self, model_json):
         result = run(["analyze-graph", "--graph", str(model_json), "--eps", "1"])

@@ -5,7 +5,8 @@ from collections import deque
 import numpy as np
 import pytest
 
-from conftest import MODEL_L0, MODEL_LI, MODEL_X0, brute_force_betweenness, seeded_digraph
+from conftest import MODEL_L0, MODEL_LI, MODEL_X0, brute_force_betweenness, fit_growth_rate, \
+    seeded_digraph, state_amplitude_bound
 from netosc import dynamics
 from netosc.errors import (
     DefectiveMatrix,
@@ -20,14 +21,11 @@ from netosc.dynamics import (
     Trajectory,
     betweenness_weights,
     epsilon_sweep,
-    evaluate_state,
     evaluate_states,
-    fit_growth_rate,
     integrate_numeric,
     modal_solve,
     node_energies,
     oscillation_centrality,
-    state_amplitude_bound,
     total_energy_series,
 )
 from netosc.graph import (
@@ -94,7 +92,7 @@ def verlet_substep_loop(lap, ic, dt, t_end, substeps=10):
 def verlet_block_power(lap, ic, dt, t_end):
     """Reference: integrate_numeric's states and velocities with the transfer
     matrix assembled by np.block and powered by np.linalg.matrix_power."""
-    times = dynamics._time_grid(t_end, dt)
+    times = dynamics.time_grid(t_end, dt)
     h = dt / dynamics.VERLET_SUBSTEPS
     n, lmat = lap.n, lap.entries
     drift = np.eye(n) - 0.5 * h * h * lmat
@@ -194,13 +192,13 @@ class TestModalSolve:
         assert np.max(np.abs(sol.c_minus)) <= 1e-10
         assert len(sol.zero_modes) == 1
         for t in (0.0, 3.7, 100.0):
-            assert np.allclose(evaluate_state(sol, t), 4.0, atol=1e-8)
+            assert np.allclose(evaluate_states(sol, [t])[0], 4.0, atol=1e-8)
 
     def test_two_node_spring_cosine(self):
         lap = laplacian_of(undirected_graph(2, [(0, 1)]))
         sol = modal_solve(lap, InitialCondition.at_rest([1.0, -1.0]))
         for t in np.linspace(0.0, 12.0, 40):
-            x = evaluate_state(sol, t)
+            x = evaluate_states(sol, [t])[0]
             assert x[0] == pytest.approx(np.cos(np.sqrt(2.0) * t), abs=1e-9)
             assert x[1] == pytest.approx(-np.cos(np.sqrt(2.0) * t), abs=1e-9)
 
@@ -222,15 +220,15 @@ class TestModalSolve:
     def test_initial_condition_reproduced(self):
         ic = InitialCondition(x0=MODEL_X0, v0=np.array([1.0, -2.0, 0.5, 0.0, 3.0]))
         sol = modal_solve(model(1.5), ic)
-        assert np.allclose(evaluate_state(sol, 0.0), ic.x0, atol=1e-8)
+        assert np.allclose(evaluate_states(sol, [0.0])[0], ic.x0, atol=1e-8)
 
     def test_sym_and_direct_paths_agree(self):
         dec = check_symmetrizable(model(0.0))
         sol_sym = modal_solve(model(0.0), model_ic(), sym=dec)
         sol_dir = modal_solve(model(0.0), model_ic())
         for t in (0.5, 5.0, 42.0):
-            assert np.allclose(evaluate_state(sol_sym, t),
-                               evaluate_state(sol_dir, t), atol=1e-7)
+            assert np.allclose(evaluate_states(sol_sym, [t])[0],
+                               evaluate_states(sol_dir, [t])[0], atol=1e-7)
 
     def test_mismatched_decomposition_rejected(self):
         dec = check_symmetrizable(model(0.0))
@@ -245,8 +243,8 @@ class TestModalSolve:
         sol_b = modal_solve(lap, InitialCondition.at_rest(xb))
         sol_ab = modal_solve(lap, InitialCondition.at_rest(2.0 * xa - 3.0 * xb))
         for t in (1.0, 7.3):
-            lhs = evaluate_state(sol_ab, t)
-            rhs = 2.0 * evaluate_state(sol_a, t) - 3.0 * evaluate_state(sol_b, t)
+            lhs = evaluate_states(sol_ab, [t])[0]
+            rhs = 2.0 * evaluate_states(sol_a, [t])[0] - 3.0 * evaluate_states(sol_b, [t])[0]
             assert np.allclose(lhs, rhs, atol=1e-8)
 
 
@@ -331,7 +329,7 @@ class TestIntegrateNumeric:
             integrate_numeric(model(0.0), model_ic(), dt=0.5, t_end=1.0)
 
     def test_step_limit_without_links(self):
-        assert dynamics._verlet_step_limit(0.0) == np.inf
+        assert dynamics.verlet_step_limit(0.0) == np.inf
         traj = integrate_numeric(LaplacianMatrix(np.zeros((2, 2))),
                                  InitialCondition(x0=[1.0, 2.0], v0=[0.5, 0.0]),
                                  dt=1.0, t_end=2.0)
@@ -402,7 +400,7 @@ class TestIntegrateNumeric:
         n, length = 200, 1001
         lap = laplacian_of(seeded_digraph(5, n))
         ic = InitialCondition.at_rest(np.random.default_rng(5).normal(size=n))
-        dt = 0.9 * dynamics._verlet_step_limit(lap.d_max)
+        dt = 0.9 * dynamics.verlet_step_limit(lap.d_max)
         integrate_numeric(lap, ic, dt, (length - 1) * dt)
         tracemalloc.start()
         try:
@@ -429,7 +427,7 @@ class TestVerletBits:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_history_equals_block_power(self, case, length):
         lap, ic = self.CASES[case]()
-        dt = 0.9 * dynamics._verlet_step_limit(lap.d_max)
+        dt = 0.9 * dynamics.verlet_step_limit(lap.d_max)
         traj = integrate_numeric(lap, ic, dt, (length - 1) * dt)
         states, velocities = verlet_block_power(lap, ic, dt, (length - 1) * dt)
         assert same_bits(traj.states, states)
@@ -486,19 +484,19 @@ class TestTimeGrid:
                                            (50.0, 0.05), (10.0, 0.01), (1.0, 0.01)])
     def test_matches_half_step_arange(self, t_end, dt):
         # away from exact half steps the grid is the arange the CLI once built
-        grid = dynamics._time_grid(t_end, dt)
+        grid = dynamics.time_grid(t_end, dt)
         assert np.array_equal(grid, np.arange(0.0, t_end + dt / 2.0, dt))
 
     def test_half_step_length_follows_round(self):
-        assert dynamics._time_grid(0.015, 0.01).size == 3
-        assert dynamics._time_grid(0.0, 0.01).tolist() == [0.0]
+        assert dynamics.time_grid(0.015, 0.01).size == 3
+        assert dynamics.time_grid(0.0, 0.01).tolist() == [0.0]
 
     @pytest.mark.parametrize("t_end, dt", [(1.0, 0.0), (1.0, -0.1), (1.0, np.nan),
                                            (1.0, np.inf), (np.nan, 0.1), (np.inf, 0.1),
                                            (-1.0, 0.1)])
     def test_bad_grid_rejected(self, t_end, dt):
         with pytest.raises(ValueError, match="both finite"):
-            dynamics._time_grid(t_end, dt)
+            dynamics.time_grid(t_end, dt)
 
     @pytest.mark.parametrize("t_end, dt", [
         (1.0, 1e-320), (1e300, 1e-300), (1.0, 1e-9),
@@ -506,13 +504,13 @@ class TestTimeGrid:
     def test_oversized_grid_rejected_before_allocation(self, t_end, dt):
         # the last case is one point over the limit
         with pytest.raises(ValueError, match="time points a grid may hold"):
-            dynamics._time_grid(t_end, dt)
+            dynamics.time_grid(t_end, dt)
 
     def test_largest_grid_size_is_allowed(self, monkeypatch):
         monkeypatch.setattr(dynamics, "MAX_TIME_POINTS", 11)
-        assert dynamics._time_grid(10.0, 1.0).size == 11
+        assert dynamics.time_grid(10.0, 1.0).size == 11
         with pytest.raises(ValueError, match="time points a grid may hold"):
-            dynamics._time_grid(11.0, 1.0)
+            dynamics.time_grid(11.0, 1.0)
 
 
 class TestNodeEnergies:
@@ -547,7 +545,8 @@ class TestTotalEnergySeries:
         report = total_energy_series(sol, times)
         e = report.series.values
         assert (e.max() - e.min()) / e.mean() <= 1e-9
-        assert report.total == pytest.approx(np.sum(report.per_node), rel=1e-9)
+        assert report.total == pytest.approx(np.sum(node_energies(sol).per_node), rel=1e-9)
+        assert report.per_node is None
 
     def test_oblique_basis_beats_at_min_frequency_gap(self):
         lap = model(1.5)
@@ -587,12 +586,6 @@ class TestTotalEnergySeries:
         sol = modal_solve(model(1.5), model_ic())
         with pytest.raises(ValueError, match="time grid must be uniform"):
             total_energy_series(sol, times)
-
-    def test_per_node_matches_node_energies(self):
-        dec = check_symmetrizable(model(0.0))
-        sol = modal_solve(model(0.0), model_ic(), sym=dec)
-        report = total_energy_series(sol, np.linspace(0.0, 1.0, 11))
-        assert np.array_equal(report.per_node, node_energies(sol).per_node)
 
 
 BLOCK = dynamics.MODAL_TIME_BLOCK

@@ -14,14 +14,13 @@ from netosc.graph import (
     canonical_split,
     check_symmetrizable,
     compose_epsilon,
-    gershgorin_disk,
-    graph_from_edge_csv,
-    graph_from_json,
+    is_symmetric,
     laplacian_of,
     left_null_vector,
     scaled_laplacian,
     undirected_graph,
 )
+from netosc.ingest import graph_from_edge_csv, graph_from_json
 
 
 def graph_of_matrix(mat):
@@ -178,13 +177,10 @@ class TestLaplacianOf:
 
 class TestGershgorin:
     def test_model_disk(self, model_lap0):
-        disk = gershgorin_disk(model_lap0)
-        assert disk.center == 23.0
-        assert disk.radius == 23.0
+        assert model_lap0.d_max == 23.0
 
     def test_zero_matrix(self):
-        disk = gershgorin_disk(LaplacianMatrix(np.zeros((1, 1))))
-        assert disk.center == 0.0 and disk.radius == 0.0
+        assert LaplacianMatrix(np.zeros((1, 1))).d_max == 0.0
 
     def test_contains_spectrum_random(self):
         rng = np.random.default_rng(7)
@@ -197,10 +193,9 @@ class TestGershgorin:
                         w = rng.uniform(0.1, 4.0)
                         mat[i, j] -= w
                         mat[i, i] += w
-            lap = LaplacianMatrix(mat)
-            disk = gershgorin_disk(lap)
+            d = LaplacianMatrix(mat).d_max
             for lam in np.linalg.eigvals(mat):
-                assert disk.contains(lam, slack=1e-8)
+                assert abs(lam - d) <= d + 1e-8
 
 
 class TestLeftNullVector:
@@ -373,7 +368,7 @@ class TestCanonicalSplit:
         split = canonical_split(lap)
         assert np.max(split.lap_oneway.entries) < 5e-3
         assert np.array_equal(compose_epsilon(split, 1.0).entries, lap.entries)
-        assert split.lap_sym_part.is_symmetric()
+        assert is_symmetric(split.lap_sym_part.entries)
 
     def test_recompose_exact_on_model(self, model_lap0, model_lapI):
         lap = compose_epsilon((model_lap0, model_lapI), 1.0)
@@ -463,6 +458,10 @@ class TestInterchange:
     def test_edge_csv_bad_header(self):
         with pytest.raises(ParseError):
             graph_from_edge_csv("a,b,c\n0,1,2\n")
+
+    def test_edge_csv_negative_endpoints_are_out_of_range(self):
+        with pytest.raises(InvalidGraph, match=r"edge \(-1,-2\) out of range for n=1"):
+            graph_from_edge_csv("src,dst,w\n-1,-2,1\n")
 
     def test_json_rejects_non_integer_n(self):
         for n in ("2.5", "2.0", "true", '"2"'):

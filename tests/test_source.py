@@ -1,9 +1,21 @@
-"""Checks on the package source itself: no private helper is left dead."""
+"""Checks on the package source itself: no private helper is left dead or
+crosses a module, and every export is used outside the tests."""
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "netosc"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "netosc"
+
+
+def _trees(folder):
+    return {path.name: ast.parse(path.read_text(), filename=str(path))
+            for path in sorted(folder.glob("*.py"))}
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__")
 
 
 def _private_definitions(tree):
@@ -17,8 +29,7 @@ def _private_definitions(tree):
             names = [t.id for t in targets if isinstance(t, ast.Name)]
         else:
             continue
-        yield from (name for name in names
-                    if name.startswith("_") and not name.startswith("__"))
+        yield from (name for name in names if _is_private(name))
 
 
 def _references(tree):
@@ -34,9 +45,37 @@ def _references(tree):
 
 
 def test_every_private_helper_is_used_in_the_package():
-    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
-             for path in sorted(SRC.glob("*.py"))}
+    trees = _trees(SRC)
     used = {name for tree in trees.values() for name in _references(tree)}
     dead = [f"{module}:{name}" for module, tree in trees.items()
             for name in _private_definitions(tree) if name not in used]
     assert not dead, f"private names that only their definition mentions: {dead}"
+
+
+def test_no_private_name_crosses_a_module():
+    """Neither ``from .module import _name`` nor ``module._name``."""
+    modules = {path.stem for path in SRC.glob("*.py")}
+    crossings = []
+    for module, tree in _trees(SRC).items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+                names = [node.attr]
+            else:
+                continue
+            crossings += [f"{module}:{node.lineno}: {name}" for name in names if _is_private(name)]
+    assert not crossings, f"private names used across modules: {crossings}"
+
+
+def test_every_export_is_used_outside_the_tests():
+    trees = _trees(SRC)
+    exports = [alias.name for node in trees.pop("__init__.py").body
+               if isinstance(node, ast.ImportFrom) for alias in node.names]
+    for folder in ("perfbench", "tools"):
+        trees.update({f"{folder}/{name}": tree for name, tree in _trees(ROOT / folder).items()})
+    used = {name for tree in trees.values() for name in _references(tree)}
+    readme = (ROOT / "README.md").read_text()
+    unused = [name for name in exports
+              if name not in used and not re.search(rf"\b{name}\b", readme)]
+    assert not unused, f"exports that only tests use: {unused}"

@@ -234,7 +234,7 @@ class TestCriticalEpsilon:
 
     def test_infinite_hi_allowed(self):
         lap0, lapI = LaplacianMatrix(MODEL_L0), LaplacianMatrix(MODEL_LI)
-        eps, lo, hi, _ = spectral._locate_transition(lap0, lapI, (0.0, np.inf), 1e-3)
+        eps, lo, hi, _ = spectral.locate_transition(lap0, lapI, (0.0, np.inf), 1e-3)
         assert lo < eps < hi and 0 < hi - lo <= 1e-3
         assert abs(eps - critical_epsilon(lap0, lapI, (0.0, 3.0), 1e-3)) <= 1e-3
 
@@ -244,7 +244,7 @@ class TestCriticalEpsilon:
         ring = undirected_graph(4, [(k, (k + 1) % 4) for k in range(4)])
         lap0, lapI = canonical_split(laplacian_of(ring))
         with pytest.raises(NoTransition, match="no pair collision predicted"):
-            spectral._locate_transition(lap0, lapI, (0.0, np.inf), 1e-3)
+            spectral.locate_transition(lap0, lapI, (0.0, np.inf), 1e-3)
 
     def test_three_cycle_matches_discriminant_oracle(self):
         # oracle: the cubic discriminant of det(L(eps) - lam I), computed from
@@ -409,7 +409,7 @@ class TestFirstCrossing:
     def test_solve_count(self, name, monkeypatch):
         _, lap0, lapI = fixture_split(name)
         calls = eigensolve_calls(monkeypatch)
-        eps, lo, hi, solves = spectral._locate_transition(lap0, lapI, (0.0, 1.0), 1e-6)
+        eps, lo, hi, solves = spectral.locate_transition(lap0, lapI, (0.0, 1.0), 1e-6)
         assert solves == len(calls) <= (8 if name == NARROWED else 6)
         assert lo < eps < hi and hi - lo <= 1e-6
 
@@ -417,7 +417,7 @@ class TestFirstCrossing:
         graph = json.loads((Path(__file__).parent / "capped_march_graph.json").read_text())
         split = canonical_split(laplacian_of(WeightedDigraph(n=graph["n"], edges=graph["edges"])))
         calls = eigensolve_calls(monkeypatch)
-        eps, lo, hi, solves = spectral._locate_transition(
+        eps, lo, hi, solves = spectral.locate_transition(
             split.lap_sym_part, split.lap_oneway, (0.0, 1.0), 1e-6)
         assert solves == len(calls) <= 8
         assert lo < eps < hi and hi - lo <= 1e-6
@@ -426,7 +426,7 @@ class TestFirstCrossing:
 
     def test_final_bracket_real_to_nonreal(self):
         lap0, lapI = LaplacianMatrix(MODEL_L0), LaplacianMatrix(MODEL_LI)
-        eps, lo, hi, solves = spectral._locate_transition(lap0, lapI, (0.0, 3.0), 1e-3)
+        eps, lo, hi, solves = spectral.locate_transition(lap0, lapI, (0.0, 3.0), 1e-3)
         assert eps == critical_epsilon(lap0, lapI, (0.0, 3.0), 1e-3) == 0.5 * (lo + hi)
         assert 0 < hi - lo <= 1e-3
         assert spectrum_is_real(eigendecompose(model_at(lo)))
@@ -451,7 +451,7 @@ class TestFirstCrossing:
                     lam = np.linalg.eigvals(mat.entries)
                     return np.max(np.abs(lam.imag)) <= 1e-8 * mat.d_max
 
-                eps, _, _, count = spectral._locate_transition(
+                eps, _, _, count = spectral.locate_transition(
                     split.lap_sym_part, split.lap_oneway, (0.0, 1.0), tol)
                 solves.append(count)
                 lo, hi = 0.0, 1.0
