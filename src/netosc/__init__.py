@@ -41,7 +41,7 @@ from .ingest import (
     bin_counts,
     fuse_trends,
     graph_from_edge_csv,
-    graph_from_json,
+    graph_from_json_doc,
     slice_period,
 )
 from .signal import (

@@ -12,9 +12,10 @@ subcommand prints a strict JSON summary on stdout (input digests, resolved
 parameters, and results) and writes CSV artifacts to the --out directory.
 Exit codes: 0 success, 1 usage error (a bad flag or NETOSC_* value included)
 or unreadable path, 2 data error (non-UTF-8 input included), 3 numeric
-failure; any other exception, a non-finite result included, is a programming
-error and propagates.  ``main`` also exits 1, with one line on stderr, when
-stdout is closed before the summary is written.
+failure or an array the machine cannot allocate; any other exception, a
+non-finite result included, is a programming error and propagates.  ``main``
+also exits 1, with one line on stderr, when stdout is closed before the
+summary is written.
 """
 
 from __future__ import annotations
@@ -176,7 +177,7 @@ def _load_model(files, path):
             return (lap0, lapI), None
         if isinstance(doc, dict) and "laplacian" in doc:
             return graph.canonical_split(graph.LaplacianMatrix(doc["laplacian"])), None
-        g = ingest.graph_from_json(text)
+        g = ingest.graph_from_json_doc(doc)
     return graph.canonical_split(graph.laplacian_of(g)), g
 
 
@@ -453,6 +454,7 @@ _ERROR_EXITS = {
     DataError: (2, "stdout"),
     NumericError: (3, "stdout"),
     np.linalg.LinAlgError: (3, "stdout"),
+    MemoryError: (3, "stdout"),
     ValueError: (1, "stderr"),
     OSError: (1, "stderr"),
 }

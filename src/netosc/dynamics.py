@@ -50,7 +50,8 @@ from .spectral import EigenSystem, eigen_gap, eigendecompose, spectrum_is_real
 # unstable.
 DIVERGENCE_CUTOFF = 1e12
 
-# integrate_numeric tests for divergence once per this many output steps.
+# integrate_numeric tests for divergence once per this many output steps, and
+# advances the phase [x; v] through a buffer of this many rows plus one.
 DIVERGENCE_CHECK_BLOCK = 64
 
 # evaluate_states and total_energy_series walk the time grid in blocks of this
@@ -173,20 +174,19 @@ class ModalSolution:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly time-stepped states and velocities.
+    """Uniformly time-stepped states.
 
     A float array that is read-only down to the array owning its data (such
-    as integrate_numeric's views of its one history) is kept as it is; any
-    other input is copied into a read-only float array, so a caller's
-    writeable array is never aliased.
+    as integrate_numeric's states) is kept as it is; any other input is
+    copied into a read-only float array, so a caller's writeable array is
+    never aliased.
     """
 
     times: np.ndarray
     states: np.ndarray
-    velocities: np.ndarray
 
     def __post_init__(self):
-        for name in ("times", "states", "velocities"):
+        for name in ("times", "states"):
             object.__setattr__(self, name, read_only_floats(getattr(self, name)))
         _check_uniform(self.times)
         if not np.all(np.isfinite(self.states)):
@@ -386,9 +386,11 @@ def integrate_numeric(lap: LaplacianMatrix, ic: InitialCondition,
 
     and one output step is its 10th power, applied once.  No eigenbasis is
     used.  The power is taken in np.linalg.matrix_power's product order, so
-    its bits are matrix_power's.  Working memory is the (T, 2n) history plus
-    the one (2n)^2 transfer matrix, or three (2n)^2 buffers while powering;
-    ``states`` and ``velocities`` are read-only views of the one history.
+    its bits are matrix_power's.  Only the states are kept: the [x; v] phase
+    advances through a (DIVERGENCE_CHECK_BLOCK + 1, 2n) buffer, whose x half
+    is copied into the read-only (T, n) ``states`` once per block.  Working
+    memory is those states, the buffer and the one (2n)^2 transfer matrix,
+    or three (2n)^2 buffers while powering.
     Raises ValueError for a bad grid or a dt above the stability guard
     0.2 / sqrt(2 d_max), and Unstable with the first output time at which any
     |x_i| exceeds DIVERGENCE_CUTOFF * max(1, |x0|_inf, |v0|_inf) (1e12 for
@@ -406,21 +408,25 @@ def integrate_numeric(lap: LaplacianMatrix, ic: InitialCondition,
                                      np.max(np.abs(ic.v0), initial=0.0))
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite |x| counts as crossed
         transfer = _tenth_power(_verlet_step(lap.entries, dt / VERLET_SUBSTEPS))
-        phase = np.empty((times.size, 2 * n))
-        phase[0, :n], phase[0, n:] = ic.x0, ic.v0
+        states = np.empty((times.size, n))
+        phase = np.empty((DIVERGENCE_CHECK_BLOCK + 1, 2 * n))
+        states[0] = phase[0, :n] = ic.x0
+        phase[0, n:] = ic.v0
         for start in range(1, times.size, DIVERGENCE_CHECK_BLOCK):
-            stop = min(start + DIVERGENCE_CHECK_BLOCK, times.size)
-            for k in range(start, stop):
+            rows = min(DIVERGENCE_CHECK_BLOCK, times.size - start)
+            for k in range(1, rows + 1):
                 np.matmul(transfer, phase[k - 1], out=phase[k])
-            peak = np.max(np.abs(phase[start:stop, :n]), axis=1)
+            states[start:start + rows] = phase[1:rows + 1, :n]
+            peak = np.max(np.abs(states[start:start + rows]), axis=1)
             over = np.flatnonzero(~(peak <= cutoff))
             if over.size:
                 k = start + int(over[0])
                 raise Unstable(f"|x| crossed {cutoff:.6g} at t = {times[k]:.6g}",
                                t_diverge=float(times[k]))
-    del transfer  # Trajectory's checks run beside the history alone
-    phase.flags.writeable = times.flags.writeable = False
-    return Trajectory(times=times, states=phase[:, :n], velocities=phase[:, n:])
+            phase[0] = phase[rows]
+    del transfer, phase  # Trajectory's checks run beside the states alone
+    states.flags.writeable = times.flags.writeable = False
+    return Trajectory(times=times, states=states)
 
 
 def node_energies(sol: ModalSolution) -> EnergyReport:

@@ -12,7 +12,6 @@ renormalizing the result to max 100.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import chain, islice
@@ -329,12 +328,8 @@ def parse_series_csv(text: str) -> TimeSeries:
     return TimeSeries(values=vs, dt=dt, origin=float(ts[0]))
 
 
-def graph_from_json(text: str) -> WeightedDigraph:
-    """Parse {"n": int, "edges": [[src, dst, w], ...]}."""
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
-        raise ParseError(f"invalid JSON: {exc}") from exc
+def graph_from_json_doc(doc) -> WeightedDigraph:
+    """The digraph of a decoded JSON document {"n": int, "edges": [[src, dst, w], ...]}."""
     if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
         raise ParseError('graph JSON requires keys "n" and "edges"')
     n = doc["n"]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import MODEL_L0, MODEL_LI, MODEL_X0, seeded_digraph, strict_json
-from netosc import signal
+from netosc import dynamics, signal
 from netosc.cli import _CSV_BLOCK_ROWS, _csv, _Files, _states_csv, run
 from netosc.dynamics import oscillation_centrality
 from netosc.errors import DefectiveMatrix, ParseError, Unstable
@@ -602,6 +602,20 @@ class TestErrorTable:
             "error": {"type": type(exc).__name__, "message": str(exc), **extra},
         }
 
+    def test_memory_error_is_numeric_exit(self, tmp_path, monkeypatch, model_json, capsys):
+        def fail(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 GiB")
+
+        monkeypatch.setattr(dynamics, "evaluate_states", fail)
+        out = tmp_path / "out"
+        result = run(["simulate", "--graph", str(model_json), "--x0", "1,2,3,4,5",
+                      "--out", str(out)])
+        assert result.exit_code == 3
+        assert capsys.readouterr().out.strip() == result.summary
+        assert summary_of(result)["error"] == {"type": "MemoryError",
+                                               "message": "Unable to allocate 74.5 GiB"}
+        assert not list(tmp_path.rglob("*.tmp"))
+
     def test_programming_error_propagates(self, monkeypatch, capsys):
         def fail(*args, **kwargs):
             raise RuntimeError("unexpected")
@@ -766,6 +780,16 @@ class TestErrorTable:
         result = run([command, "--graph", str(path)])
         assert result.exit_code == 2
         assert summary_of(result)["error"]["type"] == "ParseError"
+
+    @pytest.mark.parametrize("text", ["not json", "[" * 100_000], ids=["not-json", "deep"])
+    def test_invalid_graph_json_is_parse_error(self, tmp_path, text):
+        path = tmp_path / "graph.json"
+        path.write_text(text)
+        result = run(["centrality", "--graph", str(path)])
+        assert result.exit_code == 2
+        error = summary_of(result)["error"]
+        assert error["type"] == "ParseError"
+        assert error["message"].startswith(f"invalid JSON in {path}: ")
 
     @pytest.mark.parametrize("edge", [[0.7, 1, 1], [1, "0", 1], [True, 1, 1],
                                       [0, 1, "1"]])
@@ -1065,6 +1089,26 @@ class TestInputsReadOnce:
         assert reads == [str(p) for p in paths.values()]
         assert summary_of(result)["inputs"] == {
             str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in paths.values()}
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze-graph"],
+        ["centrality"],
+        ["simulate", "--x0", "1,0,0,0"],
+        ["sweep", "--eps", "0,1", "--x0", "1,0,0,0"],
+    ], ids=lambda argv: argv[0])
+    def test_one_json_decode_per_graph_input(self, tmp_path, monkeypatch, ring_json, argv):
+        decoded = []
+        original = json.loads
+
+        def counting(text, *args, **kwargs):
+            decoded.append(text)
+            return original(text, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting)
+        result = run([argv[0], "--graph", str(ring_json), *argv[1:],
+                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0
+        assert decoded == [ring_json.read_text()]
 
     @pytest.mark.parametrize("command", sorted(_INPUT_COMMANDS))
     def test_non_utf8_input_is_parse_error(self, tmp_path, command):

@@ -75,7 +75,7 @@ def verlet_substep_loop(lap, ic, dt, t_end, substeps=10):
     cutoff = 1e12 * max(1.0, np.max(np.abs(ic.x0)), np.max(np.abs(ic.v0)))
     x, v = ic.x0.copy(), ic.v0.copy()
     acc = -(lap.entries @ x)
-    states, vels = [x], [v]
+    states = [x]
     for k in range(1, steps + 1):
         for _ in range(substeps):
             x = x + h * v + 0.5 * h * h * acc
@@ -83,15 +83,15 @@ def verlet_substep_loop(lap, ic, dt, t_end, substeps=10):
             v = v + 0.5 * h * (acc + acc_new)
             acc = acc_new
         if np.max(np.abs(x)) > cutoff:
-            return k * dt, None, None
+            return k * dt, None
         states.append(x)
-        vels.append(v)
-    return None, np.array(states), np.array(vels)
+    return None, np.array(states)
 
 
 def verlet_block_power(lap, ic, dt, t_end):
-    """Reference: integrate_numeric's states and velocities with the transfer
-    matrix assembled by np.block and powered by np.linalg.matrix_power."""
+    """Reference: integrate_numeric's states from the whole (T, 2n) phase
+    history, with the transfer matrix assembled by np.block and powered by
+    np.linalg.matrix_power."""
     times = dynamics.time_grid(t_end, dt)
     h = dt / dynamics.VERLET_SUBSTEPS
     n, lmat = lap.n, lap.entries
@@ -103,7 +103,7 @@ def verlet_block_power(lap, ic, dt, t_end):
     phase[0, :n], phase[0, n:] = ic.x0, ic.v0
     for k in range(1, times.size):
         np.matmul(transfer, phase[k - 1], out=phase[k])
-    return phase[:, :n], phase[:, n:]
+    return phase[:, :n]
 
 
 def same_bits(got, want):
@@ -340,10 +340,9 @@ class TestIntegrateNumeric:
         lap, ic = LOOP_CASES[case]()
         dt = 0.9 * 0.2 / np.sqrt(2.0 * lap.d_max)
         traj = integrate_numeric(lap, ic, dt=dt, t_end=300 * dt)
-        t_div, states, vels = verlet_substep_loop(lap, ic, dt, 300 * dt)
+        t_div, states = verlet_substep_loop(lap, ic, dt, 300 * dt)
         assert t_div is None
         assert np.max(np.abs(traj.states - states)) <= 1e-10 * np.max(np.abs(states))
-        assert np.max(np.abs(traj.velocities - vels)) <= 1e-10 * np.max(np.abs(vels))
 
     def test_divergence_time_matches_substep_loop(self):
         # the cutoff scales with the large start, so |x| must grow by 1e12;
@@ -354,7 +353,7 @@ class TestIntegrateNumeric:
         t_end = 40.0 / b
         with pytest.raises(Unstable) as exc:
             integrate_numeric(lap, ic, dt=0.02, t_end=t_end)
-        t_div, _, _ = verlet_substep_loop(lap, ic, 0.02, t_end)
+        t_div, _ = verlet_substep_loop(lap, ic, 0.02, t_end)
         assert t_div is not None
         assert exc.value.t_diverge == t_div
 
@@ -364,7 +363,7 @@ class TestIntegrateNumeric:
         lap = model(3.0)
         ic = InitialCondition.at_rest(1e10 * MODEL_X0)
         b = eigendecompose(lap).max_growth_rate
-        t_div, _, _ = verlet_substep_loop(lap, ic, 0.02, 40.0 / b)
+        t_div, _ = verlet_substep_loop(lap, ic, 0.02, 40.0 / b)
         k = round(t_div / 0.02)
         assert k % dynamics.DIVERGENCE_CHECK_BLOCK != 0
         with pytest.raises(Unstable) as exc:
@@ -395,23 +394,25 @@ class TestIntegrateNumeric:
         assert traj.states[-1] == pytest.approx([5001.0, 2.0])
 
     def test_working_memory(self):
-        # the (T, 2n) history plus one (2n)^2 transfer matrix, or three
-        # (2n)^2 buffers while the step matrix is powered
-        n, length = 200, 1001
-        lap = laplacian_of(seeded_digraph(5, n))
-        ic = InitialCondition.at_rest(np.random.default_rng(5).normal(size=n))
-        dt = 0.9 * dynamics.verlet_step_limit(lap.d_max)
-        integrate_numeric(lap, ic, dt, (length - 1) * dt)
-        tracemalloc.start()
-        try:
-            traj = integrate_numeric(lap, ic, dt, (length - 1) * dt)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert traj.states.shape == (length, n)
-        matrix = (2 * n) ** 2 * 8
-        history = length * 2 * n * 8
-        assert peak <= 1.15 * max(history + matrix, 3 * matrix)
+        # the (T, n) states, the (65, 2n) phase buffer and one (2n)^2
+        # transfer matrix, or three (2n)^2 buffers while the step matrix is
+        # powered: at n = 200, T = 1001 the powering buffers set the peak, at
+        # n = 50, T = 4001 the states do
+        for n, length in ((200, 1001), (50, 4001)):
+            lap = laplacian_of(seeded_digraph(5, n))
+            ic = InitialCondition.at_rest(np.random.default_rng(5).normal(size=n))
+            dt = 0.9 * dynamics.verlet_step_limit(lap.d_max)
+            integrate_numeric(lap, ic, dt, (length - 1) * dt)
+            tracemalloc.start()
+            try:
+                traj = integrate_numeric(lap, ic, dt, (length - 1) * dt)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert traj.states.shape == (length, n)
+            matrix = (2 * n) ** 2 * 8
+            kept = (length * n + (dynamics.DIVERGENCE_CHECK_BLOCK + 1) * 2 * n) * 8
+            assert peak <= 1.15 * max(kept + matrix, 3 * matrix), (n, length)
 
 
 class TestVerletBits:
@@ -429,9 +430,7 @@ class TestVerletBits:
         lap, ic = self.CASES[case]()
         dt = 0.9 * dynamics.verlet_step_limit(lap.d_max)
         traj = integrate_numeric(lap, ic, dt, (length - 1) * dt)
-        states, velocities = verlet_block_power(lap, ic, dt, (length - 1) * dt)
-        assert same_bits(traj.states, states)
-        assert same_bits(traj.velocities, velocities)
+        assert same_bits(traj.states, verlet_block_power(lap, ic, dt, (length - 1) * dt))
 
     def test_power_follows_matrix_power(self):
         base = dynamics._verlet_step(laplacian_of(seeded_digraph(0, 12)).entries, 0.01)
@@ -443,40 +442,35 @@ class TestTrajectory:
     def test_integrate_numeric_keeps_one_read_only_history(self):
         lap, ic = LOOP_CASES["digraph-0"]()
         traj = integrate_numeric(lap, ic, dt=0.01, t_end=1.0)
-        history = traj.states.base
-        assert history is traj.velocities.base and history.shape == (101, 24)
-        assert not (traj.states.flags.writeable or traj.velocities.flags.writeable
-                    or history.flags.writeable or traj.times.flags.writeable)
+        assert traj.states.flags.owndata and traj.states.shape == (101, 12)
+        assert not (traj.states.flags.writeable or traj.times.flags.writeable)
 
     @pytest.mark.parametrize("read_only_view", [False, True])
     def test_caller_arrays_are_not_aliased(self, read_only_view):
-        times, states, velocities = np.arange(3) * 0.5, np.ones((3, 2)), np.zeros((3, 2))
-        given = [times, states, velocities]
+        times, states = np.arange(3) * 0.5, np.ones((3, 2))
+        given = [times, states]
         if read_only_view:  # read-only, but writeable through its base
             given = [arr.view() for arr in given]
             for arr in given:
                 arr.flags.writeable = False
         traj = Trajectory(*given)
-        for arr in (times, states, velocities):
+        for arr in (times, states):
             arr[...] = 7.0
         assert np.array_equal(traj.times, [0.0, 0.5, 1.0])
         assert np.array_equal(traj.states, np.ones((3, 2)))
-        assert np.array_equal(traj.velocities, np.zeros((3, 2)))
-        assert not (traj.times.flags.writeable or traj.states.flags.writeable
-                    or traj.velocities.flags.writeable)
+        assert not (traj.times.flags.writeable or traj.states.flags.writeable)
 
     @pytest.mark.parametrize("times", [[0.0, 1.0, 5.0], [0.0, 1.0, np.nan]])
     def test_non_uniform_grid_is_refused(self, times):
         with pytest.raises(ValueError, match="time grid must be uniform"):
-            Trajectory(times, np.ones((3, 2)), np.zeros((3, 2)))
+            Trajectory(times, np.ones((3, 2)))
 
     def test_frozen_arrays_are_kept(self):
-        arrays = [np.arange(3) * 0.5, np.ones((3, 2)), np.zeros((3, 2))]
+        arrays = [np.arange(3) * 0.5, np.ones((3, 2))]
         for arr in arrays:
             arr.flags.writeable = False
         traj = Trajectory(*arrays)
         assert traj.times is arrays[0] and traj.states is arrays[1]
-        assert traj.velocities is arrays[2]
 
 
 class TestTimeGrid:
