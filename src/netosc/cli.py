@@ -24,7 +24,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -302,7 +302,7 @@ def _cmd_sweep(params, files):
     (lap0, lapI), _ = _load_model(files, params["graph"])
     records = dynamics.epsilon_sweep(lap0, lapI, _parse_vector(params["eps"], "eps"),
                                      _initial_condition(params), params["t_end"], params["dt"])
-    results = {"records": [r.as_dict() for r in records]}
+    results = {"records": [asdict(r) for r in records]}
     files.write("sweep.json", lambda: [_json(results["records"]) + "\n"])
     return results
 

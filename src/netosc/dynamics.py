@@ -18,7 +18,7 @@ total energy gains cross terms beating at the eigenfrequency differences.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,23 +108,19 @@ class InitialCondition:
     v0: np.ndarray
 
     def __post_init__(self):
-        x0 = np.array(self.x0, dtype=float)
-        v0 = np.array(self.v0, dtype=float)
+        for name in ("x0", "v0"):
+            object.__setattr__(self, name, read_only_floats(getattr(self, name)))
+        x0, v0 = self.x0, self.v0
         if x0.shape != v0.shape or x0.ndim != 1:
             raise ValueError(f"mismatched shapes {x0.shape} vs {v0.shape}")
         if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(v0))):
             raise ValueError("initial condition must be finite")
         if max(np.max(np.abs(x0), initial=0.0), np.max(np.abs(v0), initial=0.0)) > MAX_ENTRY:
             raise OutOfRange(f"initial condition entries above {MAX_ENTRY:.0e} in magnitude")
-        x0.flags.writeable = False
-        v0.flags.writeable = False
-        object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "v0", v0)
 
     @classmethod
     def at_rest(cls, x0):
-        x0 = np.asarray(x0, dtype=float)
-        return cls(x0=x0, v0=np.zeros_like(x0))
+        return cls(x0=x0, v0=np.zeros(np.shape(x0)))
 
     @property
     def n(self):
@@ -148,6 +144,10 @@ class ModalSolution:
     c_plus: np.ndarray
     c_minus: np.ndarray
     zero_modes: tuple
+
+    def __post_init__(self):
+        for name in ("mass", "c_plus", "c_minus"):
+            object.__setattr__(self, name, read_only_floats(getattr(self, name)))
 
     @property
     def n(self):
@@ -174,13 +174,8 @@ class ModalSolution:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly time-stepped states.
-
-    A float array that is read-only down to the array owning its data (such
-    as integrate_numeric's states) is kept as it is; any other input is
-    copied into a read-only float array, so a caller's writeable array is
-    never aliased.
-    """
+    """Uniformly time-stepped states, held as read_only_floats holds them:
+    integrate_numeric's read-only states are kept without a copy."""
 
     times: np.ndarray
     states: np.ndarray
@@ -201,6 +196,10 @@ class EnergyReport:
     total: float
     series: TimeSeries | None = None
     per_node: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.per_node is not None:
+            object.__setattr__(self, "per_node", read_only_floats(self.per_node))
 
 
 def _expand(es: EigenSystem, mass, ic: InitialCondition) -> ModalSolution:
@@ -238,23 +237,20 @@ def _expand(es: EigenSystem, mass, ic: InitialCondition) -> ModalSolution:
     return sol
 
 
-def modal_solve(lap: LaplacianMatrix, ic: InitialCondition,
-                sym: SymmetrizableDecomposition | None = None) -> ModalSolution:
-    """Mode expansion of the wave equation for ``lap`` from ``ic``.
+def modal_solve(model: LaplacianMatrix | SymmetrizableDecomposition,
+                ic: InitialCondition) -> ModalSolution:
+    """Mode expansion of the wave equation for ``model`` from ``ic``.
 
-    With ``sym`` the expansion runs on the orthonormal basis of the scaled
-    symmetric matrix; without it the Laplacian itself is decomposed (mass 1).
-    Either way the matrix is decomposed once, and the solution carries that
-    EigenSystem.  Raises DefectiveMatrix when the eigenbasis is numerically
-    dependent or the expansion does not reproduce ``ic`` at t = 0.
+    A SymmetrizableDecomposition of a Laplacian is expanded on the
+    orthonormal basis of its scaled symmetric matrix; a LaplacianMatrix is
+    decomposed itself (mass 1).  Either way the matrix is decomposed once,
+    and the solution carries that EigenSystem.  Raises DefectiveMatrix when
+    the eigenbasis is numerically dependent or the expansion does not
+    reproduce ``ic`` at t = 0.
     """
-    if sym is not None:
-        prod = sym.m[:, None] * lap.entries
-        scale = max(np.max(np.abs(prod)), 1.0)
-        if np.max(np.abs(prod - sym.lap_sym.entries)) > 1e-10 * scale:
-            raise ValueError("decomposition does not match the Laplacian")
-        return _expand(eigendecompose(scaled_laplacian(sym)), sym.m, ic)
-    return _expand(eigendecompose(lap), np.ones(lap.n), ic)
+    if isinstance(model, SymmetrizableDecomposition):
+        return _expand(eigendecompose(scaled_laplacian(model)), model.m, ic)
+    return _expand(eigendecompose(model), np.ones(model.n), ic)
 
 
 def _time_blocks(times):
@@ -300,7 +296,7 @@ def _check_residue(worst_imag, max_real, what):
 def _to_real(arr, what):
     _check_residue(np.max(np.abs(arr.imag), initial=0.0),
                    np.max(np.abs(arr.real), initial=0.0), what)
-    return np.ascontiguousarray(arr.real)
+    return arr.real
 
 
 def _node_values(sol: ModalSolution, amplitudes):
@@ -481,10 +477,7 @@ def total_energy_series(sol: ModalSolution, times) -> EnergyReport:
             del fwd, back, pairs  # free this block before the next is built
     if not np.all(np.isfinite(energy)):
         raise Unstable("energy series overflows: a growing mode exceeds the float range")
-    if sol.spectrum_real:
-        series_values = _to_real(energy, "energy series")
-    else:
-        series_values = np.ascontiguousarray(energy.real)
+    series_values = _to_real(energy, "energy series") if sol.spectrum_real else energy.real
     series = None
     if times.size >= 2:
         dt = float(times[1] - times[0])
@@ -566,9 +559,6 @@ class SweepRecord:
     peak_amplitude: float | None = None
     beat_frequency: float | None = None
     error: str | None = None
-
-    def as_dict(self):
-        return asdict(self)
 
 
 def epsilon_sweep(lap0: LaplacianMatrix, lapI: LaplacianMatrix, eps_list,

@@ -17,6 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import Disconnected, InvalidGraph, OutOfRange
+from .signal import read_only_floats
 
 # Entry-level tolerance of the Laplacian invariant checks, scaled by
 # (1 + max |entry|), and of the symmetry test, scaled by max(max |entry|, 1).
@@ -75,19 +76,13 @@ class WeightedDigraph:
             seen.add((s, d))
 
 
-def undirected_graph(n, pairs, weight=1.0):
-    """Digraph carrying each undirected pair in both directions at ``weight``.
-
-    ``pairs`` may also be (i, j, w) triples giving per-pair weights.
-    """
+def undirected_graph(n, pairs):
+    """Digraph carrying each undirected pair in both directions: (i, j) pairs
+    at weight 1, or (i, j, w) triples at weight w."""
     edges = []
     for p in pairs:
-        if len(p) == 3:
-            i, j, w = p
-        else:
-            (i, j), w = p, weight
-        edges.append((i, j, w))
-        edges.append((j, i, w))
+        i, j, w = p if len(p) == 3 else (*p, 1.0)
+        edges += [(i, j, w), (j, i, w)]
     return WeightedDigraph(n=n, edges=tuple(edges))
 
 
@@ -99,9 +94,11 @@ class LaplacianMatrix:
 
     def __init__(self, entries):
         try:
-            arr = np.array(entries, dtype=float)
+            arr = read_only_floats(entries)
         except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidGraph(f"Laplacian must be a numeric matrix: {exc}") from exc
+        if arr.dtype != float:
+            raise InvalidGraph("Laplacian entries must be real")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise InvalidGraph(f"Laplacian must be square, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
@@ -119,18 +116,17 @@ class LaplacianMatrix:
             raise InvalidGraph("off-diagonal entries must be <= 0")
         if np.diag(arr).min(initial=0.0) < -scale:
             raise InvalidGraph("diagonal entries must be >= 0")
-        self._freeze(arr)
+        self._hold(arr)
 
     @classmethod
     def _derived(cls, arr):
         """``arr`` without the checks: a matrix derived from a validated
         Laplacian, whose rules hold by construction."""
         lap = object.__new__(cls)
-        lap._freeze(arr)
+        lap._hold(read_only_floats(arr))
         return lap
 
-    def _freeze(self, arr):
-        arr.flags.writeable = False
+    def _hold(self, arr):
         object.__setattr__(self, "n", arr.shape[0])
         object.__setattr__(self, "entries", arr)
 
@@ -159,11 +155,9 @@ class SymmetrizableDecomposition:
     lap_sym: LaplacianMatrix
 
     def __post_init__(self):
-        m = np.array(self.m, dtype=float)
-        m.flags.writeable = False
-        object.__setattr__(self, "m", m)
-        if np.any(m <= 0):
-            raise InvalidGraph("mass vector must be positive")
+        object.__setattr__(self, "m", read_only_floats(self.m))
+        if not np.all((self.m > 0) & (self.m < np.inf)):
+            raise InvalidGraph("mass vector must be positive and finite")
         if not is_symmetric(self.lap_sym.entries):
             raise InvalidGraph("lap_sym must be symmetric")
 

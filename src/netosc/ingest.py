@@ -25,12 +25,10 @@ from .signal import TimeSeries, read_only_floats
 
 @dataclass(frozen=True)
 class EventLog:
-    """Non-decreasing event timestamps in epoch seconds.
-
-    A float array that is read-only down to the array owning its data (such
-    as parse_event_log's sorted array) is kept as it is; any other input is
-    copied into a read-only float array.  The order test compares
-    neighbours, so beyond the timestamps it holds one byte per event.
+    """Non-decreasing event timestamps in epoch seconds, held as
+    read_only_floats holds them: parse_event_log's read-only sorted array is
+    kept without a copy.  The order test compares neighbours, so beyond the
+    timestamps it holds one byte per event.
     """
 
     timestamps: np.ndarray
@@ -56,16 +54,17 @@ class TrendSegment:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=float)
+        v = read_only_floats(self.values)
         if v.size < 2:
             raise ParseError("trend segment needs at least 2 samples")
+        if not (np.all(np.isfinite(v)) and np.isfinite(self.start) and np.isfinite(self.step)):
+            raise ParseError("trend start, step and values must be finite")
         if np.any(v < 0):
             raise ParseError("trend values must be >= 0")
         if abs(v.max() - 100.0) > 1e-9:
             raise ParseError(f"trend segment max must be 100, got {v.max()}")
         if not self.step > 0:
             raise ParseError("trend step must be positive")
-        v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
 
@@ -200,7 +199,7 @@ def slice_period(s: TimeSeries, start_index: int, length: int) -> TimeSeries:
         raise OutOfRange(
             f"slice [{start_index}, {start_index + length}) outside series "
             f"of length {len(s)}")
-    return TimeSeries(values=s.values[start_index:start_index + length].copy(),
+    return TimeSeries(values=s.values[start_index:start_index + length],
                       dt=s.dt, origin=s.origin + start_index * s.dt)
 
 
@@ -218,7 +217,7 @@ def fuse_trends(segments) -> TimeSeries:
         raise EmptyInput("no trend segments")
     step = segments[0].step
     origin = segments[0].start
-    acc = np.array(segments[0].values, dtype=float)
+    acc = segments[0].values
     for seg in segments[1:]:
         if seg.step != step:
             raise NoOverlap(f"segment step {seg.step} != {step}")
@@ -282,8 +281,7 @@ def parse_trend_csv(text: str) -> TrendSegment:
         raise ParseError("trend steps overflow the float range")
     if steps.size == 0 or np.any(np.abs(steps - steps[0]) > 1e-6):
         raise ParseError("trend rows must be uniformly spaced")
-    return TrendSegment(start=stamps[0], step=float(steps[0]),
-                        values=np.array(values))
+    return TrendSegment(start=stamps[0], step=float(steps[0]), values=values)
 
 
 def parse_series_csv(text: str) -> TimeSeries:

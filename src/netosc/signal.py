@@ -30,11 +30,14 @@ def _frozen(arr) -> bool:
 
 
 def read_only_floats(arr) -> np.ndarray:
-    """``arr`` itself when it is a float array that is _frozen, else a
-    read-only float copy, so a caller's writeable array is never aliased or
-    frozen."""
-    if not (_frozen(arr) and arr.dtype == float):
-        arr = np.array(arr, dtype=float)
+    """How every value type holds an array: ``arr`` itself when it is a
+    float64 or complex128 array that is _frozen, else a read-only copy in
+    the memory order of ``arr``, complex when ``arr`` is complex and float64
+    otherwise.  A caller's writeable array is thus never aliased or frozen.
+    """
+    if not (_frozen(arr) and arr.dtype in (float, complex)):
+        arr = np.asarray(arr)
+        arr = arr.astype(complex if arr.dtype.kind == "c" else float)
         arr.flags.writeable = False
     return arr
 
@@ -48,14 +51,14 @@ class TimeSeries:
     origin: float = 0.0
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=float)
+        v = read_only_floats(self.values)
         if v.ndim != 1 or v.size < 2:
             raise TooShort(f"time series needs >= 2 samples, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("time series values must be finite")
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        v.flags.writeable = False
+        if not (0 < self.dt < np.inf and np.isfinite(self.origin)):
+            raise ValueError(f"dt must be positive and finite, and origin finite; "
+                             f"got dt = {self.dt}, origin = {self.origin}")
         object.__setattr__(self, "values", v)
 
     @property
@@ -75,11 +78,9 @@ class Spectrum:
     n_samples: int
 
     def __post_init__(self):
-        b = np.array(self.bins, dtype=float)
-        if np.any(b < 0):
-            raise ValueError("magnitudes must be nonnegative")
-        b.flags.writeable = False
-        object.__setattr__(self, "bins", b)
+        object.__setattr__(self, "bins", read_only_floats(self.bins))
+        if not np.all((self.bins >= 0) & (self.bins < np.inf)):
+            raise ValueError("magnitudes must be finite and nonnegative")
 
     @property
     def freq_indices(self):

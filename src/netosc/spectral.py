@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import BadBracket, ComplexSpectrum, DefectiveMatrix, NoTransition
 from .graph import LaplacianMatrix, compose_epsilon, is_symmetric
+from .signal import read_only_floats
 
 # Eigenvector bases with condition number beyond this are treated as defective;
 # the mode expansion is numerically meaningless past it.
@@ -56,6 +57,10 @@ class EigenSystem:
     eigenvectors: np.ndarray
     basis_condition: float
     scale: float
+
+    def __post_init__(self):
+        for name in ("eigenvalues", "eigenvectors"):
+            object.__setattr__(self, name, read_only_floats(getattr(self, name)))
 
     @property
     def n(self):
@@ -119,8 +124,6 @@ def eigendecompose(mat) -> EigenSystem:
     if np.max(resid, initial=0.0) > 1e-8 * max(fro, 1.0):
         raise DefectiveMatrix(
             f"eigenpair residual {np.max(resid):.3e} too large", basis_condition=cond)
-    lam.flags.writeable = False
-    vec.flags.writeable = False
     return EigenSystem(eigenvalues=lam, eigenvectors=vec, basis_condition=cond, scale=scale)
 
 

@@ -130,7 +130,7 @@ def test_criterion_4_regimes():
 def test_criterion_5_oracle_equivalence():
     lap = model(0.0)
     dec = check_symmetrizable(lap)
-    sol = modal_solve(lap, model_ic(), sym=dec)
+    sol = modal_solve(dec, model_ic())
     errors = {}
     for dt in (0.01, 0.005):
         traj = integrate_numeric(lap, model_ic(), dt=dt, t_end=10.0)
@@ -165,7 +165,7 @@ def test_criterion_6_energy_conservation():
         lap = LaplacianMatrix(mat / mass[:, None])
         dec = check_symmetrizable(lap)
         ic = InitialCondition(x0=rng.normal(size=n), v0=rng.normal(size=n))
-        sol = modal_solve(lap, ic, sym=dec)
+        sol = modal_solve(dec, ic)
         report = total_energy_series(sol, np.linspace(0.0, 100.0, 256))
         e = report.series.values
         assert e.mean() >= 0.0

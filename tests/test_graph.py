@@ -163,11 +163,11 @@ class TestLaplacianOf:
     def test_magnitude_limit(self):
         # the Frobenius norm of MAX_NODES^2 entries at the limit is finite
         assert np.isfinite(np.sqrt(MAX_NODES ** 2 * MAX_ENTRY ** 2))
-        lap = laplacian_of(undirected_graph(2, [(0, 1)], weight=MAX_ENTRY))
+        lap = laplacian_of(undirected_graph(2, [(0, 1, MAX_ENTRY)]))
         assert lap.d_max == MAX_ENTRY
         above = float(np.nextafter(MAX_ENTRY, np.inf))
         with pytest.raises(OutOfRange, match="edge weights"):
-            laplacian_of(undirected_graph(2, [(0, 1)], weight=above))
+            laplacian_of(undirected_graph(2, [(0, 1, above)]))
         with pytest.raises(OutOfRange, match="Laplacian entries"):
             LaplacianMatrix([[above, -above], [-above, above]])
 

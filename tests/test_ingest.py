@@ -125,19 +125,6 @@ class TestEventLog:
         assert not log.timestamps.flags.writeable
         assert EventLog(log.timestamps).timestamps is log.timestamps
 
-    def test_copies_callers_array(self):
-        stamps = np.array([1.0, 2.0, 3.0])
-        log = EventLog(stamps)
-        assert stamps.flags.writeable and not log.timestamps.flags.writeable
-        stamps[0] = 0.5
-        assert log.timestamps[0] == 1.0
-        # read-only, but a view of a writeable array: still copied
-        view = stamps[:]
-        view.flags.writeable = False
-        assert EventLog(view).timestamps is not view
-        # an int array is copied into floats
-        assert EventLog(np.arange(3)).timestamps.dtype == float
-
     @pytest.mark.parametrize("stamps, message", [
         ([1.0, np.nan, 3.0], "timestamps must be finite"),
         ([1.0, np.inf], "timestamps must be finite"),

@@ -186,7 +186,7 @@ class TestEnergyConservation:
             lap, _ = random_symmetrizable(rng, n)
             dec = check_symmetrizable(lap)
             ic = InitialCondition(x0=rng.normal(size=n), v0=rng.normal(size=n))
-            sol = modal_solve(lap, ic, sym=dec)
+            sol = modal_solve(dec, ic)
             times = np.linspace(0.0, 100.0, 257)
             report = total_energy_series(sol, times)
             e = report.series.values
@@ -202,7 +202,7 @@ class TestOracleEquivalence:
             lap, _ = random_symmetrizable(rng, n)
             dec = check_symmetrizable(lap)
             ic = InitialCondition.at_rest(rng.normal(size=n))
-            sol = modal_solve(lap, ic, sym=dec)
+            sol = modal_solve(dec, ic)
             dt = min(0.01, 0.15 / np.sqrt(2.0 * lap.d_max))
             traj = integrate_numeric(lap, ic, dt=dt, t_end=10.0)
             modal = evaluate_states(sol, traj.times)

@@ -179,8 +179,8 @@ class TestEigenGap:
     @pytest.mark.parametrize("w", [1e-10, 1e-3, 1.0, 1e3])
     def test_six_ring_at_any_weight_scale(self, w):
         # spectrum w * {0, 1, 1, 3, 3, 4}: one zero mode, a repeated pair
-        ring = [(k, (k + 1) % 6) for k in range(6)]
-        es = eigendecompose(laplacian_of(undirected_graph(6, ring, weight=w)))
+        ring = [(k, (k + 1) % 6, w) for k in range(6)]
+        es = eigendecompose(laplacian_of(undirected_graph(6, ring)))
         assert eigen_gap(es) == pytest.approx(0.0, abs=1e-9 * w)
 
 
