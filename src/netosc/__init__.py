@@ -23,7 +23,6 @@ from .dynamics import (
 )
 from .graph import (
     LaplacianMatrix,
-    NotSymmetrizable,
     OneWaySplit,
     SymmetrizableDecomposition,
     WeightedDigraph,

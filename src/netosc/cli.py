@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics, graph, ingest, signal, spectral
-from .errors import DataError, InvalidGraph, NumericError, ParseError
+from .errors import DataError, InvalidGraph, NotSymmetrizableError, NumericError, ParseError
 
 try:    # CPython's built-in SHA-256 (3.12+, then 3.10-3.11): hashlib loads OpenSSL
     from _sha2 import sha256 as _sha256
@@ -211,7 +211,13 @@ def _cmd_analyze_graph(params, files):
     parts, _ = _load_model(files, params["graph"])
     lap = graph.compose_epsilon(parts, params["eps"])
     es = spectral.eigendecompose(lap)
-    verdict = graph.check_symmetrizable(lap)
+    try:
+        dec = graph.check_symmetrizable(lap)
+    except NotSymmetrizableError as exc:
+        dec, symmetrizable = None, {"symmetrizable": False, "verdict": {
+            "reason": exc.reason, "pair": list(exc.pair), "detail": exc.detail}}
+    else:
+        symmetrizable = {"symmetrizable": True, "mass": dec.m.tolist()}
     results = {
         "n": lap.n,
         "d_max": lap.d_max,
@@ -219,19 +225,14 @@ def _cmd_analyze_graph(params, files):
         "spectrum_real": spectral.spectrum_is_real(es),
         "basis_condition": es.basis_condition,
         "eigenvalues": [[lam.real, lam.imag] for lam in es.eigenvalues],
-        "symmetrizable": bool(verdict),
+        **symmetrizable,
     }
-    if verdict:
-        results["mass"] = verdict.m.tolist()
-    else:
-        results["verdict"] = {"reason": verdict.reason, "pair": list(verdict.pair),
-                              "detail": verdict.detail}
     om = es.omegas
     files.write("laplacian.csv", _csv, None, *lap.entries.T)
     files.write("spectrum.csv", _csv, "mu,re_lambda,im_lambda,re_omega,im_omega",
                 np.arange(es.n), es.eigenvalues.real, es.eigenvalues.imag, om.real, om.imag)
-    if verdict:
-        files.write("laplacian_sym.csv", _csv, None, *verdict.lap_sym.entries.T)
+    if dec is not None:
+        files.write("laplacian_sym.csv", _csv, None, *dec.lap_sym.entries.T)
     return results
 
 

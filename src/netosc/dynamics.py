@@ -34,7 +34,6 @@ from .errors import (
 from .graph import (
     MAX_ENTRY,
     LaplacianMatrix,
-    NotSymmetrizable,
     SymmetrizableDecomposition,
     WeightedDigraph,
     check_symmetrizable,
@@ -146,8 +145,9 @@ class ModalSolution:
     zero_modes: tuple
 
     def __post_init__(self):
-        for name in ("mass", "c_plus", "c_minus"):
-            object.__setattr__(self, name, read_only_floats(getattr(self, name)))
+        object.__setattr__(self, "mass", read_only_floats(self.mass))
+        for name in ("c_plus", "c_minus"):
+            object.__setattr__(self, name, read_only_floats(getattr(self, name), complex))
 
     @property
     def n(self):
@@ -190,16 +190,11 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """Stationary total energy; node_energies also fills ``per_node``, and
-    total_energy_series ``series`` (None on a one-point grid)."""
+    """Stationary total energy and its series over time (None on a one-point
+    grid)."""
 
     total: float
-    series: TimeSeries | None = None
-    per_node: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.per_node is not None:
-            object.__setattr__(self, "per_node", read_only_floats(self.per_node))
+    series: TimeSeries | None
 
 
 def _expand(es: EigenSystem, mass, ic: InitialCondition) -> ModalSolution:
@@ -425,7 +420,7 @@ def integrate_numeric(lap: LaplacianMatrix, ic: InitialCondition,
     return Trajectory(times=times, states=states)
 
 
-def node_energies(sol: ModalSolution) -> EnergyReport:
+def node_energies(sol: ModalSolution) -> np.ndarray:
     """Per-node oscillation energies sum_mu lambda_mu (|c+|^2+|c-|^2) v_mu(i)^2.
 
     Valid on an orthonormal eigenbasis (symmetrizable graph); raises
@@ -437,8 +432,7 @@ def node_energies(sol: ModalSolution) -> EnergyReport:
             "the underlying graph is not symmetrizable")
     lam = (sol.omegas ** 2).real
     weights = lam * (np.abs(sol.c_plus) ** 2 + np.abs(sol.c_minus) ** 2)
-    per_node = (np.abs(sol.eigvecs) ** 2) @ weights
-    return EnergyReport(total=float(per_node.sum()), per_node=per_node)
+    return (np.abs(sol.eigvecs) ** 2) @ weights
 
 
 def total_energy_series(sol: ModalSolution, times) -> EnergyReport:
@@ -466,7 +460,10 @@ def total_energy_series(sol: ModalSolution, times) -> EnergyReport:
         om = sol.omegas
         stationary = 0.5 * float(np.sum(amp ** 2 * np.abs(om) ** 2))
         weight = amp * om
-        coupling = np.outer(weight, weight) * (sol.eigvecs.T @ sol.eigvecs)
+        # a real basis takes the float64 product: a quarter of the complex
+        # one's cost, with the bits of np.linalg.eig's real eigenvectors
+        vec = sol.eigvecs if sol.eigvecs.imag.any() else np.asfortranarray(sol.eigvecs.real)
+        coupling = np.outer(weight, weight) * (vec.T @ vec)
         np.fill_diagonal(coupling, 0.0)
         energy = np.empty(times.size, dtype=complex)
         for cols in _time_blocks(times):
@@ -540,10 +537,7 @@ def oscillation_centrality(lap: LaplacianMatrix) -> np.ndarray:
     shortest-path-count weights it is an affine image of betweenness
     centrality on trees.
     """
-    dec = check_symmetrizable(lap)
-    if isinstance(dec, NotSymmetrizable):
-        raise NotSymmetrizableError(f"{dec.reason}: {dec.detail}")
-    es = eigendecompose(scaled_laplacian(dec))
+    es = eigendecompose(scaled_laplacian(check_symmetrizable(lap)))
     keep = es.omegas != 0
     return (np.abs(es.eigenvectors[:, keep]) ** 2) @ es.eigenvalues.real[keep]
 

@@ -70,7 +70,18 @@ class Disconnected(DataError):
 # --- numeric errors --------------------------------------------------------
 
 class NotSymmetrizableError(NumericError):
-    """An operation requiring a symmetrizable graph was given one that is not."""
+    """An operation requiring a symmetrizable graph was given one that is not.
+
+    check_symmetrizable also sets ``reason`` ("nonpositive_mass" or
+    "detailed_balance"), ``pair`` (the offending node, or node pair) and
+    ``detail``; the message is then f"{reason}: {detail}".
+    """
+
+    def __init__(self, message, reason=None, pair=None, detail=None):
+        super().__init__(message)
+        self.reason = reason
+        self.pair = pair
+        self.detail = detail
 
 
 class DefectiveMatrix(NumericError):

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import Disconnected, InvalidGraph, OutOfRange
+from .errors import Disconnected, InvalidGraph, NotSymmetrizableError, OutOfRange
 from .signal import read_only_floats
 
 # Entry-level tolerance of the Laplacian invariant checks, scaled by
@@ -86,19 +86,21 @@ def undirected_graph(n, pairs):
     return WeightedDigraph(n=n, edges=tuple(edges))
 
 
+@dataclass(frozen=True, eq=False)
 class LaplacianMatrix:
     """Dense real n x n matrix with zero row sums, nonpositive off-diagonal
-    and nonnegative diagonal entries.  Immutable after construction."""
+    and nonnegative diagonal entries."""
 
-    __slots__ = ("n", "entries")
+    entries: np.ndarray
 
-    def __init__(self, entries):
+    def __post_init__(self):
         try:
-            arr = read_only_floats(entries)
+            arr = np.asarray(self.entries)
+            if arr.dtype.kind == "c":
+                raise InvalidGraph("Laplacian entries must be real")
+            arr = read_only_floats(arr)
         except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidGraph(f"Laplacian must be a numeric matrix: {exc}") from exc
-        if arr.dtype != float:
-            raise InvalidGraph("Laplacian entries must be real")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise InvalidGraph(f"Laplacian must be square, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
@@ -116,29 +118,19 @@ class LaplacianMatrix:
             raise InvalidGraph("off-diagonal entries must be <= 0")
         if np.diag(arr).min(initial=0.0) < -scale:
             raise InvalidGraph("diagonal entries must be >= 0")
-        self._hold(arr)
+        object.__setattr__(self, "entries", arr)
 
     @classmethod
     def _derived(cls, arr):
         """``arr`` without the checks: a matrix derived from a validated
         Laplacian, whose rules hold by construction."""
         lap = object.__new__(cls)
-        lap._hold(read_only_floats(arr))
+        object.__setattr__(lap, "entries", read_only_floats(arr))
         return lap
 
-    def _hold(self, arr):
-        object.__setattr__(self, "n", arr.shape[0])
-        object.__setattr__(self, "entries", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaplacianMatrix is immutable")
-
-    def __repr__(self):
-        return f"LaplacianMatrix(n={self.n})"
-
-    def __eq__(self, other):
-        return (isinstance(other, LaplacianMatrix)
-                and np.array_equal(self.entries, other.entries))
+    @property
+    def n(self):
+        return self.entries.shape[0]
 
     @property
     def d_max(self):
@@ -160,22 +152,6 @@ class SymmetrizableDecomposition:
             raise InvalidGraph("mass vector must be positive and finite")
         if not is_symmetric(self.lap_sym.entries):
             raise InvalidGraph("lap_sym must be symmetric")
-
-
-@dataclass(frozen=True)
-class NotSymmetrizable:
-    """Verdict explaining why a Laplacian admits no symmetrizing mass vector.
-
-    ``reason`` is "nonpositive_mass" or "detailed_balance"; ``pair`` names the
-    offending node (mass case) or node pair (balance case).
-    """
-
-    reason: str
-    pair: tuple = ()
-    detail: str = ""
-
-    def __bool__(self):
-        return False
 
 
 class OneWaySplit(NamedTuple):
@@ -227,12 +203,19 @@ def left_null_vector(lap: LaplacianMatrix) -> np.ndarray:
     return m
 
 
-def check_symmetrizable(lap: LaplacianMatrix):
-    """Symmetrizable decomposition of ``lap``, or a NotSymmetrizable verdict.
+def _not_symmetrizable(reason, pair, detail):
+    return NotSymmetrizableError(f"{reason}: {detail}", reason=reason, pair=pair,
+                                 detail=detail)
+
+
+def check_symmetrizable(lap: LaplacianMatrix) -> SymmetrizableDecomposition:
+    """Symmetrizable decomposition of ``lap``.
 
     Positive-mass and detailed-balance checks both use _BALANCE_TOL relative
-    to the largest edge weight and mass.  Returns SymmetrizableDecomposition
-    on success; the returned lap_sym is diag(m) @ lap, symmetrized to kill
+    to the largest edge weight and mass; a failed one raises
+    NotSymmetrizableError with its ``reason`` ("nonpositive_mass" or
+    "detailed_balance"), ``pair`` (the offending node, or node pair) and
+    ``detail``.  The returned lap_sym is diag(m) @ lap, symmetrized to kill
     floating-point fuzz.
     """
     m = left_null_vector(lap)
@@ -240,9 +223,8 @@ def check_symmetrizable(lap: LaplacianMatrix):
     bad = np.flatnonzero(m <= _BALANCE_TOL * mmax)
     if bad.size:
         i = int(bad[0])
-        return NotSymmetrizable(
-            reason="nonpositive_mass", pair=(i,),
-            detail=f"component m[{i}] = {m[i]:.3e} is not positive")
+        raise _not_symmetrizable("nonpositive_mass", (i,),
+                                 f"component m[{i}] = {m[i]:.3e} is not positive")
     off = -lap.entries + np.diag(np.diag(lap.entries))
     wmax = np.max(off) if lap.n > 1 else 0.0
     thresh = _BALANCE_TOL * max(wmax, 1e-300) * mmax
@@ -250,10 +232,9 @@ def check_symmetrizable(lap: LaplacianMatrix):
     viol = np.abs(bal)
     if lap.n > 1 and np.max(viol) > thresh:
         i, j = np.unravel_index(np.argmax(viol), viol.shape)
-        return NotSymmetrizable(
-            reason="detailed_balance", pair=(int(i), int(j)),
-            detail=(f"m_i*w_ij = {m[i] * off[i, j]:.6e} vs "
-                    f"m_j*w_ji = {m[j] * off[j, i]:.6e}"))
+        raise _not_symmetrizable("detailed_balance", (int(i), int(j)),
+                                 f"m_i*w_ij = {m[i] * off[i, j]:.6e} vs "
+                                 f"m_j*w_ji = {m[j] * off[j, i]:.6e}")
     prod = m[:, None] * lap.entries
     lap_sym = LaplacianMatrix((prod + prod.T) / 2.0)
     return SymmetrizableDecomposition(m=m, lap_sym=lap_sym)

@@ -279,7 +279,7 @@ def parse_trend_csv(text: str) -> TrendSegment:
         steps = np.diff(stamps)
     if not np.all(np.isfinite(steps)):
         raise ParseError("trend steps overflow the float range")
-    if steps.size == 0 or np.any(np.abs(steps - steps[0]) > 1e-6):
+    if np.any(np.abs(steps - steps[0]) > 1e-6):
         raise ParseError("trend rows must be uniformly spaced")
     return TrendSegment(start=stamps[0], step=float(steps[0]), values=values)
 

@@ -29,15 +29,18 @@ def _frozen(arr) -> bool:
     return False
 
 
-def read_only_floats(arr) -> np.ndarray:
+def read_only_floats(arr, dtype=float) -> np.ndarray:
     """How every value type holds an array: ``arr`` itself when it is a
-    float64 or complex128 array that is _frozen, else a read-only copy in
-    the memory order of ``arr``, complex when ``arr`` is complex and float64
-    otherwise.  A caller's writeable array is thus never aliased or frozen.
+    _frozen array of ``dtype``, else a read-only ``dtype`` copy in the memory
+    order of ``arr``.  ``dtype`` is the field's: float (float64) for a real
+    field, which refuses complex values with ValueError, or complex
+    (complex128).  A caller's writeable array is thus never aliased or frozen.
     """
-    if not (_frozen(arr) and arr.dtype in (float, complex)):
+    if not (_frozen(arr) and arr.dtype == dtype):
         arr = np.asarray(arr)
-        arr = arr.astype(complex if arr.dtype.kind == "c" else float)
+        if arr.dtype.kind == "c" and dtype is float:
+            raise ValueError("a real field was given complex values")
+        arr = arr.astype(dtype)
         arr.flags.writeable = False
     return arr
 

@@ -60,7 +60,7 @@ class EigenSystem:
 
     def __post_init__(self):
         for name in ("eigenvalues", "eigenvectors"):
-            object.__setattr__(self, name, read_only_floats(getattr(self, name)))
+            object.__setattr__(self, name, read_only_floats(getattr(self, name), complex))
 
     @property
     def n(self):

@@ -15,7 +15,7 @@ from conftest import MODEL_L0, MODEL_LI, MODEL_X0, seeded_digraph, strict_json
 from netosc import dynamics, signal
 from netosc.cli import _CSV_BLOCK_ROWS, _csv, _Files, _states_csv, run
 from netosc.dynamics import oscillation_centrality
-from netosc.errors import DefectiveMatrix, ParseError, Unstable
+from netosc.errors import DefectiveMatrix, NotSymmetrizableError, ParseError, Unstable
 from netosc.graph import (
     MAX_NODES,
     LaplacianMatrix,
@@ -47,6 +47,18 @@ def ring_json(tmp_path):
     path = tmp_path / "ring.json"
     path.write_text(json.dumps({"n": 4, "edges": edges}))
     return path
+
+
+@pytest.fixture
+def cycle_json(tmp_path):
+    """The one-way 3-cycle: connected, with positive masses, but no pair in
+    detailed balance."""
+    path = tmp_path / "cycle.json"
+    path.write_text('{"n": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0], [2, 0, 1.0]]}')
+    return path
+
+
+CYCLE_DETAIL = "m_i*w_ij = 0.000000e+00 vs m_j*w_ji = 1.000000e+00"
 
 
 def summary_of(result):
@@ -191,11 +203,14 @@ class TestAnalyzeGraph:
         lap = compose_epsilon((LaplacianMatrix(MODEL_L0), LaplacianMatrix(MODEL_LI)),
                               float(eps))
         assert (out / "laplacian.csv").read_bytes() == _reference_matrix_csv(lap).encode()
-        verdict = check_symmetrizable(lap)
-        assert (out / "laplacian_sym.csv").exists() == bool(verdict)
-        if verdict:
+        try:
+            dec = check_symmetrizable(lap)
+        except NotSymmetrizableError:
+            dec = None
+        assert (out / "laplacian_sym.csv").exists() == (dec is not None)
+        if dec is not None:
             assert ((out / "laplacian_sym.csv").read_bytes()
-                    == _reference_matrix_csv(verdict.lap_sym).encode())
+                    == _reference_matrix_csv(dec.lap_sym).encode())
 
     def test_digraph_laplacian_csv_parses_back_exactly(self, tmp_path):
         g = seeded_digraph(0, 12)
@@ -224,6 +239,30 @@ class TestAnalyzeGraph:
         doc = summary_of(result)
         assert doc["symmetrizable"] is False
         assert doc["spectrum_real"] is True
+
+    def test_one_way_cycle_summary(self, cycle_json, tmp_path):
+        out = tmp_path / "out"
+        result = run(["analyze-graph", "--graph", str(cycle_json), "--out", str(out)])
+        assert result.exit_code == 0
+        doc = summary_of(result)
+        eigenvalues = doc.pop("eigenvalues")
+        assert np.allclose(eigenvalues, [[0.0, 0.0], [1.5, -0.75 ** 0.5], [1.5, 0.75 ** 0.5]],
+                           rtol=0.0, atol=1e-12)
+        assert doc.pop("basis_condition") == pytest.approx(1.0, rel=1e-12)
+        digest = hashlib.sha256(cycle_json.read_bytes()).hexdigest()
+        assert doc == {
+            "command": "analyze-graph",
+            "d_max": 1.0,
+            "gershgorin": {"center": 1.0, "radius": 1.0},
+            "inputs": {str(cycle_json): digest},
+            "n": 3,
+            "outputs": [str(out / "laplacian.csv"), str(out / "spectrum.csv")],
+            "params": {"eps": 1.0, "graph": str(cycle_json), "out": str(out)},
+            "spectrum_real": False,
+            "symmetrizable": False,
+            "verdict": {"detail": CYCLE_DETAIL, "pair": [0, 2], "reason": "detailed_balance"},
+        }
+        assert sorted(p.name for p in out.iterdir()) == ["laplacian.csv", "spectrum.csv"]
 
 
 class TestSimulate:
@@ -429,6 +468,14 @@ class TestCentrality:
         error = summary_of(result)["error"]
         assert error["type"] == "InvalidGraph"
         assert error["message"] == f"edge (0,1) has non-finite weight {float(token)}"
+
+    def test_one_way_cycle_is_numeric_exit(self, cycle_json):
+        result = run(["centrality", "--graph", str(cycle_json)])
+        assert result.exit_code == 3
+        assert result.summary == (
+            '{\n  "command": "centrality",\n  "error": {\n'
+            f'    "message": "detailed_balance: {CYCLE_DETAIL}",\n'
+            '    "type": "NotSymmetrizableError"\n  }\n}')
 
     def test_betweenness_star(self, tmp_path):
         edges = []

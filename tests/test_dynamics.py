@@ -194,6 +194,14 @@ class TestModalSolve:
         for t in (0.0, 3.7, 100.0):
             assert np.allclose(evaluate_states(sol, [t])[0], 4.0, atol=1e-8)
 
+    def test_one_way_cycle_refused_before_the_solve(self):
+        # the typed refusal comes from check_symmetrizable, not a TypeError
+        # from inside the solve
+        cycle = laplacian_of(WeightedDigraph(n=3, edges=((0, 1, 1.0), (1, 2, 1.0),
+                                                         (2, 0, 1.0))))
+        with pytest.raises(NotSymmetrizableError, match="detailed_balance"):
+            modal_solve(check_symmetrizable(cycle), InitialCondition.at_rest([1.0, 0.0, 0.0]))
+
     def test_two_node_spring_cosine(self):
         lap = laplacian_of(undirected_graph(2, [(0, 1)]))
         sol = modal_solve(lap, InitialCondition.at_rest([1.0, -1.0]))
@@ -484,19 +492,16 @@ class TestNodeEnergies:
     def test_zero_coefficients_zero_energy(self):
         lap = laplacian_of(undirected_graph(3, [(0, 1), (1, 2)]))
         sol = modal_solve(lap, InitialCondition.at_rest([1.0, 1.0, 1.0]))
-        report = node_energies(sol)
-        assert np.allclose(report.per_node, 0.0, atol=1e-12)
+        assert np.allclose(node_energies(sol), 0.0, atol=1e-12)
 
     def test_total_matches_mode_sum(self):
         lap = laplacian_of(undirected_graph(4, [(0, 1), (1, 2), (2, 3), (0, 2)]))
         rng = np.random.default_rng(8)
         sol = modal_solve(lap, InitialCondition(x0=rng.normal(size=4),
                                                 v0=rng.normal(size=4)))
-        report = node_energies(sol)
         lam = (sol.omegas ** 2).real
         expected = np.sum(lam * (np.abs(sol.c_plus) ** 2 + np.abs(sol.c_minus) ** 2))
-        assert report.total == pytest.approx(expected, abs=1e-10)
-        assert report.total == pytest.approx(np.sum(report.per_node), rel=1e-9)
+        assert np.sum(node_energies(sol)) == pytest.approx(expected, abs=1e-10)
 
     def test_oblique_basis_rejected(self):
         sol = modal_solve(model(1.5), model_ic())
@@ -512,8 +517,7 @@ class TestTotalEnergySeries:
         report = total_energy_series(sol, times)
         e = report.series.values
         assert (e.max() - e.min()) / e.mean() <= 1e-9
-        assert report.total == pytest.approx(np.sum(node_energies(sol).per_node), rel=1e-9)
-        assert report.per_node is None
+        assert report.total == pytest.approx(np.sum(node_energies(sol)), rel=1e-9)
 
     def test_oblique_basis_beats_at_min_frequency_gap(self):
         lap = model(1.5)

@@ -5,13 +5,19 @@ import pytest
 
 from conftest import MODEL_L0, MODEL_LI, MODEL_L0_SYM, MODEL_MASS, seeded_digraph
 from netosc import graph
-from netosc.errors import Disconnected, InvalidGraph, OutOfRange, ParseError
+from netosc.errors import (
+    Disconnected,
+    InvalidGraph,
+    NotSymmetrizableError,
+    OutOfRange,
+    ParseError,
+)
 from netosc.graph import (
     MAX_ENTRY,
     MAX_NODES,
     LaplacianMatrix,
     OneWaySplit,
-    NotSymmetrizable,
+    SymmetrizableDecomposition,
     WeightedDigraph,
     canonical_split,
     check_symmetrizable,
@@ -239,7 +245,7 @@ class TestLeftNullVector:
 class TestCheckSymmetrizable:
     def test_model_decomposition(self, model_lap0):
         dec = check_symmetrizable(model_lap0)
-        assert not isinstance(dec, NotSymmetrizable)
+        assert isinstance(dec, SymmetrizableDecomposition)
         assert np.allclose(dec.m, MODEL_MASS, atol=1e-9)
         assert np.allclose(dec.lap_sym.entries, MODEL_L0_SYM, atol=1e-10)
 
@@ -251,10 +257,11 @@ class TestCheckSymmetrizable:
 
     def test_one_way_pair_not_symmetrizable(self):
         lap = LaplacianMatrix([[1.0, -1.0], [0.0, 0.0]])
-        verdict = check_symmetrizable(lap)
-        assert isinstance(verdict, NotSymmetrizable)
-        assert verdict.reason == "nonpositive_mass"
-        assert verdict.pair == (0,)
+        with pytest.raises(NotSymmetrizableError) as verdict:
+            check_symmetrizable(lap)
+        assert verdict.value.reason == "nonpositive_mass"
+        assert verdict.value.pair == (0,)
+        assert str(verdict.value) == f"nonpositive_mass: {verdict.value.detail}"
 
     def test_detailed_balance_violation_reported(self):
         # 3-cycle plus reverse edges with unbalanced weights: connected, all
@@ -263,10 +270,11 @@ class TestCheckSymmetrizable:
             (0, 1, 2.0), (1, 0, 1.0),
             (1, 2, 1.0), (2, 1, 1.0),
             (0, 2, 1.0), (2, 0, 1.0)))
-        verdict = check_symmetrizable(laplacian_of(g))
-        assert isinstance(verdict, NotSymmetrizable)
-        assert verdict.reason == "detailed_balance"
-        assert len(verdict.pair) == 2
+        with pytest.raises(NotSymmetrizableError) as verdict:
+            check_symmetrizable(laplacian_of(g))
+        assert verdict.value.reason == "detailed_balance"
+        assert len(verdict.value.pair) == 2
+        assert str(verdict.value) == f"detailed_balance: {verdict.value.detail}"
 
     def test_recovers_random_mass(self):
         rng = np.random.default_rng(3)
@@ -290,7 +298,7 @@ class TestCheckSymmetrizable:
             m_true = rng.uniform(0.2, 5.0, n)
             lap = LaplacianMatrix(mat / m_true[:, None])
             dec = check_symmetrizable(lap)
-            assert not isinstance(dec, NotSymmetrizable)
+            assert isinstance(dec, SymmetrizableDecomposition)
             ratio = dec.m / m_true
             assert np.max(np.abs(ratio / ratio[0] - 1.0)) <= 1e-8
 
@@ -418,8 +426,8 @@ class TestComposeEpsilon:
     def test_split_and_pair_compose_alike(self, model_lap0, model_lapI):
         split = OneWaySplit(model_lap0, model_lapI)
         assert split == (model_lap0, model_lapI)
-        assert (compose_epsilon(split, 0.5)
-                == compose_epsilon((model_lap0, model_lapI), 0.5))
+        assert np.array_equal(compose_epsilon(split, 0.5).entries,
+                              compose_epsilon((model_lap0, model_lapI), 0.5).entries)
 
     def test_rejects_negative_eps(self, model_lap0, model_lapI):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Randomized invariant checks over generated graph families."""
 
 import json
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -300,6 +301,19 @@ class TestLowFrequencyContrast:
         assert half >= 2.0 * zero and near >= 2.0 * zero
 
 
+@pytest.fixture(scope="module")
+def readme_energies():
+    """The README model's energy series, 1,024 samples at dt = 1, at eps = 0
+    (cool) and at 0.99 eps* (hot)."""
+    pair = (LaplacianMatrix(MODEL_L0), LaplacianMatrix(MODEL_LI))
+    eps_star = critical_epsilon(*pair, (0.0, 3.0), 1e-6)
+    times = np.arange(1024) * 1.0
+    return tuple(total_energy_series(modal_solve(compose_epsilon(pair, eps),
+                                                 InitialCondition.at_rest(MODEL_X0)),
+                                     times).series.values
+                 for eps in (0.0, 0.99 * eps_star))
+
+
 class TestEventLogContrast:
     """The paper's measurement chain on event counts: a synthesized event log
     goes through ``bin`` and then ``compare-periods``, as in the README.
@@ -316,15 +330,9 @@ class TestEventLogContrast:
     SEEDS = range(5)
 
     @pytest.fixture(scope="class")
-    def gaps(self, tmp_path_factory):
+    def gaps(self, readme_energies, tmp_path_factory):
         """Per seed: (hot share - cool share, cool share - cool share)."""
-        pair = (LaplacianMatrix(MODEL_L0), LaplacianMatrix(MODEL_LI))
-        eps_star = critical_epsilon(*pair, (0.0, 3.0), 1e-6)
-        times = np.arange(self.N) * 1.0
-        cool, hot = (total_energy_series(modal_solve(compose_epsilon(pair, eps),
-                                                     InitialCondition.at_rest(MODEL_X0)),
-                                         times).series.values
-                     for eps in (0.0, 0.99 * eps_star))
+        cool, hot = readme_energies
         tmp = tmp_path_factory.mktemp("chain")
         rows = []
         for seed in self.SEEDS:
@@ -354,3 +362,59 @@ class TestEventLogContrast:
 
     def test_two_cool_periods_agree_within_the_band(self, gaps):
         assert np.all(np.abs(gaps[:, 1]) <= 0.03), gaps
+
+
+class TestTrendsContrast:
+    """The paper's measurement chain on search interest: weekly segments of
+    integer interest go through ``fuse-trends`` and then ``compare-periods``.
+
+    The latent series is hourly: the README model's energy at eps = 0 (cool)
+    and then at 0.99 eps* (hot), 1,024 samples each, each period divided by
+    its mean.  Segments span WEEK_HOURS and start STRIDE_HOURS apart, on a
+    grid that starts ``offset`` hours before the series; the first and last
+    are cut at its ends.  Each segment is scaled to max 100 and rounded to
+    integers, as the Trends service serves it.  Over all 144 offsets the
+    hot period's low-frequency share exceeded the cool one's by 0.098-0.144
+    (0.106 at offset 0), and two cool periods differed by -0.029 to +0.033.
+    """
+
+    N, WEEK_HOURS, STRIDE_HOURS = 1024, 168, 144
+    START = 1_609_718_400     # 2021-01-04T00:00:00Z
+    OFFSETS = (0, 50, 100)
+
+    @pytest.fixture(scope="class")
+    def gaps(self, readme_energies, tmp_path_factory):
+        """Per offset: (hot share - cool share, cool share - cool share)."""
+        cool, hot = readme_energies
+        return np.array([[self._share_gap(tmp_path_factory.mktemp("trends"), offset,
+                                          cool, second) for second in (hot, cool)]
+                         for offset in self.OFFSETS])
+
+    def _segment_csv(self, latent, lo, hi):
+        values = np.round(100.0 * latent[lo:hi] / latent[lo:hi].max()).astype(int)
+        stamps = (datetime.fromtimestamp(self.START + 3600 * k, timezone.utc)
+                  for k in range(lo, hi))
+        return "datetime,value\n" + "".join(
+            f"{t:%Y-%m-%dT%H:%M:%S},{v}\n" for t, v in zip(stamps, values.tolist()))
+
+    def _share_gap(self, tmp, offset, first, second):
+        latent = np.concatenate([first / first.mean(), second / second.mean()])
+        paths, hi, start = [], 0, -offset
+        while hi < latent.size:
+            lo, hi = max(start, 0), min(start + self.WEEK_HOURS, latent.size)
+            paths.append(tmp / f"week{len(paths):02d}.csv")
+            paths[-1].write_text(self._segment_csv(latent, lo, hi))
+            start += self.STRIDE_HOURS
+        assert run(["fuse-trends", *map(str, paths), "--out", str(tmp)]).exit_code == 0
+        result = run(["compare-periods", "--in", str(tmp / "fused.csv"),
+                      "--periods", f"0:{self.N},{self.N}:{self.N}",
+                      "--window", "80", "--cutoff", "64"])
+        assert result.exit_code == 0
+        cool, other = (row["low_freq_share"] for row in json.loads(result.summary)["table"])
+        return other - cool
+
+    def test_hot_period_has_the_larger_share(self, gaps):
+        assert np.all(gaps[:, 0] > 0.0), gaps
+
+    def test_two_cool_periods_agree_within_the_band(self, gaps):
+        assert np.all(np.abs(gaps[:, 1]) <= 0.04), gaps

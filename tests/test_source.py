@@ -1,9 +1,13 @@
 """Checks on the package source itself: no private helper is left dead or
-crosses a module, and every export is used outside the tests."""
+crosses a module, every export is used outside the tests, and every
+exported class is a value type."""
 
 import ast
+import dataclasses
 import re
 from pathlib import Path
+
+import netosc
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "netosc"
@@ -79,3 +83,11 @@ def test_every_export_is_used_outside_the_tests():
     unused = [name for name in exports
               if name not in used and not re.search(rf"\b{name}\b", readme)]
     assert not unused, f"exports that only tests use: {unused}"
+
+
+def test_every_exported_class_is_a_frozen_dataclass_or_named_tuple():
+    loose = [name for name, obj in vars(netosc).items()
+             if isinstance(obj, type)
+             and not (dataclasses.is_dataclass(obj) and obj.__dataclass_params__.frozen)
+             and not (issubclass(obj, tuple) and hasattr(obj, "_fields"))]
+    assert not loose, f"exported classes that are neither: {loose}"

@@ -1,10 +1,11 @@
 """The one rule by which every value type holds an array.
 
-A value keeps a float64 or complex128 array that is read-only down to the
-array owning its data; it copies anything else into a read-only array,
-complex if the input was complex and float64 otherwise.  So no value aliases
-a caller's writeable array or hands out a writeable one.  The value types are
-every dataclass netosc exports with an array field, plus LaplacianMatrix.
+Each array field declares its dtype, complex128 or float64.  A value keeps
+an array of that dtype that is read-only down to the array owning its data;
+it copies anything else into a read-only array of that dtype, and a real
+field refuses complex values.  So no value aliases a caller's writeable
+array or hands out a writeable one.  The value types are every dataclass
+netosc exports with an array field.
 """
 
 import dataclasses
@@ -27,12 +28,12 @@ LAP = LaplacianMatrix([[1.0, -1.0], [-1.0, 1.0]])
 EIGENSYSTEM = EigenSystem(eigenvalues=np.array([0.0, 2.0 + 0j]), eigenvectors=np.eye(2),
                           basis_condition=1.0, scale=1.0)
 
-# Per value type: valid integral arrays for its array fields, and its other
-# arguments.
+# Per value type: valid integral arrays of each array field's dtype, and its
+# other arguments.
 CASES = {
-    "EigenSystem": ({"eigenvalues": np.array([0.0, 2.0 + 0j]), "eigenvectors": np.eye(2)},
+    "EigenSystem": ({"eigenvalues": np.array([0.0, 2.0 + 0j]),
+                     "eigenvectors": np.eye(2, dtype=complex)},
                     {"basis_condition": 1.0, "scale": 1.0}),
-    "EnergyReport": ({"per_node": np.array([1.0, 2.0])}, {"total": 3.0}),
     "EventLog": ({"timestamps": np.array([1.0, 2.0, 3.0])}, {}),
     "InitialCondition": ({"x0": np.array([1.0, -1.0]), "v0": np.array([0.0, 2.0])}, {}),
     "LaplacianMatrix": ({"entries": np.array([[1.0, -1.0], [-1.0, 1.0]])}, {}),
@@ -53,7 +54,6 @@ def _array_fields(cls):
 
 VALUE_TYPES = sorted(name for name, obj in vars(netosc).items()
                      if dataclasses.is_dataclass(obj) and _array_fields(obj))
-VALUE_TYPES.append("LaplacianMatrix")
 
 
 def _build(name, make):
@@ -61,8 +61,7 @@ def _build(name, make):
     each array passed through ``make`` into ``given``."""
     arrays, others = CASES[name]
     cls = getattr(netosc, name)
-    if dataclasses.is_dataclass(cls):
-        assert sorted(arrays) == _array_fields(cls), "an array field has no CASES array"
+    assert sorted(arrays) == _array_fields(cls), "an array field has no CASES array"
     given = {field: make(arr) for field, arr in arrays.items()}
     return cls(**given, **others), given
 
@@ -103,9 +102,15 @@ def test_frozen_arrays_are_kept(name):
 
 @pytest.mark.parametrize("name", VALUE_TYPES)
 def test_complex_stays_complex_and_the_rest_becomes_float(name):
-    value, given = _build(name, lambda arr: arr.astype(complex if arr.dtype == complex else int))
-    for field, arr in given.items():
-        assert getattr(value, field).dtype == (complex if arr.dtype == complex else float), field
+    """Integral arrays take each field's declared dtype, and every real field
+    refuses a complex array."""
+    value, _ = _build(name, lambda arr: arr.real.astype(int))
+    arrays, others = CASES[name]
+    for field, arr in arrays.items():
+        assert getattr(value, field).dtype == arr.dtype, field
+        if arr.dtype == float:
+            with pytest.raises((ValueError, InvalidGraph), match="real"):
+                getattr(netosc, name)(**{**arrays, field: arr + 1j}, **others)
 
 
 @pytest.mark.parametrize("build, error, message", [
