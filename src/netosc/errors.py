@@ -63,8 +63,10 @@ class ZeroAnchor(DataError):
 
 
 class Disconnected(DataError):
-    """Graph is not connected (undirected reachability on the nonzero pattern),
-    or the zero eigenvalue of its Laplacian is not simple."""
+    """The zero eigenvalue of the Laplacian is not simple, as a disconnected
+    graph's is not (left_null_vector's SVD nullity test, or its null vector's
+    residual), or a node is unreachable from another along directed edges
+    (betweenness_weights' BFS)."""
 
 
 # --- numeric errors --------------------------------------------------------
@@ -97,11 +99,13 @@ class ComplexSpectrum(NumericError):
 
 
 class BadBracket(NumericError):
-    """Transition bracket is empty, has tol <= 0, or is non-real at lo."""
+    """Transition bracket is empty, has tol <= 0, a non-finite lo or tol, or
+    is non-real at lo."""
 
 
 class NoTransition(NumericError):
-    """The transition search found a real spectrum at every point up to hi."""
+    """The transition search found a real spectrum at every point up to hi,
+    or, with hi = inf, no pair model bounds the step from its last real point."""
 
 
 class Unstable(NumericError):

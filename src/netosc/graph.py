@@ -214,9 +214,10 @@ def check_symmetrizable(lap: LaplacianMatrix) -> SymmetrizableDecomposition:
     Positive-mass and detailed-balance checks both use _BALANCE_TOL relative
     to the largest edge weight and mass; a failed one raises
     NotSymmetrizableError with its ``reason`` ("nonpositive_mass" or
-    "detailed_balance"), ``pair`` (the offending node, or node pair) and
-    ``detail``.  The returned lap_sym is diag(m) @ lap, symmetrized to kill
-    floating-point fuzz.
+    "detailed_balance"), ``pair`` (the offending node, or the first node pair
+    in row-major order whose balance violation is within _BALANCE_TOL of the
+    largest) and ``detail``.  The returned lap_sym is diag(m) @ lap,
+    symmetrized to kill floating-point fuzz.
     """
     m = left_null_vector(lap)
     mmax = np.max(np.abs(m)) if lap.n > 1 else 1.0
@@ -231,7 +232,8 @@ def check_symmetrizable(lap: LaplacianMatrix) -> SymmetrizableDecomposition:
     bal = m[:, None] * off - (m[:, None] * off).T
     viol = np.abs(bal)
     if lap.n > 1 and np.max(viol) > thresh:
-        i, j = np.unravel_index(np.argmax(viol), viol.shape)
+        i, j = np.unravel_index(np.argmax(viol >= (1 - _BALANCE_TOL) * viol.max()),
+                                viol.shape)
         raise _not_symmetrizable("detailed_balance", (int(i), int(j)),
                                  f"m_i*w_ij = {m[i] * off[i, j]:.6e} vs "
                                  f"m_j*w_ji = {m[j] * off[j, i]:.6e}")

@@ -4,17 +4,27 @@ Graphs are JSON {"n", "edges"} documents or edge-list CSVs with header
 src,dst,w, whose node count is one more than the largest endpoint.  Event
 logs are timestamp CSVs binned into fixed intervals (16-minute bins sliced
 into 256- or 128-sample analysis periods is the usual configuration).
-Trends segments are hourly interest values normalized per segment to max 100;
-chains of overlapping segments are fused left to right by rescaling everything
-accumulated so far through the value ratio at the first shared timestamp, then
-renormalizing the result to max 100.
+Trends segments are datetime,value CSVs of hourly interest values normalized
+per segment to max 100; chains of overlapping segments are fused left to right
+by rescaling everything accumulated so far through the value ratio at the
+first shared timestamp, then renormalizing the result to max 100.
+
+The CSV formats share their rules, each written once.  Edge, event-log and
+trend CSVs: the header line's comma fields, stripped and lowercased, are
+exactly the format's names, and every row has as many fields (_read_csv).
+Event logs and trends: the first row fixes the time kind, epoch seconds or
+ISO-8601, and epoch seconds are finite (_timestamps).  Trends and series:
+values are finite (_finite), and the time column's first step is positive and
+finite, every step within 1e-9 max(|step|, 1) of it (_uniform_step).  A
+series CSV instead has an optional header of any names and reads the first
+two columns.  A row that breaks a rule raises ParseError naming its line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -77,26 +87,6 @@ def _iso_timestamp(token):
     return stamp.timestamp()
 
 
-def _parse_timestamp(token):
-    """Epoch seconds of an epoch-seconds or ISO-8601 token."""
-    try:
-        return float(token)
-    except ValueError:
-        return _iso_timestamp(token)
-
-
-def _is_number(token):
-    try:
-        float(token)
-        return True
-    except ValueError:
-        return False
-
-
-def _timestamp_kind(token):
-    return "epoch" if _is_number(token) else "iso"
-
-
 # Characters of text split into lines at a time by _numbered_rows.
 _BLOCK_CHARS = 1 << 16
 
@@ -130,36 +120,73 @@ def _parse_rows(rows, parse_line):
             raise ParseError(str(exc), line=lineno) from exc
 
 
-def parse_event_log(text: str) -> EventLog:
-    """Parse a CSV with header ``timestamp`` into a sorted EventLog.
-
-    Rows are either all epoch seconds or all ISO-8601 (naive times read as
-    UTC); mixing the two raises ParseError naming the offending line.
-    """
+def _read_csv(text, what, header, convert):
+    """Lazily, ``convert(fields)`` per row of a CSV with header ``header``,
+    under the header rule, checked on the call, and the field rule.  With no
+    header line, EmptyInput "<what> is empty"."""
     rows = _numbered_rows(text)
-    header_line, header = next(rows, (None, None))
-    if header is None:
-        raise EmptyInput("event log is empty")
-    if header.lower() != "timestamp":
-        raise ParseError(f'expected header "timestamp", got "{header}"',
-                         line=header_line)
-    first = next(rows, None)
-    if first is None:
-        raise EmptyInput("event log has a header but no events")
-    kind = _timestamp_kind(first[1])
+    line, names = next(rows, (None, None))
+    if names is None:
+        raise EmptyInput(f"{what} is empty")
+    if [h.strip().lower() for h in names.split(",")] != header.split(","):
+        raise ParseError(f'expected header "{header}", got "{names}"', line=line)
+    width = header.count(",") + 1
 
-    def stamp(token):
+    def row(ln):
+        fields = ln.split(",")
+        if len(fields) != width:
+            raise ValueError(f"expected {width} fields, got {len(fields)}")
+        return convert(fields)
+
+    return _parse_rows(rows, row)
+
+
+def _finite(value, fields):
+    """The finite-value rule: ``value``, read from a row's ``fields``."""
+    if not abs(value) < np.inf:     # False for nan too
+        raise ValueError(f"non-finite value in {','.join(fields)!r}")
+    return value
+
+
+def _timestamps():
+    """The timestamp rule, as a reader of each row's first field; naive
+    ISO-8601 times read as UTC."""
+    kind = None
+
+    def stamp(fields):
+        nonlocal kind
+        token = fields[0].strip()
         try:
-            seconds = float(token)
+            seconds, this = float(token), "epoch"
         except ValueError:
-            if kind == "epoch":
-                raise ValueError("timestamp format changed from epoch to iso") from None
-            return _iso_timestamp(token)
-        if kind == "iso":
-            raise ValueError("timestamp format changed from iso to epoch")
-        return seconds
+            seconds, this = None, "iso"
+        if this != (kind := kind or this):
+            raise ValueError(f"timestamp format changed from {kind} to {this}")
+        return _iso_timestamp(token) if seconds is None else _finite(seconds, fields)
 
-    stamps = np.fromiter(_parse_rows(chain([first], rows), stamp), dtype=float)
+    return stamp
+
+
+def _uniform_step(times):
+    """The step rule: the uniform step of ``times``, or 1.0 for a single time."""
+    with np.errstate(over="ignore"):  # an overflowing step is reported below
+        steps = np.diff(times)
+    if not steps.size:
+        return 1.0
+    if not 0.0 < steps[0] < np.inf:
+        raise ParseError(f"time column must step forward by a finite amount, "
+                         f"got a first step of {steps[0]}")
+    if np.max(np.abs(steps - steps[0])) > 1e-9 * max(abs(steps[0]), 1.0):
+        raise ParseError("time column is not uniformly spaced")
+    return float(steps[0])
+
+
+def parse_event_log(text: str) -> EventLog:
+    """Parse a CSV with header ``timestamp`` into a sorted EventLog."""
+    stamps = np.fromiter(_read_csv(text, "event log", "timestamp", _timestamps()),
+                         dtype=float)
+    if not stamps.size:
+        raise EmptyInput("event log has a header but no events")
     stamps.sort()
     stamps.flags.writeable = False  # EventLog keeps it without a copy
     return EventLog(timestamps=stamps)
@@ -221,7 +248,10 @@ def fuse_trends(segments) -> TimeSeries:
     for seg in segments[1:]:
         if seg.step != step:
             raise NoOverlap(f"segment step {seg.step} != {step}")
-        shift = (seg.start - origin) / step
+        with np.errstate(over="ignore"):   # an overflowing shift is refused below
+            shift = (seg.start - origin) / step
+        if not np.isfinite(shift):
+            raise NoOverlap(f"segment start {seg.start} is too far from {origin} to align")
         k = int(round(shift))
         if abs(shift - k) > 1e-6:
             raise NoOverlap("segment start is not aligned to the sample grid")
@@ -249,53 +279,30 @@ def fuse_trends(segments) -> TimeSeries:
 
 
 def parse_trend_csv(text: str) -> TrendSegment:
-    """Parse a CSV with header ``datetime,value`` into a TrendSegment.
-
-    Rows must be uniformly spaced in time (hourly in typical exports).
-    """
-    rows = _numbered_rows(text)
-    header_line, header_text = next(rows, (None, None))
-    if header_text is None:
-        raise EmptyInput("trend CSV is empty")
-    header = [h.strip().lower() for h in header_text.split(",")]
-    if header[:2] != ["datetime", "value"]:
-        raise ParseError(f'expected header "datetime,value", got "{header_text}"',
-                         line=header_line)
-    head = list(islice(rows, 2))
-    if len(head) < 2:
+    """Parse a CSV with header ``datetime,value`` into a TrendSegment; rows
+    are uniformly spaced in time (hourly in typical exports)."""
+    stamp = _timestamps()
+    rows = _read_csv(text, "trend CSV", "datetime,value",
+                     lambda fields: (stamp(fields), _finite(float(fields[1]), fields)))
+    stamps, values = np.fromiter(rows, dtype=np.dtype((float, (2,)))).T
+    if stamps.size < 2:
         raise EmptyInput("trend CSV needs at least 2 rows")
-
-    def fields(line):
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"expected 2 fields, got {len(parts)}")
-        row = _parse_timestamp(parts[0].strip()), float(parts[1])
-        if not np.all(np.isfinite(row)):
-            raise ValueError(f"non-finite value in {line!r}")
-        return row
-
-    stamps, values = zip(*_parse_rows(chain(head, rows), fields))
-    with np.errstate(over="ignore"):  # an overflowing step is reported below
-        steps = np.diff(stamps)
-    if not np.all(np.isfinite(steps)):
-        raise ParseError("trend steps overflow the float range")
-    if np.any(np.abs(steps - steps[0]) > 1e-6):
-        raise ParseError("trend rows must be uniformly spaced")
-    return TrendSegment(start=stamps[0], step=float(steps[0]), values=values)
+    return TrendSegment(start=float(stamps[0]), step=_uniform_step(stamps), values=values)
 
 
 def parse_series_csv(text: str) -> TimeSeries:
     """Series CSV: two columns read as (t, value); one column as values.
 
     A non-numeric first row is treated as a header, whatever its names.  The
-    time column must step forward by a finite, uniform amount; it sets the
-    series' step and origin.
+    time column sets the series' step and origin.
     """
     rows = _numbered_rows(text)
     first = next(rows, None)
     if first is None:
         raise EmptyInput("series CSV is empty")
-    if not _is_number(first[1].split(",")[0].strip()):
+    try:
+        float(first[1].split(",")[0])
+    except ValueError:     # a header
         first = next(rows, None)
     if first is None:
         raise EmptyInput("series CSV has no data rows")
@@ -305,25 +312,14 @@ def parse_series_csv(text: str) -> TimeSeries:
         parts = line.split(",")
         if len(parts) < width:
             raise ValueError("expected t,value")
-        values = [float(token) for token in parts[:width]]
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"non-finite value in {line!r}")
-        return values
+        return [_finite(float(token), parts) for token in parts[:width]]
 
     columns = np.fromiter(_parse_rows(chain([first], rows), fields),
                           dtype=np.dtype((float, (width,)))).T
     if width == 1:
         return TimeSeries(values=columns[0])
     ts, vs = columns
-    with np.errstate(over="ignore"):  # an overflowing step is reported below
-        steps = np.diff(ts)
-    if steps.size and not 0.0 < steps[0] < np.inf:
-        raise ParseError(f"time column must step forward by a finite amount, "
-                         f"got a first step of {steps[0]}")
-    if steps.size and np.max(np.abs(steps - steps[0])) > 1e-9 * max(abs(steps[0]), 1.0):
-        raise ParseError("time column is not uniformly spaced")
-    dt = float(steps[0]) if steps.size else 1.0
-    return TimeSeries(values=vs, dt=dt, origin=float(ts[0]))
+    return TimeSeries(values=vs, dt=_uniform_step(ts), origin=float(ts[0]))
 
 
 def graph_from_json_doc(doc) -> WeightedDigraph:
@@ -353,21 +349,9 @@ def _is_json_int(v):
 
 def graph_from_edge_csv(text: str) -> WeightedDigraph:
     """Parse an edge-list CSV with header src,dst,w."""
-    rows = _numbered_rows(text)
-    header_line, header = next(rows, (None, None))
-    if header is None:
-        raise EmptyInput("edge CSV is empty")
-    if [h.strip().lower() for h in header.split(",")][:3] != ["src", "dst", "w"]:
-        raise ParseError(f'expected header "src,dst,w", got "{header}"', line=header_line)
-
-    def edge(line):
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"expected 3 fields, got {len(parts)}")
-        return int(parts[0]), int(parts[1]), float(parts[2])
-
-    edges = list(_parse_rows(rows, edge))
+    edges = tuple(_read_csv(text, "edge CSV", "src,dst,w",
+                            lambda fields: (int(fields[0]), int(fields[1]), float(fields[2]))))
     if not edges:
         raise EmptyInput("edge CSV contains no edges")
     n = 1 + max(max(s, d, 0) for s, d, _ in edges)    # a negative endpoint is out of range
-    return WeightedDigraph(n=n, edges=tuple(edges))
+    return WeightedDigraph(n=n, edges=edges)

@@ -158,22 +158,19 @@ def eigen_gap(es: EigenSystem) -> float:
     return float(gaps.min())
 
 
-def _solve_at(parts, eps, vectors):
+def _solve_at(parts, eps):
     """One eigensolve of lap0 + eps*lapI: (eigenvalues, real, coupling).
 
-    ``real`` is _real_within_tol's verdict; symmetric compositions with
-    ``vectors`` (eigendecompose's symmetry test) are real by construction.
-    With ``vectors`` and a real spectrum, ``coupling`` is W = X^-1 lapI X in
-    the eigenbasis X, else None; a singular X gives None too.
+    ``real`` is _real_within_tol's verdict; symmetric compositions
+    (eigendecompose's symmetry test) are real by construction.  With a real
+    spectrum, ``coupling`` is W = X^-1 lapI X in the eigenbasis X, else None;
+    a singular X gives None too.
     """
     arr, symmetric, scale = _entries(compose_epsilon(parts, eps))
     lap_i = parts[1].entries
-    if symmetric and vectors:
+    if symmetric:
         lam, vec = np.linalg.eigh(arr)
         return lam, True, vec.T @ lap_i @ vec
-    if not vectors:
-        lam = np.linalg.eigvals(arr)
-        return lam, _real_within_tol(lam, scale), None
     lam, vec = np.linalg.eig(arr)
     if not _real_within_tol(lam, scale):
         return lam, False, None
@@ -283,7 +280,7 @@ def locate_transition(lap0: LaplacianMatrix, lapI: LaplacianMatrix,
         raise BadBracket(f"need a finite lo and tol, got lo={lo}, tol={tol}")
     parts = (lap0, lapI)
     solves = 1
-    lam, real, coupling = _solve_at(parts, lo, True)
+    lam, real, coupling = _solve_at(parts, lo)
     if not real:
         raise BadBracket(f"spectrum already non-real at eps = {lo}")
     cap = MARCH_CAP0 * (hi - lo)
@@ -303,7 +300,7 @@ def locate_transition(lap0: LaplacianMatrix, lapI: LaplacianMatrix,
         if not np.isfinite(trial):     # hi = inf, and no model bounds the step
             raise NoTransition(f"no pair collision predicted above the real point eps = {x}")
         solves += 1
-        lam, real, coupling = _solve_at(parts, trial, True)
+        lam, real, coupling = _solve_at(parts, trial)
         if real:
             if trial >= hi:
                 raise NoTransition(f"spectrum real at every march point up to eps = {hi}")
@@ -316,7 +313,8 @@ def locate_transition(lap0: LaplacianMatrix, lapI: LaplacianMatrix,
             if jump and top - x > tol:      # bracket the collision from below too
                 solves += 1
                 c = top - 0.9 * tol
-                if _solve_at(parts, c, False)[1]:
+                arr, _, scale = _entries(compose_epsilon(parts, c))
+                if _real_within_tol(np.linalg.eigvals(arr), scale):
                     x = c
                 else:
                     top = c

@@ -58,7 +58,8 @@ def cycle_json(tmp_path):
     return path
 
 
-CYCLE_DETAIL = "m_i*w_ij = 0.000000e+00 vs m_j*w_ji = 1.000000e+00"
+# every pair ties; the first in row-major order is named
+CYCLE_DETAIL = "m_i*w_ij = 1.000000e+00 vs m_j*w_ji = 0.000000e+00"
 
 
 def summary_of(result):
@@ -260,7 +261,7 @@ class TestAnalyzeGraph:
             "params": {"eps": 1.0, "graph": str(cycle_json), "out": str(out)},
             "spectrum_real": False,
             "symmetrizable": False,
-            "verdict": {"detail": CYCLE_DETAIL, "pair": [0, 2], "reason": "detailed_balance"},
+            "verdict": {"detail": CYCLE_DETAIL, "pair": [0, 1], "reason": "detailed_balance"},
         }
         assert sorted(p.name for p in out.iterdir()) == ["laplacian.csv", "spectrum.csv"]
 
@@ -544,6 +545,52 @@ class TestBinAndFuse:
         assert summary_of(result)["error"] == {"type": "ParseError", "message": message}
 
 
+class TestCsvRuleOutcomes:
+    """Inputs that the shared CSV rules refuse: a typed data error (exit 2) in
+    the stdout summary, naming the line where there is one."""
+
+    @pytest.mark.parametrize("argv, inputs, error_type, message", [
+        (["fuse-trends", "trend.csv"],
+         {"trend.csv": "datetime,value\n0,100\n2019-01-01T01:00:00,50\n"},
+         "ParseError", "line 3: timestamp format changed from epoch to iso"),
+        (["bin", "--events", "events.csv"], {"events.csv": "timestamp\n0\nnan\n60\n"},
+         "ParseError", "line 3: non-finite value in 'nan'"),
+        (["bin", "--events", "events.csv"], {"events.csv": "timestamp\n0\ninf\n60\n"},
+         "ParseError", "line 3: non-finite value in 'inf'"),
+        (["bin", "--events", "events.csv"], {"events.csv": "timestamp\n0\n1e400\n60\n"},
+         "ParseError", "line 3: non-finite value in '1e400'"),
+        (["fuse-trends", "trend.csv"],
+         {"trend.csv": "datetime,value,isPartial\n2019-01-01T00:00:00,100,False\n"
+                       "2019-01-01T01:00:00,50,True\n"},
+         "ParseError", 'line 1: expected header "datetime,value", '
+                       'got "datetime,value,isPartial"'),
+        (["centrality", "--graph", "g.csv"], {"g.csv": "src,dst,w,label\n0,1,1\n1,0,1\n"},
+         "ParseError", 'line 1: expected header "src,dst,w", got "src,dst,w,label"'),
+        (["fuse-trends", "trend.csv"], {"trend.csv": "datetime,value\n0,100\n60,50\n125,20\n"},
+         "ParseError", "time column is not uniformly spaced"),
+        (["fuse-trends", "trend.csv"], {"trend.csv": "datetime,value\n-1e308,100\n1e308,50\n"},
+         "ParseError", "time column must step forward by a finite amount, "
+                       "got a first step of inf"),
+        # segment starts whose distance overflows: not a raw OverflowError (exit 1)
+        (["fuse-trends", "a.csv", "b.csv"],
+         {"a.csv": "datetime,value\n-1.7e308,100\n-1.6e308,50\n",
+          "b.csv": "datetime,value\n1.6e308,100\n1.7e308,50\n"},
+         "NoOverlap", "segment start 1.6e+308 is too far from -1.7e+308 to align"),
+    ], ids=["trend-mixed-kinds", "event-nan", "event-inf", "event-overflow",
+            "trend-extra-column", "edge-extra-column", "trend-uneven-step",
+            "trend-step-overflow", "fuse-start-overflow"])
+    def test_exit_code_stream_type_and_line(self, tmp_path, monkeypatch, capsys, argv,
+                                            inputs, error_type, message):
+        for name, text in inputs.items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        result = run(argv)
+        captured = capsys.readouterr()
+        assert result.exit_code == 2
+        assert (captured.out.strip(), captured.err) == (result.summary, "")
+        assert summary_of(result)["error"] == {"type": error_type, "message": message}
+
+
 class TestComparePeriods:
     def test_two_periods(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -744,7 +791,8 @@ class TestErrorTable:
          "NoOverlap", "segments must be ordered by start time"),
         (["fuse-trends", "zero-tail.csv", "zero-head.csv"], 2,
          "ZeroAnchor", "shared-timestamp values and overlap means are both zero"),
-        (["fuse-trends", "decreasing.csv"], 2, "ParseError", "trend step must be positive"),
+        (["fuse-trends", "decreasing.csv"], 2, "ParseError",
+         "time column must step forward by a finite amount, got a first step of -3600.0"),
     ], ids=["equal-bracket", "zero-tol", "singular-march-basis", "non-finite-x0", "v0-shape",
             "step-mismatch", "earlier-start", "zero-anchor", "decreasing-time"])
     def test_exit_code_type_and_message(self, tmp_path, monkeypatch, argv, code, error_type,

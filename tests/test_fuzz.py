@@ -24,15 +24,18 @@ _EDGES = [[i, j, float(-MODEL_L0[i, j])] for i in range(5) for j in range(5)
 _GRAPH_JSON = json.dumps({"n": 5, "edges": _EDGES})
 _GRAPH_CSV = "src,dst,w\n" + "".join(f"{s},{d},{w!r}\n" for s, d, w in _EDGES)
 
-# kind -> (file name, valid fixture, argv with FILE for the fuzzed path, exit codes)
+# kind -> ({file name: valid fixture}, argv naming the files, exit codes); the
+# fuzz edits one drawn file and keeps the others valid
 KINDS = {
-    "spectrum": ("series.csv", _SERIES, ["spectrum", "--in", "FILE"], {0, 2}),
-    "bin": ("events.csv", _EVENTS, ["bin", "--events", "FILE"], {0, 2}),
-    "fuse-trends": ("a.csv", _TREND_A, ["fuse-trends", "FILE", "B"], {0, 2}),
+    "spectrum": ({"series.csv": _SERIES}, ["spectrum", "--in", "series.csv"], {0, 2}),
+    "bin": ({"events.csv": _EVENTS}, ["bin", "--events", "events.csv"], {0, 2}),
+    # either segment of the chain: fuse_trends' cross-segment checks from both sides
+    "fuse-trends": ({"a.csv": _TREND_A, "b.csv": _TREND_B},
+                    ["fuse-trends", "a.csv", "b.csv"], {0, 2}),
     # an edited graph can be a valid digraph that is not symmetrizable
-    "centrality-json": ("g.json", _GRAPH_JSON, ["centrality", "--graph", "FILE"],
+    "centrality-json": ({"g.json": _GRAPH_JSON}, ["centrality", "--graph", "g.json"],
                         {0, 2, 3}),
-    "centrality-csv": ("g.csv", _GRAPH_CSV, ["centrality", "--graph", "FILE"],
+    "centrality-csv": ({"g.csv": _GRAPH_CSV}, ["centrality", "--graph", "g.csv"],
                        {0, 2, 3}),
 }
 
@@ -53,23 +56,27 @@ def _edited(draw, base):
     return bytes(data)
 
 
-def _inputs(kind):
-    return st.one_of(st.binary(max_size=200), _edited(KINDS[kind][1].encode()))
+@st.composite
+def _inputs(draw, kind):
+    """The kind's files, one drawn file replaced by any bytes or an edit of it."""
+    files = {name: text.encode() for name, text in KINDS[kind][0].items()}
+    name = draw(st.sampled_from(sorted(files)))
+    files[name] = draw(st.one_of(st.binary(max_size=200), _edited(files[name])))
+    return files
 
 
-def _run(tmp_path_factory, kind, data):
-    name, _, argv, _ = KINDS[kind]
-    # a new file per example: rewriting one file in place can stall on ext4
+def _run(tmp_path_factory, kind, files):
+    # new files per example: rewriting one file in place can stall on ext4
     root = tmp_path_factory.mktemp("fuzz")
-    (root / name).write_bytes(data)
-    (root / "b.csv").write_text(_TREND_B)
-    subst = {"FILE": str(root / name), "B": str(root / "b.csv")}
-    return run([subst.get(a, a) for a in argv])
+    for name, data in files.items():
+        (root / name).write_bytes(data)
+    return run([str(root / a) if a in files else a for a in KINDS[kind][1]])
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_valid_fixture_exits_0(tmp_path_factory, kind):
-    assert _run(tmp_path_factory, kind, KINDS[kind][1].encode()).exit_code == 0
+    files = {name: text.encode() for name, text in KINDS[kind][0].items()}
+    assert _run(tmp_path_factory, kind, files).exit_code == 0
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -77,7 +84,7 @@ def test_valid_fixture_exits_0(tmp_path_factory, kind):
 @given(data=st.data())
 def test_any_bytes_exit_0_or_2(tmp_path_factory, kind, data):
     result = _run(tmp_path_factory, kind, data.draw(_inputs(kind)))
-    assert result.exit_code in KINDS[kind][3]
+    assert result.exit_code in KINDS[kind][2]
     if result.exit_code == 3:
         assert json.loads(result.summary)["error"]["type"] == "NotSymmetrizableError"
 

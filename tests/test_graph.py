@@ -276,6 +276,15 @@ class TestCheckSymmetrizable:
         assert len(verdict.value.pair) == 2
         assert str(verdict.value) == f"detailed_balance: {verdict.value.detail}"
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 7])
+    def test_tied_violations_name_the_first_pair(self, n):
+        # on a one-way cycle every pair violates balance by m_i w_i, equal up
+        # to the SVD's rounding of the masses; the first pair row-major is named
+        g = WeightedDigraph(n=n, edges=tuple((i, (i + 1) % n, 1.0) for i in range(n)))
+        with pytest.raises(NotSymmetrizableError) as verdict:
+            check_symmetrizable(laplacian_of(g))
+        assert verdict.value.pair == (0, 1)
+
     def test_recovers_random_mass(self):
         rng = np.random.default_rng(3)
         for _ in range(10):

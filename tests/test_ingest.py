@@ -4,18 +4,76 @@ import numpy as np
 import pytest
 
 from netosc import ingest
-from netosc.errors import EmptyInput, NoOverlap, OutOfRange, ParseError, ZeroAnchor
+from netosc.errors import (
+    EmptyInput,
+    InvalidGraph,
+    NoOverlap,
+    OutOfRange,
+    ParseError,
+    ZeroAnchor,
+)
 from netosc.ingest import (
     EventLog,
     TrendSegment,
     bin_counts,
     fuse_trends,
+    graph_from_edge_csv,
     parse_event_log,
     parse_series_csv,
     parse_trend_csv,
     slice_period,
 )
 from netosc.signal import TimeSeries, analyze_period, low_freq_share
+
+
+# format -> (parser, name in messages, header, two valid rows, a non-finite row,
+# and its error type, line and message)
+_HEADED = {
+    "event-log": (parse_event_log, "event log", "timestamp", "0\n60\n", "nan",
+                  ParseError, 4, "non-finite value in 'nan'"),
+    "trend": (parse_trend_csv, "trend CSV", "datetime,value", "0,100\n60,50\n", "120,inf",
+              ParseError, 4, "non-finite value in '120,inf'"),
+    # the edge list leaves its weights to WeightedDigraph
+    "edge": (graph_from_edge_csv, "edge CSV", "src,dst,w", "0,1,1\n1,0,1\n", "1,2,nan",
+             InvalidGraph, None, "edge (1,2) has non-finite weight nan"),
+}
+
+
+def _headed_case(fmt, case):
+    """(text, error type, line, message) of ``case`` in CSV format ``fmt``."""
+    _, what, header, rows, bad_row, *bad = _HEADED[fmt]
+    width = header.count(",") + 1
+    return {
+        "empty": (" \n\n", EmptyInput, None, f"{what} is empty"),
+        "wrong-header": (f"\nnames\n{rows}", ParseError, 2,
+                         f'expected header "{header}", got "names"'),
+        "extra-column": (f"{header},extra\n{rows}", ParseError, 1,
+                         f'expected header "{header}", got "{header},extra"'),
+        "extra-field": (f"{header}\n{rows}{rows.split()[0]},7\n", ParseError, 4,
+                        f"expected {width} fields, got {width + 1}"),
+        "non-finite": (f"{header}\n{rows}{bad_row}\n", *bad),
+    }[case]
+
+
+class TestHeadedCsvReader:
+    """The header and field rules the edge, event-log and trend CSVs share."""
+
+    @pytest.mark.parametrize("case", ["empty", "wrong-header", "extra-column", "extra-field",
+                                      "non-finite"])
+    @pytest.mark.parametrize("fmt", sorted(_HEADED))
+    def test_refusal(self, fmt, case):
+        text, error_type, line, message = _headed_case(fmt, case)
+        with pytest.raises(error_type) as err:
+            _HEADED[fmt][0](text)
+        assert type(err.value) is error_type
+        assert getattr(err.value, "line", None) == line
+        assert str(err.value) == (message if line is None else f"line {line}: {message}")
+
+    @pytest.mark.parametrize("fmt", sorted(_HEADED))
+    def test_header_case_and_spaces_ignored(self, fmt):
+        parse, _, header, rows = _HEADED[fmt][:4]
+        header = ", ".join(name.upper() for name in header.split(","))
+        assert repr(parse(f"  {header} \n{rows}")) == repr(parse(f"{_HEADED[fmt][2]}\n{rows}"))
 
 
 class TestParseEventLog:
@@ -55,6 +113,13 @@ class TestParseEventLog:
     def test_bad_header(self):
         with pytest.raises(ParseError):
             parse_event_log("time\n100\n")
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_row_names_line(self, token):
+        # not a line-less "timestamps must be finite" from EventLog
+        with pytest.raises(ParseError) as err:
+            parse_event_log(f"timestamp\n100\n{token}\n200\n")
+        assert str(err.value) == f"line 3: non-finite value in {token!r}"
 
     def test_load_from_file(self, tmp_path):
         p = tmp_path / "events.csv"
@@ -306,6 +371,14 @@ class TestFuseTrends:
         with pytest.raises(NoOverlap):
             fuse_trends([s1, s2])
 
+    @pytest.mark.parametrize("scalar", [float, np.float64])
+    def test_overflowing_start_distance_raises(self, scalar):
+        # not an OverflowError from int(inf), nor a numpy overflow warning
+        s1 = segment(scalar(-1.7e308), [100.0, 50.0], step=1e307)
+        s2 = segment(scalar(1.6e308), [100.0, 50.0], step=1e307)
+        with pytest.raises(NoOverlap, match="too far from"):
+            fuse_trends([s1, s2])
+
     def test_max_100_invariant(self):
         rng = np.random.default_rng(5)
         segs = []
@@ -350,10 +423,27 @@ class TestParseTrendCsv:
             parse_trend_csv("datetime,value\n" + rows)
         assert err.value.line == line
 
+    @pytest.mark.parametrize("rows, message", [
+        ("0,100\n2019-01-01T01:00:00,50\n", "timestamp format changed from epoch to iso"),
+        ("2019-01-01T00:00:00,100\n3600,50\n", "timestamp format changed from iso to epoch"),
+    ], ids=["epoch-then-iso", "iso-then-epoch"])
+    def test_mixed_timestamp_kinds_rejected_with_line(self, rows, message):
+        with pytest.raises(ParseError) as err:
+            parse_trend_csv("datetime,value\n" + rows)
+        assert str(err.value) == f"line 3: {message}"
+
+    def test_steps_judged_relative_to_the_step(self):
+        # within 1e-9 of the hourly step: the series rule accepts a 3.6e-6 s jitter
+        seg = parse_trend_csv("datetime,value\n0,100\n3600,50\n7200.000003,20\n")
+        assert seg.step == 3600.0
+        with pytest.raises(ParseError, match="time column is not uniformly spaced"):
+            parse_trend_csv("datetime,value\n0,100\n3600,50\n7200.00001,20\n")
+
     def test_overflowing_step_refused(self):
         # no numpy overflow warning either (warnings are errors here)
-        with pytest.raises(ParseError, match="overflow the float range"):
+        with pytest.raises(ParseError, match="step forward by a finite amount") as err:
             parse_trend_csv("datetime,value\n-1e308,100\n1e308,50\n")
+        assert str(err.value).endswith("first step of inf")
 
 
 class TestParseSeriesCsv:
