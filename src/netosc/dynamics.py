@@ -49,11 +49,12 @@ from .spectral import EigenSystem, eigen_gap, eigendecompose, spectrum_is_real
 # unstable.
 DIVERGENCE_CUTOFF = 1e12
 
-# integrate_numeric tests for divergence once per this many output steps, and
-# advances the phase [x; v] through a buffer of this many rows plus one.
+# verlet_blocks yields integrate_numeric's states in blocks of this many output
+# steps, tests each block for divergence, and advances the phase [x; v]
+# through a buffer of this many rows plus one.
 DIVERGENCE_CHECK_BLOCK = 64
 
-# evaluate_states and total_energy_series walk the time grid in blocks of this
+# state_blocks and total_energy_series walk the time grid in blocks of this
 # many columns.  A power of two keeps every column bit-identical to a
 # whole-grid evaluation; other widths changed last bits through BLAS.
 MODAL_TIME_BLOCK = 128
@@ -300,29 +301,46 @@ def _node_values(sol: ModalSolution, amplitudes):
     return (sol.eigvecs @ amplitudes) / np.sqrt(sol.mass)[:, None]
 
 
-def evaluate_states(sol: ModalSolution, times) -> np.ndarray:
-    """States x(t) for a vector of times, shape (len(times), n).
+def state_blocks(sol: ModalSolution, times):
+    """The states of evaluate_states, one block of times at a time.
 
-    The grid is evaluated in blocks of MODAL_TIME_BLOCK = 128 times, written
-    straight into the result, so working memory beyond the result is
-    O(n * 128).  exp(-i w t) is the conjugate of exp(i w t) when every w is
-    exactly real.  Raises Unstable when a growing mode carries a state past
-    the float range, and DefectiveMatrix when the largest imaginary part over
-    the whole grid exceeds 1e-8 * (1 + the largest real part).
+    Yields (cols, x) for each block of MODAL_TIME_BLOCK = 128 consecutive
+    times (a lone last time joins the block before it): the slice of
+    ``times`` the block covers and its states, shape (block, n).  Working
+    memory is O(n * 128) beside what the consumer keeps of the blocks; a
+    block is freed before the next is built once the consumer drops it too.
+    exp(-i w t) is the conjugate of exp(i w t) when every w is exactly real.
+    After the last block it raises Unstable when a growing mode carried a
+    state past the float range, and DefectiveMatrix when the largest
+    imaginary part over the whole grid exceeds 1e-8 * (1 + the largest real
+    part): what a consumer draws from the blocks holds only once the
+    iteration has ended without raising.
     """
     times = np.asarray(times, dtype=float).ravel()
-    states = np.empty((times.size, sol.n))
     worst_imag = max_real = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # checked after the loop
-        for cols in _time_blocks(times):
+    for cols in _time_blocks(times):
+        with np.errstate(over="ignore", invalid="ignore"):  # checked after the last block
             x = _node_values(sol, _mode_amplitudes(sol, times[cols]))
-            states[cols] = x.real.T
             worst_imag = np.maximum(worst_imag, np.max(np.abs(x.imag)))
             max_real = np.maximum(max_real, np.max(np.abs(x.real)))
-            del x  # free this block before the next is built
+        yield cols, x.real.T
+        del x
     if not (np.isfinite(worst_imag) and np.isfinite(max_real)):
         raise Unstable("states overflow: a growing mode exceeds the float range")
     _check_residue(worst_imag, max_real, "state reconstruction")
+
+
+def evaluate_states(sol: ModalSolution, times) -> np.ndarray:
+    """States x(t) for a vector of times, shape (len(times), n).
+
+    Filled from state_blocks, so working memory beyond the result is
+    O(n * 128), and the errors are state_blocks'.
+    """
+    times = np.asarray(times, dtype=float).ravel()
+    states = np.empty((times.size, sol.n))
+    for cols, block in state_blocks(sol, times):
+        states[cols] = block
+        del block  # free this block before the next is built
     return states
 
 
@@ -362,6 +380,57 @@ def _tenth_power(step) -> np.ndarray:
     return np.matmul(s2, step, out=s4)
 
 
+def verlet_blocks(lap: LaplacianMatrix, ic: InitialCondition, dt: float, t_end: float):
+    """The states of integrate_numeric, DIVERGENCE_CHECK_BLOCK = 64 output
+    times at a time.
+
+    Checks its arguments as integrate_numeric does and builds the transfer
+    matrix when called, then returns an iterator of (rows, x): the slice
+    [64 k, 64 (k + 1)) of time_grid(t_end, dt) a block covers (the last one
+    shorter) and its states, shape (block, n).  Each x is a view of the
+    integrator's (DIVERGENCE_CHECK_BLOCK + 1, 2n) phase buffer that the next
+    block overwrites, so working memory is that buffer and the one (2n)^2
+    transfer matrix, or three (2n)^2 buffers while powering: O(n^2), none
+    of it per time.  The iterator raises Unstable at the first output time
+    at which any |x_i| crosses the divergence cutoff, before it yields the
+    block that holds that time.
+    """
+    if ic.n != lap.n:
+        raise ValueError(f"initial condition size {ic.n} != n = {lap.n}")
+    size = time_grid(t_end, dt).size
+    limit = verlet_step_limit(lap.d_max)
+    if dt > limit:
+        raise ValueError(f"dt = {dt} exceeds stability guard {limit:.6g}")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows as a crossing
+        transfer = _tenth_power(_verlet_step(lap.entries, dt / VERLET_SUBSTEPS))
+    return _verlet_rows(transfer, ic, dt, size)
+
+
+def _verlet_rows(transfer, ic, dt, size):
+    """verlet_blocks' iterator over the ``size`` times k * dt.  Row k sits at
+    phase[k - start + 1] within the block that starts at ``start``, and
+    phase[0] holds the row before it; row 0 is the initial condition."""
+    n = ic.n
+    cutoff = DIVERGENCE_CUTOFF * max(1.0, np.max(np.abs(ic.x0), initial=0.0),
+                                     np.max(np.abs(ic.v0), initial=0.0))
+    phase = np.empty((DIVERGENCE_CHECK_BLOCK + 1, 2 * n))
+    phase[1, :n] = ic.x0
+    phase[1, n:] = ic.v0
+    steps = list(phase)     # each row's view, made once
+    for start in range(0, size, DIVERGENCE_CHECK_BLOCK):
+        rows = min(DIVERGENCE_CHECK_BLOCK, size - start)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite |x| counts as crossed
+            for k in range(1 + (start == 0), rows + 1):
+                np.dot(transfer, steps[k - 1], out=steps[k])
+            states = phase[1:rows + 1, :n]
+            over = np.flatnonzero(~(np.max(np.abs(states), axis=1) <= cutoff))
+        if over.size:
+            t = (start + int(over[0])) * dt     # time_grid's k * dt, to the bit
+            raise Unstable(f"|x| crossed {cutoff:.6g} at t = {t:.6g}", t_diverge=t)
+        yield slice(start, start + rows), states
+        phase[0] = phase[rows]
+
+
 def integrate_numeric(lap: LaplacianMatrix, ic: InitialCondition,
                       dt: float, t_end: float) -> Trajectory:
     """Velocity-Verlet integration of d2x/dt2 = -L x on time_grid(t_end, dt).
@@ -378,44 +447,21 @@ def integrate_numeric(lap: LaplacianMatrix, ic: InitialCondition,
     and one output step is its 10th power, applied once.  No eigenbasis is
     used.  The power is taken in np.linalg.matrix_power's product order, so
     its bits are matrix_power's.  Only the states are kept: the [x; v] phase
-    advances through a (DIVERGENCE_CHECK_BLOCK + 1, 2n) buffer, whose x half
-    is copied into the read-only (T, n) ``states`` once per block.  Working
-    memory is those states, the buffer and the one (2n)^2 transfer matrix,
-    or three (2n)^2 buffers while powering.
+    advances through verlet_blocks' (DIVERGENCE_CHECK_BLOCK + 1, 2n) buffer,
+    whose x half is copied into the read-only (T, n) ``states`` once per
+    block.  Working memory is those states, the buffer and the one (2n)^2
+    transfer matrix, or three (2n)^2 buffers while powering.
     Raises ValueError for a bad grid or a dt above the stability guard
     0.2 / sqrt(2 d_max), and Unstable with the first output time at which any
     |x_i| exceeds DIVERGENCE_CUTOFF * max(1, |x0|_inf, |v0|_inf) (1e12 for
     an initial condition of scale at most 1) or is not finite; the test runs
     once per DIVERGENCE_CHECK_BLOCK = 64 output steps, over each of them.
     """
-    if ic.n != lap.n:
-        raise ValueError(f"initial condition size {ic.n} != n = {lap.n}")
+    blocks = verlet_blocks(lap, ic, dt, t_end)
     times = time_grid(t_end, dt)
-    limit = verlet_step_limit(lap.d_max)
-    if dt > limit:
-        raise ValueError(f"dt = {dt} exceeds stability guard {limit:.6g}")
-    n = lap.n
-    cutoff = DIVERGENCE_CUTOFF * max(1.0, np.max(np.abs(ic.x0), initial=0.0),
-                                     np.max(np.abs(ic.v0), initial=0.0))
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite |x| counts as crossed
-        transfer = _tenth_power(_verlet_step(lap.entries, dt / VERLET_SUBSTEPS))
-        states = np.empty((times.size, n))
-        phase = np.empty((DIVERGENCE_CHECK_BLOCK + 1, 2 * n))
-        states[0] = phase[0, :n] = ic.x0
-        phase[0, n:] = ic.v0
-        for start in range(1, times.size, DIVERGENCE_CHECK_BLOCK):
-            rows = min(DIVERGENCE_CHECK_BLOCK, times.size - start)
-            for k in range(1, rows + 1):
-                np.matmul(transfer, phase[k - 1], out=phase[k])
-            states[start:start + rows] = phase[1:rows + 1, :n]
-            peak = np.max(np.abs(states[start:start + rows]), axis=1)
-            over = np.flatnonzero(~(peak <= cutoff))
-            if over.size:
-                k = start + int(over[0])
-                raise Unstable(f"|x| crossed {cutoff:.6g} at t = {times[k]:.6g}",
-                               t_diverge=float(times[k]))
-            phase[0] = phase[rows]
-    del transfer, phase  # Trajectory's checks run beside the states alone
+    states = np.empty((times.size, lap.n))
+    for rows, block in blocks:
+        states[rows] = block
     states.flags.writeable = times.flags.writeable = False
     return Trajectory(times=times, states=states)
 
@@ -555,6 +601,16 @@ class SweepRecord:
     error: str | None = None
 
 
+def _peak_and_first_node(blocks, size):
+    """Fold of a producer's (rows, x) blocks over a grid of ``size`` times:
+    max |x| and node 0's series, the only state a sweep record needs."""
+    peak, first = 0.0, np.empty(size)
+    for rows, x in blocks:
+        peak = max(peak, float(np.max(np.abs(x))))
+        first[rows] = x[:, 0]
+    return peak, first
+
+
 def epsilon_sweep(lap0: LaplacianMatrix, lapI: LaplacianMatrix, eps_list,
                   ic: InitialCondition, t_end: float, dt: float) -> list[SweepRecord]:
     """Per-epsilon regime summary along lap0 + eps * lapI.
@@ -562,11 +618,13 @@ def epsilon_sweep(lap0: LaplacianMatrix, lapI: LaplacianMatrix, eps_list,
     Each epsilon is decomposed once: the spectral fields and the mode
     expansion come from the same EigenSystem.  Uses the modal path where the
     eigenbasis is well conditioned and falls back to numeric integration
-    otherwise; the beat frequency is read off node 0's trajectory.  A bad
-    time grid raises ValueError before any epsilon is probed.  Data and
-    numeric failures (NetoscError, ValueError, numpy's LinAlgError) are
-    recorded per epsilon, not raised; any other exception propagates.
-    Output order follows ``eps_list``.
+    otherwise; the beat frequency is read off node 0's trajectory.  Either
+    path's state blocks are folded into the peak amplitude and node 0's
+    series as they are produced, so working memory is O(n^2 + T), not the
+    (T, n) states.  A bad time grid raises ValueError before any epsilon is
+    probed.  Data and numeric failures (NetoscError, ValueError, numpy's
+    LinAlgError) are recorded per epsilon, not raised; any other exception
+    propagates.  Output order follows ``eps_list``.
     """
     times = time_grid(t_end, dt)
     records = []
@@ -582,12 +640,14 @@ def epsilon_sweep(lap0: LaplacianMatrix, lapI: LaplacianMatrix, eps_list,
                 fields["max_im_omega"] = es.max_growth_rate
                 if real and lap.n >= 2:
                     fields["eigen_gap"] = eigen_gap(es)
-                states = evaluate_states(_expand(es, np.ones(lap.n), ic), times)
+                peak, first = _peak_and_first_node(
+                    state_blocks(_expand(es, np.ones(lap.n), ic), times), times.size)
             except DefectiveMatrix:
-                states = integrate_numeric(lap, ic, dt, t_end).states
-            fields["peak_amplitude"] = float(np.max(np.abs(states)))
+                peak, first = _peak_and_first_node(verlet_blocks(lap, ic, dt, t_end),
+                                                   times.size)
+            fields["peak_amplitude"] = peak
             if fields.get("spectrum_real"):
-                fields["beat_frequency"] = float(estimate_beat_frequency(states[:, 0], dt))
+                fields["beat_frequency"] = float(estimate_beat_frequency(first, dt))
         except (NetoscError, ValueError) as exc:  # LinAlgError is a ValueError
             fields["error"] = f"{type(exc).__name__}: {exc}"
         records.append(SweepRecord(**fields))

@@ -13,11 +13,12 @@ The CSV formats share their rules, each written once.  Edge, event-log and
 trend CSVs: the header line's comma fields, stripped and lowercased, are
 exactly the format's names, and every row has as many fields (_read_csv).
 Event logs and trends: the first row fixes the time kind, epoch seconds or
-ISO-8601, and epoch seconds are finite (_timestamps).  Trends and series:
-values are finite (_finite), and the time column's first step is positive and
-finite, every step within 1e-9 max(|step|, 1) of it (_uniform_step).  A
-series CSV instead has an optional header of any names and reads the first
-two columns.  A row that breaks a rule raises ParseError naming its line.
+ISO-8601, and epoch seconds are finite (_timestamps).  Edge weights, trend
+and series values are finite (_finite).  Trends and series: the time
+column's first step is positive and finite, every step within
+1e-9 max(|step|, 1) of it (_uniform_step).  A series CSV instead has an
+optional header of any names and reads the first two columns.  A row that
+breaks a rule raises ParseError naming its line.
 """
 
 from __future__ import annotations
@@ -348,9 +349,10 @@ def _is_json_int(v):
 
 
 def graph_from_edge_csv(text: str) -> WeightedDigraph:
-    """Parse an edge-list CSV with header src,dst,w."""
+    """Parse an edge-list CSV with header src,dst,w; weights are finite."""
     edges = tuple(_read_csv(text, "edge CSV", "src,dst,w",
-                            lambda fields: (int(fields[0]), int(fields[1]), float(fields[2]))))
+                            lambda fields: (int(fields[0]), int(fields[1]),
+                                            _finite(float(fields[2]), fields))))
     if not edges:
         raise EmptyInput("edge CSV contains no edges")
     n = 1 + max(max(s, d, 0) for s, d, _ in edges)    # a negative endpoint is out of range

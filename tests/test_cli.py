@@ -25,7 +25,7 @@ from netosc.graph import (
     compose_epsilon,
     laplacian_of,
 )
-from netosc.spectral import eigendecompose
+from netosc.spectral import critical_epsilon, eigendecompose
 
 
 @pytest.fixture
@@ -289,9 +289,10 @@ class TestSimulate:
         assert len(eigendecompose_calls) == 1
 
     def test_cross_check_memory(self, model_json, tmp_path):
-        # README grid, 10,001 x 5: the Verlet history (0.76 MiB), the modal
-        # states (0.38 MiB), times, energy and one CSV block; the difference
-        # and its absolute value as two temporaries had peaked at 2.2 MiB
+        # README grid, 10,001 x 5: no history is held, only the times and
+        # the energy series (0.15 MiB complex while computed), a block of
+        # each producer and one CSV piece; 0.55 MiB measured, and 0.2 MiB
+        # of margin stays below one more (10,001, 5) history (0.38 MiB)
         argv = ["simulate", "--graph", str(model_json), "--eps", "1.5",
                 "--x0", ",".join(str(v) for v in MODEL_X0), "--out", str(tmp_path)]
         run(argv)
@@ -302,7 +303,7 @@ class TestSimulate:
         finally:
             tracemalloc.stop()
         assert result.exit_code == 0
-        assert peak <= 2.0 * 2**20
+        assert peak <= 0.75 * 2**20
 
     def test_bad_vector_usage_error(self, model_json):
         result = run(["simulate", "--graph", str(model_json), "--x0", "1,2"])
@@ -325,6 +326,21 @@ class TestSimulate:
         err = summary_of(result)["error"]
         assert err["type"] == "Unstable"
         assert err["message"] == f"|x| crossed 2e+12 at t = {err['t_diverge']:.6g}"
+
+    def test_failed_run_writes_no_artifact(self, model_json, tmp_path):
+        # the divergent run above, into a previous run's --out: every check
+        # runs before the first artifact is written
+        out = tmp_path / "sim"
+        assert run(["simulate", "--graph", str(model_json), "--x0", "1,0,0,0,0",
+                    "--t-end", "1", "--out", str(out)]).exit_code == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(before) == ["energy.csv", "trajectory_modal.csv",
+                                  "trajectory_numeric.csv"]
+        result = run(["simulate", "--graph", str(model_json), "--eps", "3",
+                      "--x0=-2,0,0,0,0", "--t-end", "200", "--dt", "0.02", "--out", str(out)])
+        assert result.exit_code == 3
+        assert summary_of(result)["error"]["type"] == "Unstable"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_half_step_grid_matches_numeric(self, model_json, tmp_path):
         # t_end / dt = 1.5: the modal and the Verlet grid must agree in length
@@ -364,6 +380,54 @@ class TestSimulate:
         assert sorted(p.name for p in out.iterdir()) == ["trajectory_modal.csv",
                                                          "trajectory_numeric.csv"]
         assert len((out / "trajectory_modal.csv").read_text().splitlines()) == 2
+
+
+class TestMemoryIndependentOfGridLength:
+    """simulate and sweep fold the state blocks of their producers as they
+    come: a grid of 20,001 times instead of 1,001 adds only series of T
+    floats (times, the energy, node 0), less than one (T, n) history."""
+
+    N = 50
+
+    @pytest.fixture(scope="class")
+    def case(self, tmp_path_factory):
+        g = seeded_digraph(3, self.N)
+        path = tmp_path_factory.mktemp("graph") / "digraph.json"
+        path.write_text(json.dumps({"n": g.n, "edges": [list(e) for e in g.edges]}))
+        split = canonical_split(laplacian_of(g))
+        eps_star = critical_epsilon(split.lap_sym_part, split.lap_oneway, (0.0, 1.0), 1e-3)
+        # the guard shrinks as eps grows: this dt is stable on both sides
+        dt = 0.9 * dynamics.verlet_step_limit(compose_epsilon(split, 1.5 * eps_star).d_max)
+        x0 = ",".join(str(v) for v in np.random.default_rng(3).normal(size=self.N))
+        return str(path), eps_star, dt, x0
+
+    def argv(self, case, command, length, out):
+        graph, eps_star, dt, x0 = case
+        eps = [0.5 * eps_star] + [1.5 * eps_star] * (command == "sweep")
+        return [command, "--graph", graph, "--eps", ",".join(map(repr, eps)), f"--x0={x0}",
+                "--t-end", repr((length - 1) * dt), "--dt", repr(dt)] + out
+
+    @pytest.mark.parametrize("command, out", [("simulate", False), ("simulate", True),
+                                              ("sweep", False)])
+    def test_peak_grows_less_than_one_history(self, case, tmp_path, monkeypatch, command, out):
+        if out:
+            # the CSV text is pinned elsewhere; a row count per piece spares
+            # formatting 2 x 20,001 x 51 cells, and the producers still run
+            monkeypatch.setattr("netosc.cli._csv", lambda header, *cols: [f"{len(cols[0])}\n"])
+        out = ["--out", str(tmp_path)] if out else []
+        run(self.argv(case, command, 1001, out))
+        peaks = {}
+        for length in (1001, 20001):
+            tracemalloc.start()
+            try:
+                result = run(self.argv(case, command, length, out))
+                peaks[length] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert result.exit_code == 0
+            if command == "sweep":
+                assert [r["spectrum_real"] for r in summary_of(result)["records"]] == [True, False]
+        assert peaks[20001] - peaks[1001] < 20001 * self.N * 8
 
 
 class TestSweep:
@@ -469,6 +533,15 @@ class TestCentrality:
         error = summary_of(result)["error"]
         assert error["type"] == "InvalidGraph"
         assert error["message"] == f"edge (0,1) has non-finite weight {float(token)}"
+
+    def test_non_finite_edge_csv_weight_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "edges.csv"
+        path.write_text("src,dst,w\n0,1,1\n1,0,1\n1,2,nan\n")
+        result = run(["centrality", "--graph", str(path)])
+        assert result.exit_code == 2
+        assert capsys.readouterr().out.strip() == result.summary
+        assert summary_of(result)["error"] == {
+            "type": "ParseError", "message": "line 4: non-finite value in '1,2,nan'"}
 
     def test_one_way_cycle_is_numeric_exit(self, cycle_json):
         result = run(["centrality", "--graph", str(cycle_json)])
@@ -700,7 +773,7 @@ class TestErrorTable:
         def fail(*args, **kwargs):
             raise MemoryError("Unable to allocate 74.5 GiB")
 
-        monkeypatch.setattr(dynamics, "evaluate_states", fail)
+        monkeypatch.setattr(dynamics, "state_blocks", fail)
         out = tmp_path / "out"
         result = run(["simulate", "--graph", str(model_json), "--x0", "1,2,3,4,5",
                       "--out", str(out)])
@@ -955,13 +1028,14 @@ class TestCsvRenderer:
         assert [piece.count("\n") for piece in pieces] == lines
 
     def test_states_csv_streams_in_bounded_memory(self, tmp_path):
-        # rendered as one string, these 100k rows of 6 cells peak at ~35 MiB
+        # rendered as one string, these 100k rows of 6 cells peak at ~35 MiB;
+        # here they come as one block, the largest a producer could yield
         times = np.arange(100_000) * 0.01
         states = np.random.default_rng(0).normal(size=(100_000, 5))
         files = _Files(tmp_path)
         tracemalloc.start()
         try:
-            files.write("trajectory.csv", _states_csv, times, states)
+            files.write("trajectory.csv", _states_csv, times, [(slice(0, 100_000), states)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

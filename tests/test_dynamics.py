@@ -441,6 +441,27 @@ class TestVerletBits:
         assert same_bits(dynamics._tenth_power(base.copy()), want)
 
 
+class TestBlockIterators:
+    @pytest.mark.parametrize("length", [1, 2, 64, 65, 128, 129, 130, 257, 1001])
+    def test_verlet_blocks_nest_in_modal_blocks(self, length):
+        # simulate compares the two producers block by block, in lockstep
+        lap, ic = LOOP_CASES["model-1.5"]()
+        dt = 0.9 * dynamics.verlet_step_limit(lap.d_max)
+        times = dynamics.time_grid((length - 1) * dt, dt)
+        modal = [cols for cols, _ in dynamics.state_blocks(modal_solve(lap, ic), times)]
+        numeric = [rows for rows, _ in dynamics.verlet_blocks(lap, ic, dt, (length - 1) * dt)]
+        assert modal == dynamics._time_blocks(times)
+        for blocks in (modal, numeric):
+            assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
+            assert blocks[-1].stop == length
+        assert all(any(c.start <= r.start and r.stop <= c.stop for c in modal) for r in numeric)
+
+    def test_verlet_blocks_check_their_arguments_when_called(self):
+        lap, ic = LOOP_CASES["model-1.5"]()
+        with pytest.raises(ValueError, match="exceeds stability guard"):
+            dynamics.verlet_blocks(lap, ic, dt=1.0, t_end=10.0)
+
+
 class TestTrajectory:
     def test_integrate_numeric_keeps_one_read_only_history(self):
         lap, ic = LOOP_CASES["digraph-0"]()

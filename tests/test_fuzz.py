@@ -89,6 +89,77 @@ def test_any_bytes_exit_0_or_2(tmp_path_factory, kind, data):
         assert json.loads(result.summary)["error"]["type"] == "NotSymmetrizableError"
 
 
+# the refusal of each fuse_trends cross-segment check, by a word of its message
+_FUSION_CHECKS = {"segment step": "step", "not aligned": "grid", "ordered by start": "order",
+                  "share no timestamp": "overlap"}
+
+
+@st.composite
+def _trend_chain(draw):
+    """2-4 trend CSVs with epoch-second stamps, drawn as a valid chain and
+    then edited at the structure level.
+
+    Each segment starts on the sample grid, inside the samples fused before
+    it, and its values (max 100, as parse_trend_csv requires) may hold one
+    run of zeros.  The edit, if any, acts on one later segment: another
+    step, a start off the grid, a swap with the first segment, a start
+    past the samples fused so far, or zeros over its overlap with them."""
+    step = draw(st.sampled_from([0.25, 1.0, 60.0, 3600.0]))
+    origin = draw(st.integers(0, 10**6)) * step
+    segments, end = [], 0      # [start in steps from origin, step, values]; end in steps
+    for _ in range(draw(st.integers(2, 4))):
+        length = draw(st.integers(2, 12))
+        values = draw(st.lists(st.integers(0, 100), min_size=length, max_size=length))
+        zeros = draw(st.integers(0, length - 1))
+        at = draw(st.integers(0, length - zeros))
+        values[at:at + zeros] = [0] * zeros
+        values[draw(st.sampled_from([j for j in range(length) if not at <= j < at + zeros]))] = 100
+        start = draw(st.integers(0, end - 1)) if segments else 0
+        segments.append([start, step, values])
+        end = max(end, start + length)
+    edit = draw(st.sampled_from(["none", "step", "grid", "order", "overlap", "zero"]))
+    i = draw(st.integers(1, len(segments) - 1))
+    seg = segments[i]
+    fused = max(start + len(values) for start, _, values in segments[:i])
+    if edit == "step":
+        seg[1] = step * draw(st.sampled_from([0.5, 2.0, 3.0]))
+    elif edit == "grid":
+        seg[0] += draw(st.sampled_from([0.5, 0.25, 0.001]))
+    elif edit == "order":
+        segments[0], segments[i] = seg, segments[0]
+    elif edit == "overlap":
+        seg[0] = fused + draw(st.integers(0, 3))
+    elif edit == "zero":    # the segment grows past the overlap to keep its max
+        seg[2][:fused - seg[0]] = [0] * (fused - seg[0])
+        if 100 not in seg[2]:
+            seg[2].append(100)
+    return [("datetime,value\n" + "".join(f"{origin + start * step + j * seg_step!r},{v}\n"
+                                          for j, v in enumerate(values))).encode()
+            for start, seg_step, values in segments]
+
+
+def test_trend_chains_reach_every_fusion_check(tmp_path_factory):
+    # whole chains get past the parsers, where byte edits of one file do not
+    reached = {}
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(chain=_trend_chain())
+    def fuse(chain):
+        root = tmp_path_factory.mktemp("chain")
+        for k, data in enumerate(chain):
+            (root / f"{k}.csv").write_bytes(data)
+        result = run(["fuse-trends", *(str(root / f"{k}.csv") for k in range(len(chain)))])
+        assert result.exit_code in (0, 2)
+        error = json.loads(result.summary).get("error")
+        outcome = "fused" if error is None else next(
+            (check for word, check in _FUSION_CHECKS.items() if word in error["message"]),
+            error["type"])
+        reached[outcome] = reached.get(outcome, 0) + 1
+
+    fuse()
+    assert {"fused", "ZeroAnchor", *_FUSION_CHECKS.values()} <= set(reached), reached
+
+
 @st.composite
 def _weighted_digraph(draw):
     """A digraph on 2-6 nodes with weights m * 10^e, e from -300 to 152: a few

@@ -6,7 +6,6 @@ import pytest
 from netosc import ingest
 from netosc.errors import (
     EmptyInput,
-    InvalidGraph,
     NoOverlap,
     OutOfRange,
     ParseError,
@@ -33,9 +32,8 @@ _HEADED = {
                   ParseError, 4, "non-finite value in 'nan'"),
     "trend": (parse_trend_csv, "trend CSV", "datetime,value", "0,100\n60,50\n", "120,inf",
               ParseError, 4, "non-finite value in '120,inf'"),
-    # the edge list leaves its weights to WeightedDigraph
     "edge": (graph_from_edge_csv, "edge CSV", "src,dst,w", "0,1,1\n1,0,1\n", "1,2,nan",
-             InvalidGraph, None, "edge (1,2) has non-finite weight nan"),
+             ParseError, 4, "non-finite value in '1,2,nan'"),
 }
 
 
