@@ -49,8 +49,8 @@ class CommandResult:
 
 
 class _Files:
-    """The files a command reads, with their digests, and the files it writes
-    under --out, listed in the order written.  Without --out nothing is
+    """The files a command reads, with their digests, and the artifacts it
+    writes under --out, listed in the order opened.  Without --out nothing is
     rendered or written.
 
     Each input is read once, as bytes: the summary's digest is of the bytes
@@ -61,12 +61,10 @@ class _Files:
     ≈230 MB/s against OpenSSL's ≈1.25 GB/s, ≈2 ms more on a 550 KB event
     log and ≈0.35 s more per 100 MB of input.
 
-    A renderer returns an artifact's text as an iterable of pieces, which
-    are streamed to a new temporary sibling file; only then is the old file
-    unlinked and the temporary file renamed into place.  A render error at
-    any piece therefore leaves the old file as it was and no temporary file,
-    and a symlink at an artifact path is replaced, not followed.  Truncating
-    an existing file in place (and equally ``os.replace`` over it) stalled
+    Each artifact is streamed to a new temporary sibling file, which
+    ``commit`` renames into place after unlinking the old file (a symlink
+    there is replaced, not followed); ``discard`` removes the temporary
+    files left.  Truncating in place (or ``os.replace`` over it) stalled
     ≈60 ms per file on an ext4 root mounted with ``discard``; the temporary
     write, unlink and rename of a 1.3 MB artifact took ≈0.6 ms.  Nothing is
     fsynced: artifacts are reproducible.
@@ -76,6 +74,7 @@ class _Files:
         self.out = Path(out) if out else None
         self.inputs = {}
         self.paths = []
+        self._pending = []  # (temporary file, artifact path)
 
     def read(self, path):
         """The text of ``path``; bytes that are not UTF-8 raise ParseError."""
@@ -86,23 +85,35 @@ class _Files:
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path} is not UTF-8: {exc}") from exc
 
-    def write(self, name, render, *args):
-        """Stream the pieces of ``render(*args)`` to the artifact ``name``."""
+    def open(self, name):
+        """The open temporary file of the artifact ``name``; None without --out."""
         if self.out is None:
-            return
+            return None
         self.out.mkdir(parents=True, exist_ok=True)
         path = self.out / name
-        tmp = path.with_name(f".{name}.{os.urandom(8).hex()}.tmp")
-        f = tmp.open("x", encoding="utf-8")     # never an existing file
-        try:
+        f = path.with_name(f".{name}.{os.urandom(8).hex()}.tmp").open("x", encoding="utf-8")
+        self._pending.append((f, path))     # opened "x": never an existing file
+        return f
+
+    def write(self, name, render, *args):
+        """Stream the pieces of ``render(*args)`` to the artifact ``name``."""
+        if (f := self.open(name)) is not None:
             with f:
                 f.writelines(render(*args))
+
+    def commit(self):
+        for f, _ in self._pending:
+            f.close()   # a failed flush raises before any old file is gone
+        for f, path in self._pending:
             path.unlink(missing_ok=True)
-            tmp.rename(path)
-        except BaseException:
-            tmp.unlink()
-            raise
-        self.paths.append(str(path))
+            Path(f.name).rename(path)
+            self.paths.append(str(path))
+
+    def discard(self):
+        for f, _ in self._pending:
+            Path(f.name).unlink(missing_ok=True)
+        for f, _ in self._pending:
+            f.close()
 
 
 # Rows formatted per piece of a CSV artifact.
@@ -146,12 +157,13 @@ def _write_spectrum(files, name, sp, log_bins=False):
         files.write(f"{name}_logbins.csv", _csv, "f_lo,f_hi,mass", lo, hi, mass)
 
 
-def _states_csv(times, blocks):
-    """A trajectory CSV, t then one column per node, rendered from the
-    (rows, states) blocks of a producer over ``times`` as they come."""
-    for rows, x in blocks:
+def _states_csv(f, times, rows, x):
+    """Append to ``f``, unless None, the trajectory CSV lines (t, then ``x``,
+    one column per node) of the slice ``rows`` of ``times``; the header
+    leads the block that starts the grid."""
+    if f is not None:
         header = None if rows.start else "t," + ",".join(f"x_{i}" for i in range(x.shape[1]))
-        yield from _csv(header, times[rows], *x.T)
+        f.writelines(_csv(header, times[rows], *x.T))
 
 
 def _load_model(files, path):
@@ -191,17 +203,29 @@ def _finite(text):
     return value
 
 
-def _parse_vector(text, what):
-    """A list flag's comma-separated floats; ValueError unless all are finite."""
-    values = np.array([float(v) for v in text.split(",")])
+def _parse_list(text, flag, parse=float):
+    """``flag``'s comma-separated items, each read by ``parse``; ValueError
+    naming the flag and the first item that ``parse`` refuses."""
+    values = []
+    for item in text.split(","):
+        try:
+            values.append(parse(item))
+        except ValueError:
+            raise ValueError(f"{flag}: invalid item {item!r}") from None
+    return values
+
+
+def _parse_vector(params, key, what):
+    """The comma-separated floats of --``key``; ValueError unless all are finite."""
+    values = np.array(_parse_list(params[key], "--" + key))
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{what} must be finite")
     return values
 
 
 def _initial_condition(params):
-    x0 = _parse_vector(params["x0"], "initial condition")
-    v0 = _parse_vector(params["v0"], "initial condition") if params["v0"] else np.zeros_like(x0)
+    x0 = _parse_vector(params, "x0", "initial condition")
+    v0 = _parse_vector(params, "v0", "initial condition") if params["v0"] else np.zeros_like(x0)
     return dynamics.InitialCondition(x0=x0, v0=v0)
 
 
@@ -250,28 +274,24 @@ def _cmd_simulate(params, files):
     # fine for the modal path alone
     guard = dynamics.verlet_step_limit(lap.d_max)
     numeric = dt <= guard
-
-    def verlet():
-        return dynamics.verlet_blocks(lap, ic, dt=dt, t_end=t_end)
-
-    # One pass folds both producers in lockstep on the same times: each
-    # Verlet block lies inside one modal block.  A Verlet failure waits for
-    # the modal checks and the energy series, so the error reported is the
-    # first of the three in that order.
-    pending = verlet() if numeric else None
-    peak = gap = 0.0
-    done, failure = 0, None
+    # One pass folds each modal block and the Verlet block of the same slice
+    # into the peak, the gap and the trajectory CSVs.  A Verlet failure waits
+    # for the modal checks and the energy series, which are reported first.
+    verlet = dynamics.verlet_blocks(lap, ic, dt=dt, t_end=t_end) if numeric else None
+    modal_csv = files.open("trajectory_modal.csv")
+    numeric_csv = files.open("trajectory_numeric.csv") if numeric else None
+    peak, gap, failure = 0.0, 0.0, None
     for cols, x in dynamics.state_blocks(sol, times):
         peak = max(peak, float(np.max(np.abs(x))))
-        while pending is not None and done < cols.stop:
+        _states_csv(modal_csv, times, cols, x)
+        if verlet is not None:
             try:
-                rows, v = next(pending)
+                _, v = next(verlet)
             except NumericError as exc:     # raised below
-                pending, failure = None, exc
-                break
-            part = x[rows.start - cols.start:rows.stop - cols.start]
-            gap = max(gap, float(np.max(np.abs(v - part))))
-            done = rows.stop
+                verlet, failure = None, exc
+            else:
+                gap = max(gap, float(np.max(np.abs(v - x))))
+                _states_csv(numeric_csv, times, cols, v)
     energy = dynamics.total_energy_series(sol, times)
     if failure is not None:
         raise failure
@@ -286,12 +306,6 @@ def _cmd_simulate(params, files):
         results["modal_numeric_max_error"] = gap
     else:
         results["numeric_skipped"] = f"dt {dt} exceeds stability guard {guard:.6g}"
-    # every check has passed: the artifacts take their rows from a second
-    # pass over the producers
-    files.write("trajectory_modal.csv",
-                lambda: _states_csv(times, dynamics.state_blocks(sol, times)))
-    if numeric:
-        files.write("trajectory_numeric.csv", lambda: _states_csv(times, verlet()))
     if energy.series is not None:   # none on a one-point grid
         files.write("energy.csv", _csv, "t,E", energy.series.times, energy.series.values)
     return results
@@ -327,7 +341,7 @@ def _cmd_critical_eps(params, files):
 
 def _cmd_sweep(params, files):
     (lap0, lapI), _ = _load_model(files, params["graph"])
-    records = dynamics.epsilon_sweep(lap0, lapI, _parse_vector(params["eps"], "eps"),
+    records = dynamics.epsilon_sweep(lap0, lapI, _parse_vector(params, "eps", "eps"),
                                      _initial_condition(params), params["t_end"], params["dt"])
     results = {"records": [asdict(r) for r in records]}
     files.write("sweep.json", lambda: [_json(results["records"]) + "\n"])
@@ -390,9 +404,9 @@ def _cmd_beat_demo(params, files):
 
 def _cmd_compare_periods(params, files):
     series = ingest.parse_series_csv(files.read(params["in"]))
-    chunks = [chunk.partition(":") for chunk in params["periods"].split(",")]
-    periods = [(int(start), int(length)) for start, _, length in chunks]
-    table, spectra = [], []
+    periods = _parse_list(params["periods"], "--periods",   # start:length pairs
+                          lambda item: tuple(map(int, item.partition(":")[::2])))
+    table = []
     for idx, (start, length) in enumerate(periods):
         sp = signal.analyze_period(ingest.slice_period(series, start, length),
                                    window=params["window"])
@@ -404,8 +418,6 @@ def _cmd_compare_periods(params, files):
             "cutoff": cut,
             "low_freq_share": signal.low_freq_share(sp, cut),
         })
-        spectra.append(sp)
-    for idx, sp in enumerate(spectra):
         _write_spectrum(files, f"spectrum_{idx}", sp, params["log_bins"])
     files.write("shares.csv", _csv, ",".join(table[0]),
                 *([row[key] for row in table] for key in table[0]))
@@ -513,6 +525,7 @@ def _error_summary(command, exc):
 
 
 def run(argv) -> CommandResult:
+    """Run ``argv``.  Only when its handler returns do its artifacts replace the old files."""
     try:
         params = vars(build_parser().parse_args(argv))
     except SystemExit as exc:
@@ -521,7 +534,11 @@ def run(argv) -> CommandResult:
     command, handler = params.pop("command"), params.pop("handler")
     files = _Files(params.get("out"))
     try:
-        results = handler(params, files)
+        try:
+            results = handler(params, files)
+            files.commit()
+        finally:
+            files.discard()
     except tuple(_ERROR_EXITS) as exc:
         code, stream = next(_ERROR_EXITS[cls] for cls in type(exc).__mro__
                             if cls in _ERROR_EXITS)

@@ -49,14 +49,8 @@ from .spectral import EigenSystem, eigen_gap, eigendecompose, spectrum_is_real
 # unstable.
 DIVERGENCE_CUTOFF = 1e12
 
-# verlet_blocks yields integrate_numeric's states in blocks of this many output
-# steps, tests each block for divergence, and advances the phase [x; v]
-# through a buffer of this many rows plus one.
-DIVERGENCE_CHECK_BLOCK = 64
-
-# state_blocks and total_energy_series walk the time grid in blocks of this
-# many columns.  A power of two keeps every column bit-identical to a
-# whole-grid evaluation; other widths changed last bits through BLAS.
+# Times per _time_blocks block.  A power of two keeps every modal column
+# bit-identical to a whole-grid evaluation; other widths changed last bits.
 MODAL_TIME_BLOCK = 128
 
 # Internal velocity-Verlet steps per output step of integrate_numeric.
@@ -66,12 +60,9 @@ VERLET_SUBSTEPS = 10
 MAX_TIME_POINTS = 10_000_000
 
 
-def time_grid(t_end, dt) -> np.ndarray:
-    """Times k * dt, k = 0 .. round(t_end / dt): the modal and numeric grid.
-
-    Raises ValueError before allocating when the grid would hold more than
-    MAX_TIME_POINTS points or t_end / dt overflows.
-    """
+def _grid_size(t_end, dt) -> int:
+    """round(t_end / dt) + 1, the size of time_grid(t_end, dt); ValueError
+    past MAX_TIME_POINTS points or when t_end / dt overflows."""
     if not (math.isfinite(dt) and math.isfinite(t_end) and dt > 0 and t_end >= 0):
         raise ValueError(f"dt must be positive and t_end nonnegative, both finite; "
                          f"got dt = {dt}, t_end = {t_end}")
@@ -79,7 +70,12 @@ def time_grid(t_end, dt) -> np.ndarray:
     if not (math.isfinite(steps) and round(steps) < MAX_TIME_POINTS):
         raise ValueError(f"t_end / dt = {steps:.6g} exceeds the {MAX_TIME_POINTS} time "
                          f"points a grid may hold; got dt = {dt}, t_end = {t_end}")
-    return np.arange(round(steps) + 1) * dt
+    return round(steps) + 1
+
+
+def time_grid(t_end, dt) -> np.ndarray:
+    """Times k * dt for k < _grid_size(t_end, dt): the modal and numeric grid."""
+    return np.arange(_grid_size(t_end, dt)) * dt
 
 
 def _check_uniform(times):
@@ -249,17 +245,18 @@ def modal_solve(model: LaplacianMatrix | SymmetrizableDecomposition,
     return _expand(eigendecompose(model), np.ones(model.n), ic)
 
 
-def _time_blocks(times):
-    """Slices of MODAL_TIME_BLOCK consecutive columns covering ``times``.
+def _time_blocks(size):
+    """Slices of MODAL_TIME_BLOCK consecutive times covering a grid of
+    ``size``: the one block rule of every producer of states and energies.
 
-    A lone last column joins the block before it: numpy would evaluate a
+    A lone last time joins the block before it: numpy would evaluate a
     one-column block with a matrix-vector kernel and a pairwise sum, which
     differ in the last bits from the whole-grid matmul and column sum.
     """
-    starts = list(range(0, times.size, MODAL_TIME_BLOCK))
-    if len(starts) > 1 and times.size - starts[-1] == 1:
+    starts = list(range(0, size, MODAL_TIME_BLOCK))
+    if len(starts) > 1 and size - starts[-1] == 1:
         starts.pop()
-    return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [times.size])]
+    return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [size])]
 
 
 def _phases(omegas, times):
@@ -304,21 +301,18 @@ def _node_values(sol: ModalSolution, amplitudes):
 def state_blocks(sol: ModalSolution, times):
     """The states of evaluate_states, one block of times at a time.
 
-    Yields (cols, x) for each block of MODAL_TIME_BLOCK = 128 consecutive
-    times (a lone last time joins the block before it): the slice of
-    ``times`` the block covers and its states, shape (block, n).  Working
-    memory is O(n * 128) beside what the consumer keeps of the blocks; a
-    block is freed before the next is built once the consumer drops it too.
-    exp(-i w t) is the conjugate of exp(i w t) when every w is exactly real.
-    After the last block it raises Unstable when a growing mode carried a
-    state past the float range, and DefectiveMatrix when the largest
-    imaginary part over the whole grid exceeds 1e-8 * (1 + the largest real
-    part): what a consumer draws from the blocks holds only once the
-    iteration has ended without raising.
+    Yields (cols, x) for each _time_blocks slice of ``times``: the slice and
+    its states, shape (block, n).  Working memory is O(n * 128) beside what
+    the consumer keeps of the blocks; a block is freed before the next is
+    built once the consumer drops it too.  After the last block it raises
+    Unstable when a growing mode carried a state past the float range, and
+    DefectiveMatrix when the largest imaginary part over the whole grid
+    exceeds 1e-8 * (1 + the largest real part): what a consumer draws from
+    the blocks holds only once the iteration has ended without raising.
     """
     times = np.asarray(times, dtype=float).ravel()
     worst_imag = max_real = 0.0
-    for cols in _time_blocks(times):
+    for cols in _time_blocks(times.size):
         with np.errstate(over="ignore", invalid="ignore"):  # checked after the last block
             x = _node_values(sol, _mode_amplitudes(sol, times[cols]))
             worst_imag = np.maximum(worst_imag, np.max(np.abs(x.imag)))
@@ -331,11 +325,8 @@ def state_blocks(sol: ModalSolution, times):
 
 
 def evaluate_states(sol: ModalSolution, times) -> np.ndarray:
-    """States x(t) for a vector of times, shape (len(times), n).
-
-    Filled from state_blocks, so working memory beyond the result is
-    O(n * 128), and the errors are state_blocks'.
-    """
+    """States x(t) for a vector of times, shape (len(times), n), filled from
+    state_blocks: its O(n * 128) working memory beside them, and its errors."""
     times = np.asarray(times, dtype=float).ravel()
     states = np.empty((times.size, sol.n))
     for cols, block in state_blocks(sol, times):
@@ -381,23 +372,19 @@ def _tenth_power(step) -> np.ndarray:
 
 
 def verlet_blocks(lap: LaplacianMatrix, ic: InitialCondition, dt: float, t_end: float):
-    """The states of integrate_numeric, DIVERGENCE_CHECK_BLOCK = 64 output
-    times at a time.
+    """The states of integrate_numeric, in state_blocks' blocks of times.
 
     Checks its arguments as integrate_numeric does and builds the transfer
-    matrix when called, then returns an iterator of (rows, x): the slice
-    [64 k, 64 (k + 1)) of time_grid(t_end, dt) a block covers (the last one
-    shorter) and its states, shape (block, n).  Each x is a view of the
-    integrator's (DIVERGENCE_CHECK_BLOCK + 1, 2n) phase buffer that the next
-    block overwrites, so working memory is that buffer and the one (2n)^2
-    transfer matrix, or three (2n)^2 buffers while powering: O(n^2), none
-    of it per time.  The iterator raises Unstable at the first output time
-    at which any |x_i| crosses the divergence cutoff, before it yields the
-    block that holds that time.
+    matrix when called, then returns an iterator of (rows, x) over the
+    _time_blocks slices of time_grid(t_end, dt), sized without building it.
+    x, shape (block, n), views the (MODAL_TIME_BLOCK + 2, 2n) phase buffer
+    that the next block overwrites: O(n^2) working memory, none per time.
+    The iterator raises Unstable at the first output time at which any |x_i|
+    crosses the divergence cutoff, before it yields the block holding it.
     """
     if ic.n != lap.n:
         raise ValueError(f"initial condition size {ic.n} != n = {lap.n}")
-    size = time_grid(t_end, dt).size
+    size = _grid_size(t_end, dt)
     limit = verlet_step_limit(lap.d_max)
     if dt > limit:
         raise ValueError(f"dt = {dt} exceeds stability guard {limit:.6g}")
@@ -407,28 +394,27 @@ def verlet_blocks(lap: LaplacianMatrix, ic: InitialCondition, dt: float, t_end: 
 
 
 def _verlet_rows(transfer, ic, dt, size):
-    """verlet_blocks' iterator over the ``size`` times k * dt.  Row k sits at
-    phase[k - start + 1] within the block that starts at ``start``, and
-    phase[0] holds the row before it; row 0 is the initial condition."""
-    n = ic.n
+    """verlet_blocks' iterator over the ``size`` times k * dt.  Row k sits
+    at phase[k - start + 1] within the block that starts at ``start`` (a
+    block holds up to MODAL_TIME_BLOCK + 1 rows), and phase[0] holds the row
+    before it; row 0 is the initial condition."""
     cutoff = DIVERGENCE_CUTOFF * max(1.0, np.max(np.abs(ic.x0), initial=0.0),
                                      np.max(np.abs(ic.v0), initial=0.0))
-    phase = np.empty((DIVERGENCE_CHECK_BLOCK + 1, 2 * n))
-    phase[1, :n] = ic.x0
-    phase[1, n:] = ic.v0
+    phase = np.empty((MODAL_TIME_BLOCK + 2, 2 * ic.n))
+    phase[1] = np.concatenate((ic.x0, ic.v0))
     steps = list(phase)     # each row's view, made once
-    for start in range(0, size, DIVERGENCE_CHECK_BLOCK):
-        rows = min(DIVERGENCE_CHECK_BLOCK, size - start)
+    for rows in _time_blocks(size):
+        count = rows.stop - rows.start
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite |x| counts as crossed
-            for k in range(1 + (start == 0), rows + 1):
+            for k in range(1 + (rows.start == 0), count + 1):
                 np.dot(transfer, steps[k - 1], out=steps[k])
-            states = phase[1:rows + 1, :n]
+            states = phase[1:count + 1, :ic.n]
             over = np.flatnonzero(~(np.max(np.abs(states), axis=1) <= cutoff))
         if over.size:
-            t = (start + int(over[0])) * dt     # time_grid's k * dt, to the bit
+            t = (rows.start + int(over[0])) * dt     # time_grid's k * dt, to the bit
             raise Unstable(f"|x| crossed {cutoff:.6g} at t = {t:.6g}", t_diverge=t)
-        yield slice(start, start + rows), states
-        phase[0] = phase[rows]
+        yield rows, states
+        phase[0] = phase[count]
 
 
 def integrate_numeric(lap: LaplacianMatrix, ic: InitialCondition,
@@ -446,16 +432,12 @@ def integrate_numeric(lap: LaplacianMatrix, ic: InitialCondition,
 
     and one output step is its 10th power, applied once.  No eigenbasis is
     used.  The power is taken in np.linalg.matrix_power's product order, so
-    its bits are matrix_power's.  Only the states are kept: the [x; v] phase
-    advances through verlet_blocks' (DIVERGENCE_CHECK_BLOCK + 1, 2n) buffer,
-    whose x half is copied into the read-only (T, n) ``states`` once per
-    block.  Working memory is those states, the buffer and the one (2n)^2
-    transfer matrix, or three (2n)^2 buffers while powering.
+    its bits are matrix_power's.  Only the states are kept, copied from
+    verlet_blocks a block at a time: its O(n^2) working memory beside them.
     Raises ValueError for a bad grid or a dt above the stability guard
     0.2 / sqrt(2 d_max), and Unstable with the first output time at which any
     |x_i| exceeds DIVERGENCE_CUTOFF * max(1, |x0|_inf, |v0|_inf) (1e12 for
-    an initial condition of scale at most 1) or is not finite; the test runs
-    once per DIVERGENCE_CHECK_BLOCK = 64 output steps, over each of them.
+    an initial condition of scale at most 1) or is not finite.
     """
     blocks = verlet_blocks(lap, ic, dt, t_end)
     times = time_grid(t_end, dt)
@@ -512,7 +494,7 @@ def total_energy_series(sol: ModalSolution, times) -> EnergyReport:
         coupling = np.outer(weight, weight) * (vec.T @ vec)
         np.fill_diagonal(coupling, 0.0)
         energy = np.empty(times.size, dtype=complex)
-        for cols in _time_blocks(times):
+        for cols in _time_blocks(times.size):
             fwd, back = _phases(om, times[cols])
             pairs = coupling @ back
             pairs *= fwd

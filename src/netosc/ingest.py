@@ -29,6 +29,7 @@ from itertools import chain
 
 import numpy as np
 
+from .dynamics import MAX_TIME_POINTS
 from .errors import EmptyInput, NoOverlap, OutOfRange, ParseError, ZeroAnchor
 from .graph import WeightedDigraph
 from .signal import TimeSeries, read_only_floats
@@ -204,8 +205,8 @@ def bin_counts(log: EventLog, bin_seconds: int, t0: float,
         raise ValueError("bin_seconds must be positive")
     if not np.isfinite(t0):
         raise ValueError(f"t0 must be finite, got {t0}")
-    if n_bins < 2:
-        raise ValueError("need at least 2 bins")
+    if not 2 <= n_bins <= MAX_TIME_POINTS:
+        raise ValueError(f"need 2 to {MAX_TIME_POINTS} bins, got {n_bins}")
     # Bin positions stay floats until masked: a timestamp far from t0 has no
     # int bin index, and one too far to subtract becomes +-inf.  One array
     # beside the timestamps, updated in place.

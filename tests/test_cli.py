@@ -328,8 +328,8 @@ class TestSimulate:
         assert err["message"] == f"|x| crossed 2e+12 at t = {err['t_diverge']:.6g}"
 
     def test_failed_run_writes_no_artifact(self, model_json, tmp_path):
-        # the divergent run above, into a previous run's --out: every check
-        # runs before the first artifact is written
+        # the divergent run above, into a previous run's --out: artifacts
+        # move into place only once every check has passed
         out = tmp_path / "sim"
         assert run(["simulate", "--graph", str(model_json), "--x0", "1,0,0,0,0",
                     "--t-end", "1", "--out", str(out)]).exit_code == 0
@@ -341,6 +341,23 @@ class TestSimulate:
         assert result.exit_code == 3
         assert summary_of(result)["error"]["type"] == "Unstable"
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_out_runs_each_producer_once(self, model_json, tmp_path, monkeypatch):
+        # the checks and both trajectory CSVs come from one pass
+        calls = []
+        for name in ("state_blocks", "verlet_blocks"):
+            def counted(*args, _name=name, _producer=getattr(dynamics, name), **kwargs):
+                calls.append(_name)
+                return _producer(*args, **kwargs)
+            monkeypatch.setattr(dynamics, name, counted)
+        out = tmp_path / "sim"
+        result = run(["simulate", "--graph", str(model_json), "--x0", "1,2,3,4,5",
+                      "--eps", "1.5", "--t-end", "5", "--out", str(out)])
+        assert result.exit_code == 0
+        assert "modal_numeric_max_error" in summary_of(result)
+        assert sorted(calls) == ["state_blocks", "verlet_blocks"]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "energy.csv", "trajectory_modal.csv", "trajectory_numeric.csv"]
 
     def test_half_step_grid_matches_numeric(self, model_json, tmp_path):
         # t_end / dt = 1.5: the modal and the Verlet grid must agree in length
@@ -576,6 +593,18 @@ class TestBinAndFuse:
         assert doc["binned"] == 16.0
         assert doc["out_of_range"] == 16
         assert (out / "series.csv").exists()
+
+    def test_bins_above_the_time_point_cap_refused(self, tmp_path, capsys):
+        # refused before np.bincount allocates them: a usage error, not a
+        # MemoryError (exit 3) or an 80 MB series
+        events = tmp_path / "events.csv"
+        events.write_text("timestamp\n0\n60\n")
+        n_bins = dynamics.MAX_TIME_POINTS + 1
+        result = run(["bin", "--events", str(events), "--n-bins", str(n_bins)])
+        assert result.exit_code == 1
+        assert summary_of(result)["error"] == {
+            "type": "ValueError", "message": f"need 2 to {n_bins - 1} bins, got {n_bins}"}
+        assert capsys.readouterr().err.strip() == result.summary
 
     @pytest.mark.parametrize("t0", ["nan", "inf", "-inf"])
     def test_non_finite_t0_refused(self, tmp_path, capsys, t0):
@@ -858,6 +887,10 @@ class TestErrorTable:
          "ValueError", "initial condition must be finite"),
         (["simulate", "--graph", "model.json", "--x0", "1,2,3,4,5", "--v0", "1"], 1,
          "ValueError", "mismatched shapes (5,) vs (1,)"),
+        (["sweep", "--graph", "model.json", "--x0", "1,2,3,4,5", "--eps", ""], 1,
+         "ValueError", "--eps: invalid item ''"),
+        (["compare-periods", "--in", "series.csv", "--periods", "5:"], 1,
+         "ValueError", "--periods: invalid item '5:'"),
         (["fuse-trends", "hourly.csv", "two-hourly.csv"], 2,
          "NoOverlap", "segment step 7200.0 != 3600.0"),
         (["fuse-trends", "hourly.csv", "earlier.csv"], 2,
@@ -867,7 +900,8 @@ class TestErrorTable:
         (["fuse-trends", "decreasing.csv"], 2, "ParseError",
          "time column must step forward by a finite amount, got a first step of -3600.0"),
     ], ids=["equal-bracket", "zero-tol", "singular-march-basis", "non-finite-x0", "v0-shape",
-            "step-mismatch", "earlier-start", "zero-anchor", "decreasing-time"])
+            "empty-eps", "period-without-length", "step-mismatch", "earlier-start", "zero-anchor",
+            "decreasing-time"])
     def test_exit_code_type_and_message(self, tmp_path, monkeypatch, argv, code, error_type,
                                         message):
         inputs = {
@@ -886,6 +920,7 @@ class TestErrorTable:
                              "2019-01-07T00:00:00,100\n",
             "decreasing.csv": "datetime,value\n2019-01-07T00:00:00,100\n"
                               "2019-01-06T23:00:00,90\n",
+            "series.csv": "t,value\n0,1\n1,2\n2,3\n",
         }
         for name, text in inputs.items():
             (tmp_path / name).write_text(text)
@@ -1035,11 +1070,13 @@ class TestCsvRenderer:
         files = _Files(tmp_path)
         tracemalloc.start()
         try:
-            files.write("trajectory.csv", _states_csv, times, [(slice(0, 100_000), states)])
+            with files.open("trajectory.csv") as f:
+                _states_csv(f, times, slice(0, 100_000), states)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+        files.commit()
         assert (tmp_path / "trajectory.csv").read_text().count("\n") == 100_001
 
 
@@ -1072,7 +1109,9 @@ class TestArtifactReplacement:
         assert len(short) < len(long)
 
     def test_render_error_keeps_previous_bytes(self, tmp_path):
-        _Files(tmp_path).write("a.csv", lambda: "old\n")
+        old = _Files(tmp_path)
+        old.write("a.csv", lambda: "old\n")
+        old.commit()
 
         def fail():
             raise RuntimeError("render failed")
@@ -1084,10 +1123,36 @@ class TestArtifactReplacement:
         for render in (fail, fail_after_first_piece):
             files = _Files(tmp_path)
             with pytest.raises(RuntimeError):
-                files.write("a.csv", render)
+                try:
+                    files.write("a.csv", render)
+                    files.commit()
+                finally:
+                    files.discard()
             assert (tmp_path / "a.csv").read_bytes() == b"old\n"
             assert files.paths == []
             assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
+
+    def test_failed_third_render_keeps_every_old_artifact(self, tmp_path, monkeypatch):
+        # two artifacts are rendered before the failure; neither replaces
+        # its old file, and no temporary file is left
+        out = tmp_path / "demo"
+        assert run(self.BEAT + ["--out", str(out)]).exit_code == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        renders = []
+
+        def third_fails(header, *columns, _csv=_csv):
+            renders.append(header)
+            if len(renders) == 3:
+                raise OSError("No space left on device")
+            return _csv(header, *columns)
+
+        monkeypatch.setattr("netosc.cli._csv", third_fails)
+        result = run(["beat-demo", "--w1", "0.10", "--w2", "0.12", "--n", "512",
+                      "--out", str(out)])
+        assert result.exit_code == 1
+        assert len(renders) == 3 and result.outputs == []
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert not list(tmp_path.rglob("*.tmp"))
 
     def test_symlink_is_replaced_not_followed(self, tmp_path):
         target = tmp_path / "target.csv"

@@ -368,7 +368,8 @@ class TestIntegrateNumeric:
         b = eigendecompose(lap).max_growth_rate
         t_div, _ = verlet_substep_loop(lap, ic, 0.02, 40.0 / b)
         k = round(t_div / 0.02)
-        assert k % dynamics.DIVERGENCE_CHECK_BLOCK != 0
+        last = dynamics._time_blocks(k + 1)[-1]
+        assert last.start < k and last.stop - last.start != dynamics.MODAL_TIME_BLOCK
         with pytest.raises(Unstable) as exc:
             integrate_numeric(lap, ic, dt=0.02, t_end=k * 0.02)
         assert exc.value.t_diverge == t_div
@@ -397,7 +398,7 @@ class TestIntegrateNumeric:
         assert traj.states[-1] == pytest.approx([5001.0, 2.0])
 
     def test_working_memory(self):
-        # the (T, n) states, the (65, 2n) phase buffer and one (2n)^2
+        # the (T, n) states, the (130, 2n) phase buffer and one (2n)^2
         # transfer matrix, or three (2n)^2 buffers while the step matrix is
         # powered: at n = 200, T = 1001 the powering buffers set the peak, at
         # n = 50, T = 4001 the states do
@@ -414,7 +415,7 @@ class TestIntegrateNumeric:
                 tracemalloc.stop()
             assert traj.states.shape == (length, n)
             matrix = (2 * n) ** 2 * 8
-            kept = (length * n + (dynamics.DIVERGENCE_CHECK_BLOCK + 1) * 2 * n) * 8
+            kept = (length * n + (dynamics.MODAL_TIME_BLOCK + 2) * 2 * n) * 8
             assert peak <= 1.15 * max(kept + matrix, 3 * matrix), (n, length)
 
 
@@ -444,17 +445,15 @@ class TestVerletBits:
 class TestBlockIterators:
     @pytest.mark.parametrize("length", [1, 2, 64, 65, 128, 129, 130, 257, 1001])
     def test_verlet_blocks_nest_in_modal_blocks(self, length):
-        # simulate compares the two producers block by block, in lockstep
+        # simulate pairs the two producers' blocks one to one, in lockstep
         lap, ic = LOOP_CASES["model-1.5"]()
         dt = 0.9 * dynamics.verlet_step_limit(lap.d_max)
         times = dynamics.time_grid((length - 1) * dt, dt)
         modal = [cols for cols, _ in dynamics.state_blocks(modal_solve(lap, ic), times)]
         numeric = [rows for rows, _ in dynamics.verlet_blocks(lap, ic, dt, (length - 1) * dt)]
-        assert modal == dynamics._time_blocks(times)
-        for blocks in (modal, numeric):
-            assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
-            assert blocks[-1].stop == length
-        assert all(any(c.start <= r.start and r.stop <= c.stop for c in modal) for r in numeric)
+        assert modal == numeric == dynamics._time_blocks(length)
+        assert [b.start for b in modal] == [0] + [b.stop for b in modal[:-1]]
+        assert modal[-1].stop == length
 
     def test_verlet_blocks_check_their_arguments_when_called(self):
         lap, ic = LOOP_CASES["model-1.5"]()
@@ -609,7 +608,7 @@ class TestBlockedEvaluation:
 
     @pytest.mark.parametrize("length", LENGTHS)
     def test_blocks_cover_the_grid_once(self, length):
-        cols = dynamics._time_blocks(np.zeros(length))
+        cols = dynamics._time_blocks(length)
         covered = np.concatenate([np.arange(length)[c] for c in cols]) if cols else []
         assert np.array_equal(covered, np.arange(length))
         assert all(c.stop - c.start <= BLOCK + 1 for c in cols)
