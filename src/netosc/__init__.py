@@ -36,7 +36,6 @@ from .graph import (
 )
 from .ingest import (
     EventLog,
-    TrendSegment,
     bin_counts,
     fuse_trends,
     graph_from_edge_csv,

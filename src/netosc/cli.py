@@ -24,6 +24,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import suppress
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -64,10 +65,11 @@ class _Files:
     Each artifact is streamed to a new temporary sibling file, which
     ``commit`` renames into place after unlinking the old file (a symlink
     there is replaced, not followed); ``discard`` removes the temporary
-    files left.  Truncating in place (or ``os.replace`` over it) stalled
-    ≈60 ms per file on an ext4 root mounted with ``discard``; the temporary
-    write, unlink and rename of a 1.3 MB artifact took ≈0.6 ms.  Nothing is
-    fsynced: artifacts are reproducible.
+    files left, then the directories missing before the command while they
+    are empty (after a failure only).  Truncating in place (or ``os.replace``
+    over it) stalled ≈60 ms per file on an ext4 root mounted with
+    ``discard``; the temporary write, unlink and rename of a 1.3 MB artifact
+    took ≈0.6 ms.  Nothing is fsynced: artifacts are reproducible.
     """
 
     def __init__(self, out):
@@ -75,6 +77,7 @@ class _Files:
         self.inputs = {}
         self.paths = []
         self._pending = []  # (temporary file, artifact path)
+        self._made = [d for d in (self.out, *self.out.parents) if not d.exists()] if out else []
 
     def read(self, path):
         """The text of ``path``; bytes that are not UTF-8 raise ParseError."""
@@ -114,6 +117,9 @@ class _Files:
             Path(f.name).unlink(missing_ok=True)
         for f, _ in self._pending:
             f.close()
+        for d in self._made:
+            with suppress(OSError):     # not empty: it and its parents stay
+                d.rmdir()
 
 
 # Rows formatted per piece of a CSV artifact.

@@ -41,7 +41,13 @@ from .graph import (
     scaled_laplacian,
     undirected_graph,
 )
-from .signal import TimeSeries, estimate_beat_frequency, read_only_floats
+from .signal import (
+    MAX_TIME_POINTS,
+    TimeSeries,
+    estimate_beat_frequency,
+    read_only_floats,
+    uniform_step,
+)
 from .spectral import EigenSystem, eigen_gap, eigendecompose, spectrum_is_real
 
 # Trajectories whose max |x_i| crosses this many times the scale
@@ -55,9 +61,6 @@ MODAL_TIME_BLOCK = 128
 
 # Internal velocity-Verlet steps per output step of integrate_numeric.
 VERLET_SUBSTEPS = 10
-
-# Most points a time grid may hold (80 MB of float64 times alone).
-MAX_TIME_POINTS = 10_000_000
 
 
 def _grid_size(t_end, dt) -> int:
@@ -76,18 +79,6 @@ def _grid_size(t_end, dt) -> int:
 def time_grid(t_end, dt) -> np.ndarray:
     """Times k * dt for k < _grid_size(t_end, dt): the modal and numeric grid."""
     return np.arange(_grid_size(t_end, dt)) * dt
-
-
-def _check_uniform(times):
-    """Raise ValueError unless ``times`` (1-D) steps by one fixed, finite
-    amount; a NaN or infinite time fails the comparison."""
-    steps = np.diff(times)
-    if steps.size:
-        # k * dt rounds each time by up to half an ulp, so on a long grid
-        # the steps differ by up to an ulp of the largest time
-        tol = 1e-12 * max(abs(steps[0]), 1.0) + 4.0 * np.spacing(np.max(np.abs(times)))
-        if not np.max(np.abs(steps - steps[0])) <= tol:
-            raise ValueError("time grid must be uniform")
 
 
 def verlet_step_limit(d_max) -> float:
@@ -171,8 +162,8 @@ class ModalSolution:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly time-stepped states, held as read_only_floats holds them:
-    integrate_numeric's read-only states are kept without a copy."""
+    """States on a uniform_step time axis, held as read_only_floats holds
+    them: integrate_numeric's read-only states are kept without a copy."""
 
     times: np.ndarray
     states: np.ndarray
@@ -180,7 +171,7 @@ class Trajectory:
     def __post_init__(self):
         for name in ("times", "states"):
             object.__setattr__(self, name, read_only_floats(getattr(self, name)))
-        _check_uniform(self.times)
+        uniform_step(self.times)
         if not np.all(np.isfinite(self.states)):
             raise ValueError("trajectory contains non-finite states")
 
@@ -477,12 +468,12 @@ def total_energy_series(sol: ModalSolution, times) -> EnergyReport:
     p = exp(i w t), q = exp(-i w t) per mode and time, the pair sum is
     1/2 sum_mu p_mu (C q)_mu: one matmul per block of MODAL_TIME_BLOCK = 128
     times, so working memory beyond the series is O(n * 128).  q is the
-    conjugate of p when every w is exactly real.  Raises ValueError when
-    ``times`` is not a uniform grid, and Unstable when a growing mode carries
-    the energy past the float range.
+    conjugate of p when every w is exactly real.  The series steps by
+    uniform_step(times), its ValueError unhandled.  Raises Unstable when a
+    growing mode carries the energy past the float range.
     """
     times = np.asarray(times, dtype=float).ravel()
-    _check_uniform(times)
+    dt = uniform_step(times)
     with np.errstate(over="ignore", invalid="ignore"):  # checked after the loop
         amp = np.sqrt(2.0 * (np.abs(sol.c_plus) ** 2 + np.abs(sol.c_minus) ** 2))
         om = sol.omegas
@@ -503,10 +494,8 @@ def total_energy_series(sol: ModalSolution, times) -> EnergyReport:
     if not np.all(np.isfinite(energy)):
         raise Unstable("energy series overflows: a growing mode exceeds the float range")
     series_values = _to_real(energy, "energy series") if sol.spectrum_real else energy.real
-    series = None
-    if times.size >= 2:
-        dt = float(times[1] - times[0])
-        series = TimeSeries(values=series_values, dt=dt, origin=float(times[0]))
+    series = (TimeSeries(values=series_values, dt=dt, origin=float(times[0]))
+              if times.size >= 2 else None)
     return EnergyReport(total=stationary, series=series)
 
 

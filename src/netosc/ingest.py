@@ -15,10 +15,10 @@ exactly the format's names, and every row has as many fields (_read_csv).
 Event logs and trends: the first row fixes the time kind, epoch seconds or
 ISO-8601, and epoch seconds are finite (_timestamps).  Edge weights, trend
 and series values are finite (_finite).  Trends and series: the time
-column's first step is positive and finite, every step within
-1e-9 max(|step|, 1) of it (_uniform_step).  A series CSV instead has an
-optional header of any names and reads the first two columns.  A row that
-breaks a rule raises ParseError naming its line.
+column passes signal.uniform_step (_uniform_step) and gives the TimeSeries
+its dt and origin; trend values are >= 0 with max 100 (_trend_rule).  A
+series CSV instead has an optional header of any names and reads the first
+two columns.  A row that breaks a rule raises ParseError naming its line.
 """
 
 from __future__ import annotations
@@ -29,10 +29,9 @@ from itertools import chain
 
 import numpy as np
 
-from .dynamics import MAX_TIME_POINTS
 from .errors import EmptyInput, NoOverlap, OutOfRange, ParseError, ZeroAnchor
 from .graph import WeightedDigraph
-from .signal import TimeSeries, read_only_floats
+from .signal import MAX_TIME_POINTS, TimeSeries, read_only_floats, uniform_step
 
 
 @dataclass(frozen=True)
@@ -55,29 +54,6 @@ class EventLog:
 
     def __len__(self):
         return self.timestamps.size
-
-
-@dataclass(frozen=True)
-class TrendSegment:
-    """One retrieval window of search-interest values, normalized to max 100."""
-
-    start: float
-    step: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = read_only_floats(self.values)
-        if v.size < 2:
-            raise ParseError("trend segment needs at least 2 samples")
-        if not (np.all(np.isfinite(v)) and np.isfinite(self.start) and np.isfinite(self.step)):
-            raise ParseError("trend start, step and values must be finite")
-        if np.any(v < 0):
-            raise ParseError("trend values must be >= 0")
-        if abs(v.max() - 100.0) > 1e-9:
-            raise ParseError(f"trend segment max must be 100, got {v.max()}")
-        if not self.step > 0:
-            raise ParseError("trend step must be positive")
-        object.__setattr__(self, "values", v)
 
 
 def _iso_timestamp(token):
@@ -170,17 +146,20 @@ def _timestamps():
 
 
 def _uniform_step(times):
-    """The step rule: the uniform step of ``times``, or 1.0 for a single time."""
-    with np.errstate(over="ignore"):  # an overflowing step is reported below
-        steps = np.diff(times)
-    if not steps.size:
-        return 1.0
-    if not 0.0 < steps[0] < np.inf:
-        raise ParseError(f"time column must step forward by a finite amount, "
-                         f"got a first step of {steps[0]}")
-    if np.max(np.abs(steps - steps[0])) > 1e-9 * max(abs(steps[0]), 1.0):
-        raise ParseError("time column is not uniformly spaced")
-    return float(steps[0])
+    """signal.uniform_step of a time column, refusing with ParseError."""
+    try:
+        return uniform_step(times)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def _trend_rule(seg: TimeSeries) -> TimeSeries:
+    """The Trends format rule: ``seg``, whose values are >= 0 with max 100."""
+    if np.any(seg.values < 0):
+        raise ParseError("trend values must be >= 0")
+    if abs(seg.values.max() - 100.0) > 1e-9:
+        raise ParseError(f"trend segment max must be 100, got {seg.values.max()}")
+    return seg
 
 
 def parse_event_log(text: str) -> EventLog:
@@ -233,7 +212,7 @@ def slice_period(s: TimeSeries, start_index: int, length: int) -> TimeSeries:
 
 
 def fuse_trends(segments) -> TimeSeries:
-    """Fuse overlapping max-100 segments into one max-100 series.
+    """Fuse overlapping Trends segments (_trend_rule) into one max-100 series.
 
     Left to right: at the first timestamp shared with the next segment, the
     accumulated values are rescaled by (later value / earlier value) when both
@@ -241,19 +220,18 @@ def fuse_trends(segments) -> TimeSeries:
     that is degenerate too), overlapping samples take the later segment's
     values, and the final series is rescaled to max 100.
     """
-    segments = list(segments)
+    segments = [_trend_rule(seg) for seg in segments]
     if not segments:
         raise EmptyInput("no trend segments")
-    step = segments[0].step
-    origin = segments[0].start
-    acc = segments[0].values
+    first = segments[0]
+    acc = first.values
     for seg in segments[1:]:
-        if seg.step != step:
-            raise NoOverlap(f"segment step {seg.step} != {step}")
+        if seg.dt != first.dt:
+            raise NoOverlap(f"segment step {seg.dt} != {first.dt}")
         with np.errstate(over="ignore"):   # an overflowing shift is refused below
-            shift = (seg.start - origin) / step
+            shift = (seg.origin - first.origin) / first.dt
         if not np.isfinite(shift):
-            raise NoOverlap(f"segment start {seg.start} is too far from {origin} to align")
+            raise NoOverlap(f"segment start {seg.origin} is too far from {first.origin} to align")
         k = int(round(shift))
         if abs(shift - k) > 1e-6:
             raise NoOverlap("segment start is not aligned to the sample grid")
@@ -277,19 +255,19 @@ def fuse_trends(segments) -> TimeSeries:
     peak = acc.max()
     if peak <= 0.0:
         raise ZeroAnchor("fused series is identically zero")
-    return TimeSeries(values=acc * (100.0 / peak), dt=step, origin=origin)
+    return TimeSeries(values=acc * (100.0 / peak), dt=first.dt, origin=first.origin)
 
 
-def parse_trend_csv(text: str) -> TrendSegment:
-    """Parse a CSV with header ``datetime,value`` into a TrendSegment; rows
-    are uniformly spaced in time (hourly in typical exports)."""
+def parse_trend_csv(text: str) -> TimeSeries:
+    """Parse a CSV with header ``datetime,value`` into a TimeSeries under
+    _trend_rule; rows are uniformly spaced in time (hourly in typical exports)."""
     stamp = _timestamps()
     rows = _read_csv(text, "trend CSV", "datetime,value",
                      lambda fields: (stamp(fields), _finite(float(fields[1]), fields)))
     stamps, values = np.fromiter(rows, dtype=np.dtype((float, (2,)))).T
     if stamps.size < 2:
         raise EmptyInput("trend CSV needs at least 2 rows")
-    return TrendSegment(start=float(stamps[0]), step=_uniform_step(stamps), values=values)
+    return _trend_rule(TimeSeries(values, dt=_uniform_step(stamps), origin=float(stamps[0])))
 
 
 def parse_series_csv(text: str) -> TimeSeries:

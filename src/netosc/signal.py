@@ -18,6 +18,26 @@ import numpy as np
 
 from .errors import AllZero, BadCutoff, OutOfRange, TooShort, WindowTooLarge
 
+# Most points a time grid or binned series may hold (80 MB of float64 alone).
+MAX_TIME_POINTS = 10_000_000
+
+
+def uniform_step(times) -> float:
+    """The first step of ``times``, positive and finite, with every step
+    within 1e-9 max(step, 1) + 4 ulp(max |t|) of it (ValueError otherwise;
+    the ulp term absorbs rounded times), or 1.0 for fewer than two times."""
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        steps = np.diff(times)
+    if not steps.size:
+        return 1.0
+    if not 0.0 < steps[0] < np.inf:
+        raise ValueError(f"time column must step forward by a finite amount, "
+                         f"got a first step of {steps[0]}")
+    tol = 1e-9 * max(steps[0], 1.0) + 4.0 * np.spacing(np.max(np.abs(times)))
+    if not np.max(np.abs(steps - steps[0])) <= tol:
+        raise ValueError("time column is not uniformly spaced")
+    return float(steps[0])
+
 
 def _frozen(arr) -> bool:
     """True when ``arr`` is an ndarray that is read-only, as is every array

@@ -30,8 +30,8 @@ from netosc.graph import (
     laplacian_of,
     undirected_graph,
 )
-from netosc.ingest import TrendSegment, fuse_trends
-from netosc.signal import analyze_period, beat_demo, low_freq_share
+from netosc.ingest import fuse_trends
+from netosc.signal import TimeSeries, analyze_period, beat_demo, low_freq_share
 from netosc.spectral import eigendecompose, spectrum_is_real
 
 
@@ -282,18 +282,14 @@ def test_criterion_9_low_frequency_contrast():
 
 @criterion(10, "trends fusion: 80/40 halving, hand-checked chain, fused max 100")
 def test_criterion_10_trends_fusion():
-    earlier = TrendSegment(start=0.0, step=3600.0,
-                           values=np.array([100.0, 90.0, 80.0]))
-    later = TrendSegment(start=2 * 3600.0, step=3600.0,
-                         values=np.array([40.0, 70.0, 100.0]))
+    earlier = TimeSeries(np.array([100.0, 90.0, 80.0]), dt=3600.0, origin=0.0)
+    later = TimeSeries(np.array([40.0, 70.0, 100.0]), dt=3600.0, origin=2 * 3600.0)
     fused = fuse_trends([earlier, later])
     assert np.array_equal(fused.values, [50.0, 45.0, 40.0, 70.0, 100.0])
 
-    s1 = TrendSegment(start=0.0, step=3600.0, values=np.array([60.0, 100.0]))
-    s2 = TrendSegment(start=3600.0, step=3600.0,
-                      values=np.array([50.0, 100.0, 50.0]))
-    s3 = TrendSegment(start=3 * 3600.0, step=3600.0,
-                      values=np.array([100.0, 20.0]))
+    s1 = TimeSeries(np.array([60.0, 100.0]), dt=3600.0, origin=0.0)
+    s2 = TimeSeries(np.array([50.0, 100.0, 50.0]), dt=3600.0, origin=3600.0)
+    s3 = TimeSeries(np.array([100.0, 20.0]), dt=3600.0, origin=3 * 3600.0)
     fused = fuse_trends([s1, s2, s3])
     # anchors: 100 -> 50 (factor 0.5), then 50 -> 100 (factor 2.0);
     # [60,100]*0.5 + s2 = [30,50,100,50]; prefix*2 + s3 = [60,100,200,100,20];
@@ -306,7 +302,7 @@ def test_criterion_10_trends_fusion():
     for _ in range(3):
         v = rng.uniform(5.0, 95.0, 12)
         v[rng.integers(0, 12)] = 100.0
-        segs.append(TrendSegment(start=start, step=3600.0, values=v))
+        segs.append(TimeSeries(v, dt=3600.0, origin=start))
         start += 8 * 3600.0
     fused = fuse_trends(segs)
     assert abs(fused.values.max() - 100.0) <= 1e-9

@@ -165,6 +165,17 @@ class TestSpectrum:
         assert (out / "spectrum_logbins.csv").exists()
 
 
+    def test_decisecond_epoch_axis(self, tmp_path):
+        # times near 1.6e9 parse to within an ulp (2.4e-7 s) of k * 0.1
+        path = tmp_path / "epoch.csv"
+        path.write_text("t,value\n" + "".join(
+            f"{1600000000 + k / 10:.1f},{np.cos(2 * np.pi * 8 * k / 256)}\n"
+            for k in range(256)))
+        result = run(["spectrum", "--in", str(path), "--window", "1"])
+        assert result.exit_code == 0, result.summary
+        assert summary_of(result)["peak_frequency_index"] == 8
+
+
 class TestAnalyzeGraph:
     def test_model_symmetrizable_at_eps0(self, model_json, tmp_path):
         out = tmp_path / "out"
@@ -1153,6 +1164,26 @@ class TestArtifactReplacement:
         assert len(renders) == 3 and result.outputs == []
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
         assert not list(tmp_path.rglob("*.tmp"))
+
+    # the README model diverges at eps = 3 after simulate opens its artifacts
+    DIVERGES = ["simulate", "--eps", "3", "--x0=-2,0,0,0,0", "--t-end", "200",
+                "--dt", "0.02"]
+
+    def test_failed_command_removes_the_out_directories_it_made(self, model_json, tmp_path):
+        result = run(self.DIVERGES + ["--graph", str(model_json),
+                                      "--out", str(tmp_path / "new" / "a")])
+        assert result.exit_code == 3
+        assert not (tmp_path / "new").exists()
+
+    def test_failed_command_keeps_an_empty_out_directory_made_before(self, model_json,
+                                                                    tmp_path):
+        out = tmp_path / "empty"
+        out.mkdir()
+        result = run(self.DIVERGES + ["--graph", str(model_json), "--out", str(out / "a")])
+        assert result.exit_code == 3
+        assert out.is_dir() and not list(out.iterdir())
+        assert run(self.DIVERGES + ["--graph", str(model_json), "--out", str(out)]).exit_code == 3
+        assert out.is_dir() and not list(out.iterdir())
 
     def test_symlink_is_replaced_not_followed(self, tmp_path):
         target = tmp_path / "target.csv"

@@ -470,7 +470,12 @@ class TestTrajectory:
 
     @pytest.mark.parametrize("times", [[0.0, 1.0, 5.0], [0.0, 1.0, np.nan]])
     def test_non_uniform_grid_is_refused(self, times):
-        with pytest.raises(ValueError, match="time grid must be uniform"):
+        with pytest.raises(ValueError, match="time column is not uniformly spaced"):
+            Trajectory(times, np.ones((3, 2)))
+
+    @pytest.mark.parametrize("times", [[2.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+    def test_grid_that_does_not_step_forward_is_refused(self, times):
+        with pytest.raises(ValueError, match="time column must step forward"):
             Trajectory(times, np.ones((3, 2)))
 
 
@@ -575,7 +580,14 @@ class TestTotalEnergySeries:
         # not a series of step 1 read off the first two times, nor an
         # Unstable "overflow" from a non-finite time
         sol = modal_solve(model(1.5), model_ic())
-        with pytest.raises(ValueError, match="time grid must be uniform"):
+        with pytest.raises(ValueError, match="time column is not uniformly spaced"):
+            total_energy_series(sol, times)
+
+    @pytest.mark.parametrize("times", [[2.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+    def test_grid_that_does_not_step_forward_is_refused(self, times):
+        # the step rule's message, not TimeSeries' "dt must be positive"
+        sol = modal_solve(model(1.5), model_ic())
+        with pytest.raises(ValueError, match="time column must step forward"):
             total_energy_series(sol, times)
 
 

@@ -1,16 +1,19 @@
 """Property-based fuzzing of the CLI: any bytes given to an input file end in
 exit 0 or a typed data error (exit 2), any weight scale and any float flag
-value in exit 0-3, never in an exception escaping ``run``."""
+value in exit 0-3, never in an exception escaping ``run``.  Also the step
+rule's side of it: every uniform time axis written as exact decimals parses."""
 
 import json
+from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import MODEL_L0, MODEL_LI, strict_json
 from netosc.cli import run
+from netosc.ingest import parse_series_csv
 
 _TONE = 5.0 + np.cos(2 * np.pi * 8 * np.arange(64) / 64)
 _SERIES = "t,value\n" + "".join(f"{t},{v!r}\n" for t, v in enumerate(_TONE.tolist()))
@@ -158,6 +161,30 @@ def test_trend_chains_reach_every_fusion_check(tmp_path_factory):
 
     fuse()
     assert {"fused", "ZeroAnchor", *_FUSION_CHECKS.values()} <= set(reached), reached
+
+
+@st.composite
+def _decimal_axis(draw):
+    """(decimals, origin, step, rows): a time axis origin + k * step, k < rows,
+    in units of 10^-decimals, with |origin| <= 2e9 s and step <= 1e4 s."""
+    decimals = draw(st.integers(0, 3))
+    unit = 10 ** decimals
+    return (decimals, draw(st.integers(-2 * 10**9 * unit, 2 * 10**9 * unit)),
+            draw(st.integers(1, 10**4 * unit)), draw(st.integers(2, 200)))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(axis=_decimal_axis())
+@example(axis=(1, 16_000_000_000, 1, 200))     # 0.1 s steps on epoch times
+def test_exact_decimal_axes_are_accepted(axis):
+    # each parsed time is within half an ulp of its decimal, so the step
+    # rule's ulp term accepts the axis and the first step is near exact
+    decimals, origin, step, rows = axis
+    times = [Decimal(origin + k * step).scaleb(-decimals) for k in range(rows)]
+    series = parse_series_csv("t,value\n" + "".join(f"{t},{k % 7}\n"
+                                                     for k, t in enumerate(times)))
+    top = max(abs(float(times[0])), abs(float(times[-1])))
+    assert abs(series.dt - float(Decimal(step).scaleb(-decimals))) <= 2 * np.spacing(top)
 
 
 @st.composite

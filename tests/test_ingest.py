@@ -13,7 +13,6 @@ from netosc.errors import (
 )
 from netosc.ingest import (
     EventLog,
-    TrendSegment,
     bin_counts,
     fuse_trends,
     graph_from_edge_csv,
@@ -315,7 +314,7 @@ class TestSlicePeriod:
 
 
 def segment(start, values, step=3600.0):
-    return TrendSegment(start=start, step=step, values=np.array(values, float))
+    return TimeSeries(np.array(values, float), dt=step, origin=start)
 
 
 class TestFuseTrends:
@@ -390,6 +389,30 @@ class TestFuseTrends:
         assert fused.values.max() == pytest.approx(100.0, abs=1e-9)
 
 
+class TestTrendRule:
+    """The Trends format rule, values >= 0 with max 100, at both entry points:
+    the parser and fusion of segments built in the library."""
+
+    CASES = [([50.0, -1.0, 100.0], "trend values must be >= 0"),
+             ([50.0, 90.0, 20.0], "trend segment max must be 100, got 90.0")]
+
+    @pytest.mark.parametrize("values, message", CASES, ids=["negative", "max-90"])
+    def test_parse_trend_csv_refuses(self, values, message):
+        text = "datetime,value\n" + "".join(f"{3600 * k},{v}\n" for k, v in enumerate(values))
+        with pytest.raises(ParseError) as err:
+            parse_trend_csv(text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("values, message", CASES, ids=["negative", "max-90"])
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_fuse_trends_refuses(self, values, message, position):
+        segments = [segment(0.0, [100.0, 50.0, 20.0])]
+        segments.insert(position, segment(3600.0 * position, values))
+        with pytest.raises(ParseError) as err:
+            fuse_trends(segments)
+        assert str(err.value) == message
+
+
 class TestParseTrendCsv:
     def test_basic(self):
         text = ("datetime,value\n"
@@ -397,7 +420,7 @@ class TestParseTrendCsv:
                 "2019-01-01T01:00:00,100\n"
                 "2019-01-01T02:00:00,25\n")
         seg = parse_trend_csv(text)
-        assert seg.step == 3600.0
+        assert seg.dt == 3600.0
         assert np.array_equal(seg.values, [50.0, 100.0, 25.0])
 
     def test_nonuniform_spacing_rejected(self):
@@ -433,7 +456,7 @@ class TestParseTrendCsv:
     def test_steps_judged_relative_to_the_step(self):
         # within 1e-9 of the hourly step: the series rule accepts a 3.6e-6 s jitter
         seg = parse_trend_csv("datetime,value\n0,100\n3600,50\n7200.000003,20\n")
-        assert seg.step == 3600.0
+        assert seg.dt == 3600.0
         with pytest.raises(ParseError, match="time column is not uniformly spaced"):
             parse_trend_csv("datetime,value\n0,100\n3600,50\n7200.00001,20\n")
 

@@ -1,6 +1,6 @@
 """Checks on the package source itself: no private helper is left dead or
-crosses a module, every export is used outside the tests, and every
-exported class is a value type."""
+crosses a module, ingest imports no layer above it, every export is used
+outside the tests, and every exported class is a value type."""
 
 import ast
 import dataclasses
@@ -70,6 +70,13 @@ def test_no_private_name_crosses_a_module():
                 continue
             crossings += [f"{module}:{node.lineno}: {name}" for name in names if _is_private(name)]
     assert not crossings, f"private names used across modules: {crossings}"
+
+
+def test_ingest_imports_only_errors_graph_and_signal():
+    """ingest reads text into values; the dynamics and spectra are not its own."""
+    imported = {node.module for node in ast.walk(_trees(SRC)["ingest.py"])
+                if isinstance(node, ast.ImportFrom) and node.level}
+    assert imported <= {"errors", "graph", "signal"}, imported
 
 
 def test_every_export_is_used_outside_the_tests():

@@ -20,9 +20,8 @@ from netosc import (
     Spectrum,
     SymmetrizableDecomposition,
     TimeSeries,
-    TrendSegment,
 )
-from netosc.errors import InvalidGraph, ParseError
+from netosc.errors import InvalidGraph
 
 LAP = LaplacianMatrix([[1.0, -1.0], [-1.0, 1.0]])
 EIGENSYSTEM = EigenSystem(eigenvalues=np.array([0.0, 2.0 + 0j]), eigenvectors=np.eye(2),
@@ -42,9 +41,8 @@ CASES = {
                       {"eigensystem": EIGENSYSTEM, "zero_modes": ((0, 0.0, 0.0),)}),
     "Spectrum": ({"bins": np.array([1.0, 3.0])}, {"n_samples": 4}),
     "SymmetrizableDecomposition": ({"m": np.array([1.0, 2.0])}, {"lap_sym": LAP}),
-    "TimeSeries": ({"values": np.array([1.0, 2.0])}, {}),
+    "TimeSeries": ({"values": np.array([50.0, 100.0])}, {"dt": 3600.0, "origin": 0.0}),
     "Trajectory": ({"times": np.array([0.0, 1.0, 2.0]), "states": np.ones((3, 2))}, {}),
-    "TrendSegment": ({"values": np.array([50.0, 100.0])}, {"start": 0.0, "step": 3600.0}),
 }
 
 
@@ -114,12 +112,13 @@ def test_complex_stays_complex_and_the_rest_becomes_float(name):
 
 
 @pytest.mark.parametrize("build, error, message", [
-    (lambda: TrendSegment(start=0.0, step=3600.0, values=[np.nan, 100.0]),
-     ParseError, "trend start, step and values must be finite"),
-    (lambda: TrendSegment(start=np.inf, step=3600.0, values=[50.0, 100.0]),
-     ParseError, "trend start, step and values must be finite"),
-    (lambda: TrendSegment(start=0.0, step=np.inf, values=[50.0, 100.0]),
-     ParseError, "trend start, step and values must be finite"),
+    # a Trends segment is a TimeSeries: its value, origin and dt checks
+    (lambda: TimeSeries([np.nan, 100.0], dt=3600.0, origin=0.0),
+     ValueError, "time series values must be finite"),
+    (lambda: TimeSeries([50.0, 100.0], dt=3600.0, origin=np.inf),
+     ValueError, "dt must be positive and finite, and origin finite"),
+    (lambda: TimeSeries([50.0, 100.0], dt=np.inf, origin=0.0),
+     ValueError, "dt must be positive and finite, and origin finite"),
     (lambda: Spectrum(bins=[np.nan, 0.5], n_samples=4),
      ValueError, "magnitudes must be finite and nonnegative"),
     (lambda: Spectrum(bins=[np.inf, 0.5], n_samples=4),
