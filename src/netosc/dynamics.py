@@ -609,7 +609,7 @@ def epsilon_sweep(lap0: LaplacianMatrix, lapI: LaplacianMatrix, eps_list,
                 real = spectrum_is_real(es)
                 fields["spectrum_real"] = real
                 fields["max_im_omega"] = es.max_growth_rate
-                if real and lap.n >= 2:
+                if real and np.any(es.omegas != 0):
                     fields["eigen_gap"] = eigen_gap(es)
                 peak, first = _peak_and_first_node(
                     state_blocks(_expand(es, np.ones(lap.n), ic), times), times.size)

@@ -220,18 +220,18 @@ def check_symmetrizable(lap: LaplacianMatrix) -> SymmetrizableDecomposition:
     symmetrized to kill floating-point fuzz.
     """
     m = left_null_vector(lap)
-    mmax = np.max(np.abs(m)) if lap.n > 1 else 1.0
+    mmax = np.max(np.abs(m))
     bad = np.flatnonzero(m <= _BALANCE_TOL * mmax)
     if bad.size:
         i = int(bad[0])
         raise _not_symmetrizable("nonpositive_mass", (i,),
                                  f"component m[{i}] = {m[i]:.3e} is not positive")
     off = -lap.entries + np.diag(np.diag(lap.entries))
-    wmax = np.max(off) if lap.n > 1 else 0.0
+    wmax = np.max(off)
     thresh = _BALANCE_TOL * max(wmax, 1e-300) * mmax
     bal = m[:, None] * off - (m[:, None] * off).T
     viol = np.abs(bal)
-    if lap.n > 1 and np.max(viol) > thresh:
+    if np.max(viol) > thresh:
         i, j = np.unravel_index(np.argmax(viol >= (1 - _BALANCE_TOL) * viol.max()),
                                 viol.shape)
         raise _not_symmetrizable("detailed_balance", (int(i), int(j)),

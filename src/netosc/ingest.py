@@ -6,8 +6,8 @@ logs are timestamp CSVs binned into fixed intervals (16-minute bins sliced
 into 256- or 128-sample analysis periods is the usual configuration).
 Trends segments are datetime,value CSVs of hourly interest values normalized
 per segment to max 100; chains of overlapping segments are fused left to right
-by rescaling everything accumulated so far through the value ratio at the
-first shared timestamp, then renormalizing the result to max 100.
+by rescaling everything accumulated so far through the ratio of the two
+segments' sums over their whole overlap, then renormalizing to max 100.
 
 The CSV formats share their rules, each written once.  Edge, event-log and
 trend CSVs: the header line's comma fields, stripped and lowercased, are
@@ -214,11 +214,12 @@ def slice_period(s: TimeSeries, start_index: int, length: int) -> TimeSeries:
 def fuse_trends(segments) -> TimeSeries:
     """Fuse overlapping Trends segments (_trend_rule) into one max-100 series.
 
-    Left to right: at the first timestamp shared with the next segment, the
-    accumulated values are rescaled by (later value / earlier value) when both
-    are positive (mean ratio over the whole overlap as fallback; ZeroAnchor if
-    that is degenerate too), overlapping samples take the later segment's
-    values, and the final series is rescaled to max 100.
+    Left to right: the accumulated values are rescaled by (sum of the later
+    segment's values / sum of the accumulated values) over the whole overlap
+    with the next segment, overlapping samples take the later segment's
+    values, and the final series is rescaled to max 100.  ZeroAnchor when
+    either overlap sum is 0; OutOfRange when a factor or the fused peak
+    leaves the float range.
     """
     segments = [_trend_rule(seg) for seg in segments]
     if not segments:
@@ -239,22 +240,18 @@ def fuse_trends(segments) -> TimeSeries:
             raise NoOverlap("segments must be ordered by start time")
         if k >= acc.size:
             raise NoOverlap("consecutive segments share no timestamp")
-        a, b = acc[k], seg.values[0]
-        if a > 0.0 and b > 0.0:
-            factor = b / a
-        else:
-            span = min(acc.size - k, seg.values.size)
-            mean_a = float(np.mean(acc[k:k + span]))
-            mean_b = float(np.mean(seg.values[:span]))
-            if mean_a > 0.0 and mean_b > 0.0:
-                factor = mean_b / mean_a
-            else:
-                raise ZeroAnchor(
-                    "shared-timestamp values and overlap means are both zero")
-        acc = np.concatenate([acc[:k] * factor, seg.values])
+        span = min(acc.size - k, seg.values.size)
+        with np.errstate(over="ignore"):   # an overflow is refused below
+            earlier, later = acc[k:k + span].sum(), seg.values[:span].sum()
+            if not (earlier > 0.0 and later > 0.0):
+                raise ZeroAnchor("shared-timestamp values and overlap means are both zero")
+            factor = later / earlier
+            if not 0.0 < factor < np.inf:
+                raise OutOfRange(f"overlap sum ratio {factor} is outside (0, inf)")
+            acc = np.concatenate([acc[:k] * factor, seg.values])
     peak = acc.max()
-    if peak <= 0.0:
-        raise ZeroAnchor("fused series is identically zero")
+    if not np.isfinite(peak):
+        raise OutOfRange("fused series peak is not finite")
     return TimeSeries(values=acc * (100.0 / peak), dt=first.dt, origin=first.origin)
 
 

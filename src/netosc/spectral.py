@@ -154,7 +154,7 @@ def eigen_gap(es: EigenSystem) -> float:
     zero = _zero_mask(es)
     gaps = np.diff(es.eigenvalues.real)[~(zero[:-1] & zero[1:])]
     if not gaps.size:
-        raise ValueError("eigen gap needs at least two nonzero modes")
+        raise ValueError("eigen gap needs two modes that are not both zero")
     return float(gaps.min())
 
 

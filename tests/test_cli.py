@@ -489,6 +489,20 @@ class TestSweep:
         assert records[0]["error"] is None
         assert records[1]["error"] == "InvalidGraph: Laplacian entries must be finite"
 
+    def test_graph_without_a_nonzero_mode(self, tmp_path):
+        # eigen_gap has no pair of modes to compare, so the record has no gap;
+        # the run itself is still recorded
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"n": 3, "edges": []}))
+        result = run(["sweep", "--graph", str(path), "--eps", "0,1", "--x0", "1,0,0",
+                      "--t-end", "10", "--dt", "0.5"])
+        assert result.exit_code == 0
+        for record in summary_of(result)["records"]:
+            assert record["error"] is None
+            assert record["eigen_gap"] is None
+            assert record["peak_amplitude"] == 1.0
+            assert record["beat_frequency"] == 0.0
+
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     @pytest.mark.parametrize("vectors", [["--x0=1e308,0,0,0,0"],
                                          ["--x0=1,0,0,0,0", "--v0=1,1,1,1,-2e150"]])
@@ -579,6 +593,16 @@ class TestCentrality:
             f'    "message": "detailed_balance: {CYCLE_DETAIL}",\n'
             '    "type": "NotSymmetrizableError"\n  }\n}')
 
+    @pytest.mark.parametrize("command, key, value", [("centrality", "centrality", [0.0]),
+                                                     ("analyze-graph", "mass", [1.0])])
+    def test_one_node_graph(self, tmp_path, command, key, value):
+        # a single node is symmetrizable with mass [1]
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"n": 1, "edges": []}))
+        result = run([command, "--graph", str(path)])
+        assert result.exit_code == 0
+        assert summary_of(result)[key] == value
+
     def test_betweenness_star(self, tmp_path):
         edges = []
         for leaf in (1, 2, 3, 4):
@@ -643,6 +667,21 @@ class TestBinAndFuse:
         text = (out / "fused.csv").read_text()
         values = [float(ln.split(",")[1]) for ln in text.splitlines()[1:]]
         assert values == [50.0, 45.0, 40.0, 100.0]
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="fusion's grid test has no ulp term")
+    def test_fuse_decisecond_epoch_segments(self, tmp_path):
+        # the first parsed step, 0.09999990463 s, puts the 5 s start distance
+        # 4.8e-5 steps off the grid
+        paths = []
+        for first in (0, 50):
+            paths.append(tmp_path / f"from{first}.csv")
+            paths[-1].write_text("datetime,value\n" + "".join(
+                f"{1600000000 + k / 10:.1f},{100 if k == first + 10 else 50}\n"
+                for k in range(first, first + 100)))
+        result = run(["fuse-trends", *map(str, paths)])
+        assert result.exit_code == 0, result.summary
+        assert summary_of(result)["length"] == 150
 
     @pytest.mark.parametrize("rows, message", [
         ("2019-01-06T22:00:00,nan\n2019-01-06T23:00:00,100\n",
@@ -910,9 +949,25 @@ class TestErrorTable:
          "ZeroAnchor", "shared-timestamp values and overlap means are both zero"),
         (["fuse-trends", "decreasing.csv"], 2, "ParseError",
          "time column must step forward by a finite amount, got a first step of -3600.0"),
+        # 100 / 1e-320 overflows the junction's factor
+        (["fuse-trends", "subnormal-tail.csv", "head.csv"], 2, "OutOfRange",
+         "overlap sum ratio inf is outside (0, inf)"),
+        # each junction scales by 1e302: the fused peak overflows
+        (["fuse-trends", "tiny-1.csv", "tiny-2.csv", "tiny-3.csv"], 2, "OutOfRange",
+         "fused series peak is not finite"),
+        (["fuse-trends", "one-row.csv"], 2, "EmptyInput", "trend CSV needs at least 2 rows"),
+        (["analyze-graph", "--graph", "empty.json"], 2, "InvalidGraph",
+         "node count must be positive, got 0"),
+        (["spectrum", "--in", "one-sample.csv"], 2, "TooShort",
+         "time series needs >= 2 samples, got shape (1,)"),
+        (["bin", "--events", "events.csv", "--bin-seconds", "0"], 1, "ValueError",
+         "bin_seconds must be positive"),
+        (["compare-periods", "--in", "series.csv", "--periods", "0:1"], 2, "OutOfRange",
+         "period length must be >= 2, got 1"),
     ], ids=["equal-bracket", "zero-tol", "singular-march-basis", "non-finite-x0", "v0-shape",
             "empty-eps", "period-without-length", "step-mismatch", "earlier-start", "zero-anchor",
-            "decreasing-time"])
+            "decreasing-time", "overflowing-factor", "overflowing-peak", "one-row-trend",
+            "zero-nodes", "one-sample-series", "zero-bin-seconds", "one-sample-period"])
     def test_exit_code_type_and_message(self, tmp_path, monkeypatch, argv, code, error_type,
                                         message):
         inputs = {
@@ -932,6 +987,15 @@ class TestErrorTable:
             "decreasing.csv": "datetime,value\n2019-01-07T00:00:00,100\n"
                               "2019-01-06T23:00:00,90\n",
             "series.csv": "t,value\n0,1\n1,2\n2,3\n",
+            "subnormal-tail.csv": "datetime,value\n0,100\n3600,1e-320\n",
+            "head.csv": "datetime,value\n3600,100\n7200,50\n",
+            "tiny-1.csv": "datetime,value\n0,100\n3600,1e-300\n",
+            "tiny-2.csv": "datetime,value\n3600,100\n7200,1e-300\n",
+            "tiny-3.csv": "datetime,value\n7200,100\n10800,50\n",
+            "one-row.csv": "datetime,value\n0,100\n",
+            "empty.json": json.dumps({"n": 0, "edges": []}),
+            "one-sample.csv": "t,value\n0,1\n",
+            "events.csv": "timestamp\n0\n60\n",
         }
         for name, text in inputs.items():
             (tmp_path / name).write_text(text)
