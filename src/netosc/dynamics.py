@@ -153,12 +153,6 @@ class ModalSolution:
     def spectrum_real(self):
         return spectrum_is_real(self.eigensystem)
 
-    def basis_is_orthonormal(self):
-        v = self.eigvecs
-        gram = v.conj().T @ v
-        return bool(np.max(np.abs(gram - np.eye(self.n))) <= 1e-8
-                    and np.max(np.abs(v.imag)) <= 1e-8)
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -193,10 +187,8 @@ def _expand(es: EigenSystem, mass, ic: InitialCondition) -> ModalSolution:
     """
     if ic.n != es.n:
         raise ValueError(f"initial condition size {ic.n} != n = {es.n}")
-    sqrt_m = np.sqrt(mass)
-    y0 = (sqrt_m * ic.x0).astype(complex)
-    yd0 = (sqrt_m * ic.v0).astype(complex)
-    a0, ad0 = np.linalg.solve(es.eigenvectors, np.stack([y0, yd0], axis=1)).T
+    y = np.sqrt(mass)[:, None] * np.stack([ic.x0, ic.v0], axis=1)
+    a0, ad0 = np.linalg.solve(es.eigenvectors, y).T
     om = es.omegas
     nonzero = om != 0
     c_plus = np.zeros_like(a0)
@@ -445,7 +437,8 @@ def node_energies(sol: ModalSolution) -> np.ndarray:
     Valid on an orthonormal eigenbasis (symmetrizable graph); raises
     NotSymmetrizableError otherwise.  Time-independent by construction.
     """
-    if not sol.basis_is_orthonormal():
+    if not (np.max(np.abs(sol.eigvecs.conj().T @ sol.eigvecs - np.eye(sol.n))) <= 1e-8
+            and np.max(np.abs(sol.eigvecs.imag)) <= 1e-8):
         raise NotSymmetrizableError(
             "node energies need an orthonormal eigenbasis; "
             "the underlying graph is not symmetrizable")

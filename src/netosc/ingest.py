@@ -5,9 +5,9 @@ src,dst,w, whose node count is one more than the largest endpoint.  Event
 logs are timestamp CSVs binned into fixed intervals (16-minute bins sliced
 into 256- or 128-sample analysis periods is the usual configuration).
 Trends segments are datetime,value CSVs of hourly interest values normalized
-per segment to max 100; chains of overlapping segments are fused left to right
-by rescaling everything accumulated so far through the ratio of the two
-segments' sums over their whole overlap, then renormalizing to max 100.
+per segment to max 100; chains of overlapping segments, matched and aligned
+within the step rule's tolerance, are fused left to right: all accumulated so
+far is scaled by the ratio of the two overlap sums, then rescaled to max 100.
 
 The CSV formats share their rules, each written once.  Edge, event-log and
 trend CSVs: the header line's comma fields, stripped and lowercased, are
@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import EmptyInput, NoOverlap, OutOfRange, ParseError, ZeroAnchor
 from .graph import WeightedDigraph
-from .signal import MAX_TIME_POINTS, TimeSeries, read_only_floats, uniform_step
+from .signal import MAX_TIME_POINTS, TimeSeries, read_only_floats, step_tolerance, uniform_step
 
 
 @dataclass(frozen=True)
@@ -214,12 +214,12 @@ def slice_period(s: TimeSeries, start_index: int, length: int) -> TimeSeries:
 def fuse_trends(segments) -> TimeSeries:
     """Fuse overlapping Trends segments (_trend_rule) into one max-100 series.
 
-    Left to right: the accumulated values are rescaled by (sum of the later
-    segment's values / sum of the accumulated values) over the whole overlap
-    with the next segment, overlapping samples take the later segment's
-    values, and the final series is rescaled to max 100.  ZeroAnchor when
-    either overlap sum is 0; OutOfRange when a factor or the fused peak
-    leaves the float range.
+    Left to right, the accumulated values scale by the later segment's sum over
+    theirs on the whole overlap, whose samples the later segment replaces; the
+    result is rescaled to max 100.  Steps match within 2 tol and each start is
+    within (|k| + 1) tol of the k-th accumulated time, tol being the parsers'
+    signal.step_tolerance over both axes.  ZeroAnchor when an overlap sum is 0,
+    OutOfRange when a factor or the fused peak leaves the float range.
     """
     segments = [_trend_rule(seg) for seg in segments]
     if not segments:
@@ -227,14 +227,17 @@ def fuse_trends(segments) -> TimeSeries:
     first = segments[0]
     acc = first.values
     for seg in segments[1:]:
-        if seg.dt != first.dt:
-            raise NoOverlap(f"segment step {seg.dt} != {first.dt}")
         with np.errstate(over="ignore"):   # an overflowing shift is refused below
+            ends = (first.origin, first.origin + (acc.size - 1) * first.dt,
+                    seg.origin, seg.origin + (seg.values.size - 1) * seg.dt)
             shift = (seg.origin - first.origin) / first.dt
+        tol = step_tolerance(first.dt, max(map(abs, ends)))
+        if not abs(seg.dt - first.dt) <= 2 * tol:
+            raise NoOverlap(f"segment step {seg.dt} != {first.dt}")
         if not np.isfinite(shift):
             raise NoOverlap(f"segment start {seg.origin} is too far from {first.origin} to align")
         k = int(round(shift))
-        if abs(shift - k) > 1e-6:
+        if abs(seg.origin - (first.origin + k * first.dt)) > (abs(k) + 1) * tol:
             raise NoOverlap("segment start is not aligned to the sample grid")
         if k < 0:
             raise NoOverlap("segments must be ordered by start time")
@@ -244,7 +247,7 @@ def fuse_trends(segments) -> TimeSeries:
         with np.errstate(over="ignore"):   # an overflow is refused below
             earlier, later = acc[k:k + span].sum(), seg.values[:span].sum()
             if not (earlier > 0.0 and later > 0.0):
-                raise ZeroAnchor("shared-timestamp values and overlap means are both zero")
+                raise ZeroAnchor("one side of the overlap sums to zero")
             factor = later / earlier
             if not 0.0 < factor < np.inf:
                 raise OutOfRange(f"overlap sum ratio {factor} is outside (0, inf)")

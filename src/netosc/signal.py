@@ -22,10 +22,15 @@ from .errors import AllZero, BadCutoff, OutOfRange, TooShort, WindowTooLarge
 MAX_TIME_POINTS = 10_000_000
 
 
+def step_tolerance(step, t_max) -> float:
+    """How far a step of an axis with times up to ``t_max`` in magnitude may stray
+    from ``step``: 1e-9 max(step, 1) + 4 ulp(t_max), the ulp term for rounded times."""
+    return 1e-9 * max(step, 1.0) + 4.0 * np.spacing(t_max)
+
+
 def uniform_step(times) -> float:
-    """The first step of ``times``, positive and finite, with every step
-    within 1e-9 max(step, 1) + 4 ulp(max |t|) of it (ValueError otherwise;
-    the ulp term absorbs rounded times), or 1.0 for fewer than two times."""
+    """The first step of ``times``, positive and finite, with every step within
+    step_tolerance of it (ValueError otherwise), or 1.0 for fewer than two times."""
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         steps = np.diff(times)
     if not steps.size:
@@ -33,8 +38,7 @@ def uniform_step(times) -> float:
     if not 0.0 < steps[0] < np.inf:
         raise ValueError(f"time column must step forward by a finite amount, "
                          f"got a first step of {steps[0]}")
-    tol = 1e-9 * max(steps[0], 1.0) + 4.0 * np.spacing(np.max(np.abs(times)))
-    if not np.max(np.abs(steps - steps[0])) <= tol:
+    if not np.max(np.abs(steps - steps[0])) <= step_tolerance(steps[0], np.max(np.abs(times))):
         raise ValueError("time column is not uniformly spaced")
     return float(steps[0])
 

@@ -71,7 +71,7 @@ class EigenSystem:
         """Eigenfrequencies omega = sqrt(lambda), principal branch (Re >= 0),
         read-only; eigenvalues inside the zero-mode tolerance map to omega = 0
         exactly."""
-        om = np.sqrt(self.eigenvalues.astype(complex))
+        om = np.sqrt(self.eigenvalues)
         om[_zero_mask(self)] = 0.0
         om.flags.writeable = False
         return om

@@ -25,6 +25,7 @@ from netosc.graph import (
     compose_epsilon,
     laplacian_of,
 )
+from netosc.ingest import parse_trend_csv
 from netosc.spectral import critical_epsilon, eigendecompose
 
 
@@ -668,8 +669,6 @@ class TestBinAndFuse:
         values = [float(ln.split(",")[1]) for ln in text.splitlines()[1:]]
         assert values == [50.0, 45.0, 40.0, 100.0]
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="fusion's grid test has no ulp term")
     def test_fuse_decisecond_epoch_segments(self, tmp_path):
         # the first parsed step, 0.09999990463 s, puts the 5 s start distance
         # 4.8e-5 steps off the grid
@@ -682,6 +681,37 @@ class TestBinAndFuse:
         result = run(["fuse-trends", *map(str, paths)])
         assert result.exit_code == 0, result.summary
         assert summary_of(result)["length"] == 150
+
+    # epoch times in units of 0.1 ms: decisecond steps from 1.6e9 s, hourly
+    # ones from 2019-01-06T22:00:00Z; the step tolerance is about 1e-6 s at
+    # the first and 5e-6 s at the second
+    @pytest.mark.parametrize("origin, step, start_off, step_off", [
+        (16_000_000_000_000, 1_000, 500, 0),
+        (16_000_000_000_000, 1_000, 0, 1),
+        (15_468_120_000_000, 36_000_000, 18_000_000, 0),
+        (15_468_120_000_000, 36_000_000, 0, 10),
+        (15_468_120_000_000, 36_000_000, 10, 0),
+    ], ids=["decisecond-half-step-start", "decisecond-step-0.1001", "hourly-half-step-start",
+            "hourly-step-3600.001", "hourly-start-1ms-off"])
+    def test_fuse_refuses_segments_off_the_step_rule(self, tmp_path, origin, step, start_off,
+                                                     step_off):
+        # the second segment starts 50 steps in, shifted by start_off, and
+        # steps by step + step_off
+        texts = []
+        for first, off, seg_step in ((0, 0, step), (50, start_off, step + step_off)):
+            times = (origin + first * step + off + k * seg_step for k in range(100))
+            texts.append("datetime,value\n" + "".join(
+                f"{t // 10**4}.{t % 10**4:04d},{100 if k == 10 else 50}\n"
+                for k, t in enumerate(times)))
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for path, text in zip(paths, texts):
+            path.write_text(text)
+        a, b = map(parse_trend_csv, texts)
+        message = (f"segment step {b.dt} != {a.dt}" if step_off
+                   else "segment start is not aligned to the sample grid")
+        result = run(["fuse-trends", *map(str, paths)])
+        assert result.exit_code == 2
+        assert summary_of(result)["error"] == {"type": "NoOverlap", "message": message}
 
     @pytest.mark.parametrize("rows, message", [
         ("2019-01-06T22:00:00,nan\n2019-01-06T23:00:00,100\n",
@@ -946,7 +976,7 @@ class TestErrorTable:
         (["fuse-trends", "hourly.csv", "earlier.csv"], 2,
          "NoOverlap", "segments must be ordered by start time"),
         (["fuse-trends", "zero-tail.csv", "zero-head.csv"], 2,
-         "ZeroAnchor", "shared-timestamp values and overlap means are both zero"),
+         "ZeroAnchor", "one side of the overlap sums to zero"),
         (["fuse-trends", "decreasing.csv"], 2, "ParseError",
          "time column must step forward by a finite amount, got a first step of -3600.0"),
         # 100 / 1e-320 overflows the junction's factor

@@ -1,7 +1,8 @@
 """Property-based fuzzing of the CLI: any bytes given to an input file end in
 exit 0 or a typed data error (exit 2), any weight scale and any float flag
 value in exit 0-3, never in an exception escaping ``run``.  Also the step
-rule's side of it: every uniform time axis written as exact decimals parses."""
+rule's side of it: every uniform time axis written as exact decimals parses,
+and two overlapping trend segments cut from it fuse."""
 
 import json
 from decimal import Decimal
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import MODEL_L0, MODEL_LI, strict_json
 from netosc.cli import run
-from netosc.ingest import parse_series_csv
+from netosc.ingest import fuse_trends, parse_series_csv, parse_trend_csv
 
 _TONE = 5.0 + np.cos(2 * np.pi * 8 * np.arange(64) / 64)
 _SERIES = "t,value\n" + "".join(f"{t},{v!r}\n" for t, v in enumerate(_TONE.tolist()))
@@ -185,6 +186,21 @@ def test_exact_decimal_axes_are_accepted(axis):
                                                      for k, t in enumerate(times)))
     top = max(abs(float(times[0])), abs(float(times[-1])))
     assert abs(series.dt - float(Decimal(step).scaleb(-decimals))) <= 2 * np.spacing(top)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(axis=_decimal_axis())
+@example(axis=(1, 16_000_000_000, 1, 200))     # 0.1 s steps on epoch times
+def test_exact_decimal_axes_fuse(axis):
+    # rows [0, cut) and [start, rows) of the axis, sharing at least one row;
+    # each has its max 100 at the first shared row
+    decimals, origin, step, rows = axis
+    times = [Decimal(origin + k * step).scaleb(-decimals) for k in range(rows)]
+    start, cut = rows // 3, rows - rows // 3
+    segments = [parse_trend_csv("datetime,value\n" + "".join(
+        f"{times[k]},{100 if k == start else 50}\n" for k in range(lo, hi)))
+        for lo, hi in ((0, cut), (start, rows))]
+    assert len(fuse_trends(segments)) == rows
 
 
 @st.composite
