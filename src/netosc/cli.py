@@ -56,11 +56,8 @@ class _Files:
 
     Each input is read once, as bytes: the summary's digest is of the bytes
     the command parsed, its SHA-256 by CPython's built-in hash, not by
-    hashlib's.  hashlib maps OpenSSL's libcrypto, which cost every process
-    ≈3.7 MiB of RSS and ≈3 ms of import beside numpy (2-vCPU x86_64 VM,
-    Python 3.11).  The trade is hashing speed: the builtin hashes at
-    ≈230 MB/s against OpenSSL's ≈1.25 GB/s, ≈2 ms more on a 550 KB event
-    log and ≈0.35 s more per 100 MB of input.
+    hashlib's, which maps OpenSSL's libcrypto: the README states the memory
+    and start-up this saves and the hashing speed it trades.
 
     Each artifact is streamed to a new temporary sibling file, which
     ``commit`` renames into place after unlinking the old file (a symlink
@@ -276,18 +273,17 @@ def _cmd_simulate(params, files):
     times = dynamics.time_grid(t_end, dt)
     ic = _initial_condition(params)
     sol = dynamics.modal_solve(lap, ic)
-    # numeric cross-check only where the step is stable; coarse grids are
-    # fine for the modal path alone
     guard = dynamics.verlet_step_limit(lap.d_max)
-    numeric = dt <= guard
-    # One pass folds each modal block and the Verlet block of the same slice
-    # into the peak, the gap and the trajectory CSVs.  A Verlet failure waits
-    # for the modal checks and the energy series, which are reported first.
+    numeric = dt <= guard   # a Verlet cross-check only where its step is stable
+    # One pass evaluates each block's phases once, for its states and energies,
+    # and folds it and the Verlet block of the same slice into the peak, the gap
+    # and the trajectory CSVs.  A Verlet failure waits for the modal and energy checks.
     verlet = dynamics.verlet_blocks(lap, ic, dt=dt, t_end=t_end) if numeric else None
     modal_csv = files.open("trajectory_modal.csv")
     numeric_csv = files.open("trajectory_numeric.csv") if numeric else None
+    fill_energy, energy_report = dynamics.energy_fold(sol, times)
     peak, gap, failure = 0.0, 0.0, None
-    for cols, x in dynamics.state_blocks(sol, times):
+    for cols, x in dynamics.state_blocks(sol, times, fill_energy):
         peak = max(peak, float(np.max(np.abs(x))))
         _states_csv(modal_csv, times, cols, x)
         if verlet is not None:
@@ -298,7 +294,7 @@ def _cmd_simulate(params, files):
             else:
                 gap = max(gap, float(np.max(np.abs(v - x))))
                 _states_csv(numeric_csv, times, cols, v)
-    energy = dynamics.total_energy_series(sol, times)
+    energy = energy_report()
     if failure is not None:
         raise failure
     results = {
@@ -452,8 +448,7 @@ SPECTRUM = (_arg("--window", type=int, default=20),
             _arg("--log-bins", action="store_true"))
 
 
-# (name, help, arguments, handler) of each subcommand.  An argument that
-# declares a default takes it from NETOSC_<DEST> when that is set.
+# (name, help, arguments, handler) of each subcommand.
 COMMANDS = (
     ("analyze-graph", "Laplacian, symmetrizability, spectrum",
      GRAPH + EPS + OUT, _cmd_analyze_graph),
@@ -493,8 +488,7 @@ COMMANDS = (
 )
 
 # Exception type -> (exit code, stream); the nearest class in the raised
-# exception's MRO decides.  Only these types are caught: any other exception
-# is a programming error and propagates.
+# exception's MRO decides, and any other exception propagates.
 _ERROR_EXITS = {
     DataError: (2, "stdout"),
     NumericError: (3, "stdout"),

@@ -6,13 +6,11 @@ orthonormal, and each mode is a harmonic oscillator
 a_mu(t) = c+ exp(i w t) + c- exp(-i w t) with w = sqrt(lambda).  Without the
 decomposition the same expansion runs on the (possibly oblique) eigenbasis of
 L itself, with coefficients obtained by solving V a = y(0) rather than by
-inner products.  Each expansion is built on one eigendecomposition, which the
-ModalSolution carries for callers that also need the spectrum.
+inner products.
 
-Per-node oscillation energy E_i = sum_mu lambda_mu (|c+|^2 + |c-|^2) v_mu(i)^2
-is time-independent on an orthonormal basis and reduces to degree or
-betweenness centrality for special link weights; on an oblique basis the
-total energy gains cross terms beating at the eigenfrequency differences.
+Per-node oscillation energy (node_energies) reduces to degree or betweenness
+centrality for special link weights (oscillation_centrality); on an oblique
+basis the total energy beats at the eigenfrequency differences.
 """
 
 from __future__ import annotations
@@ -50,9 +48,7 @@ from .signal import (
 )
 from .spectral import EigenSystem, eigen_gap, eigendecompose, spectrum_is_real
 
-# Trajectories whose max |x_i| crosses this many times the scale
-# max(1, |x0|_inf, |v0|_inf) of their initial condition are reported as
-# unstable.
+# A trajectory is unstable past this many times max(1, |x0|_inf, |v0|_inf).
 DIVERGENCE_CUTOFF = 1e12
 
 # Times per _time_blocks block.  A power of two keeps every modal column
@@ -191,8 +187,7 @@ def _expand(es: EigenSystem, mass, ic: InitialCondition) -> ModalSolution:
     a0, ad0 = np.linalg.solve(es.eigenvectors, y).T
     om = es.omegas
     nonzero = om != 0
-    c_plus = np.zeros_like(a0)
-    c_minus = np.zeros_like(a0)
+    c_plus, c_minus = np.zeros_like(a0), np.zeros_like(a0)
     c_plus[nonzero] = (a0[nonzero] - 1j * ad0[nonzero] / om[nonzero]) / 2.0
     c_minus[nonzero] = (a0[nonzero] + 1j * ad0[nonzero] / om[nonzero]) / 2.0
     zero_modes = tuple(
@@ -254,15 +249,6 @@ def _phases(omegas, times):
     return fwd, np.exp(-arg)
 
 
-def _mode_amplitudes(sol: ModalSolution, times):
-    fwd, back = _phases(sol.omegas, times)
-    at = sol.c_plus[:, None] * fwd
-    at += sol.c_minus[:, None] * back
-    for k, offset, drift in sol.zero_modes:  # c+ = c- = 0 there
-        at[k] = offset + drift * times
-    return at
-
-
 def _check_residue(worst_imag, max_real, what):
     """The one rule for a complex result that should be real."""
     if worst_imag > 1e-8 * (1.0 + max_real):
@@ -281,27 +267,35 @@ def _node_values(sol: ModalSolution, amplitudes):
     return (sol.eigvecs @ amplitudes) / np.sqrt(sol.mass)[:, None]
 
 
-def state_blocks(sol: ModalSolution, times):
+def state_blocks(sol: ModalSolution, times, energy=None):
     """The states of evaluate_states, one block of times at a time.
 
     Yields (cols, x) for each _time_blocks slice of ``times``: the slice and
-    its states, shape (block, n).  Working memory is O(n * 128) beside what
-    the consumer keeps of the blocks; a block is freed before the next is
-    built once the consumer drops it too.  After the last block it raises
-    Unstable when a growing mode carried a state past the float range, and
-    DefectiveMatrix when the largest imaginary part over the whole grid
-    exceeds 1e-8 * (1 + the largest real part): what a consumer draws from
-    the blocks holds only once the iteration has ended without raising.
+    its states, shape (block, n), in O(n * 128) working memory beside what
+    the consumer keeps, and freed before the next is built once the consumer
+    drops it.  ``energy``, an energy_fold's fill, gets each block's (cols,
+    fwd, back) first: simulate evaluates the phases once per block.  After
+    the last block it raises Unstable when a growing mode carried a state
+    past the float range, and DefectiveMatrix when the largest imaginary part
+    over the grid exceeds 1e-8 * (1 + the largest real part): what a consumer
+    draws from the blocks holds only once the iteration ends without raising.
     """
     times = np.asarray(times, dtype=float).ravel()
     worst_imag = max_real = 0.0
     for cols in _time_blocks(times.size):
         with np.errstate(over="ignore", invalid="ignore"):  # checked after the last block
-            x = _node_values(sol, _mode_amplitudes(sol, times[cols]))
+            fwd, back = _phases(sol.omegas, times[cols])
+            if energy is not None:
+                energy(cols, fwd, back)
+            at = sol.c_plus[:, None] * fwd
+            at += sol.c_minus[:, None] * back
+            for k, offset, drift in sol.zero_modes:  # c+ = c- = 0 there
+                at[k] = offset + drift * times[cols]
+            x = _node_values(sol, at)
             worst_imag = np.maximum(worst_imag, np.max(np.abs(x.imag)))
             max_real = np.maximum(max_real, np.max(np.abs(x.real)))
         yield cols, x.real.T
-        del x
+        del fwd, back, at, x
     if not (np.isfinite(worst_imag) and np.isfinite(max_real)):
         raise Unstable("states overflow: a growing mode exceeds the float range")
     _check_residue(worst_imag, max_real, "state reconstruction")
@@ -413,10 +407,9 @@ def integrate_numeric(lap: LaplacianMatrix, ic: InitialCondition,
         [ I - h^2/2 L                  h I          ]
         [ -h/2 (L + L (I - h^2/2 L))   I - h^2/2 L  ]
 
-    and one output step is its 10th power, applied once.  No eigenbasis is
-    used.  The power is taken in np.linalg.matrix_power's product order, so
-    its bits are matrix_power's.  Only the states are kept, copied from
-    verlet_blocks a block at a time: its O(n^2) working memory beside them.
+    and one output step is its 10th power (_tenth_power), applied once.  No
+    eigenbasis is used.  Only the states are kept, copied from verlet_blocks
+    a block at a time: its O(n^2) working memory beside them.
     Raises ValueError for a bad grid or a dt above the stability guard
     0.2 / sqrt(2 d_max), and Unstable with the first output time at which any
     |x_i| exceeds DIVERGENCE_CUTOFF * max(1, |x0|_inf, |v0|_inf) (1e12 for
@@ -447,6 +440,39 @@ def node_energies(sol: ModalSolution) -> np.ndarray:
     return (np.abs(sol.eigvecs) ** 2) @ weights
 
 
+def energy_fold(sol: ModalSolution, times):
+    """total_energy_series(sol, times) as (fill, report): fill(cols, fwd, back)
+    writes the energies of the times ``cols`` from their phases, under the
+    caller's np.errstate; report() checks the filled series and returns it."""
+    dt = uniform_step(times)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked in report
+        amp = np.sqrt(2.0 * (np.abs(sol.c_plus) ** 2 + np.abs(sol.c_minus) ** 2))
+        om = sol.omegas
+        stationary = 0.5 * float(np.sum(amp ** 2 * np.abs(om) ** 2))
+        weight = amp * om
+        # a real basis takes the float64 product: a quarter of the complex
+        # one's cost, with the bits of np.linalg.eig's real eigenvectors
+        vec = sol.eigvecs if sol.eigvecs.imag.any() else np.asfortranarray(sol.eigvecs.real)
+        coupling = np.outer(weight, weight) * (vec.T @ vec)
+        np.fill_diagonal(coupling, 0.0)
+    energy = np.empty(times.size, dtype=complex)
+
+    def fill(cols, fwd, back):
+        pairs = coupling @ back
+        pairs *= fwd
+        energy[cols] = stationary + 0.5 * np.sum(pairs, axis=0)
+
+    def report() -> EnergyReport:
+        if not np.all(np.isfinite(energy)):
+            raise Unstable("energy series overflows: a growing mode exceeds the float range")
+        values = _to_real(energy, "energy series") if sol.spectrum_real else energy.real
+        series = (TimeSeries(values=values, dt=dt, origin=float(times[0]))
+                  if times.size >= 2 else None)
+        return EnergyReport(total=stationary, series=series)
+
+    return fill, report
+
+
 def total_energy_series(sol: ModalSolution, times) -> EnergyReport:
     """Total oscillation energy over time.
 
@@ -459,37 +485,19 @@ def total_energy_series(sol: ModalSolution, times) -> EnergyReport:
 
     With the coupling C = (A w)(A w)^T o V^T V, diagonal zeroed, and
     p = exp(i w t), q = exp(-i w t) per mode and time, the pair sum is
-    1/2 sum_mu p_mu (C q)_mu: one matmul per block of MODAL_TIME_BLOCK = 128
-    times, so working memory beyond the series is O(n * 128).  q is the
-    conjugate of p when every w is exactly real.  The series steps by
-    uniform_step(times), its ValueError unhandled.  Raises Unstable when a
-    growing mode carries the energy past the float range.
+    1/2 sum_mu p_mu (C q)_mu, energy_fold's fill: one matmul per block of
+    MODAL_TIME_BLOCK = 128 times, so working memory beyond the series is
+    O(n * 128); simulate feeds it the phases state_blocks evaluates, once per
+    block.  q is the conjugate of p when every w is exactly real.  The series
+    steps by uniform_step(times), its ValueError unhandled.  Raises Unstable
+    when a growing mode carries the energy past the float range.
     """
     times = np.asarray(times, dtype=float).ravel()
-    dt = uniform_step(times)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked after the loop
-        amp = np.sqrt(2.0 * (np.abs(sol.c_plus) ** 2 + np.abs(sol.c_minus) ** 2))
-        om = sol.omegas
-        stationary = 0.5 * float(np.sum(amp ** 2 * np.abs(om) ** 2))
-        weight = amp * om
-        # a real basis takes the float64 product: a quarter of the complex
-        # one's cost, with the bits of np.linalg.eig's real eigenvectors
-        vec = sol.eigvecs if sol.eigvecs.imag.any() else np.asfortranarray(sol.eigvecs.real)
-        coupling = np.outer(weight, weight) * (vec.T @ vec)
-        np.fill_diagonal(coupling, 0.0)
-        energy = np.empty(times.size, dtype=complex)
+    fill, report = energy_fold(sol, times)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked in report
         for cols in _time_blocks(times.size):
-            fwd, back = _phases(om, times[cols])
-            pairs = coupling @ back
-            pairs *= fwd
-            energy[cols] = stationary + 0.5 * np.sum(pairs, axis=0)
-            del fwd, back, pairs  # free this block before the next is built
-    if not np.all(np.isfinite(energy)):
-        raise Unstable("energy series overflows: a growing mode exceeds the float range")
-    series_values = _to_real(energy, "energy series") if sol.spectrum_real else energy.real
-    series = (TimeSeries(values=series_values, dt=dt, origin=float(times[0]))
-              if times.size >= 2 else None)
-    return EnergyReport(total=stationary, series=series)
+            fill(cols, *_phases(sol.omegas, times[cols]))
+    return report()
 
 
 def betweenness_weights(g: WeightedDigraph) -> WeightedDigraph:

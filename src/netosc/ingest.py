@@ -216,10 +216,13 @@ def fuse_trends(segments) -> TimeSeries:
 
     Left to right, the accumulated values scale by the later segment's sum over
     theirs on the whole overlap, whose samples the later segment replaces; the
-    result is rescaled to max 100.  Steps match within 2 tol and each start is
-    within (|k| + 1) tol of the k-th accumulated time, tol being the parsers'
-    signal.step_tolerance over both axes.  ZeroAnchor when an overlap sum is 0,
-    OutOfRange when a factor or the fused peak leaves the float range.
+    result is rescaled to max 100.  A segment inside the span fused so far
+    replaces only the samples it covers; those after it stay, scaled as those
+    before it, so the fused span is the union of the segments' spans.  Steps
+    match within 2 tol and each start is within (|k| + 1) tol of the k-th
+    accumulated time, tol being the parsers' signal.step_tolerance over both
+    axes.  ZeroAnchor when an overlap sum is 0, OutOfRange when a factor or
+    the fused peak leaves the float range.
     """
     segments = [_trend_rule(seg) for seg in segments]
     if not segments:
@@ -243,15 +246,15 @@ def fuse_trends(segments) -> TimeSeries:
             raise NoOverlap("segments must be ordered by start time")
         if k >= acc.size:
             raise NoOverlap("consecutive segments share no timestamp")
-        span = min(acc.size - k, seg.values.size)
+        end = k + seg.values.size    # the index in acc just past the later segment
         with np.errstate(over="ignore"):   # an overflow is refused below
-            earlier, later = acc[k:k + span].sum(), seg.values[:span].sum()
+            earlier, later = acc[k:end].sum(), seg.values[:acc.size - k].sum()
             if not (earlier > 0.0 and later > 0.0):
                 raise ZeroAnchor("one side of the overlap sums to zero")
             factor = later / earlier
             if not 0.0 < factor < np.inf:
                 raise OutOfRange(f"overlap sum ratio {factor} is outside (0, inf)")
-            acc = np.concatenate([acc[:k] * factor, seg.values])
+            acc = np.concatenate([acc[:k] * factor, seg.values, acc[end:] * factor])
     peak = acc.max()
     if not np.isfinite(peak):
         raise OutOfRange("fused series peak is not finite")

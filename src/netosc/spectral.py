@@ -30,13 +30,7 @@ REAL_TOL_FACTOR = 1e-8
 # Zero-mode detection: |lambda| <= ZERO_TOL_FACTOR * d_max counts as the zero mode.
 ZERO_TOL_FACTOR = 1e-9
 
-# critical_epsilon's march: a step goes MARCH_THETA of the way to the collision
-# the first-order pair model predicts, or MARCH_SECOND of the way to the
-# second-order one when the two agree within (1 - MARCH_THETA); within
-# MARCH_JUMP * tol it brackets the collision directly.  No step exceeds the
-# trust-region cap, which starts at MARCH_CAP0 times the bracket width, grows
-# by MARCH_GROWTH per real step until a point lands non-real and is reset to
-# half the bracket per non-real one.
+# critical_epsilon's march steps, each rule stated in locate_transition's docstring.
 MARCH_THETA = 0.8
 MARCH_CAP0 = 0.05
 MARCH_GROWTH = 2.0
@@ -253,23 +247,23 @@ def locate_transition(lap0: LaplacianMatrix, lapI: LaplacianMatrix,
     second order (_second_order).
     A step goes MARCH_THETA = 0.8 of the way to the first-order collision, or
     MARCH_SECOND = 0.95 of the way to the second-order one when the two agree
-    within 1 - MARCH_THETA of the first, never past a trust-region cap (0.05
-    of the bracket width, doubled after each real step until a point lands
-    non-real).  When they agree within MARCH_JUMP = 30 tol, the march solves
-    0.45 tol past the second-order collision and, if non-real there,
-    eigenvalues only 0.9 tol below it.  A non-real point becomes the top of
-    the bracket: the cap is reset to half the bracket, every later point lies
-    at least tol/2 inside it, and the march goes on from its last real point
-    with the same models until the bracket is at most tol wide.  The march
-    thus certifies nothing between its real points: it can miss a complex
-    window narrower than an allowed step.  NoTransition means every march
-    point up to bracket[1] was real, or, with bracket[1] = inf, that no pair
-    model bounds the step from the last real point.  Real means
-    spectrum_is_real's |Im lambda| <= 1e-8 d_max test, and symmetric
-    compositions count as real.  No eigenbasis is checked, so unlike
-    eigendecompose this never raises DefectiveMatrix: a real point whose
-    eigenbasis is singular is a point without a model, and the next step is
-    bounded by the cap alone.
+    within 1 - MARCH_THETA of the first, never past a trust-region cap
+    (MARCH_CAP0 = 0.05 of the bracket width, times MARCH_GROWTH = 2 after
+    each real step until a point lands non-real).  When they agree within
+    MARCH_JUMP = 30 tol, the march solves 0.45 tol past the second-order
+    collision and, if non-real there, eigenvalues only 0.9 tol below it.  A
+    non-real point becomes the top of the bracket: the cap is reset to half
+    the bracket, every later point lies at least tol/2 inside it, and the
+    march goes on from its last real point with the same models until the
+    bracket is at most tol wide.  The march thus certifies nothing between
+    its real points: it can miss a complex window narrower than an allowed
+    step.  NoTransition means every march point up to bracket[1] was real,
+    or, with bracket[1] = inf, that no pair model bounds the step from the
+    last real point.  Real means spectrum_is_real's |Im lambda| <= 1e-8 d_max
+    test, and symmetric compositions count as real.  No eigenbasis is
+    checked, so unlike eigendecompose this never raises DefectiveMatrix: a
+    real point whose eigenbasis is singular is a point without a model, and
+    the next step is bounded by the cap alone.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (lo < hi) or tol <= 0:

@@ -355,21 +355,34 @@ class TestSimulate:
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_out_runs_each_producer_once(self, model_json, tmp_path, monkeypatch):
-        # the checks and both trajectory CSVs come from one pass
+        # the checks, both trajectory CSVs and the energy series come from one
+        # pass that evaluates each block's phases once: 501 times, 4 blocks, at
+        # eps 1.5 (a real spectrum) and 1.7 (growing modes)
         calls = []
-        for name in ("state_blocks", "verlet_blocks"):
+        for name in ("state_blocks", "verlet_blocks", "_phases"):
             def counted(*args, _name=name, _producer=getattr(dynamics, name), **kwargs):
                 calls.append(_name)
                 return _producer(*args, **kwargs)
             monkeypatch.setattr(dynamics, name, counted)
-        out = tmp_path / "sim"
-        result = run(["simulate", "--graph", str(model_json), "--x0", "1,2,3,4,5",
-                      "--eps", "1.5", "--t-end", "5", "--out", str(out)])
-        assert result.exit_code == 0
-        assert "modal_numeric_max_error" in summary_of(result)
-        assert sorted(calls) == ["state_blocks", "verlet_blocks"]
-        assert sorted(p.name for p in out.iterdir()) == [
-            "energy.csv", "trajectory_modal.csv", "trajectory_numeric.csv"]
+        times = dynamics.time_grid(5.0, 0.01)
+        for eps in (1.5, 1.7):
+            calls.clear()
+            out = tmp_path / f"sim{eps}"
+            result = run(["simulate", "--graph", str(model_json), "--x0", "1,2,3,4,5",
+                          "--eps", str(eps), "--t-end", "5", "--out", str(out)])
+            assert result.exit_code == 0
+            assert "modal_numeric_max_error" in summary_of(result)
+            assert sorted(calls) == ["_phases"] * len(dynamics._time_blocks(times.size)) + [
+                "state_blocks", "verlet_blocks"]
+            assert sorted(p.name for p in out.iterdir()) == [
+                "energy.csv", "trajectory_modal.csv", "trajectory_numeric.csv"]
+            # bit for bit the series of the separate energy pass
+            lap = compose_epsilon((LaplacianMatrix(MODEL_L0), LaplacianMatrix(MODEL_LI)), eps)
+            sol = dynamics.modal_solve(lap, dynamics.InitialCondition.at_rest([1.0, 2, 3, 4, 5]))
+            assert sol.spectrum_real == (eps == 1.5)
+            series = dynamics.total_energy_series(sol, times).series
+            assert (out / "energy.csv").read_text() == "".join(
+                _csv("t,E", series.times, series.values))
 
     def test_half_step_grid_matches_numeric(self, model_json, tmp_path):
         # t_end / dt = 1.5: the modal and the Verlet grid must agree in length

@@ -640,13 +640,17 @@ class TestBlockedEvaluation:
     @pytest.mark.parametrize("length", LENGTHS)
     @pytest.mark.parametrize("name", ["real", "complex", "drift", "sym"])
     def test_energy_equals_whole_grid(self, name, length):
+        # alone, and filled by state_blocks' phases as simulate fills it
         sol = model_solution(name)
         times = np.arange(length) * 0.05
-        report = total_energy_series(sol, times)
-        if length < 2:
-            assert report.series is None
-        else:
-            assert np.array_equal(report.series.values, energy_whole_grid(sol, times))
+        fill, report = dynamics.energy_fold(sol, times)
+        for _ in dynamics.state_blocks(sol, times, fill):
+            pass
+        for got in (total_energy_series(sol, times), report()):
+            if length < 2:
+                assert got.series is None
+            else:
+                assert np.array_equal(got.series.values, energy_whole_grid(sol, times))
 
     def test_residue_in_a_late_block_follows_the_global_rule(self):
         # one mode, x = cos(w t) + i delta sin(w t): the imaginary part grows

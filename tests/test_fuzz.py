@@ -104,10 +104,11 @@ def _trend_chain(draw):
     then edited at the structure level.
 
     Each segment starts on the sample grid, inside the samples fused before
-    it, and its values (max 100, as parse_trend_csv requires) may hold one
-    run of zeros.  The edit, if any, acts on one later segment: another
-    step, a start off the grid, a swap with the first segment, a start
-    past the samples fused so far, or zeros over its overlap with them."""
+    it, and may end inside them too (a contained segment); its values (max
+    100, as parse_trend_csv requires) may hold one run of zeros.  The edit,
+    if any, acts on one later segment: another step, a start off the grid, a
+    swap with the first segment, a start past the samples fused so far, or
+    zeros over its overlap with them."""
     step = draw(st.sampled_from([0.25, 1.0, 60.0, 3600.0]))
     origin = draw(st.integers(0, 10**6)) * step
     segments, end = [], 0      # [start in steps from origin, step, values]; end in steps
@@ -142,11 +143,21 @@ def _trend_chain(draw):
             for start, seg_step, values in segments]
 
 
+def _union_length(chain):
+    """Samples in the union of the chain's spans, and whether a segment ends
+    inside the span of those before it."""
+    segments = [parse_trend_csv(data.decode()) for data in chain]
+    first = segments[0]
+    ends = [round((s.origin - first.origin) / first.dt) + len(s) for s in segments]
+    return max(ends), any(end < max(ends[:k]) for k, end in enumerate(ends) if k)
+
+
 def test_trend_chains_reach_every_fusion_check(tmp_path_factory):
-    # whole chains get past the parsers, where byte edits of one file do not
+    # whole chains get past the parsers, where byte edits of one file do not;
+    # every fused chain spans the union of its segments' spans
     reached = {}
 
-    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(chain=_trend_chain())
     def fuse(chain):
         root = tmp_path_factory.mktemp("chain")
@@ -158,10 +169,15 @@ def test_trend_chains_reach_every_fusion_check(tmp_path_factory):
         outcome = "fused" if error is None else next(
             (check for word, check in _FUSION_CHECKS.items() if word in error["message"]),
             error["type"])
+        if error is None:
+            length, contained = _union_length(chain)
+            assert json.loads(result.summary)["length"] == length
+            outcome = "fused-contained" if contained else outcome
         reached[outcome] = reached.get(outcome, 0) + 1
 
     fuse()
-    assert {"fused", "ZeroAnchor", *_FUSION_CHECKS.values()} <= set(reached), reached
+    assert {"fused", "fused-contained", "ZeroAnchor",
+            *_FUSION_CHECKS.values()} <= set(reached), reached
 
 
 @st.composite

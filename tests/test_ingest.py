@@ -350,13 +350,25 @@ class TestFuseTrends:
         # factor 100/50 = 2 -> [200, 100, 100] -> rescale max 100
         assert np.allclose(fused.values, [100.0, 50.0, 50.0])
 
-    def test_zero_anchor_falls_back_to_means(self):
+    def test_zero_first_shared_sample_scales_by_the_overlap_sums(self):
         s1 = segment(0.0, [100.0, 0.0, 50.0])
         s2 = segment(3600.0, [0.0, 100.0, 50.0])
         fused = fuse_trends([s1, s2])
-        # anchor pair is (0, 0); overlap means are (25, 50) -> factor 2
+        # both sides are 0 at the first shared sample; the overlap sums are
+        # 0 + 50 and 0 + 100 -> factor 2
         expected = np.array([200.0, 0.0, 100.0, 50.0]) * (100.0 / 200.0)
         assert np.allclose(fused.values, expected)
+
+    def test_contained_segment_keeps_the_tail(self):
+        # the later segment ends inside the earlier one: it replaces the two
+        # samples it covers, and the five after it stay, scaled as the first
+        earlier = segment(0.0, [100.0] + [50.0] * 7)
+        later = segment(3600.0, [50.0, 100.0])
+        fused = fuse_trends([earlier, later])
+        # overlap sums 50 + 50 and 50 + 100: factor 3/2 gives
+        # [150, 50, 100, 75 x 5], rescaled by 2/3 to max 100
+        assert np.allclose(fused.values, [100.0, 100 / 3, 200 / 3] + [50.0] * 5)
+        assert (fused.origin, fused.dt) == (earlier.origin, earlier.dt)
 
     def test_two_sample_overlap_scales_by_the_sum_ratio(self):
         earlier = segment(0.0, [100.0, 50.0, 40.0])

@@ -2,12 +2,16 @@
 
 Runs the benchmark's walk-through (``perfbench/workloads.CLI_COMMANDS``) in
 process, in a temporary directory, on the inputs ``perfbench/gen.py`` writes
-for the cli-readme workload at seed 7.  Prints one line per command with its
-exit code and the sha256 of its stdout, followed by one line per input
-digest its summary reports, ``<key> input <path> <sha256>``; then one line
-per artifact with its sha256.  Exits 1 if any command exits non-zero, or leaves in its --out
-directory a file that is not among the outputs it reports (a temporary file
-of the artifact writer, say); each such file is named on stderr.
+for the cli-readme workload at seed 7, then one ``simulate --out`` on an
+n = 200 ``gen.random_digraph`` (seed 1021) at half its first transition,
+dt = 0.001 and 5,001 times: 40 blocks of states, energies and Verlet rows.
+Prints one line per command with its exit code and the sha256 of its
+stdout, followed by one line per input digest its summary reports,
+``<key> input <path> <sha256>``; then one line per artifact with its
+sha256: 54 lines in all.  Exits 1 if any command exits non-zero, or leaves
+in its --out directory a file that is not among the outputs it reports (a
+temporary file of the artifact writer, say); each such file is named on
+stderr.
 
 To check that a change keeps every byte, run it on two trees on one machine
 and diff the outputs.  Run this copy of the tool on both trees, from each
@@ -31,24 +35,44 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import gen  # noqa: E402
+import numpy as np  # noqa: E402
 from workloads import CLI_COMMANDS, _out_dir, run_cli_inprocess, write_files  # noqa: E402
 
 SEED = 7
+N200_SEED = 1021
 
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _n200_simulate(workdir):
+    """Writes the n = 200 digraph; returns its simulate command, at half the
+    first non-real eps that gen's own bisection of (0, 1) finds."""
+    graph = gen.random_digraph(np.random.default_rng(N200_SEED), 200)
+    lap0, lap_i = gen.split_reference(gen.dense_laplacian(graph["n"], graph["edges"]))
+    lo, hi = 0.0, 1.0
+    while hi - lo > gen.TOL:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if gen.nonreal(lap0 + mid * lap_i) else (mid, hi)
+    Path(workdir, "digraph200.json").write_text(
+        json.dumps({"n": graph["n"], "edges": graph["edges"]}))
+    return ("simulate-n200", ["simulate", "--graph", "digraph200.json",
+                              "--eps", repr(0.25 * (lo + hi)),
+                              "--x0=" + ",".join(map(repr, graph["x0"])),
+                              "--t-end", "5", "--dt", "0.001", "--out", "sim_n200/"])
+
+
 def main() -> int:
     failed = False
     with tempfile.TemporaryDirectory() as workdir:
         write_files(workdir, gen.generate("cli-readme", SEED)["files"])
+        commands = [*CLI_COMMANDS, _n200_simulate(workdir)]
         home = os.getcwd()
         os.chdir(workdir)
         try:
             artifacts = []
-            for key, argv in CLI_COMMANDS:
+            for key, argv in commands:
                 rec = run_cli_inprocess(argv)
                 failed |= rec["returncode"] != 0
                 print(f"{key} exit {rec['returncode']} stdout "
