@@ -35,7 +35,6 @@ from .graph import (
     undirected_graph,
 )
 from .ingest import (
-    EventLog,
     bin_counts,
     fuse_trends,
     graph_from_edge_csv,

@@ -218,17 +218,9 @@ def _parse_list(text, flag, parse=float):
     return values
 
 
-def _parse_vector(params, key, what):
-    """The comma-separated floats of --``key``; ValueError unless all are finite."""
-    values = np.array(_parse_list(params[key], "--" + key))
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{what} must be finite")
-    return values
-
-
 def _initial_condition(params):
-    x0 = _parse_vector(params, "x0", "initial condition")
-    v0 = _parse_vector(params, "v0", "initial condition") if params["v0"] else np.zeros_like(x0)
+    x0 = np.array(_parse_list(params["x0"], "--x0"))
+    v0 = np.array(_parse_list(params["v0"], "--v0")) if params["v0"] else np.zeros_like(x0)
     return dynamics.InitialCondition(x0=x0, v0=v0)
 
 
@@ -343,8 +335,11 @@ def _cmd_critical_eps(params, files):
 
 def _cmd_sweep(params, files):
     (lap0, lapI), _ = _load_model(files, params["graph"])
-    records = dynamics.epsilon_sweep(lap0, lapI, _parse_vector(params, "eps", "eps"),
-                                     _initial_condition(params), params["t_end"], params["dt"])
+    eps = np.array(_parse_list(params["eps"], "--eps"))
+    if not np.all(np.isfinite(eps)):    # else each would be a record error, exit 0
+        raise ValueError("eps must be finite")
+    records = dynamics.epsilon_sweep(lap0, lapI, eps, _initial_condition(params),
+                                     params["t_end"], params["dt"])
     results = {"records": [asdict(r) for r in records]}
     files.write("sweep.json", lambda: [_json(results["records"]) + "\n"])
     return results
@@ -368,11 +363,11 @@ def _cmd_spectrum(params, files):
 def _cmd_bin(params, files):
     log = ingest.parse_event_log(files.read(params["events"]))
     if params["t0"] is None:
-        params["t0"] = float(log.timestamps[0])
+        params["t0"] = float(log.min())
     series, dropped = ingest.bin_counts(log, bin_seconds=params["bin_seconds"],
                                         t0=params["t0"], n_bins=params["n_bins"])
     results = {
-        "events": len(log),
+        "events": log.size,
         "binned": float(series.values.sum()),
         "out_of_range": dropped,
         "mean_count": float(series.values.mean()),

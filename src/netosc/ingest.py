@@ -2,8 +2,9 @@
 
 Graphs are JSON {"n", "edges"} documents or edge-list CSVs with header
 src,dst,w, whose node count is one more than the largest endpoint.  Event
-logs are timestamp CSVs binned into fixed intervals (16-minute bins sliced
-into 256- or 128-sample analysis periods is the usual configuration).
+logs are timestamp CSVs, read in file order and binned without sorting into
+fixed intervals (16-minute bins sliced into 256- or 128-sample analysis
+periods is the usual configuration).
 Trends segments are datetime,value CSVs of hourly interest values normalized
 per segment to max 100; chains of overlapping segments, matched and aligned
 within the step rule's tolerance, are fused left to right: all accumulated so
@@ -23,7 +24,6 @@ two columns.  A row that breaks a rule raises ParseError naming its line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import chain
 
@@ -31,29 +31,7 @@ import numpy as np
 
 from .errors import EmptyInput, NoOverlap, OutOfRange, ParseError, ZeroAnchor
 from .graph import WeightedDigraph
-from .signal import MAX_TIME_POINTS, TimeSeries, read_only_floats, step_tolerance, uniform_step
-
-
-@dataclass(frozen=True)
-class EventLog:
-    """Non-decreasing event timestamps in epoch seconds, held as
-    read_only_floats holds them: parse_event_log's read-only sorted array is
-    kept without a copy.  The order test compares neighbours, so beyond the
-    timestamps it holds one byte per event.
-    """
-
-    timestamps: np.ndarray
-
-    def __post_init__(self):
-        ts = read_only_floats(self.timestamps)
-        if not np.all(np.isfinite(ts)):
-            raise ParseError("timestamps must be finite")
-        if not np.all(ts[1:] >= ts[:-1]):
-            raise ParseError("timestamps must be sorted")
-        object.__setattr__(self, "timestamps", ts)
-
-    def __len__(self):
-        return self.timestamps.size
+from .signal import MAX_TIME_POINTS, TimeSeries, step_tolerance, uniform_step
 
 
 def _iso_timestamp(token):
@@ -162,23 +140,24 @@ def _trend_rule(seg: TimeSeries) -> TimeSeries:
     return seg
 
 
-def parse_event_log(text: str) -> EventLog:
-    """Parse a CSV with header ``timestamp`` into a sorted EventLog."""
+def parse_event_log(text: str) -> np.ndarray:
+    """Parse a CSV with header ``timestamp`` into its event times in epoch
+    seconds, in file order."""
     stamps = np.fromiter(_read_csv(text, "event log", "timestamp", _timestamps()),
                          dtype=float)
     if not stamps.size:
         raise EmptyInput("event log has a header but no events")
-    stamps.sort()
-    stamps.flags.writeable = False  # EventLog keeps it without a copy
-    return EventLog(timestamps=stamps)
+    return stamps
 
 
-def bin_counts(log: EventLog, bin_seconds: int, t0: float,
+def bin_counts(timestamps: np.ndarray, bin_seconds: int, t0: float,
                n_bins: int) -> tuple[TimeSeries, int]:
-    """Counts per half-open bin [t0 + k*bin, t0 + (k+1)*bin).
+    """Counts per half-open bin [t0 + k*bin, t0 + (k+1)*bin) of event times in
+    any order.
 
     A timestamp exactly on a boundary opens the later bin.  Returns the series
-    and the number of events outside [t0, t0 + n_bins*bin), which are ignored.
+    and the number of events outside [t0, t0 + n_bins*bin), which are ignored;
+    a non-finite timestamp lies outside every bin.
     """
     if bin_seconds <= 0:
         raise ValueError("bin_seconds must be positive")
@@ -190,7 +169,7 @@ def bin_counts(log: EventLog, bin_seconds: int, t0: float,
     # int bin index, and one too far to subtract becomes +-inf.  One array
     # beside the timestamps, updated in place.
     with np.errstate(over="ignore"):
-        pos = log.timestamps - t0
+        pos = timestamps - t0
         pos /= bin_seconds
         np.floor(pos, out=pos)
     in_range = (pos >= 0) & (pos < n_bins)

@@ -643,6 +643,26 @@ class TestBinAndFuse:
         assert doc["out_of_range"] == 16
         assert (out / "series.csv").exists()
 
+    def test_shuffled_log_bins_as_the_sorted_log(self, tmp_path):
+        # rows are binned in file order; the default t0 is the earliest event
+        stamps = 1_700_000_000 + np.arange(0, 3000, 7)
+        shuffled = np.random.default_rng(5).permutation(stamps)
+        assert shuffled[0] != stamps[0]
+        docs, series = [], []
+        for name, rows in (("sorted", stamps), ("shuffled", shuffled)):
+            events, out = tmp_path / f"{name}.csv", tmp_path / name
+            events.write_text("timestamp\n" + "\n".join(map(str, rows)) + "\n")
+            result = run(["bin", "--events", str(events), "--bin-seconds", "60",
+                          "--n-bins", "32", "--out", str(out)])
+            assert result.exit_code == 0
+            doc = summary_of(result)
+            docs.append({key: doc[key] for key in ("events", "binned", "out_of_range",
+                                                   "mean_count")} | {"t0": doc["params"]["t0"]})
+            series.append((out / "series.csv").read_bytes())
+        assert docs[0] == docs[1]
+        assert docs[0]["t0"] == 1_700_000_000 and docs[0]["out_of_range"] > 0
+        assert series[0] == series[1]
+
     def test_bins_above_the_time_point_cap_refused(self, tmp_path, capsys):
         # refused before np.bincount allocates them: a usage error, not a
         # MemoryError (exit 3) or an 80 MB series

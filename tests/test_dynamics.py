@@ -459,6 +459,10 @@ class TestBlockIterators:
         lap, ic = LOOP_CASES["model-1.5"]()
         with pytest.raises(ValueError, match="exceeds stability guard"):
             dynamics.verlet_blocks(lap, ic, dt=1.0, t_end=10.0)
+        with pytest.raises(ValueError) as err:
+            dynamics.verlet_blocks(lap, InitialCondition.at_rest([1.0, 2.0]), dt=0.01, t_end=1.0)
+        assert type(err.value) is ValueError
+        assert str(err.value) == "initial condition size 2 != n = 5"
 
 
 class TestTrajectory:

@@ -138,6 +138,11 @@ def _trend_chain(draw):
         seg[2][:fused - seg[0]] = [0] * (fused - seg[0])
         if 100 not in seg[2]:
             seg[2].append(100)
+    return _trend_files(origin, step, segments)
+
+
+def _trend_files(origin, step, segments):
+    """The trend CSVs of [start in steps from origin, step, values] segments."""
     return [("datetime,value\n" + "".join(f"{origin + start * step + j * seg_step!r},{v}\n"
                                           for j, v in enumerate(values))).encode()
             for start, seg_step, values in segments]
@@ -159,6 +164,14 @@ def test_trend_chains_reach_every_fusion_check(tmp_path_factory):
 
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(chain=_trend_chain())
+    # one chain per outcome, so each is reached whatever the draws
+    @example(chain=_trend_files(0.0, 60.0, [[0, 60.0, [100, 50, 50]], [1, 60.0, [50, 50, 100]]]))
+    @example(chain=_trend_files(0.0, 60.0, [[0, 60.0, [100, 50, 50, 50]], [1, 60.0, [50, 100]]]))
+    @example(chain=_trend_files(0.0, 60.0, [[0, 60.0, [100, 0]], [1, 60.0, [0, 100]]]))
+    @example(chain=_trend_files(0.0, 60.0, [[0, 60.0, [100, 50]], [1, 120.0, [50, 100]]]))
+    @example(chain=_trend_files(0.0, 60.0, [[0, 60.0, [100, 50]], [0.5, 60.0, [50, 100]]]))
+    @example(chain=_trend_files(0.0, 60.0, [[1, 60.0, [50, 100]], [0, 60.0, [100, 50]]]))
+    @example(chain=_trend_files(0.0, 60.0, [[0, 60.0, [100, 50]], [2, 60.0, [50, 100]]]))
     def fuse(chain):
         root = tmp_path_factory.mktemp("chain")
         for k, data in enumerate(chain):

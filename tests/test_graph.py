@@ -432,6 +432,12 @@ class TestComposeEpsilon:
         lap = compose_epsilon((model_lap0, null), 2.0)
         assert np.array_equal(lap.entries, model_lap0.entries)
 
+    def test_rejects_parts_of_different_sizes(self, model_lap0):
+        with pytest.raises(ValueError) as err:
+            compose_epsilon((model_lap0, LaplacianMatrix(np.zeros((4, 4)))), 0.5)
+        assert type(err.value) is ValueError
+        assert str(err.value) == "parts must have the same dimension"
+
     def test_split_and_pair_compose_alike(self, model_lap0, model_lapI):
         split = OneWaySplit(model_lap0, model_lapI)
         assert split == (model_lap0, model_lapI)

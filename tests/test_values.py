@@ -20,6 +20,7 @@ from netosc import (
     Spectrum,
     SymmetrizableDecomposition,
     TimeSeries,
+    Trajectory,
 )
 from netosc.errors import InvalidGraph
 
@@ -33,7 +34,6 @@ CASES = {
     "EigenSystem": ({"eigenvalues": np.array([0.0, 2.0 + 0j]),
                      "eigenvectors": np.eye(2, dtype=complex)},
                     {"basis_condition": 1.0, "scale": 1.0}),
-    "EventLog": ({"timestamps": np.array([1.0, 2.0, 3.0])}, {}),
     "InitialCondition": ({"x0": np.array([1.0, -1.0]), "v0": np.array([0.0, 2.0])}, {}),
     "LaplacianMatrix": ({"entries": np.array([[1.0, -1.0], [-1.0, 1.0]])}, {}),
     "ModalSolution": ({"mass": np.array([1.0, 2.0]), "c_plus": np.array([0j, 1 + 1j]),
@@ -133,9 +133,15 @@ def test_complex_stays_complex_and_the_rest_becomes_float(name):
      ValueError, "dt must be positive and finite, and origin finite"),
     (lambda: LaplacianMatrix(np.array([[1.0, -1.0], [-1.0, 1.0]], dtype=complex)),
      InvalidGraph, "Laplacian entries must be real"),
+    (lambda: Trajectory(times=[0.0, 1.0], states=[[np.nan], [1.0]]),
+     ValueError, "trajectory contains non-finite states"),
+    (lambda: SymmetrizableDecomposition(m=[1.0, 1.0],
+                                        lap_sym=LaplacianMatrix([[1.0, -1.0], [-2.0, 2.0]])),
+     InvalidGraph, "lap_sym must be symmetric"),
 ], ids=["trend-nan-value", "trend-inf-start", "trend-inf-step", "spectrum-nan-bin",
         "spectrum-inf-bin", "nan-mass", "inf-mass", "series-inf-dt", "series-nan-origin",
-        "complex-laplacian"])
+        "complex-laplacian", "nan-state", "asymmetric-lap-sym"])
 def test_non_finite_or_complex_fields_get_typed_errors(build, error, message):
-    with pytest.raises(error, match=message):
+    with pytest.raises(error, match=message) as err:
         build()
+    assert type(err.value) is error

@@ -4,14 +4,16 @@ Runs the benchmark's walk-through (``perfbench/workloads.CLI_COMMANDS``) in
 process, in a temporary directory, on the inputs ``perfbench/gen.py`` writes
 for the cli-readme workload at seed 7, then one ``simulate --out`` on an
 n = 200 ``gen.random_digraph`` (seed 1021) at half its first transition,
-dt = 0.001 and 5,001 times: 40 blocks of states, energies and Verlet rows.
-Prints one line per command with its exit code and the sha256 of its
-stdout, followed by one line per input digest its summary reports,
+dt = 0.001 and 5,001 times: 40 blocks of states, energies and Verlet rows,
+and the walk-through's ``bin`` on the rows of ``posts.csv`` in a seeded
+shuffle.  Prints one line per command with its exit code and the sha256 of
+its stdout, followed by one line per input digest its summary reports,
 ``<key> input <path> <sha256>``; then one line per artifact with its
-sha256: 54 lines in all.  Exits 1 if any command exits non-zero, or leaves
-in its --out directory a file that is not among the outputs it reports (a
-temporary file of the artifact writer, say); each such file is named on
-stderr.
+sha256: 57 lines in all.  Exits 1 if any command exits non-zero, leaves in
+its --out directory a file that is not among the outputs it reports (a
+temporary file of the artifact writer, say), or if the shuffled log's
+``series.csv`` bytes, event counts, mean count or t0 differ from those of
+the file-order log; each such file or field is named on stderr.
 
 To check that a change keeps every byte, run it on two trees on one machine
 and diff the outputs.  Run this copy of the tool on both trees, from each
@@ -40,6 +42,9 @@ from workloads import CLI_COMMANDS, _out_dir, run_cli_inprocess, write_files  # 
 
 SEED = 7
 N200_SEED = 1021
+SHUFFLE_SEED = 32
+# Summary results of a bin run that do not depend on the order of its rows.
+BIN_FIELDS = ("events", "binned", "out_of_range", "mean_count")
 
 
 def _sha256(data: bytes) -> str:
@@ -63,17 +68,47 @@ def _n200_simulate(workdir):
                               "--t-end", "5", "--dt", "0.001", "--out", "sim_n200/"])
 
 
+def _shuffled_bin(workdir):
+    """Writes the rows of posts.csv in a seeded shuffle; returns the
+    walk-through's bin command on them."""
+    header, *rows = Path(workdir, "posts.csv").read_text().splitlines(keepends=True)
+    order = np.random.default_rng(SHUFFLE_SEED).permutation(len(rows))
+    Path(workdir, "posts_shuffled.csv").write_text(header + "".join(rows[k] for k in order))
+    argv = dict(CLI_COMMANDS)["bin"]
+    return ("bin-shuffled", [{"posts.csv": "posts_shuffled.csv",
+                              "binned/": "binned_shuffled/"}.get(a, a) for a in argv])
+
+
+def _order_free(summary, out):
+    """The results of a bin run that do not depend on the order of its rows."""
+    doc = json.loads(summary)
+    return {**{key: doc[key] for key in BIN_FIELDS}, "params.t0": doc["params"]["t0"],
+            "series.csv": Path(out, "series.csv").read_bytes()}
+
+
+def _binning_differs(summaries):
+    """Names on stderr each order-free result of the shuffled-log bin run
+    that differs from the file-order run's; True if any does."""
+    want = _order_free(summaries["bin"], "binned")
+    got = _order_free(summaries["bin-shuffled"], "binned_shuffled")
+    differ = [key for key in want if got[key] != want[key]]
+    for key in differ:
+        print(f"bin-shuffled: {key} differs from the file-order log's", file=sys.stderr)
+    return bool(differ)
+
+
 def main() -> int:
     failed = False
     with tempfile.TemporaryDirectory() as workdir:
         write_files(workdir, gen.generate("cli-readme", SEED)["files"])
-        commands = [*CLI_COMMANDS, _n200_simulate(workdir)]
+        commands = [*CLI_COMMANDS, _n200_simulate(workdir), _shuffled_bin(workdir)]
         home = os.getcwd()
         os.chdir(workdir)
         try:
-            artifacts = []
+            artifacts, summaries = [], {}
             for key, argv in commands:
                 rec = run_cli_inprocess(argv)
+                summaries[key] = rec["stdout"]
                 failed |= rec["returncode"] != 0
                 print(f"{key} exit {rec['returncode']} stdout "
                       f"{_sha256(rec['stdout'].encode())}")
@@ -90,6 +125,7 @@ def main() -> int:
                     failed |= bool(stray)
             for path in artifacts:
                 print(f"{path} {_sha256(Path(path).read_bytes())}")
+            failed = failed or _binning_differs(summaries)
         finally:
             os.chdir(home)
     return 1 if failed else 0
