@@ -160,13 +160,11 @@ def _write_spectrum(files, name, sp, log_bins=False):
         files.write(f"{name}_logbins.csv", _csv, "f_lo,f_hi,mass", lo, hi, mass)
 
 
-def _states_csv(f, times, rows, x):
-    """Append to ``f``, unless None, the trajectory CSV lines (t, then ``x``,
-    one column per node) of the slice ``rows`` of ``times``; the header
-    leads the block that starts the grid."""
+def _block_csv(f, header, times, rows, *columns):
+    """Append to ``f``, unless None, the CSV lines (t, then ``columns``) of
+    the slice ``rows`` of ``times``; ``header`` leads the grid's first block."""
     if f is not None:
-        header = None if rows.start else "t," + ",".join(f"x_{i}" for i in range(x.shape[1]))
-        f.writelines(_csv(header, times[rows], *x.T))
+        f.writelines(_csv(None if rows.start else header, times[rows], *columns))
 
 
 def _load_model(files, path):
@@ -267,17 +265,19 @@ def _cmd_simulate(params, files):
     sol = dynamics.modal_solve(lap, ic)
     guard = dynamics.verlet_step_limit(lap.d_max)
     numeric = dt <= guard   # a Verlet cross-check only where its step is stable
-    # One pass evaluates each block's phases once, for its states and energies,
-    # and folds it and the Verlet block of the same slice into the peak, the gap
-    # and the trajectory CSVs.  A Verlet failure waits for the modal and energy checks.
+    # One pass evaluates each block's phases once, for its states and energies, and
+    # folds them and the same slice's Verlet block into the peak, gap and three CSVs.
     verlet = dynamics.verlet_blocks(lap, ic, dt=dt, t_end=t_end) if numeric else None
+    header = "t," + ",".join(f"x_{i}" for i in range(lap.n))
     modal_csv = files.open("trajectory_modal.csv")
     numeric_csv = files.open("trajectory_numeric.csv") if numeric else None
-    fill_energy, energy_report = dynamics.energy_fold(sol, times)
+    energy_csv = files.open("energy.csv") if times.size >= 2 else None  # none on one time
+    fill_energy, check_energy = dynamics.energy_fold(sol)
     peak, gap, failure = 0.0, 0.0, None
-    for cols, x in dynamics.state_blocks(sol, times, fill_energy):
+    for cols, x in dynamics.state_blocks(sol, times, lambda cols, *phases: _block_csv(
+            energy_csv, "t,E", times, cols, fill_energy(*phases))):
         peak = max(peak, float(np.max(np.abs(x))))
-        _states_csv(modal_csv, times, cols, x)
+        _block_csv(modal_csv, header, times, cols, *x.T)
         if verlet is not None:
             try:
                 _, v = next(verlet)
@@ -285,23 +285,20 @@ def _cmd_simulate(params, files):
                 verlet, failure = None, exc
             else:
                 gap = max(gap, float(np.max(np.abs(v - x))))
-                _states_csv(numeric_csv, times, cols, v)
-    energy = energy_report()
-    if failure is not None:
-        raise failure
+                _block_csv(numeric_csv, header, times, cols, *v.T)
     results = {
         "n": lap.n,
         "spectrum_real": spectral.spectrum_is_real(sol.eigensystem),
         "max_im_omega": sol.eigensystem.max_growth_rate,
         "peak_amplitude": peak,
-        "energy_stationary": energy.total,
+        "energy_stationary": check_energy(),
     }
+    if failure is not None:     # after the modal and energy checks
+        raise failure
     if numeric:
         results["modal_numeric_max_error"] = gap
     else:
         results["numeric_skipped"] = f"dt {dt} exceeds stability guard {guard:.6g}"
-    if energy.series is not None:   # none on a one-point grid
-        files.write("energy.csv", _csv, "t,E", energy.series.times, energy.series.values)
     return results
 
 

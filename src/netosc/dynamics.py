@@ -74,7 +74,9 @@ def _grid_size(t_end, dt) -> int:
 
 def time_grid(t_end, dt) -> np.ndarray:
     """Times k * dt for k < _grid_size(t_end, dt): the modal and numeric grid."""
-    return np.arange(_grid_size(t_end, dt)) * dt
+    times = np.arange(_grid_size(t_end, dt), dtype=float)
+    times *= dt     # in place: the bits of np.arange(size) * dt, half its transient
+    return times
 
 
 def verlet_step_limit(d_max) -> float:
@@ -199,7 +201,9 @@ def _expand(es: EigenSystem, mass, ic: InitialCondition) -> ModalSolution:
     at0 = np.stack([c_plus + c_minus, 1j * om * (c_plus - c_minus)], axis=1)
     for k, offset, drift in zero_modes:
         at0[k] = offset, drift
-    x0_check, v0_check = _to_real(_node_values(sol, at0).T, "initial-condition reconstruction")
+    fold = _RealFold()
+    x0_check, v0_check = fold.add(_node_values(sol, at0).T)
+    fold.check("initial-condition reconstruction")
     scale = 1.0 + max(np.max(np.abs(ic.x0)), np.max(np.abs(ic.v0)))
     if (np.max(np.abs(x0_check - ic.x0)) > 1e-8 * scale
             or np.max(np.abs(v0_check - ic.v0)) > 1e-8 * scale):
@@ -249,16 +253,23 @@ def _phases(omegas, times):
     return fwd, np.exp(-arg)
 
 
-def _check_residue(worst_imag, max_real, what):
-    """The one rule for a complex result that should be real."""
-    if worst_imag > 1e-8 * (1.0 + max_real):
-        raise DefectiveMatrix(f"{what} has imaginary residue {worst_imag:.3e}")
+class _RealFold:
+    """The largest |Im| and |Re| of a complex result that should be real, over
+    its blocks as they come (a non-finite value stays); check() raises Unstable
+    ``overflow`` unless both are finite, then DefectiveMatrix past 1e-8 * (1 + |Re|)."""
 
+    worst_imag = max_real = 0.0
 
-def _to_real(arr, what):
-    _check_residue(np.max(np.abs(arr.imag), initial=0.0),
-                   np.max(np.abs(arr.real), initial=0.0), what)
-    return arr.real
+    def add(self, block):
+        self.worst_imag = np.max(np.abs(block.imag), initial=self.worst_imag)
+        self.max_real = np.max(np.abs(block.real), initial=self.max_real)
+        return block.real
+
+    def check(self, what, overflow=None):
+        if overflow and not np.isfinite([self.worst_imag, self.max_real]).all():
+            raise Unstable(f"{overflow}: a growing mode exceeds the float range")
+        if what and self.worst_imag > 1e-8 * (1.0 + self.max_real):
+            raise DefectiveMatrix(f"{what} has imaginary residue {self.worst_imag:.3e}")
 
 
 def _node_values(sol: ModalSolution, amplitudes):
@@ -273,15 +284,14 @@ def state_blocks(sol: ModalSolution, times, energy=None):
     Yields (cols, x) for each _time_blocks slice of ``times``: the slice and
     its states, shape (block, n), in O(n * 128) working memory beside what
     the consumer keeps, and freed before the next is built once the consumer
-    drops it.  ``energy``, an energy_fold's fill, gets each block's (cols,
-    fwd, back) first: simulate evaluates the phases once per block.  After
-    the last block it raises Unstable when a growing mode carried a state
-    past the float range, and DefectiveMatrix when the largest imaginary part
-    over the grid exceeds 1e-8 * (1 + the largest real part): what a consumer
-    draws from the blocks holds only once the iteration ends without raising.
+    drops it.  ``energy``, a callback, gets each block's (cols, fwd, back)
+    first: simulate evaluates the phases once per block, for its energies too.
+    After the last block it raises _RealFold's Unstable, for a growing mode
+    that carried a state past the float range, or its DefectiveMatrix over the
+    whole grid: what a consumer draws holds only once the iteration ends.
     """
     times = np.asarray(times, dtype=float).ravel()
-    worst_imag = max_real = 0.0
+    fold = _RealFold()
     for cols in _time_blocks(times.size):
         with np.errstate(over="ignore", invalid="ignore"):  # checked after the last block
             fwd, back = _phases(sol.omegas, times[cols])
@@ -292,13 +302,10 @@ def state_blocks(sol: ModalSolution, times, energy=None):
             for k, offset, drift in sol.zero_modes:  # c+ = c- = 0 there
                 at[k] = offset + drift * times[cols]
             x = _node_values(sol, at)
-            worst_imag = np.maximum(worst_imag, np.max(np.abs(x.imag)))
-            max_real = np.maximum(max_real, np.max(np.abs(x.real)))
+            fold.add(x)
         yield cols, x.real.T
         del fwd, back, at, x
-    if not (np.isfinite(worst_imag) and np.isfinite(max_real)):
-        raise Unstable("states overflow: a growing mode exceeds the float range")
-    _check_residue(worst_imag, max_real, "state reconstruction")
+    fold.check("state reconstruction", "states overflow")
 
 
 def evaluate_states(sol: ModalSolution, times) -> np.ndarray:
@@ -440,12 +447,12 @@ def node_energies(sol: ModalSolution) -> np.ndarray:
     return (np.abs(sol.eigvecs) ** 2) @ weights
 
 
-def energy_fold(sol: ModalSolution, times):
-    """total_energy_series(sol, times) as (fill, report): fill(cols, fwd, back)
-    writes the energies of the times ``cols`` from their phases, under the
-    caller's np.errstate; report() checks the filled series and returns it."""
-    dt = uniform_step(times)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked in report
+def energy_fold(sol: ModalSolution):
+    """total_energy_series as (fill, check), holding nothing per time: fill(fwd,
+    back) returns a block's real energies from its phases, under the caller's
+    np.errstate; check(), after the last block, raises as total_energy_series
+    does or returns its stationary part S."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked in check
         amp = np.sqrt(2.0 * (np.abs(sol.c_plus) ** 2 + np.abs(sol.c_minus) ** 2))
         om = sol.omegas
         stationary = 0.5 * float(np.sum(amp ** 2 * np.abs(om) ** 2))
@@ -455,22 +462,18 @@ def energy_fold(sol: ModalSolution, times):
         vec = sol.eigvecs if sol.eigvecs.imag.any() else np.asfortranarray(sol.eigvecs.real)
         coupling = np.outer(weight, weight) * (vec.T @ vec)
         np.fill_diagonal(coupling, 0.0)
-    energy = np.empty(times.size, dtype=complex)
+    fold = _RealFold()
 
-    def fill(cols, fwd, back):
+    def fill(fwd, back):
         pairs = coupling @ back
         pairs *= fwd
-        energy[cols] = stationary + 0.5 * np.sum(pairs, axis=0)
+        return fold.add(stationary + 0.5 * np.sum(pairs, axis=0))
 
-    def report() -> EnergyReport:
-        if not np.all(np.isfinite(energy)):
-            raise Unstable("energy series overflows: a growing mode exceeds the float range")
-        values = _to_real(energy, "energy series") if sol.spectrum_real else energy.real
-        series = (TimeSeries(values=values, dt=dt, origin=float(times[0]))
-                  if times.size >= 2 else None)
-        return EnergyReport(total=stationary, series=series)
+    def check() -> float:
+        fold.check("energy series" if sol.spectrum_real else None, "energy series overflows")
+        return stationary
 
-    return fill, report
+    return fill, check
 
 
 def total_energy_series(sol: ModalSolution, times) -> EnergyReport:
@@ -487,17 +490,22 @@ def total_energy_series(sol: ModalSolution, times) -> EnergyReport:
     p = exp(i w t), q = exp(-i w t) per mode and time, the pair sum is
     1/2 sum_mu p_mu (C q)_mu, energy_fold's fill: one matmul per block of
     MODAL_TIME_BLOCK = 128 times, so working memory beyond the series is
-    O(n * 128); simulate feeds it the phases state_blocks evaluates, once per
-    block.  q is the conjugate of p when every w is exactly real.  The series
-    steps by uniform_step(times), its ValueError unhandled.  Raises Unstable
-    when a growing mode carries the energy past the float range.
+    O(n * 128); simulate streams fill's blocks from the phases state_blocks
+    evaluates.  q is the conjugate of p when every w is exactly real.  The
+    series steps by uniform_step(times), its ValueError unhandled.  Raises
+    Unstable when a growing mode carries the energy past the float range.
     """
     times = np.asarray(times, dtype=float).ravel()
-    fill, report = energy_fold(sol, times)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked in report
+    dt = uniform_step(times)
+    fill, check = energy_fold(sol)
+    values = np.empty(times.size)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked in check
         for cols in _time_blocks(times.size):
-            fill(cols, *_phases(sol.omegas, times[cols]))
-    return report()
+            values[cols] = fill(*_phases(sol.omegas, times[cols]))
+    total = check()
+    values.flags.writeable = False  # so TimeSeries keeps it instead of a copy
+    return EnergyReport(total=total, series=None if times.size < 2 else
+                        TimeSeries(values=values, dt=dt, origin=float(times[0])))
 
 
 def betweenness_weights(g: WeightedDigraph) -> WeightedDigraph:

@@ -13,7 +13,7 @@ import pytest
 
 from conftest import MODEL_L0, MODEL_LI, MODEL_X0, seeded_digraph, strict_json
 from netosc import dynamics, signal
-from netosc.cli import _CSV_BLOCK_ROWS, _csv, _Files, _states_csv, run
+from netosc.cli import _CSV_BLOCK_ROWS, _block_csv, _csv, _Files, run
 from netosc.dynamics import oscillation_centrality
 from netosc.errors import DefectiveMatrix, NotSymmetrizableError, ParseError, Unstable
 from netosc.graph import (
@@ -301,10 +301,10 @@ class TestSimulate:
         assert len(eigendecompose_calls) == 1
 
     def test_cross_check_memory(self, model_json, tmp_path):
-        # README grid, 10,001 x 5: no history is held, only the times and
-        # the energy series (0.15 MiB complex while computed), a block of
-        # each producer and one CSV piece; 0.55 MiB measured, and 0.2 MiB
-        # of margin stays below one more (10,001, 5) history (0.38 MiB)
+        # README grid, 10,001 x 5: no history and no energy series is held,
+        # only the times (0.08 MiB), a block of each producer and one CSV
+        # piece; 0.30 MiB measured, and 0.3 MiB of margin stays below one
+        # more (10,001, 5) history (0.38 MiB)
         argv = ["simulate", "--graph", str(model_json), "--eps", "1.5",
                 "--x0", ",".join(str(v) for v in MODEL_X0), "--out", str(tmp_path)]
         run(argv)
@@ -315,7 +315,7 @@ class TestSimulate:
         finally:
             tracemalloc.stop()
         assert result.exit_code == 0
-        assert peak <= 0.75 * 2**20
+        assert peak <= 0.6 * 2**20
 
     def test_bad_vector_usage_error(self, model_json):
         result = run(["simulate", "--graph", str(model_json), "--x0", "1,2"])
@@ -427,7 +427,8 @@ class TestSimulate:
 class TestMemoryIndependentOfGridLength:
     """simulate and sweep fold the state blocks of their producers as they
     come: a grid of 20,001 times instead of 1,001 adds only series of T
-    floats (times, the energy, node 0), less than one (T, n) history."""
+    floats, less than one (T, n) history.  sweep holds the times and node
+    0's series; simulate streams its energies too, and holds only the times."""
 
     N = 50
 
@@ -470,6 +471,8 @@ class TestMemoryIndependentOfGridLength:
             if command == "sweep":
                 assert [r["spectrum_real"] for r in summary_of(result)["records"]] == [True, False]
         assert peaks[20001] - peaks[1001] < 20001 * self.N * 8
+        if command == "simulate":   # the times' 8 B per time; 10-11 B measured
+            assert peaks[20001] - peaks[1001] < (20001 - 1001) * 16
 
 
 class TestSweep:
@@ -1209,7 +1212,7 @@ class TestCsvRenderer:
         tracemalloc.start()
         try:
             with files.open("trajectory.csv") as f:
-                _states_csv(f, times, slice(0, 100_000), states)
+                _block_csv(f, "t,x_0,x_1,x_2,x_3,x_4", times, slice(0, 100_000), *states.T)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

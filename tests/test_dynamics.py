@@ -578,6 +578,17 @@ class TestTotalEnergySeries:
         ref = energy_pair_loop(sol, times)
         assert np.max(np.abs(e - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    def test_energy_past_the_float_range_is_unstable(self):
+        # states of 1e160 are finite, their energy of order 1e320 is not
+        lap = laplacian_of(undirected_graph(3, [(0, 1), (1, 2)]))
+        base = modal_solve(lap, InitialCondition.at_rest([1.0, 0.0, -1.0]))
+        sol = dataclasses.replace(base, c_plus=base.c_plus * 1e160,
+                                  c_minus=base.c_minus * 1e160)
+        times = np.arange(300) * 0.05
+        assert np.max(np.abs(evaluate_states(sol, times))) < np.inf
+        with pytest.raises(Unstable, match="energy series overflows"):
+            total_energy_series(sol, times)
+
     @pytest.mark.parametrize("times", [[0.0, 1.0, 5.0, 5.5], [0.0, 1.0, np.nan],
                                        [0.0, 1.0, np.inf]])
     def test_non_uniform_grid_is_refused(self, times):
@@ -644,17 +655,24 @@ class TestBlockedEvaluation:
     @pytest.mark.parametrize("length", LENGTHS)
     @pytest.mark.parametrize("name", ["real", "complex", "drift", "sym"])
     def test_energy_equals_whole_grid(self, name, length):
-        # alone, and filled by state_blocks' phases as simulate fills it
+        # alone, and as the blocks fill returns from state_blocks' phases,
+        # which simulate streams to energy.csv
         sol = model_solution(name)
         times = np.arange(length) * 0.05
-        fill, report = dynamics.energy_fold(sol, times)
-        for _ in dynamics.state_blocks(sol, times, fill):
+        fill, check = dynamics.energy_fold(sol)
+        blocks = []
+        for _ in dynamics.state_blocks(sol, times,
+                                       lambda _, *phases: blocks.append(fill(*phases))):
             pass
-        for got in (total_energy_series(sol, times), report()):
-            if length < 2:
-                assert got.series is None
-            else:
-                assert np.array_equal(got.series.values, energy_whole_grid(sol, times))
+        report = total_energy_series(sol, times)
+        assert check() == report.total == pytest.approx(np.sum(
+            np.abs(sol.omegas) ** 2 * (np.abs(sol.c_plus) ** 2 + np.abs(sol.c_minus) ** 2)))
+        want = energy_whole_grid(sol, times)
+        assert np.array_equal(np.concatenate([want[:0], *blocks]), want)
+        if length < 2:
+            assert report.series is None
+        else:
+            assert np.array_equal(report.series.values, want)
 
     def test_residue_in_a_late_block_follows_the_global_rule(self):
         # one mode, x = cos(w t) + i delta sin(w t): the imaginary part grows

@@ -5,15 +5,17 @@ process, in a temporary directory, on the inputs ``perfbench/gen.py`` writes
 for the cli-readme workload at seed 7, then one ``simulate --out`` on an
 n = 200 ``gen.random_digraph`` (seed 1021) at half its first transition,
 dt = 0.001 and 5,001 times: 40 blocks of states, energies and Verlet rows,
-and the walk-through's ``bin`` on the rows of ``posts.csv`` in a seeded
-shuffle.  Prints one line per command with its exit code and the sha256 of
-its stdout, followed by one line per input digest its summary reports,
-``<key> input <path> <sha256>``; then one line per artifact with its
-sha256: 57 lines in all.  Exits 1 if any command exits non-zero, leaves in
-its --out directory a file that is not among the outputs it reports (a
-temporary file of the artifact writer, say), or if the shuffled log's
-``series.csv`` bytes, event counts, mean count or t0 differ from those of
-the file-order log; each such file or field is named on stderr.
+the walk-through's ``simulate`` cut to 257 times, whose lone last time
+joins the block before it (blocks of 128 and 129), and the walk-through's
+``bin`` on the rows of ``posts.csv`` in a seeded shuffle.  Prints one line
+per command with its exit code and the sha256 of its stdout, followed by
+one line per input digest its summary reports, ``<key> input <path>
+<sha256>``; then one line per artifact with its sha256: 62 lines in all.
+Exits 1 if any command exits non-zero, leaves in its --out directory a file
+that is not among the outputs it reports (a temporary file of the artifact
+writer, say), or if the shuffled log's ``series.csv`` bytes, event counts,
+mean count or t0 differ from those of the file-order log; each such file or
+field is named on stderr.
 
 To check that a change keeps every byte, run it on two trees on one machine
 and diff the outputs.  Run this copy of the tool on both trees, from each
@@ -68,6 +70,14 @@ def _n200_simulate(workdir):
                               "--t-end", "5", "--dt", "0.001", "--out", "sim_n200/"])
 
 
+def _joined_block_simulate():
+    """The walk-through's simulate on 257 times: blocks of 128 and 129, the
+    lone last time joined to the block before it."""
+    argv = dict(CLI_COMMANDS)["simulate"]
+    return ("simulate-joined", [{"100": "2.56", "sim/": "sim_joined/"}.get(a, a)
+                                for a in argv])
+
+
 def _shuffled_bin(workdir):
     """Writes the rows of posts.csv in a seeded shuffle; returns the
     walk-through's bin command on them."""
@@ -101,7 +111,8 @@ def main() -> int:
     failed = False
     with tempfile.TemporaryDirectory() as workdir:
         write_files(workdir, gen.generate("cli-readme", SEED)["files"])
-        commands = [*CLI_COMMANDS, _n200_simulate(workdir), _shuffled_bin(workdir)]
+        commands = [*CLI_COMMANDS, _n200_simulate(workdir), _joined_block_simulate(),
+                    _shuffled_bin(workdir)]
         home = os.getcwd()
         os.chdir(workdir)
         try:
