@@ -38,7 +38,7 @@ from .ingest import (
     bin_counts,
     fuse_trends,
     graph_from_edge_csv,
-    graph_from_json_doc,
+    parse_model,
     slice_period,
 )
 from .signal import (

@@ -6,10 +6,9 @@ generated from it, and ``_ERROR_EXITS`` maps each exception type it catches to
 an exit code and stream.  A flag with a default falls back to NETOSC_<DEST>,
 parsed by the flag's own type before any input is read: precedence is flags >
 NETOSC_* > defaults.  Float flags are finite.  ``_Files.read`` reads each input
-once, for its digest and its UTF-8 text, and every graph input is an
-epsilon-family lap0 + eps * lapI that is the input itself at eps = 1.  Every
-subcommand prints a strict JSON summary on stdout (input digests, resolved
-parameters, and results) and writes CSV artifacts to the --out directory.
+once, for its digest and its UTF-8 text, which an ``ingest`` parser reads.
+Every subcommand prints a strict JSON summary on stdout (input digests,
+resolved parameters, results) and writes CSV artifacts to the --out directory.
 Exit codes: 0 success, 1 usage error (a bad flag or NETOSC_* value included)
 or unreadable path, 2 data error (non-UTF-8 input included), 3 numeric
 failure or an array the machine cannot allocate; any other exception, a
@@ -31,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics, graph, ingest, signal, spectral
-from .errors import DataError, InvalidGraph, NotSymmetrizableError, NumericError, ParseError
+from .errors import DataError, NotSymmetrizableError, NumericError, ParseError
 
 try:    # CPython's built-in SHA-256 (3.12+, then 3.10-3.11): hashlib loads OpenSSL
     from _sha2 import sha256 as _sha256
@@ -167,36 +166,6 @@ def _block_csv(f, header, times, rows, *columns):
         f.writelines(_csv(None if rows.start else header, times[rows], *columns))
 
 
-def _load_model(files, path):
-    """Graph or matrix input as the epsilon-family (lap0, lapI), plus the
-    digraph when the input is one.
-
-    JSON accepts {"n", "edges"} (digraph), {"lap0", "lapI"} (explicit split
-    matrices), or {"laplacian"} (single matrix); .csv reads an edge list.
-    Every form but the explicit pair is split by graph.canonical_split, which
-    compose_epsilon recomposes exactly at eps = 1.
-    Returns ((lap0, lapI), digraph_or_None).
-    """
-    text = files.read(path)
-    if str(path).endswith(".csv"):
-        g = ingest.graph_from_edge_csv(text)
-    else:
-        try:
-            doc = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
-            raise ParseError(f"invalid JSON in {path}: {exc}") from exc
-        if isinstance(doc, dict) and "lap0" in doc and "lapI" in doc:
-            lap0, lapI = graph.LaplacianMatrix(doc["lap0"]), graph.LaplacianMatrix(doc["lapI"])
-            if lap0.n != lapI.n:
-                raise InvalidGraph(f"lap0 is {lap0.n}x{lap0.n} but lapI is {lapI.n}x{lapI.n}; "
-                                   f"the pair must have one size")
-            return (lap0, lapI), None
-        if isinstance(doc, dict) and "laplacian" in doc:
-            return graph.canonical_split(graph.LaplacianMatrix(doc["laplacian"])), None
-        g = ingest.graph_from_json_doc(doc)
-    return graph.canonical_split(graph.laplacian_of(g)), g
-
-
 def _finite(text):
     """The type of every scalar float flag: a float that is not nan or +-inf."""
     if not np.isfinite(value := float(text)):
@@ -228,7 +197,7 @@ def _initial_condition(params):
 # the _Files, and returns its results.
 
 def _cmd_analyze_graph(params, files):
-    parts, _ = _load_model(files, params["graph"])
+    parts, _ = ingest.parse_model(files.read(params["graph"]), params["graph"])
     lap = graph.compose_epsilon(parts, params["eps"])
     es = spectral.eigendecompose(lap)
     try:
@@ -257,7 +226,7 @@ def _cmd_analyze_graph(params, files):
 
 
 def _cmd_simulate(params, files):
-    parts, _ = _load_model(files, params["graph"])
+    parts, _ = ingest.parse_model(files.read(params["graph"]), params["graph"])
     lap = graph.compose_epsilon(parts, params["eps"])
     t_end, dt = params["t_end"], params["dt"]
     times = dynamics.time_grid(t_end, dt)
@@ -303,7 +272,7 @@ def _cmd_simulate(params, files):
 
 
 def _cmd_centrality(params, files):
-    parts, g = _load_model(files, params["graph"])
+    parts, g = ingest.parse_model(files.read(params["graph"]), params["graph"])
     if params["betweenness"]:
         if g is None:
             raise DataError("betweenness reweighting needs an edge-list graph input")
@@ -323,7 +292,7 @@ def _cmd_centrality(params, files):
 
 
 def _cmd_critical_eps(params, files):
-    (lap0, lapI), _ = _load_model(files, params["graph"])
+    (lap0, lapI), _ = ingest.parse_model(files.read(params["graph"]), params["graph"])
     bracket = (params["lo"], params["hi"])
     eps_star, lo, hi, solves = spectral.locate_transition(lap0, lapI, bracket, params["tol"])
     return {"eps_star": eps_star, "bracket": list(bracket), "final_bracket": [lo, hi],
@@ -331,7 +300,7 @@ def _cmd_critical_eps(params, files):
 
 
 def _cmd_sweep(params, files):
-    (lap0, lapI), _ = _load_model(files, params["graph"])
+    (lap0, lapI), _ = ingest.parse_model(files.read(params["graph"]), params["graph"])
     eps = np.array(_parse_list(params["eps"], "--eps"))
     if not np.all(np.isfinite(eps)):    # else each would be a record error, exit 0
         raise ValueError("eps must be finite")

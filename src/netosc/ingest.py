@@ -1,7 +1,11 @@
-"""Text input formats: graphs, event logs, search interest and series.
+"""Text input formats: models, event logs, search interest and series.
 
-Graphs are JSON {"n", "edges"} documents or edge-list CSVs with header
-src,dst,w, whose node count is one more than the largest endpoint.  Event
+Model files, read by parse_model: a name ending in .csv, in any case, is an
+edge list with header src,dst,w, whose node count is one more than the
+largest endpoint; any other is JSON, read by the first form it holds:
+{"lap0", "lapI"}, {"laplacian"}, then {"n", "edges"}.  Each is an
+epsilon-family lap0 + eps * lapI that is the model itself at eps = 1: the
+pair as given, any other form through graph.canonical_split.  Event
 logs are timestamp CSVs, read in file order and binned without sorting into
 fixed intervals (16-minute bins sliced into 256- or 128-sample analysis
 periods is the usual configuration).
@@ -24,13 +28,14 @@ two columns.  A row that breaks a rule raises ParseError naming its line.
 
 from __future__ import annotations
 
+import json
 from datetime import datetime, timezone
 from itertools import chain
 
 import numpy as np
 
-from .errors import EmptyInput, NoOverlap, OutOfRange, ParseError, ZeroAnchor
-from .graph import WeightedDigraph
+from .errors import EmptyInput, InvalidGraph, NoOverlap, OutOfRange, ParseError, ZeroAnchor
+from .graph import LaplacianMatrix, WeightedDigraph, canonical_split, laplacian_of
 from .signal import MAX_TIME_POINTS, TimeSeries, step_tolerance, uniform_step
 
 
@@ -284,24 +289,43 @@ def parse_series_csv(text: str) -> TimeSeries:
     return TimeSeries(values=vs, dt=_uniform_step(ts), origin=float(ts[0]))
 
 
-def graph_from_json_doc(doc) -> WeightedDigraph:
-    """The digraph of a decoded JSON document {"n": int, "edges": [[src, dst, w], ...]}."""
-    if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
-        raise ParseError('graph JSON requires keys "n" and "edges"')
-    n = doc["n"]
-    if not _is_json_int(n):
-        raise ParseError(f'"n" must be an integer, got {n!r}')
-    edges = []
-    try:
-        for s, d, w in doc["edges"]:
-            if not (_is_json_int(s) and _is_json_int(d)):
-                raise ValueError(f"endpoints must be integers, got {s!r}, {d!r}")
-            if not isinstance(w, (int, float)) or isinstance(w, bool):
-                raise ValueError(f"weight must be a number, got {w!r}")
-            edges.append((s, d, float(w)))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"malformed edge list: {exc}") from exc
-    return WeightedDigraph(n=n, edges=tuple(edges))
+def parse_model(text: str, name: str):
+    """The model file ``text`` named ``name``, in the forms and precedence
+    the module docstring lists, as the epsilon-family (lap0, lapI), plus its
+    digraph when the file is one (else None)."""
+    if name.lower().endswith(".csv"):
+        g = graph_from_edge_csv(text)
+    else:
+        try:
+            doc = json.loads(text)
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+            raise ParseError(f"invalid JSON in {name}: {exc}") from exc
+        doc = doc if isinstance(doc, dict) else {}
+        if "lap0" in doc and "lapI" in doc:
+            lap0, lapI = LaplacianMatrix(doc["lap0"]), LaplacianMatrix(doc["lapI"])
+            if lap0.n != lapI.n:
+                raise InvalidGraph(f"lap0 is {lap0.n}x{lap0.n} but lapI is {lapI.n}x{lapI.n}; "
+                                   f"the pair must have one size")
+            return (lap0, lapI), None
+        if "laplacian" in doc:
+            lap, g = LaplacianMatrix(doc["laplacian"]), None
+        elif "n" in doc and "edges" in doc:
+            if not _is_json_int(n := doc["n"]):
+                raise ParseError(f'"n" must be an integer, got {n!r}')
+            edges = []
+            try:
+                for s, d, w in doc["edges"]:
+                    if not (_is_json_int(s) and _is_json_int(d)):
+                        raise ValueError(f"endpoints must be integers, got {s!r}, {d!r}")
+                    if not isinstance(w, (int, float)) or isinstance(w, bool):
+                        raise ValueError(f"weight must be a number, got {w!r}")
+                    edges.append((s, d, float(w)))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ParseError(f"malformed edge list: {exc}") from exc
+            g = WeightedDigraph(n=n, edges=tuple(edges))
+        else:
+            raise ParseError('graph JSON requires keys "n" and "edges"')
+    return canonical_split(lap if g is None else laplacian_of(g)), g
 
 
 def _is_json_int(v):

@@ -141,12 +141,13 @@ def dft_spectrum(s: TimeSeries) -> Spectrum:
 
 
 def _moving_average(values, window, unit):
+    """Centered mean over 2 * (window // 2) + 1 samples, window + 1 for an even
+    window; near the edges the half-width shrinks so that the mean stays
+    symmetric and peaks are not dragged sideways."""
     if window < 1:
         raise WindowTooLarge(f"window must be >= 1, got {window}")
     if window > values.size:
         raise WindowTooLarge(f"window {window} exceeds {unit}")
-    # centered; near the edges the half-width shrinks so the window stays
-    # symmetric and peaks are not dragged sideways
     n = values.size
     i = np.arange(n)
     k = np.minimum(np.minimum(window // 2, i), n - 1 - i)
@@ -155,8 +156,8 @@ def _moving_average(values, window, unit):
 
 
 def smooth_spectrum(sp: Spectrum, window: int) -> Spectrum:
-    """Centered moving average over bins, re-normalized to unit mass; window
-    1 is the identity.  An all-zero spectrum stays all zero."""
+    """Centered moving average over bins (w + 1 for an even window w), to unit
+    mass; window 1 is the identity.  An all-zero spectrum stays all zero."""
     if window == 1:
         return sp
     sm = _moving_average(sp.bins, window, f"{sp.bins.size} bins")
@@ -171,7 +172,8 @@ def square_series(s: TimeSeries) -> TimeSeries:
 
 
 def smooth_series(s: TimeSeries, window: int) -> TimeSeries:
-    """Centered moving average in the time domain, truncated at the edges."""
+    """Centered moving average in the time domain (w + 1 samples for an even
+    window w), truncated at the edges."""
     if window == 1:
         return s
     return TimeSeries(values=_moving_average(s.values, window, f"length {len(s)}"),
@@ -213,7 +215,7 @@ def beat_demo(omega1: float, omega2: float, n: int) -> BeatDemo:
     """Beat-formation demonstration with driving frequencies omega1, omega2.
 
     ``n`` must be a power of two >= 256; both frequencies must lie in
-    (0, pi).  Panel "e" smooths the squared sum with a window of 64 samples.
+    (0, pi).  Panel "e" smooths the squared sum with window 64: 65 samples.
     With (0.10, 0.11, 4096) the tone spectra peak at bins 65 and 72, the
     squared sum at 137 and 6..7, and after the smoothing the beat line
     dominates.

@@ -1338,10 +1338,11 @@ class TestNoSeed:
 
 
 def _graph_files(tmp_path, g):
-    """``g`` as a digraph JSON, an edge CSV and a {"laplacian"} file."""
+    """``g`` as a digraph JSON, an edge CSV (its suffix in capitals: the
+    suffix rule ignores case) and a {"laplacian"} file."""
     texts = {
         "g.json": json.dumps({"n": g.n, "edges": [list(e) for e in g.edges]}),
-        "g.csv": "src,dst,w\n" + "".join(f"{s},{d},{w!r}\n" for s, d, w in g.edges),
+        "g.CSV": "src,dst,w\n" + "".join(f"{s},{d},{w!r}\n" for s, d, w in g.edges),
         "lap.json": json.dumps({"laplacian": laplacian_of(g).entries.tolist()}),
     }
     for name, text in texts.items():

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -28,7 +26,7 @@ from netosc.graph import (
     scaled_laplacian,
     undirected_graph,
 )
-from netosc.ingest import graph_from_edge_csv, graph_from_json_doc
+from netosc.ingest import graph_from_edge_csv, parse_model
 
 
 def graph_of_matrix(mat):
@@ -462,16 +460,14 @@ class TestComposeEpsilon:
 
 class TestInterchange:
     def test_json_roundtrip(self):
-        g = graph_from_json_doc(json.loads('{"n": 3, "edges": [[0, 1, 1.5], [2, 0, 0.25]]}'))
+        _, g = parse_model('{"n": 3, "edges": [[0, 1, 1.5], [2, 0, 0.25]]}', "g.json")
         assert g.n == 3
         assert g.edges == ((0, 1, 1.5), (2, 0, 0.25))
 
     def test_json_errors(self):
-        # text that is not JSON is the CLI's ParseError (tests/test_cli.py)
-        with pytest.raises(ParseError):
-            graph_from_json_doc({"nodes": 3})
-        with pytest.raises(ParseError):
-            graph_from_json_doc([[0, 1, 1.0]])
+        for text in ('{"nodes": 3}', "[[0, 1, 1.0]]"):
+            with pytest.raises(ParseError, match='graph JSON requires keys "n" and "edges"'):
+                parse_model(text, "g.json")
 
     def test_edge_csv(self):
         g = graph_from_edge_csv("src,dst,w\n0,1,2.0\n1,0,1.0\n")
@@ -489,7 +485,7 @@ class TestInterchange:
     def test_json_rejects_non_integer_n(self):
         for n in ("2.5", "2.0", "true", '"2"'):
             with pytest.raises(ParseError):
-                graph_from_json_doc(json.loads('{"n": %s, "edges": [[0, 1, 1], [1, 0, 1]]}' % n))
+                parse_model('{"n": %s, "edges": [[0, 1, 1], [1, 0, 1]]}' % n, "g.json")
 
     @pytest.mark.parametrize("edge", [
         "[0.7, 1, 1]", '[1, "0", 1]', "[true, 1, 1]", "[0, 1.0, 1]",
@@ -497,10 +493,10 @@ class TestInterchange:
     ])
     def test_json_rejects_non_integer_endpoints_and_non_number_weights(self, edge):
         with pytest.raises(ParseError):
-            graph_from_json_doc(json.loads('{"n": 2, "edges": [%s, [1, 0, 1]]}' % edge))
+            parse_model('{"n": 2, "edges": [%s, [1, 0, 1]]}' % edge, "g.json")
 
     def test_json_keeps_integer_and_float_weights(self):
-        g = graph_from_json_doc(json.loads('{"n": 2, "edges": [[0, 1, 2], [1, 0, 0.5]]}'))
+        _, g = parse_model('{"n": 2, "edges": [[0, 1, 2], [1, 0, 0.5]]}', "g.json")
         assert g.edges == ((0, 1, 2.0), (1, 0, 0.5))
         assert all(type(w) is float for _, _, w in g.edges)
 

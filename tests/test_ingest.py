@@ -1,4 +1,5 @@
 import importlib
+import json
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -6,19 +7,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import MODEL_L0, MODEL_LI, seeded_digraph
 from netosc import ingest
 from netosc.errors import (
     EmptyInput,
+    InvalidGraph,
     NoOverlap,
     OutOfRange,
     ParseError,
     ZeroAnchor,
 )
+from netosc.graph import WeightedDigraph, canonical_split, compose_epsilon, laplacian_of
 from netosc.ingest import (
     bin_counts,
     fuse_trends,
     graph_from_edge_csv,
     parse_event_log,
+    parse_model,
     parse_series_csv,
     parse_trend_csv,
     slice_period,
@@ -556,3 +561,83 @@ class TestParseSeriesCsv:
         p = tmp_path / "series.csv"
         p.write_text("t,value\n0,1\n1,3\n")
         assert np.array_equal(parse_series_csv(p.read_text()).values, [1.0, 3.0])
+
+
+def _model_texts(g):
+    """``g``'s model files, name -> text: digraph JSON, edge CSV and
+    {"laplacian"}."""
+    return {
+        "g.json": json.dumps({"n": g.n, "edges": [list(e) for e in g.edges]}),
+        "g.csv": "src,dst,w\n" + "".join(f"{s},{d},{w!r}\n" for s, d, w in g.edges),
+        "lap.json": json.dumps({"laplacian": laplacian_of(g).entries.tolist()}),
+    }
+
+
+class TestParseModel:
+    G = seeded_digraph(1, 8)
+    PAIR = {"lap0": MODEL_L0.tolist(), "lapI": MODEL_LI.tolist()}
+
+    @pytest.mark.parametrize("others", [False, True], ids=["alone", "over-other-forms"])
+    def test_explicit_pair_is_returned_as_given(self, others):
+        doc = {**self.PAIR, **({"laplacian": laplacian_of(self.G).entries.tolist(),
+                                "n": self.G.n, "edges": [list(e) for e in self.G.edges]}
+                               if others else {})}
+        (lap0, lapI), g = parse_model(json.dumps(doc), "model.json")
+        assert g is None
+        assert np.array_equal(lap0.entries, MODEL_L0)
+        assert np.array_equal(lapI.entries, MODEL_LI)
+
+    @pytest.mark.parametrize("name", ["g.json", "g.csv", "lap.json"])
+    def test_other_forms_are_the_split_recomposing_at_one(self, name):
+        parts, g = parse_model(_model_texts(self.G)[name], name)
+        lap = laplacian_of(self.G)
+        assert all(np.array_equal(a.entries, b.entries)
+                   for a, b in zip(parts, canonical_split(lap)))
+        assert np.array_equal(compose_epsilon(parts, 1.0).entries, lap.entries)
+        assert g == (None if name == "lap.json" else self.G)
+
+    @pytest.mark.parametrize("name", ["g.CSV", "g.Csv", "dir.json/g.csv"])
+    def test_csv_suffix_ignores_case(self, name):
+        assert parse_model(_model_texts(self.G)["g.csv"], name)[1] == self.G
+
+    @pytest.mark.parametrize("name", ["g", "g.csv.json", "g.txt"])
+    def test_any_other_name_is_json(self, name):
+        assert parse_model(_model_texts(self.G)["g.json"], name)[1] == self.G
+        with pytest.raises(ParseError, match=f"^invalid JSON in {name}: Expecting value"):
+            parse_model(_model_texts(self.G)["g.csv"], name)
+
+    @pytest.mark.parametrize("half", ["lap0", "lapI"])
+    def test_laplacian_precedes_digraph_and_half_a_pair(self, half):
+        doc = {half: self.PAIR[half], "laplacian": MODEL_L0.tolist(),
+               "n": self.G.n, "edges": [list(e) for e in self.G.edges]}
+        parts, g = parse_model(json.dumps(doc), "m.json")
+        assert g is None
+        assert np.array_equal(compose_epsilon(parts, 1.0).entries, MODEL_L0)
+
+    def test_digraph_under_half_a_pair(self):
+        doc = {"lap0": MODEL_L0.tolist(), "n": 2, "edges": [[0, 1, 1.0], [1, 0, 2.0]]}
+        assert parse_model(json.dumps(doc), "m.json")[1] == WeightedDigraph(
+            n=2, edges=((0, 1, 1.0), (1, 0, 2.0)))
+
+    @pytest.mark.parametrize("text", ["[]", "3", '"n"', "null", '{"n": 2}', '{"edges": []}',
+                                      '{"lap0": [[0]]}'])
+    def test_no_form_is_parse_error(self, text):
+        with pytest.raises(ParseError, match='^graph JSON requires keys "n" and "edges"$'):
+            parse_model(text, "m.json")
+
+    @pytest.mark.parametrize("text", ["not json", "[" * 100_000, ""])
+    def test_invalid_json_names_the_file(self, text):
+        with pytest.raises(ParseError, match="^invalid JSON in m.json: "):
+            parse_model(text, "m.json")
+
+    def test_pair_of_two_sizes_is_invalid_graph(self):
+        doc = {"lap0": MODEL_L0.tolist(), "lapI": [[1.0, -1.0], [-1.0, 1.0]]}
+        with pytest.raises(InvalidGraph, match=r"^lap0 is 5x5 but lapI is 2x2; "
+                                               r"the pair must have one size$"):
+            parse_model(json.dumps(doc), "m.json")
+
+    def test_edge_csv_rules_apply(self):
+        with pytest.raises(ParseError, match='expected header "src,dst,w", got "a,b,c"'):
+            parse_model("a,b,c\n0,1,2\n", "g.csv")
+        with pytest.raises(EmptyInput, match="^edge CSV contains no edges$"):
+            parse_model("src,dst,w\n", "g.CSV")

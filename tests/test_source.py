@@ -79,6 +79,17 @@ def test_ingest_imports_only_errors_graph_and_signal():
     assert imported <= {"errors", "graph", "signal"}, imported
 
 
+def test_cli_decodes_no_input():
+    """The CLI hands input text to ingest's parsers: it calls no json.loads
+    and no ingest.graph_from_* reader (json.dumps renders its output)."""
+    calls = {(node.func.value.id, node.func.attr) for node in ast.walk(_trees(SRC)["cli.py"])
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and isinstance(node.func.value, ast.Name)}
+    decoders = sorted(call for call in calls if call == ("json", "loads")
+                      or call[0] == "ingest" and call[1].startswith("graph_from_"))
+    assert not decoders, f"input decoding in cli.py: {decoders}"
+
+
 def test_every_export_is_used_outside_the_tests():
     trees = _trees(SRC)
     exports = [alias.name for node in trees.pop("__init__.py").body

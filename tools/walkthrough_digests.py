@@ -6,11 +6,15 @@ for the cli-readme workload at seed 7, then one ``simulate --out`` on an
 n = 200 ``gen.random_digraph`` (seed 1021) at half its first transition,
 dt = 0.001 and 5,001 times: 40 blocks of states, energies and Verlet rows,
 the walk-through's ``simulate`` cut to 257 times, whose lone last time
-joins the block before it (blocks of 128 and 129), and the walk-through's
-``bin`` on the rows of ``posts.csv`` in a seeded shuffle.  Prints one line
-per command with its exit code and the sha256 of its stdout, followed by
-one line per input digest its summary reports, ``<key> input <path>
-<sha256>``; then one line per artifact with its sha256: 62 lines in all.
+joins the block before it (blocks of 128 and 129), the walk-through's
+``bin`` on the rows of ``posts.csv`` in a seeded shuffle, and the two model
+forms the walk-through never reads: ``analyze-graph --out`` on a
+{"laplacian"} file of the walk-through model composed at eps = 1, and
+``centrality --betweenness --out`` on ``ring.json``'s edges written as the
+edge list ``ring.csv``.  Prints one line per command with its exit code and
+the sha256 of its stdout, followed by one line per input digest its summary
+reports, ``<key> input <path> <sha256>``; then one line per artifact with
+its sha256: 69 lines in all.
 Exits 1 if any command exits non-zero, leaves in its --out directory a file
 that is not among the outputs it reports (a temporary file of the artifact
 writer, say), or if the shuffled log's ``series.csv`` bytes, event counts,
@@ -89,6 +93,22 @@ def _shuffled_bin(workdir):
                               "binned/": "binned_shuffled/"}.get(a, a) for a in argv])
 
 
+def _model_forms(workdir):
+    """Writes model.json composed at eps = 1 as {"laplacian"} and ring.json's
+    edges as an edge CSV; returns an analyze-graph and a centrality command
+    on them."""
+    model = json.loads(Path(workdir, "model.json").read_text())
+    laplacian = np.array(model["lap0"]) + np.array(model["lapI"])
+    Path(workdir, "laplacian.json").write_text(json.dumps({"laplacian": laplacian.tolist()}))
+    ring = json.loads(Path(workdir, "ring.json").read_text())
+    Path(workdir, "ring.csv").write_text(
+        "src,dst,w\n" + "".join(f"{s},{d},{w!r}\n" for s, d, w in ring["edges"]))
+    return [("analyze-graph-laplacian", ["analyze-graph", "--graph", "laplacian.json",
+                                         "--out", "report_laplacian/"]),
+            ("centrality-csv", ["centrality", "--graph", "ring.csv", "--betweenness",
+                                "--out", "centrality_csv/"])]
+
+
 def _order_free(summary, out):
     """The results of a bin run that do not depend on the order of its rows."""
     doc = json.loads(summary)
@@ -112,7 +132,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as workdir:
         write_files(workdir, gen.generate("cli-readme", SEED)["files"])
         commands = [*CLI_COMMANDS, _n200_simulate(workdir), _joined_block_simulate(),
-                    _shuffled_bin(workdir)]
+                    _shuffled_bin(workdir), *_model_forms(workdir)]
         home = os.getcwd()
         os.chdir(workdir)
         try:
