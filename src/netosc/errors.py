@@ -99,13 +99,12 @@ class ComplexSpectrum(NumericError):
 
 
 class BadBracket(NumericError):
-    """Transition bracket is empty, has tol <= 0, a non-finite lo or tol, or
-    is non-real at lo."""
+    """Transition bracket is empty or not finite, has tol <= 0 or a non-finite
+    tol, or is non-real at lo."""
 
 
 class NoTransition(NumericError):
-    """The transition search found a real spectrum at every point up to hi,
-    or, with hi = inf, no pair model bounds the step from its last real point."""
+    """The transition search found a real spectrum at every point up to hi."""
 
 
 class Unstable(NumericError):

@@ -4,10 +4,12 @@ Real symmetric inputs get an orthonormal basis; general real inputs get a
 complex eigendecomposition with conjugate-paired eigenvalues.  Eigenfrequencies
 are principal square roots of eigenvalues; a non-real eigenfrequency marks the
 onset of exponentially growing oscillation amplitude.  The first
-real-to-complex transition along the family lap0 + eps * lapI is located by
-one march whose steps first- and second-order models of colliding eigenvalue
-pairs bound, and which narrows its own bracket once a step lands non-real; a
-complex window narrower than an allowed step can be missed.
+real-to-complex transition along the family lap0 + eps * lapI is located in a
+finite bracket by one march whose steps first- and second-order models of
+colliding eigenvalue pairs bound, and which narrows its own bracket once a step
+lands non-real.  A complex window narrower than an allowed step can be missed;
+the trust region starts at 0.05 of the bracket, so a wider bracket can step
+over a window that (0, 1) finds.
 """
 
 from __future__ import annotations
@@ -239,12 +241,12 @@ def locate_transition(lap0: LaplacianMatrix, lapI: LaplacianMatrix,
     midpoint; ``solves`` counts eigensolves, decompositions and
     eigenvalue-only solves alike.
 
-    Requires a finite tol and a real spectrum at a finite bracket[0]
-    (BadBracket otherwise); bracket[1] may be real or not, or inf.  The march
-    starts at bracket[0] with one decomposition per real point and predicts,
-    from the coupling of every mode pair in that eigenbasis, the nearest pair
-    collision (_pair_collision) to first order and, for the colliding pair, to
-    second order (_second_order).
+    Requires a finite bracket, a finite tol and a real spectrum at
+    bracket[0] (BadBracket otherwise); bracket[1] may be real or not.  The
+    march starts at bracket[0] with one decomposition per real point and
+    predicts, from the coupling of every mode pair in that eigenbasis, the
+    nearest pair collision (_pair_collision) to first order and, for the
+    colliding pair, to second order (_second_order).
     A step goes MARCH_THETA = 0.8 of the way to the first-order collision, or
     MARCH_SECOND = 0.95 of the way to the second-order one when the two agree
     within 1 - MARCH_THETA of the first, never past a trust-region cap
@@ -257,21 +259,21 @@ def locate_transition(lap0: LaplacianMatrix, lapI: LaplacianMatrix,
     march goes on from its last real point with the same models until the
     bracket is at most tol wide.  The march thus certifies nothing between
     its real points: it can miss a complex window narrower than an allowed
-    step.  NoTransition means every march point up to bracket[1] was real,
-    or, with bracket[1] = inf, that no pair model bounds the step from the
-    last real point.  Real means spectrum_is_real's |Im lambda| <= 1e-8 d_max
-    test, and symmetric compositions count as real.  No eigenbasis is
-    checked, so unlike eigendecompose this never raises DefectiveMatrix: a
-    real point whose eigenbasis is singular is a point without a model, and
-    the next step is bounded by the cap alone.
+    step, and since the first cap scales with the bracket, a wider bracket
+    can step over a window that (0, 1) finds.  NoTransition means every
+    march point up to bracket[1] was real.  Real means spectrum_is_real's
+    |Im lambda| <= 1e-8 d_max test, and symmetric compositions count as
+    real.  No eigenbasis is checked, so unlike eigendecompose this never
+    raises DefectiveMatrix: a real point whose eigenbasis is singular is a
+    point without a model, and the next step is bounded by the cap alone.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (lo < hi) or tol <= 0:
         raise BadBracket(f"need lo < hi and tol > 0, got ({lo}, {hi}), tol={tol}")
-    # the march ends only once it has solved a non-real point, so hi may be
-    # inf; an infinite or NaN tol would end it at once with that end unsolved
-    if not (np.isfinite(lo) and np.isfinite(tol)):
-        raise BadBracket(f"need a finite lo and tol, got lo={lo}, tol={tol}")
+    # an infinite hi gives no trust region, and an infinite or NaN tol would
+    # end the march at once with hi unsolved
+    if not (np.isfinite(lo) and np.isfinite(hi) and np.isfinite(tol)):
+        raise BadBracket(f"need a finite bracket and tol, got ({lo}, {hi}), tol={tol}")
     parts = (lap0, lapI)
     solves = 1
     lam, real, coupling = _solve_at(parts, lo)
@@ -291,8 +293,6 @@ def locate_transition(lap0: LaplacianMatrix, lapI: LaplacianMatrix,
         else:
             trial = x + min(MARCH_THETA * first, cap)
         trial = min(max(trial, x + 0.5 * tol, np.nextafter(x, hi)), hi, top - 0.5 * tol)
-        if not np.isfinite(trial):     # hi = inf, and no model bounds the step
-            raise NoTransition(f"no pair collision predicted above the real point eps = {x}")
         solves += 1
         lam, real, coupling = _solve_at(parts, trial)
         if real:

@@ -95,7 +95,7 @@ class TestCriticalEps:
         assert f"argument --tol: '{tol}' is not a finite number" in capsys.readouterr().err
 
     def test_infinite_hi_reports_solved_bracket(self, model_json, capsys):
-        # an infinite bracket end is a usage error; the library still takes one
+        # an infinite bracket end is a usage error; the library refuses one too
         result = run(["critical-eps", "--graph", str(model_json),
                       "--lo", "0", "--hi", "inf", "--tol", "1e-3"])
         assert (result.exit_code, result.summary) == (1, "")
