@@ -42,7 +42,6 @@ from .ingest import (
     slice_period,
 )
 from .signal import (
-    BeatDemo,
     Spectrum,
     TimeSeries,
     analyze_period,

@@ -357,12 +357,12 @@ def _cmd_fuse_trends(params, files):
 
 
 def _cmd_beat_demo(params, files):
-    demo = signal.beat_demo(params["w1"], params["w2"], params["n"])
-    for key in demo.PANELS:
-        sig = demo.signals[key]
+    panels = signal.beat_demo(params["w1"], params["w2"], params["n"])
+    for key, (sig, spec) in panels.items():
         files.write(f"signal_{key}.csv", _csv, "t,value", sig.times, sig.values)
-        _write_spectrum(files, f"spectrum_{key}", demo.spectra[key])
-    return {"peak_bins": demo.peak_bins()}
+        _write_spectrum(files, f"spectrum_{key}", spec)
+    return {"peak_bins": {k: spec.peak_frequency_index()
+                          for k, (_, spec) in panels.items()}}
 
 
 def _cmd_compare_periods(params, files):

@@ -207,7 +207,8 @@ def _expand(es: EigenSystem, mass, ic: InitialCondition) -> ModalSolution:
     scale = 1.0 + max(np.max(np.abs(ic.x0)), np.max(np.abs(ic.v0)))
     if (np.max(np.abs(x0_check - ic.x0)) > 1e-8 * scale
             or np.max(np.abs(v0_check - ic.v0)) > 1e-8 * scale):
-        raise DefectiveMatrix("initial condition not reproduced by the mode expansion")
+        raise DefectiveMatrix("initial condition not reproduced by the mode expansion",
+                              basis_condition=es.basis_condition)
     return sol
 
 

@@ -197,22 +197,12 @@ def analyze_period(s: TimeSeries, window: int) -> Spectrum:
     return smooth_spectrum(dft_spectrum(s), window)
 
 
-@dataclass(frozen=True)
-class BeatDemo:
-    """Two cosines, their sum, the squared sum, and the smoothed square,
-    each with its normalized spectrum.  Panels are keyed "a" .. "e"."""
-
-    signals: dict
-    spectra: dict
-
-    PANELS = ("a", "b", "c", "d", "e")
-
-    def peak_bins(self):
-        return {k: self.spectra[k].peak_frequency_index() for k in self.PANELS}
-
-
-def beat_demo(omega1: float, omega2: float, n: int) -> BeatDemo:
+def beat_demo(omega1: float, omega2: float, n: int) -> dict:
     """Beat-formation demonstration with driving frequencies omega1, omega2.
+
+    Returns the five panels "a" .. "e" in that order, each a
+    (TimeSeries, Spectrum) pair with the normalized spectrum: the two
+    cosines, their sum, the squared sum, and the smoothed square.
 
     ``n`` must be a power of two >= 256; both frequencies must lie in
     (0, pi).  Panel "e" smooths the squared sum with window 64: 65 samples.
@@ -232,8 +222,7 @@ def beat_demo(omega1: float, omega2: float, n: int) -> BeatDemo:
     ssq = square_series(ssum)
     ssm = smooth_series(ssq, 64)
     signals = {"a": s1, "b": s2, "c": ssum, "d": ssq, "e": ssm}
-    spectra = {k: dft_spectrum(v) for k, v in signals.items()}
-    return BeatDemo(signals=signals, spectra=spectra)
+    return {k: (v, dft_spectrum(v)) for k, v in signals.items()}
 
 
 def _analytic_signal(x):

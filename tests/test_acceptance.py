@@ -86,17 +86,17 @@ def test_criterion_2_symmetrization():
 @criterion(3, "beat demo reproduces tone, sum/difference, and smoothed-beat peaks")
 def test_criterion_3_beat_demo():
     demo = beat_demo(0.10, 0.11, 4096)
-    peaks = demo.peak_bins()
+    peaks = {k: sp.peak_frequency_index() for k, (_, sp) in demo.items()}
     assert abs(peaks["a"] - 65) <= 1
     assert abs(peaks["b"] - 72) <= 1
-    sq = demo.spectra["d"]
+    sq = demo["d"][1]
     # squared signal: sum line at 137 +- 1, beat line within bins 6..7
     high = 130 + int(np.argmax(sq.bins[130 - 1:146 - 1]))
     low = 1 + int(np.argmax(sq.bins[:20]))
     assert abs(high - 137) <= 1
     assert 6 <= low <= 7
     # after window-64 time smoothing the f <= 20 band carries the most mass
-    sm = demo.spectra["e"]
+    sm = demo["e"][1]
     low_mass = low_freq_share(sm, 20)
     other_bands = [float(sm.bins[k:k + 20].sum())
                    for k in range(20, sm.bins.size - 20, 20)]

@@ -533,6 +533,61 @@ class TestSweep:
             "message": "initial condition entries above 1e+150 in magnitude"}
 
 
+# lapI of a Jordan chain, and of a chain whose eigenbasis is nearly dependent
+JORDAN_CHAIN = [[1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [0.0, 0.0, 0.0]]
+NEAR_CHAIN = [[1.0, -1.0, 0.0], [0.0, 1.0 + 1e-10, -1.0 - 1e-10], [0.0, 0.0, 0.0]]
+
+
+class TestDefectiveModels:
+    """simulate refuses a defective model (exit 3); sweep falls back to Verlet."""
+
+    def _run(self, tmp_path, command, lap_i, x0):
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps({"lap0": np.zeros((3, 3)).tolist(), "lapI": lap_i}))
+        return run([command, "--graph", str(path), f"--x0={x0}",
+                    "--eps", "1", "--t-end", "5", "--dt", "0.05"])
+
+    def _verlet_peak(self, lap_i, x0):
+        ic = dynamics.InitialCondition.at_rest(x0)
+        states = dynamics.integrate_numeric(LaplacianMatrix(np.array(lap_i)), ic,
+                                            0.05, 5.0).states
+        return float(np.max(np.abs(states)))
+
+    def test_jordan_chain_simulate_exits_3(self, tmp_path):
+        result = self._run(tmp_path, "simulate", JORDAN_CHAIN, "1,0,0")
+        assert result.exit_code == 3
+        err = summary_of(result)["error"]
+        assert err["type"] == "DefectiveMatrix"
+        assert err["message"].startswith("eigenvector basis condition ")
+        assert err["message"].endswith(" exceeds 1e+12")
+        assert err["basis_condition"] > 1e12
+
+    def test_jordan_chain_sweep_records_verlet(self, tmp_path):
+        result = self._run(tmp_path, "sweep", JORDAN_CHAIN, "1,0,0")
+        assert result.exit_code == 0
+        [record] = summary_of(result)["records"]
+        assert record == {"eps": 1.0, "spectrum_real": None, "max_im_omega": None,
+                          "eigen_gap": None, "peak_amplitude": 1.0,
+                          "beat_frequency": None, "error": None}
+
+    def test_near_chain_simulate_exits_3(self, tmp_path):
+        # the basis passes eigendecompose's 1e12 limit; the expansion check refuses it
+        result = self._run(tmp_path, "simulate", NEAR_CHAIN, "0.3,-1,2")
+        assert result.exit_code == 3
+        err = summary_of(result)["error"]
+        assert err["type"] == "DefectiveMatrix"
+        assert err["message"] == "initial condition not reproduced by the mode expansion"
+        assert 1.0 < err["basis_condition"] <= 1e12
+
+    def test_near_chain_sweep_records_verlet(self, tmp_path):
+        result = self._run(tmp_path, "sweep", NEAR_CHAIN, "0.3,-1,2")
+        assert result.exit_code == 0
+        [record] = summary_of(result)["records"]
+        assert record["spectrum_real"] is True
+        assert record["error"] is None
+        assert record["peak_amplitude"] == self._verlet_peak(NEAR_CHAIN, [0.3, -1.0, 2.0])
+
+
 class TestBadTimeFlags:
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     @pytest.mark.parametrize("flag, value", [

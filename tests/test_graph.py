@@ -387,6 +387,18 @@ class TestCanonicalSplit:
         assert np.array_equal(compose_epsilon(split, 1.0).entries, lap.entries)
         assert is_symmetric(split.lap_sym_part.entries)
 
+    @pytest.mark.parametrize("heavy", [
+        1e15,
+        # (w - w.T) - w rounds the lighter weight 1 to 0 on one side only
+        pytest.param(1e20, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 3")),
+    ])
+    def test_lopsided_pair_keeps_a_symmetric_part(self, heavy):
+        lap = laplacian_of(WeightedDigraph(2, ((0, 1, heavy), (1, 0, 1.0))))
+        split = canonical_split(lap)
+        assert np.array_equal(
+            split.lap_sym_part.entries + split.lap_oneway.entries, lap.entries)
+        assert is_symmetric(split.lap_sym_part.entries)
+
     def test_recompose_exact_on_model(self, model_lap0, model_lapI):
         lap = compose_epsilon((model_lap0, model_lapI), 1.0)
         split = canonical_split(lap)

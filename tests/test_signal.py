@@ -161,12 +161,12 @@ class TestLowFreqShare:
 class TestBeatDemo:
     def test_reference_peak_locations(self):
         demo = beat_demo(0.10, 0.11, 4096)
-        peaks = demo.peak_bins()
+        peaks = {k: sp.peak_frequency_index() for k, (_, sp) in demo.items()}
         assert abs(peaks["a"] - 65) <= 1
         assert abs(peaks["b"] - 72) <= 1
         # squared signal: beat line at |65.2 - 71.7| = 6.5 and sum line at 137
         assert 6 <= peaks["d"] <= 7 or abs(peaks["d"] - 137) <= 1
-        sq = demo.spectra["d"]
+        sq = demo["d"][1]
         high_region = sq.bins[130 - 1:146 - 1]
         low_region = sq.bins[:20]
         assert abs((130 + np.argmax(high_region)) - 137) <= 1
@@ -174,7 +174,7 @@ class TestBeatDemo:
 
     def test_smoothed_low_band_dominates(self):
         demo = beat_demo(0.10, 0.11, 4096)
-        sm = demo.spectra["e"]
+        sm = demo["e"][1]
         share_low = low_freq_share(sm, 20)
         # compare against every other contiguous 20-bin band
         nb = sm.bins.size
@@ -185,7 +185,7 @@ class TestBeatDemo:
         # bin-aligned frequency: (2 cos wt)^2 = 2 + 2 cos 2wt exactly on bin 50
         w = 2 * np.pi * 25 / 512
         demo = beat_demo(w, w, 512)
-        sq = demo.spectra["d"]
+        sq = demo["d"][1]
         peak = sq.peak_frequency_index()
         assert peak == 50
         mass_at_peak = sq.bins[peak - 2:peak + 3].sum()
@@ -194,9 +194,16 @@ class TestBeatDemo:
 
     def test_low_share_ratio_square_vs_sum(self):
         demo = beat_demo(0.10, 0.11, 4096)
-        share_sq = low_freq_share(demo.spectra["e"], 20)
-        share_sum = low_freq_share(demo.spectra["c"], 20)
+        share_sq = low_freq_share(demo["e"][1], 20)
+        share_sum = low_freq_share(demo["c"][1], 20)
         assert share_sq >= 2 * max(share_sum, 1e-12)
+
+    def test_five_panels_in_order(self):
+        demo = beat_demo(0.10, 0.11, 512)
+        assert list(demo) == ["a", "b", "c", "d", "e"]
+        for sig, sp in demo.values():
+            assert isinstance(sig, TimeSeries) and isinstance(sp, Spectrum)
+            assert np.array_equal(sp.bins, dft_spectrum(sig).bins)
 
     def test_validation(self):
         with pytest.raises(ValueError):

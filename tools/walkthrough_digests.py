@@ -22,13 +22,15 @@ mean count or t0 differ from those of the file-order log; each such file or
 field is named on stderr.
 
 To check that a change keeps every byte, run it on two trees on one machine
-and diff the outputs.  Run this copy of the tool on both trees, from each
-tree's root, so both print the same kinds of line:
+at one BLAS thread count and diff the outputs.  Run this copy of the tool on
+both trees, from each tree's root, so both print the same kinds of line:
 
-    PYTHONPATH=src python tools/walkthrough_digests.py > after.txt
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/walkthrough_digests.py > after.txt
 
 The digests are not compared with a committed copy: BLAS builds differ in
-the last bits of some results, so only runs on one machine are comparable.
+the last bits of some results, and so do BLAS thread counts (the n = 200
+``simulate`` stdout and its three CSVs move between one and two OpenBLAS
+threads), so only runs on one machine at one thread count are comparable.
 """
 
 from __future__ import annotations
