@@ -197,7 +197,7 @@ def _initial_condition(params):
 # the _Files, and returns its results.
 
 def _cmd_analyze_graph(params, files):
-    parts, _ = ingest.parse_model(files.read(params["graph"]), params["graph"])
+    parts = ingest.parse_model(files.read(params["graph"]), params["graph"])
     lap = graph.compose_epsilon(parts, params["eps"])
     es = spectral.eigendecompose(lap)
     try:
@@ -226,7 +226,7 @@ def _cmd_analyze_graph(params, files):
 
 
 def _cmd_simulate(params, files):
-    parts, _ = ingest.parse_model(files.read(params["graph"]), params["graph"])
+    parts = ingest.parse_model(files.read(params["graph"]), params["graph"])
     lap = graph.compose_epsilon(parts, params["eps"])
     t_end, dt = params["t_end"], params["dt"]
     times = dynamics.time_grid(t_end, dt)
@@ -272,13 +272,10 @@ def _cmd_simulate(params, files):
 
 
 def _cmd_centrality(params, files):
-    parts, g = ingest.parse_model(files.read(params["graph"]), params["graph"])
+    parts = ingest.parse_model(files.read(params["graph"]), params["graph"])
+    lap = graph.compose_epsilon(parts, 1.0)
     if params["betweenness"]:
-        if g is None:
-            raise DataError("betweenness reweighting needs an edge-list graph input")
-        lap = graph.laplacian_of(dynamics.betweenness_weights(g))
-    else:
-        lap = graph.compose_epsilon(parts, 1.0)
+        lap = dynamics.betweenness_weights(lap)
     values = dynamics.oscillation_centrality(lap)
     degree = np.diag(lap.entries)
     results = {
@@ -292,7 +289,7 @@ def _cmd_centrality(params, files):
 
 
 def _cmd_critical_eps(params, files):
-    (lap0, lapI), _ = ingest.parse_model(files.read(params["graph"]), params["graph"])
+    lap0, lapI = ingest.parse_model(files.read(params["graph"]), params["graph"])
     bracket = (params["lo"], params["hi"])
     eps_star, lo, hi, solves = spectral.locate_transition(lap0, lapI, bracket, params["tol"])
     return {"eps_star": eps_star, "bracket": list(bracket), "final_bracket": [lo, hi],
@@ -300,7 +297,7 @@ def _cmd_critical_eps(params, files):
 
 
 def _cmd_sweep(params, files):
-    (lap0, lapI), _ = ingest.parse_model(files.read(params["graph"]), params["graph"])
+    lap0, lapI = ingest.parse_model(files.read(params["graph"]), params["graph"])
     eps = np.array(_parse_list(params["eps"], "--eps"))
     if not np.all(np.isfinite(eps)):    # else each would be a record error, exit 0
         raise ValueError("eps must be finite")

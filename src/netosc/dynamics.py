@@ -33,11 +33,9 @@ from .graph import (
     MAX_ENTRY,
     LaplacianMatrix,
     SymmetrizableDecomposition,
-    WeightedDigraph,
     check_symmetrizable,
     compose_epsilon,
     scaled_laplacian,
-    undirected_graph,
 )
 from .signal import (
     MAX_TIME_POINTS,
@@ -183,8 +181,6 @@ def _expand(es: EigenSystem, mass, ic: InitialCondition) -> ModalSolution:
     Raises DefectiveMatrix when the expansion does not reproduce the initial
     states and velocities at t = 0.
     """
-    if ic.n != es.n:
-        raise ValueError(f"initial condition size {ic.n} != n = {es.n}")
     y = np.sqrt(mass)[:, None] * np.stack([ic.x0, ic.v0], axis=1)
     a0, ad0 = np.linalg.solve(es.eigenvectors, y).T
     om = es.omegas
@@ -219,13 +215,16 @@ def modal_solve(model: LaplacianMatrix | SymmetrizableDecomposition,
     A SymmetrizableDecomposition of a Laplacian is expanded on the
     orthonormal basis of its scaled symmetric matrix; a LaplacianMatrix is
     decomposed itself (mass 1).  Either way the matrix is decomposed once,
-    and the solution carries that EigenSystem.  Raises DefectiveMatrix when
-    the eigenbasis is numerically dependent or the expansion does not
-    reproduce ``ic`` at t = 0.
+    and the solution carries that EigenSystem.  Raises ValueError first when
+    ``ic`` has another size, and DefectiveMatrix when the eigenbasis is
+    numerically dependent or the expansion does not reproduce it at t = 0.
     """
-    if isinstance(model, SymmetrizableDecomposition):
-        return _expand(eigendecompose(scaled_laplacian(model)), model.m, ic)
-    return _expand(eigendecompose(model), np.ones(model.n), ic)
+    symmetrizable = isinstance(model, SymmetrizableDecomposition)
+    mass = model.m if symmetrizable else np.ones(model.n)
+    if ic.n != mass.size:
+        raise ValueError(f"initial condition size {ic.n} != n = {mass.size}")
+    es = eigendecompose(scaled_laplacian(model) if symmetrizable else model)
+    return _expand(es, mass, ic)
 
 
 def _time_blocks(size):
@@ -509,8 +508,9 @@ def total_energy_series(sol: ModalSolution, times) -> EnergyReport:
                         TimeSeries(values=values, dt=dt, origin=float(times[0])))
 
 
-def betweenness_weights(g: WeightedDigraph) -> WeightedDigraph:
-    """Reweight an undirected unit-weight graph by shortest-path counts.
+def betweenness_weights(lap: LaplacianMatrix) -> LaplacianMatrix:
+    """Reweight a unit-weight undirected graph's Laplacian by shortest-path
+    counts: w = -lap off the diagonal must be 0 or 1, and symmetric.
 
     Each link's new weight is the number of shortest paths, over all node
     pairs, that traverse it (same weight in both orientations).  The counts
@@ -519,22 +519,23 @@ def betweenness_weights(g: WeightedDigraph) -> WeightedDigraph:
     order gives below[v] = 1 + the sum of below over v's children in the
     shortest-path DAG, so the DAG edge u -> v carries sigma[u] * below[v]
     paths from that source.  Every unordered pair is counted from both of its
-    ends, hence the halving.  O(n * E) time, no size cap.
+    ends, hence the halving.  The counts are Python ints, which outgrow int64
+    and float64.  O(n * E) time, no size cap.
     """
-    counts = {}
-    for s, d, w in g.edges:
-        if w != 1.0:
-            raise InvalidGraph("betweenness reweighting requires unit weights")
-        counts[(s, d)] = 0
-    for s, d in counts:
-        if (d, s) not in counts:
-            raise InvalidGraph(f"missing reciprocal edge for ({s},{d})")
-    adj = [[] for _ in range(g.n)]
+    n, w = lap.n, -lap.entries
+    np.fill_diagonal(w, 0.0)
+    links = w != 0
+    if np.any(w[links] != 1.0):
+        raise InvalidGraph("betweenness reweighting requires unit weights")
+    if (missing := np.argwhere(links & ~links.T)).size:
+        raise InvalidGraph(f"missing reciprocal edge for ({missing[0][0]},{missing[0][1]})")
+    counts = dict.fromkeys(map(tuple, np.argwhere(links).tolist()), 0)
+    adj = [[] for _ in range(n)]
     for s, d in counts:
         adj[s].append(d)
-    for source in range(g.n):
-        dist = [-1] * g.n
-        sigma = [0] * g.n
+    for source in range(n):
+        dist = [-1] * n
+        sigma = [0] * n
         dist[source], sigma[source] = 0, 1
         order = [source]
         for u in order:  # grows while it is walked: a BFS queue
@@ -544,16 +545,16 @@ def betweenness_weights(g: WeightedDigraph) -> WeightedDigraph:
                     order.append(v)
                 if dist[v] == dist[u] + 1:
                     sigma[v] += sigma[u]
-        if len(order) < g.n:
+        if len(order) < n:
             raise Disconnected("betweenness weights need a connected graph")
-        below = [1] * g.n
+        below = [1] * n
         for u in reversed(order):
             for v in adj[u]:
                 if dist[v] == dist[u] + 1:
                     below[u] += below[v]
                     counts[(u, v)] += sigma[u] * below[v]
-    return undirected_graph(g.n, [(u, v, (c + counts[(v, u)]) / 2)
-                                  for (u, v), c in counts.items() if u < v])
+    w[links] = [(c + counts[(v, u)]) / 2 for (u, v), c in counts.items()]
+    return LaplacianMatrix(np.diag(w.sum(axis=1)) - w)
 
 
 def oscillation_centrality(lap: LaplacianMatrix) -> np.ndarray:
@@ -602,12 +603,14 @@ def epsilon_sweep(lap0: LaplacianMatrix, lapI: LaplacianMatrix, eps_list,
     otherwise; the beat frequency is read off node 0's trajectory.  Either
     path's state blocks are folded into the peak amplitude and node 0's
     series as they are produced, so working memory is O(n^2 + T), not the
-    (T, n) states.  A bad time grid raises ValueError before any epsilon is
-    probed.  Data and numeric failures (NetoscError, ValueError, numpy's
-    LinAlgError) are recorded per epsilon, not raised; any other exception
-    propagates.  Output order follows ``eps_list``.
+    (T, n) states.  A bad time grid or an ``ic`` of another size raises
+    ValueError before any epsilon is probed.  Data and numeric failures
+    (NetoscError, ValueError, numpy's LinAlgError) are recorded per epsilon,
+    not raised; any other exception propagates.  Records follow ``eps_list``.
     """
     times = time_grid(t_end, dt)
+    if ic.n != lap0.n:
+        raise ValueError(f"initial condition size {ic.n} != n = {lap0.n}")
     records = []
     for eps in eps_list:
         eps = float(eps)

@@ -3,12 +3,12 @@
 Model files, read by parse_model: a name ending in .csv, in any case, is an
 edge list with header src,dst,w, whose node count is one more than the
 largest endpoint; any other is JSON, read by the first form it holds:
-{"lap0", "lapI"}, {"laplacian"}, then {"n", "edges"}.  Each is an
-epsilon-family lap0 + eps * lapI that is the model itself at eps = 1: the
-pair as given, any other form through graph.canonical_split.  Event
-logs are timestamp CSVs, read in file order and binned without sorting into
-fixed intervals (16-minute bins sliced into 256- or 128-sample analysis
-periods is the usual configuration).
+{"lap0", "lapI"}, {"laplacian"}, then {"n", "edges"}.  parse_model returns
+each as the epsilon-family lap0 + eps * lapI alone, the model itself at
+eps = 1: the pair as given, any other form through graph.canonical_split of
+its Laplacian.  Event logs are timestamp CSVs, read in file order and binned
+without sorting into fixed intervals (16-minute bins sliced into 256- or
+128-sample analysis periods is the usual configuration).
 Trends segments are datetime,value CSVs of hourly interest values normalized
 per segment to max 100; chains of overlapping segments, matched and aligned
 within the step rule's tolerance, are fused left to right: all accumulated so
@@ -291,8 +291,7 @@ def parse_series_csv(text: str) -> TimeSeries:
 
 def parse_model(text: str, name: str):
     """The model file ``text`` named ``name``, in the forms and precedence
-    the module docstring lists, as the epsilon-family (lap0, lapI), plus its
-    digraph when the file is one (else None)."""
+    the module docstring lists, as the epsilon-family (lap0, lapI) alone."""
     if name.lower().endswith(".csv"):
         g = graph_from_edge_csv(text)
     else:
@@ -306,10 +305,10 @@ def parse_model(text: str, name: str):
             if lap0.n != lapI.n:
                 raise InvalidGraph(f"lap0 is {lap0.n}x{lap0.n} but lapI is {lapI.n}x{lapI.n}; "
                                    f"the pair must have one size")
-            return (lap0, lapI), None
+            return lap0, lapI
         if "laplacian" in doc:
-            lap, g = LaplacianMatrix(doc["laplacian"]), None
-        elif "n" in doc and "edges" in doc:
+            return canonical_split(LaplacianMatrix(doc["laplacian"]))
+        if "n" in doc and "edges" in doc:
             if not _is_json_int(n := doc["n"]):
                 raise ParseError(f'"n" must be an integer, got {n!r}')
             edges = []
@@ -325,7 +324,7 @@ def parse_model(text: str, name: str):
             g = WeightedDigraph(n=n, edges=tuple(edges))
         else:
             raise ParseError('graph JSON requires keys "n" and "edges"')
-    return canonical_split(lap if g is None else laplacian_of(g)), g
+    return canonical_split(laplacian_of(g))
 
 
 def _is_json_int(v):

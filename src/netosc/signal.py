@@ -204,14 +204,14 @@ def beat_demo(omega1: float, omega2: float, n: int) -> dict:
     (TimeSeries, Spectrum) pair with the normalized spectrum: the two
     cosines, their sum, the squared sum, and the smoothed square.
 
-    ``n`` must be a power of two >= 256; both frequencies must lie in
-    (0, pi).  Panel "e" smooths the squared sum with window 64: 65 samples.
-    With (0.10, 0.11, 4096) the tone spectra peak at bins 65 and 72, the
-    squared sum at 137 and 6..7, and after the smoothing the beat line
-    dominates.
+    ``n`` must be a power of two in [256, MAX_TIME_POINTS]; both frequencies
+    must lie in (0, pi).  Panel "e" smooths the squared sum with window 64:
+    65 samples.  With (0.10, 0.11, 4096) the tone spectra peak at bins 65
+    and 72, the squared sum at 137 and 6..7, and after the smoothing the
+    beat line dominates.
     """
-    if n < 256 or (n & (n - 1)) != 0:
-        raise ValueError(f"n must be a power of two >= 256, got {n}")
+    if not 256 <= n <= MAX_TIME_POINTS or (n & (n - 1)) != 0:
+        raise ValueError(f"n must be a power of two in [256, {MAX_TIME_POINTS}], got {n}")
     for w in (omega1, omega2):
         if not (0.0 < w < np.pi):
             raise ValueError(f"angular frequency {w} outside (0, pi)")

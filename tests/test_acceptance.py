@@ -240,8 +240,8 @@ def test_criterion_7_centrality_equivalence():
     for n in range(3, 9):
         for _, edges in trees[n]:
             links = list(edges)
-            bw = betweenness_weights(undirected_graph(n, links))
-            cent = oscillation_centrality(laplacian_of(bw))
+            bw = betweenness_weights(laplacian_of(undirected_graph(n, links)))
+            cent = oscillation_centrality(bw)
             bc = brute_force_betweenness(n, links)
             design = np.vstack([bc, np.ones(n)]).T
             coef, *_ = np.linalg.lstsq(design, cent, rcond=None)

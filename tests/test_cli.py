@@ -24,6 +24,7 @@ from netosc.graph import (
     check_symmetrizable,
     compose_epsilon,
     laplacian_of,
+    undirected_graph,
 )
 from netosc.ingest import parse_trend_csv
 from netosc.spectral import critical_epsilon, eigendecompose
@@ -400,8 +401,8 @@ class TestSimulate:
     @pytest.mark.parametrize("graph, x0, t_end, dt", [
         # a weak pair keeps the Verlet guard above dt = 0.1: 100,001 times
         ({"n": 2, "edges": [[0, 1, 1e-4], [1, 0, 1e-4]]}, "1,2", "10000", "0.1"),
-        pytest.param({"lap0": MODEL_L0.tolist(), "lapI": MODEL_LI.tolist()},
-                     "10,2,7,5,6", "10000", "0.01", marks=pytest.mark.slow),
+        # the README model over 1,000,001 times
+        ({"lap0": MODEL_L0.tolist(), "lapI": MODEL_LI.tolist()}, "10,2,7,5,6", "10000", "0.01"),
     ])
     def test_long_grid(self, tmp_path, graph, x0, t_end, dt):
         # the steps of k * dt differ by ~1.5e-12 at t ~ 1e4
@@ -615,6 +616,26 @@ class TestBadTimeFlags:
             "dt must be positive and t_end nonnegative, both finite")
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("lap0, lap_i", [
+        (MODEL_L0.tolist(), MODEL_LI.tolist()),
+        (np.zeros((3, 3)).tolist(), JORDAN_CHAIN),
+    ], ids=["readme-model", "jordan-chain"])
+    def test_wrong_size_x0_is_usage_error_before_any_solve(
+            self, tmp_path, capsys, eigendecompose_calls, command, lap0, lap_i):
+        # the Jordan chain's eigensolve would refuse its basis with exit 3
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps({"lap0": lap0, "lapI": lap_i}))
+        argv = [command, "--graph", str(path), "--x0", "1,2", "--t-end", "5", "--dt", "0.05"]
+        if command == "sweep":
+            argv += ["--eps", "0,1.5"]
+        result = run(argv)
+        assert result.exit_code == 1
+        assert capsys.readouterr().err.strip() == result.summary
+        assert summary_of(result)["error"] == {
+            "type": "ValueError", "message": f"initial condition size 2 != n = {len(lap0)}"}
+        assert eigendecompose_calls == []
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
     @pytest.mark.parametrize("dt", ["1e-320", "1e-9"])
     def test_oversized_grid_is_usage_error(self, model_json, capsys, eigendecompose_calls,
                                            command, dt):
@@ -685,6 +706,26 @@ class TestCentrality:
         result = run(["centrality", "--graph", str(path), "--betweenness"])
         doc = summary_of(result)
         assert doc["ranking"][0] == 0
+
+    def test_betweenness_takes_every_model_form(self, tmp_path):
+        # one unit graph, a 6-ring with a chord, as each form parse_model reads
+        g = undirected_graph(6, [(k, (k + 1) % 6) for k in range(6)] + [(0, 3)])
+        lap = laplacian_of(g).entries.tolist()
+        texts = {
+            "g.json": json.dumps({"n": g.n, "edges": [list(e) for e in g.edges]}),
+            "g.csv": "src,dst,w\n" + "".join(f"{s},{d},{w}\n" for s, d, w in g.edges),
+            "lap.json": json.dumps({"laplacian": lap}),
+            "pair.json": json.dumps({"lap0": lap, "lapI": np.zeros((g.n, g.n)).tolist()}),
+        }
+        written = set()
+        for name, text in texts.items():
+            (tmp_path / name).write_text(text)
+            out = tmp_path / f"out-{name}"
+            result = run(["centrality", "--graph", str(tmp_path / name), "--betweenness",
+                          "--out", str(out)])
+            assert result.exit_code == 0
+            written.add((out / "centrality.csv").read_bytes())
+        assert len(written) == 1
 
 
 class TestBinAndFuse:
@@ -1034,8 +1075,8 @@ class TestErrorTable:
         (["analyze-graph"], json.dumps({"laplacian": [[-3e-12, 1e-12, 1e-12, 1e-12]]
                                         + [[0, 0, 0, 0]] * 3}),
          "diagonal entries must be >= 0"),
-        (["centrality", "--betweenness"], '{"laplacian": [[1, -1], [-1, 1]]}',
-         "betweenness reweighting needs an edge-list graph input"),
+        (["centrality", "--betweenness"], '{"laplacian": [[2, -2], [-2, 2]]}',
+         "betweenness reweighting requires unit weights"),
     ], ids=["non-square", "non-finite", "row-sums", "positive-off-diagonal",
             "negative-diagonal", "betweenness-on-matrix"])
     def test_refused_matrix_is_data_error(self, tmp_path, argv, text, message):
@@ -1043,7 +1084,7 @@ class TestErrorTable:
         path.write_text(text)
         result = run([argv[0], "--graph", str(path), *argv[1:]])
         assert result.exit_code == 2
-        assert summary_of(result)["error"]["message"] == message
+        assert summary_of(result)["error"] == {"type": "InvalidGraph", "message": message}
 
     @pytest.mark.parametrize("argv, code, error_type, message", [
         (["critical-eps", "--graph", "model.json", "--lo", "1", "--hi", "1"], 3,

@@ -716,7 +716,7 @@ class TestBlockedEvaluation:
 
 def betweenness_loop(g):
     """betweenness_weights as the loop over node pairs and links (reference,
-    O(n^2 E)); returns the reweighted edge tuple."""
+    O(n^2 E)); returns the Laplacian of the reweighted digraph."""
     links = [(s, d) for s, d, _ in g.edges]
     adj = [[] for _ in range(g.n)]
     for s, d in links:
@@ -748,7 +748,7 @@ def betweenness_loop(g):
                     counts[(u, v)] += sigmas[s][u] * sigmas[t][v]
                 if dists[s][v] + 1 + dists[t][u] == d_st:
                     counts[(u, v)] += sigmas[s][v] * sigmas[t][u]
-    return undirected_graph(g.n, [(u, v, c) for (u, v), c in counts.items()]).edges
+    return laplacian_of(undirected_graph(g.n, [(u, v, c) for (u, v), c in counts.items()]))
 
 
 def random_connected_pairs(rng, n, extra):
@@ -774,30 +774,32 @@ def grid_pairs(rows, cols):
     return right + down
 
 
+def assert_same_laplacian(a, b):
+    assert np.array_equal(a.entries, b.entries)
+
+
 class TestBetweennessWeights:
     def test_path_graph(self):
         g = undirected_graph(3, [(0, 1), (1, 2)])
-        bw = betweenness_weights(g)
-        weights = {(s, d): w for s, d, w in bw.edges}
-        assert weights[(0, 1)] == 2.0 and weights[(1, 0)] == 2.0
-        assert weights[(1, 2)] == 2.0 and weights[(2, 1)] == 2.0
+        weights = -betweenness_weights(laplacian_of(g)).entries
+        assert weights[0, 1] == 2.0 and weights[1, 0] == 2.0
+        assert weights[1, 2] == 2.0 and weights[2, 1] == 2.0
 
     def test_triangle(self):
-        g = undirected_graph(3, [(0, 1), (1, 2), (2, 0)])
-        bw = betweenness_weights(g)
-        assert all(w == 1.0 for _, _, w in bw.edges)
+        lap = laplacian_of(undirected_graph(3, [(0, 1), (1, 2), (2, 0)]))
+        assert_same_laplacian(betweenness_weights(lap), lap)
 
     def test_star(self):
-        g = undirected_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
-        bw = betweenness_weights(g)
-        assert all(w == 4.0 for _, _, w in bw.edges)
+        links = [(0, 1), (0, 2), (0, 3), (0, 4)]
+        assert_same_laplacian(betweenness_weights(laplacian_of(undirected_graph(5, links))),
+                              laplacian_of(undirected_graph(5, [(*p, 4.0) for p in links])))
 
     def test_square_with_two_shortest_paths(self):
         # 4-cycle: opposite corners have two shortest paths, each edge carries
         # pairs (adjacent: 1 path) + 2 diagonal pairs contributing 1 each
-        g = undirected_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        bw = betweenness_weights(g)
-        assert all(w == 3.0 for _, _, w in bw.edges)
+        links = [(0, 1), (1, 2), (2, 3), (3, 0)]
+        assert_same_laplacian(betweenness_weights(laplacian_of(undirected_graph(4, links))),
+                              laplacian_of(undirected_graph(4, [(*p, 3.0) for p in links])))
 
     def test_matches_pair_loop_on_random_graphs(self):
         rng = np.random.default_rng(21)
@@ -805,16 +807,16 @@ class TestBetweennessWeights:
             n = int(rng.integers(2, 20))
             extra = int(rng.integers(0, n))
             g = undirected_graph(n, random_connected_pairs(rng, n, extra))
-            assert betweenness_weights(g).edges == betweenness_loop(g)
+            assert_same_laplacian(betweenness_weights(laplacian_of(g)), betweenness_loop(g))
 
     @pytest.mark.parametrize("rows, cols", [(2, 2), (3, 3), (3, 6), (5, 5)])
     def test_matches_pair_loop_on_grids(self, rows, cols):
         g = undirected_graph(rows * cols, grid_pairs(rows, cols))
-        assert betweenness_weights(g).edges == betweenness_loop(g)
+        assert_same_laplacian(betweenness_weights(laplacian_of(g)), betweenness_loop(g))
 
     def test_matches_pair_loop_beyond_64_nodes(self):
         g = undirected_graph(100, random_connected_pairs(np.random.default_rng(5), 100, 8))
-        assert betweenness_weights(g).edges == betweenness_loop(g)
+        assert_same_laplacian(betweenness_weights(laplacian_of(g)), betweenness_loop(g))
 
     def test_matches_networkx_path_enumeration(self):
         nx = pytest.importorskip("networkx")
@@ -829,8 +831,9 @@ class TestBetweennessWeights:
                     for path in nx.all_shortest_paths(graph, s, t):
                         for link in zip(path, path[1:]):
                             want[frozenset(link)] += 1
-            bw = betweenness_weights(undirected_graph(n, pairs))
-            assert {frozenset((s, d)): w for s, d, w in bw.edges} == want
+            bw = betweenness_weights(laplacian_of(undirected_graph(n, pairs)))
+            assert_same_laplacian(bw, laplacian_of(undirected_graph(
+                n, [(*link, count) for link, count in want.items()])))
 
     @pytest.mark.parametrize("g, error, message", [
         (undirected_graph(3, [(0, 1, 2.0), (1, 2, 2.0)]), InvalidGraph, "unit weights"),
@@ -838,8 +841,9 @@ class TestBetweennessWeights:
         (undirected_graph(4, [(0, 1), (2, 3)]), Disconnected, "connected"),
     ])
     def test_refusals_kept(self, g, error, message):
+        lap = laplacian_of(g)
         with pytest.raises(error, match=message):
-            betweenness_weights(g)
+            betweenness_weights(lap)
 
 
 class TestOscillationCentrality:
@@ -873,8 +877,8 @@ class TestOscillationCentrality:
             (7, [(0, 1), (1, 2), (1, 3), (3, 4), (4, 5), (4, 6)]),
         ]
         for n, links in trees:
-            bw = betweenness_weights(undirected_graph(n, links))
-            cent = oscillation_centrality(laplacian_of(bw))
+            bw = betweenness_weights(laplacian_of(undirected_graph(n, links)))
+            cent = oscillation_centrality(bw)
             bc = brute_force_betweenness(n, links)
             # affine fit cent ~ beta * bc + gamma
             A = np.vstack([bc, np.ones(n)]).T

@@ -472,9 +472,9 @@ class TestComposeEpsilon:
 
 class TestInterchange:
     def test_json_roundtrip(self):
-        _, g = parse_model('{"n": 3, "edges": [[0, 1, 1.5], [2, 0, 0.25]]}', "g.json")
-        assert g.n == 3
-        assert g.edges == ((0, 1, 1.5), (2, 0, 0.25))
+        parts = parse_model('{"n": 3, "edges": [[0, 1, 1.5], [2, 0, 0.25]]}', "g.json")
+        assert np.array_equal(compose_epsilon(parts, 1.0).entries, laplacian_of(
+            WeightedDigraph(n=3, edges=((0, 1, 1.5), (2, 0, 0.25)))).entries)
 
     def test_json_errors(self):
         for text in ('{"nodes": 3}', "[[0, 1, 1.0]]"):
@@ -508,9 +508,10 @@ class TestInterchange:
             parse_model('{"n": 2, "edges": [%s, [1, 0, 1]]}' % edge, "g.json")
 
     def test_json_keeps_integer_and_float_weights(self):
-        _, g = parse_model('{"n": 2, "edges": [[0, 1, 2], [1, 0, 0.5]]}', "g.json")
-        assert g.edges == ((0, 1, 2.0), (1, 0, 0.5))
-        assert all(type(w) is float for _, _, w in g.edges)
+        parts = parse_model('{"n": 2, "edges": [[0, 1, 2], [1, 0, 0.5]]}', "g.json")
+        lap = compose_epsilon(parts, 1.0).entries
+        assert np.array_equal(lap, [[2.0, -2.0], [-0.5, 0.5]])
+        assert lap.dtype == np.float64
 
     def test_parse_errors_name_the_file_line(self):
         # lines 2 and 4 are blank; line 5 holds the bad value

@@ -573,6 +573,11 @@ def _model_texts(g):
     }
 
 
+def _model_laplacian(text, name):
+    """The model ``parse_model`` reads, at eps = 1."""
+    return compose_epsilon(parse_model(text, name), 1.0).entries
+
+
 class TestParseModel:
     G = seeded_digraph(1, 8)
     PAIR = {"lap0": MODEL_L0.tolist(), "lapI": MODEL_LI.tolist()}
@@ -582,27 +587,27 @@ class TestParseModel:
         doc = {**self.PAIR, **({"laplacian": laplacian_of(self.G).entries.tolist(),
                                 "n": self.G.n, "edges": [list(e) for e in self.G.edges]}
                                if others else {})}
-        (lap0, lapI), g = parse_model(json.dumps(doc), "model.json")
-        assert g is None
+        lap0, lapI = parse_model(json.dumps(doc), "model.json")
         assert np.array_equal(lap0.entries, MODEL_L0)
         assert np.array_equal(lapI.entries, MODEL_LI)
 
     @pytest.mark.parametrize("name", ["g.json", "g.csv", "lap.json"])
     def test_other_forms_are_the_split_recomposing_at_one(self, name):
-        parts, g = parse_model(_model_texts(self.G)[name], name)
+        parts = parse_model(_model_texts(self.G)[name], name)
         lap = laplacian_of(self.G)
         assert all(np.array_equal(a.entries, b.entries)
                    for a, b in zip(parts, canonical_split(lap)))
         assert np.array_equal(compose_epsilon(parts, 1.0).entries, lap.entries)
-        assert g == (None if name == "lap.json" else self.G)
 
     @pytest.mark.parametrize("name", ["g.CSV", "g.Csv", "dir.json/g.csv"])
     def test_csv_suffix_ignores_case(self, name):
-        assert parse_model(_model_texts(self.G)["g.csv"], name)[1] == self.G
+        assert np.array_equal(_model_laplacian(_model_texts(self.G)["g.csv"], name),
+                              laplacian_of(self.G).entries)
 
     @pytest.mark.parametrize("name", ["g", "g.csv.json", "g.txt"])
     def test_any_other_name_is_json(self, name):
-        assert parse_model(_model_texts(self.G)["g.json"], name)[1] == self.G
+        assert np.array_equal(_model_laplacian(_model_texts(self.G)["g.json"], name),
+                              laplacian_of(self.G).entries)
         with pytest.raises(ParseError, match=f"^invalid JSON in {name}: Expecting value"):
             parse_model(_model_texts(self.G)["g.csv"], name)
 
@@ -610,14 +615,12 @@ class TestParseModel:
     def test_laplacian_precedes_digraph_and_half_a_pair(self, half):
         doc = {half: self.PAIR[half], "laplacian": MODEL_L0.tolist(),
                "n": self.G.n, "edges": [list(e) for e in self.G.edges]}
-        parts, g = parse_model(json.dumps(doc), "m.json")
-        assert g is None
-        assert np.array_equal(compose_epsilon(parts, 1.0).entries, MODEL_L0)
+        assert np.array_equal(_model_laplacian(json.dumps(doc), "m.json"), MODEL_L0)
 
     def test_digraph_under_half_a_pair(self):
         doc = {"lap0": MODEL_L0.tolist(), "n": 2, "edges": [[0, 1, 1.0], [1, 0, 2.0]]}
-        assert parse_model(json.dumps(doc), "m.json")[1] == WeightedDigraph(
-            n=2, edges=((0, 1, 1.0), (1, 0, 2.0)))
+        assert np.array_equal(_model_laplacian(json.dumps(doc), "m.json"), laplacian_of(
+            WeightedDigraph(n=2, edges=((0, 1, 1.0), (1, 0, 2.0)))).entries)
 
     @pytest.mark.parametrize("text", ["[]", "3", '"n"', "null", '{"n": 2}', '{"edges": []}',
                                       '{"lap0": [[0]]}'])

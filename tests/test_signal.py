@@ -212,6 +212,8 @@ class TestBeatDemo:
             beat_demo(0.0, 0.11, 512)
         with pytest.raises(ValueError):
             beat_demo(0.1, 3.5, 512)
+        with pytest.raises(ValueError):
+            beat_demo(0.1, 0.11, 2**24)  # past MAX_TIME_POINTS, refused before allocating
 
 
 class TestAnalyzePeriod:

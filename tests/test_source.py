@@ -79,6 +79,16 @@ def test_ingest_imports_only_errors_graph_and_signal():
     assert imported <= {"errors", "graph", "signal"}, imported
 
 
+def test_only_graph_and_ingest_name_the_digraph():
+    """Past ingest a model is its Laplacian: no other module builds or reads
+    a WeightedDigraph."""
+    digraph_names = {"WeightedDigraph", "undirected_graph", "laplacian_of",
+                     "graph_from_edge_csv"}
+    naming = {module for module, tree in _trees(SRC).items()
+              if digraph_names & set(_references(tree))}
+    assert naming <= {"graph.py", "ingest.py", "__init__.py"}, naming
+
+
 def test_cli_decodes_no_input():
     """The CLI hands input text to ingest's parsers: it calls no json.loads
     and no ingest.graph_from_* reader (json.dumps renders its output)."""
