@@ -10,7 +10,6 @@ from .dynamics import (
     EnergyReport,
     InitialCondition,
     ModalSolution,
-    SweepRecord,
     Trajectory,
     betweenness_weights,
     epsilon_sweep,

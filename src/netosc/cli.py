@@ -24,7 +24,7 @@ import json
 import os
 import sys
 from contextlib import suppress
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -303,9 +303,8 @@ def _cmd_sweep(params, files):
         raise ValueError("eps must be finite")
     records = dynamics.epsilon_sweep(lap0, lapI, eps, _initial_condition(params),
                                      params["t_end"], params["dt"])
-    results = {"records": [asdict(r) for r in records]}
-    files.write("sweep.json", lambda: [_json(results["records"]) + "\n"])
-    return results
+    files.write("sweep.json", lambda: [_json(records) + "\n"])
+    return {"records": records}
 
 
 def _cmd_spectrum(params, files):

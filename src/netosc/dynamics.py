@@ -520,7 +520,9 @@ def betweenness_weights(lap: LaplacianMatrix) -> LaplacianMatrix:
     shortest-path DAG, so the DAG edge u -> v carries sigma[u] * below[v]
     paths from that source.  Every unordered pair is counted from both of its
     ends, hence the halving.  The counts are Python ints, which outgrow int64
-    and float64.  O(n * E) time, no size cap.
+    and float64; a link's two counts are equal (a shortest path reversed is
+    one), and one above MAX_ENTRY raises OutOfRange before the division, as a
+    Laplacian entry that large does.  O(n * E) time, no size cap.
     """
     n, w = lap.n, -lap.entries
     np.fill_diagonal(w, 0.0)
@@ -553,6 +555,8 @@ def betweenness_weights(lap: LaplacianMatrix) -> LaplacianMatrix:
                 if dist[v] == dist[u] + 1:
                     below[u] += below[v]
                     counts[(u, v)] += sigma[u] * below[v]
+    if max(counts.values(), default=0) > MAX_ENTRY:
+        raise OutOfRange(f"Laplacian entries above {MAX_ENTRY:.0e} in magnitude")
     w[links] = [(c + counts[(v, u)]) / 2 for (u, v), c in counts.items()]
     return LaplacianMatrix(np.diag(w.sum(axis=1)) - w)
 
@@ -570,22 +574,14 @@ def oscillation_centrality(lap: LaplacianMatrix) -> np.ndarray:
     return (np.abs(es.eigenvectors[:, keep]) ** 2) @ es.eigenvalues.real[keep]
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """Summary of one epsilon probe."""
-
-    eps: float
-    spectrum_real: bool | None = None
-    max_im_omega: float | None = None
-    eigen_gap: float | None = None
-    peak_amplitude: float | None = None
-    beat_frequency: float | None = None
-    error: str | None = None
+# The keys of an epsilon_sweep row, in order; None where a key does not apply.
+SWEEP_FIELDS = ("eps", "spectrum_real", "max_im_omega", "eigen_gap",
+                "peak_amplitude", "beat_frequency", "error")
 
 
 def _peak_and_first_node(blocks, size):
     """Fold of a producer's (rows, x) blocks over a grid of ``size`` times:
-    max |x| and node 0's series, the only state a sweep record needs."""
+    max |x| and node 0's series, the only state a sweep row needs."""
     peak, first = 0.0, np.empty(size)
     for rows, x in blocks:
         peak = max(peak, float(np.max(np.abs(x))))
@@ -594,8 +590,9 @@ def _peak_and_first_node(blocks, size):
 
 
 def epsilon_sweep(lap0: LaplacianMatrix, lapI: LaplacianMatrix, eps_list,
-                  ic: InitialCondition, t_end: float, dt: float) -> list[SweepRecord]:
-    """Per-epsilon regime summary along lap0 + eps * lapI.
+                  ic: InitialCondition, t_end: float, dt: float) -> list[dict]:
+    """Per-epsilon regime summary along lap0 + eps * lapI: one dict per
+    epsilon, keyed by SWEEP_FIELDS.
 
     Each epsilon is decomposed once: the spectral fields and the mode
     expansion come from the same EigenSystem.  Uses the modal path where the
@@ -614,7 +611,8 @@ def epsilon_sweep(lap0: LaplacianMatrix, lapI: LaplacianMatrix, eps_list,
     records = []
     for eps in eps_list:
         eps = float(eps)
-        fields = {"eps": eps}
+        fields = dict.fromkeys(SWEEP_FIELDS)
+        fields["eps"] = eps
         try:
             lap = compose_epsilon((lap0, lapI), eps)
             try:
@@ -630,9 +628,9 @@ def epsilon_sweep(lap0: LaplacianMatrix, lapI: LaplacianMatrix, eps_list,
                 peak, first = _peak_and_first_node(verlet_blocks(lap, ic, dt, t_end),
                                                    times.size)
             fields["peak_amplitude"] = peak
-            if fields.get("spectrum_real"):
+            if fields["spectrum_real"]:
                 fields["beat_frequency"] = float(estimate_beat_frequency(first, dt))
         except (NetoscError, ValueError) as exc:  # LinAlgError is a ValueError
             fields["error"] = f"{type(exc).__name__}: {exc}"
-        records.append(SweepRecord(**fields))
+        records.append(fields)
     return records

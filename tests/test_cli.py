@@ -727,6 +727,22 @@ class TestCentrality:
             written.add((out / "centrality.csv").read_bytes())
         assert len(written) == 1
 
+    @pytest.mark.slow
+    def test_betweenness_overflow_is_out_of_range(self, tmp_path, capsys):
+        # 1,026 layers of two nodes, each node linked to both of the next
+        # layer's: 2^1025 shortest paths end to end, past the float range
+        layers = 1026
+        edges = [[2 * k + a, 2 * k + 2 + b, 1.0] for k in range(layers - 1)
+                 for a in (0, 1) for b in (0, 1)]
+        edges += [[d, s, w] for s, d, w in edges]
+        path = tmp_path / "ladder.json"
+        path.write_text(json.dumps({"n": 2 * layers, "edges": edges}))
+        result = run(["centrality", "--graph", str(path), "--betweenness"])
+        assert result.exit_code == 2
+        assert capsys.readouterr().err == ""
+        assert summary_of(result)["error"] == {
+            "type": "OutOfRange", "message": "Laplacian entries above 1e+150 in magnitude"}
+
 
 class TestBinAndFuse:
     def test_bin_counts(self, tmp_path):

@@ -845,6 +845,16 @@ class TestBetweennessWeights:
         with pytest.raises(error, match=message):
             betweenness_weights(lap)
 
+    def test_count_above_max_entry_is_out_of_range(self, monkeypatch):
+        # each link of the 4-ring carries 3 paths; a count past MAX_ENTRY is
+        # refused before its division could overflow a float
+        lap = laplacian_of(undirected_graph(4, [(k, (k + 1) % 4) for k in range(4)]))
+        monkeypatch.setattr(dynamics, "MAX_ENTRY", 3.0)
+        assert -betweenness_weights(lap).entries[0, 1] == 3.0
+        monkeypatch.setattr(dynamics, "MAX_ENTRY", 2.0)
+        with pytest.raises(OutOfRange, match=r"^Laplacian entries above 2e\+00 in magnitude$"):
+            betweenness_weights(lap)
+
 
 class TestOscillationCentrality:
     def test_degree_on_unit_graphs(self):
@@ -919,15 +929,15 @@ class TestEpsilonSweep:
         records = epsilon_sweep(
             LaplacianMatrix(MODEL_L0), LaplacianMatrix(MODEL_LI),
             [0.0, 1.5, 1.65, 1.66], model_ic(), t_end=200.0, dt=0.05)
-        flags = [r.spectrum_real for r in records]
+        flags = [r["spectrum_real"] for r in records]
         assert flags == [True, True, True, False]
-        assert all(r.error is None for r in records)
+        assert all(r["error"] is None for r in records)
 
     def test_peak_amplitude_monotone(self):
         records = epsilon_sweep(
             LaplacianMatrix(MODEL_L0), LaplacianMatrix(MODEL_LI),
             [0.0, 1.5, 1.65], model_ic(), t_end=200.0, dt=0.05)
-        peaks = [r.peak_amplitude for r in records]
+        peaks = [r["peak_amplitude"] for r in records]
         assert peaks[0] <= peaks[1] <= peaks[2]
 
     def test_eps_zero_matches_modal_peak(self):
@@ -937,7 +947,7 @@ class TestEpsilonSweep:
         sol = modal_solve(model(0.0), model_ic())
         times = np.arange(0.0, 50.0 + 0.025, 0.05)
         expected = float(np.max(np.abs(evaluate_states(sol, times))))
-        assert records[0].peak_amplitude == pytest.approx(expected, rel=1e-12)
+        assert records[0]["peak_amplitude"] == pytest.approx(expected, rel=1e-12)
 
     def test_one_decomposition_per_eps(self, eigendecompose_calls):
         eps_list = [0.0, 1.5, 1.65, 1.66]
@@ -953,7 +963,7 @@ class TestEpsilonSweep:
             eigendecompose(chain)
         records = epsilon_sweep(zero, chain, [1.0], InitialCondition.at_rest([1.0, 0.0, 0.0]),
                                 t_end=5.0, dt=0.05)
-        assert dataclasses.asdict(records[0]) == {
+        assert records[0] == {
             "eps": 1.0, "spectrum_real": None, "max_im_omega": None, "eigen_gap": None,
             "peak_amplitude": 1.0, "beat_frequency": None, "error": None}
 
@@ -963,7 +973,7 @@ class TestEpsilonSweep:
         zero = LaplacianMatrix(np.zeros((3, 3)))
         records = epsilon_sweep(zero, chain, [1.0], InitialCondition.at_rest([1.0, 0.0, 0.0]),
                                 t_end=5.0, dt=0.5)
-        assert dataclasses.asdict(records[0]) == {
+        assert records[0] == {
             "eps": 1.0, "spectrum_real": None, "max_im_omega": None, "eigen_gap": None,
             "peak_amplitude": None, "beat_frequency": None,
             "error": "ValueError: dt = 0.5 exceeds stability guard 0.141421"}
@@ -972,9 +982,9 @@ class TestEpsilonSweep:
         # five samples are too few for the beat estimate, which comes last
         rec = epsilon_sweep(LaplacianMatrix(MODEL_L0), LaplacianMatrix(MODEL_LI),
                             [0.0], model_ic(), t_end=0.2, dt=0.05)[0]
-        assert rec.error == "TooShort: beat estimation needs at least 8 samples"
-        assert rec.spectrum_real is True and rec.beat_frequency is None
-        assert rec.eigen_gap > 0 and rec.peak_amplitude > 0
+        assert rec["error"] == "TooShort: beat estimation needs at least 8 samples"
+        assert rec["spectrum_real"] is True and rec["beat_frequency"] is None
+        assert rec["eigen_gap"] > 0 and rec["peak_amplitude"] > 0
 
     def test_verlet_fallback_error_after_the_spectrum_is_recorded(self, monkeypatch):
         # a defective expansion falls back to Verlet, whose six samples are
@@ -985,9 +995,9 @@ class TestEpsilonSweep:
         monkeypatch.setattr(dynamics, "_expand", defective)
         rec = epsilon_sweep(LaplacianMatrix(MODEL_L0), LaplacianMatrix(MODEL_LI),
                             [0.0], model_ic(), t_end=0.1, dt=0.02)[0]
-        assert rec.error == "TooShort: beat estimation needs at least 8 samples"
-        assert rec.spectrum_real is True and rec.beat_frequency is None
-        assert rec.eigen_gap > 0 and rec.peak_amplitude == 10.0
+        assert rec["error"] == "TooShort: beat estimation needs at least 8 samples"
+        assert rec["spectrum_real"] is True and rec["beat_frequency"] is None
+        assert rec["eigen_gap"] > 0 and rec["peak_amplitude"] == 10.0
 
     def test_unexpected_error_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
@@ -999,9 +1009,14 @@ class TestEpsilonSweep:
                           [0.0], model_ic(), t_end=10.0, dt=0.05)
 
     def test_record_serializes(self):
-        records = epsilon_sweep(
-            LaplacianMatrix(MODEL_L0), LaplacianMatrix(MODEL_LI),
-            [0.5], model_ic(), t_end=10.0, dt=0.05)
-        d = dataclasses.asdict(records[0])
-        assert list(d) == ["eps", "spectrum_real", "max_im_omega", "eigen_gap",
-                           "peak_amplitude", "beat_frequency", "error"]
+        # a modal row, a Verlet-fallback row and an error row share one schema
+        modal = epsilon_sweep(LaplacianMatrix(MODEL_L0), LaplacianMatrix(MODEL_LI),
+                              [0.5], model_ic(), t_end=10.0, dt=0.05)
+        chain = LaplacianMatrix([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [0.0, 0.0, 0.0]])
+        fallback, error = epsilon_sweep(LaplacianMatrix(np.zeros((3, 3))), chain, [1.0, 1e200],
+                                        InitialCondition.at_rest([1.0, 0.0, 0.0]),
+                                        t_end=5.0, dt=0.05)
+        assert error["error"] == "OutOfRange: Laplacian entries above 1e+150 in magnitude"
+        for row in modal + [fallback, error]:
+            assert list(row) == ["eps", "spectrum_real", "max_im_omega", "eigen_gap",
+                                 "peak_amplitude", "beat_frequency", "error"]

@@ -11,10 +11,12 @@ joins the block before it (blocks of 128 and 129), the walk-through's
 forms the walk-through never reads: ``analyze-graph --out`` on a
 {"laplacian"} file of the walk-through model composed at eps = 1, and
 ``centrality --betweenness --out`` on ``ring.json``'s edges written as the
-edge list ``ring.csv``.  Prints one line per command with its exit code and
-the sha256 of its stdout, followed by one line per input digest its summary
-reports, ``<key> input <path> <sha256>``; then one line per artifact with
-its sha256: 69 lines in all.
+edge list ``ring.csv``, and ``sweep --out`` on a Jordan-chain model at
+eps = 1 and 1e200, whose sweep.json rows are a Verlet fallback and an error.
+Prints one line per command with its exit code and the sha256 of its
+stdout, followed by one line per input digest its summary reports,
+``<key> input <path> <sha256>``; then one line per artifact with its
+sha256: 72 lines in all.
 Exits 1 if any command exits non-zero, leaves in its --out directory a file
 that is not among the outputs it reports (a temporary file of the artifact
 writer, say), or if the shuffled log's ``series.csv`` bytes, event counts,
@@ -111,6 +113,18 @@ def _model_forms(workdir):
                                 "--out", "centrality_csv/"])]
 
 
+def _jordan_sweep(workdir):
+    """Writes a model whose eps = 1 Laplacian has a Jordan block; returns a
+    sweep on it whose rows are a Verlet fallback (eps = 1) and an error
+    (eps = 1e200, entries past the Laplacian bound)."""
+    chain = [[1, -1, 0], [0, 1, -1], [0, 0, 0]]
+    Path(workdir, "jordan.json").write_text(
+        json.dumps({"lap0": np.zeros((3, 3)).tolist(), "lapI": chain}))
+    return ("sweep-fallback", ["sweep", "--graph", "jordan.json", "--eps", "1,1e200",
+                               "--x0", "1,0,0", "--t-end", "5", "--dt", "0.05",
+                               "--out", "sweep_fallback/"])
+
+
 def _order_free(summary, out):
     """The results of a bin run that do not depend on the order of its rows."""
     doc = json.loads(summary)
@@ -134,7 +148,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as workdir:
         write_files(workdir, gen.generate("cli-readme", SEED)["files"])
         commands = [*CLI_COMMANDS, _n200_simulate(workdir), _joined_block_simulate(),
-                    _shuffled_bin(workdir), *_model_forms(workdir)]
+                    _shuffled_bin(workdir), *_model_forms(workdir), _jordan_sweep(workdir)]
         home = os.getcwd()
         os.chdir(workdir)
         try:
