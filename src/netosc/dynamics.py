@@ -8,9 +8,9 @@ decomposition the same expansion runs on the (possibly oblique) eigenbasis of
 L itself, with coefficients obtained by solving V a = y(0) rather than by
 inner products.
 
-Per-node oscillation energy (node_energies) reduces to degree or betweenness
-centrality for special link weights (oscillation_centrality); on an oblique
-basis the total energy beats at the eigenfrequency differences.
+Per-node oscillation energy (node_energies) at unit mode amplitudes is the
+Laplacian's diagonal, the weighted degree (oscillation_centrality); on an
+oblique basis the total energy beats at the eigenfrequency differences.
 """
 
 from __future__ import annotations
@@ -518,11 +518,11 @@ def betweenness_weights(lap: LaplacianMatrix) -> LaplacianMatrix:
     distance and shortest-path count sigma, and a reverse pass over the BFS
     order gives below[v] = 1 + the sum of below over v's children in the
     shortest-path DAG, so the DAG edge u -> v carries sigma[u] * below[v]
-    paths from that source.  Every unordered pair is counted from both of its
-    ends, hence the halving.  The counts are Python ints, which outgrow int64
-    and float64; a link's two counts are equal (a shortest path reversed is
-    one), and one above MAX_ENTRY raises OutOfRange before the division, as a
-    Laplacian entry that large does.  O(n * E) time, no size cap.
+    paths from that source.  A link's two orientations count the same paths
+    (a shortest path reversed is one), each unordered pair once, so either
+    count is the weight.  The counts are Python ints, which outgrow int64 and
+    float64; one above MAX_ENTRY raises OutOfRange before it is made a float,
+    as a Laplacian entry that large does.  O(n * E) time, no size cap.
     """
     n, w = lap.n, -lap.entries
     np.fill_diagonal(w, 0.0)
@@ -557,21 +557,21 @@ def betweenness_weights(lap: LaplacianMatrix) -> LaplacianMatrix:
                     counts[(u, v)] += sigma[u] * below[v]
     if max(counts.values(), default=0) > MAX_ENTRY:
         raise OutOfRange(f"Laplacian entries above {MAX_ENTRY:.0e} in magnitude")
-    w[links] = [(c + counts[(v, u)]) / 2 for (u, v), c in counts.items()]
+    w[links] = [float(c) for c in counts.values()]
     return LaplacianMatrix(np.diag(w.sum(axis=1)) - w)
 
 
 def oscillation_centrality(lap: LaplacianMatrix) -> np.ndarray:
-    """Per-node oscillation energy under the uniform-mode convention
-    |c+|^2 + |c-|^2 = 1 for every nonzero mode (zero mode excluded).
-
-    For unit-weight undirected graphs this is exactly the degree vector; with
-    shortest-path-count weights it is an affine image of betweenness
-    centrality on trees.
+    """Per-node oscillation energy at |c+|^2 + |c-|^2 = 1 for every nonzero
+    mode, found with no eigensolve: the diagonal of ``lap``.  On the
+    orthonormal modes v_mu of S = M^-1/2 K M^-1/2 (scaled_laplacian), it is
+    sum_mu lambda_mu v_mu(i)^2 = S_ii = K_ii / m_i = lap_ii.  So it is the
+    degree on unit-weight undirected graphs, and with betweenness_weights on
+    a tree exactly 2 * betweenness + (n - 1): a path through a node uses two
+    of its links, one ending there one.  Raises as check_symmetrizable does.
     """
-    es = eigendecompose(scaled_laplacian(check_symmetrizable(lap)))
-    keep = es.omegas != 0
-    return (np.abs(es.eigenvectors[:, keep]) ** 2) @ es.eigenvalues.real[keep]
+    check_symmetrizable(lap)
+    return np.diag(lap.entries).copy()
 
 
 # The keys of an epsilon_sweep row, in order; None where a key does not apply.

@@ -216,7 +216,7 @@ def _nonisomorphic_trees(n_max):
     return trees
 
 
-@criterion(7, "centrality: degree on unit graphs, affine betweenness on all trees n<=8")
+@criterion(7, "centrality: degree on unit graphs, 2*betweenness + n - 1 on all trees n<=8")
 def test_criterion_7_centrality_equivalence():
     rng = np.random.default_rng(70)
     for _ in range(20):
@@ -232,7 +232,7 @@ def test_criterion_7_centrality_equivalence():
         g = undirected_graph(n, sorted(pairs))
         lap = laplacian_of(g)
         cent = oscillation_centrality(lap)
-        assert np.max(np.abs(cent - np.diag(lap.entries))) <= 1e-9
+        assert np.array_equal(cent, np.diag(lap.entries))
 
     trees = _nonisomorphic_trees(8)
     counts = {n: len(trees[n]) for n in trees}
@@ -242,11 +242,7 @@ def test_criterion_7_centrality_equivalence():
             links = list(edges)
             bw = betweenness_weights(laplacian_of(undirected_graph(n, links)))
             cent = oscillation_centrality(bw)
-            bc = brute_force_betweenness(n, links)
-            design = np.vstack([bc, np.ones(n)]).T
-            coef, *_ = np.linalg.lstsq(design, cent, rcond=None)
-            assert coef[0] > 0
-            assert np.max(np.abs(design @ coef - cent)) <= 1e-6
+            assert np.array_equal(cent, 2.0 * brute_force_betweenness(n, links) + (n - 1))
 
 
 @criterion(8, "every eigenvalue of 100 random digraphs inside the Gershgorin disk")

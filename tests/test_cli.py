@@ -654,10 +654,18 @@ class TestBadTimeFlags:
 
 
 class TestCentrality:
-    def test_ring_degree(self, ring_json):
-        result = run(["centrality", "--graph", str(ring_json)])
-        doc = summary_of(result)
-        assert np.allclose(doc["centrality"], 2.0, atol=1e-9)
+    def test_ring_degree(self, ring_json, tmp_path):
+        # the degree's own bits, so tied nodes rank by index, on this ring
+        # and on the README's 6-ring
+        doc = summary_of(run(["centrality", "--graph", str(ring_json)]))
+        assert doc["centrality"] == doc["degree"] == [2.0] * 4
+        assert doc["ranking"] == [0, 1, 2, 3]
+        g = undirected_graph(6, [(k, (k + 1) % 6) for k in range(6)])
+        path = tmp_path / "ring6.json"
+        path.write_text(json.dumps({"n": g.n, "edges": [list(e) for e in g.edges]}))
+        doc = summary_of(run(["centrality", "--graph", str(path)]))
+        assert doc["centrality"] == doc["degree"] == [2.0] * 6
+        assert doc["ranking"] == [0, 1, 2, 3, 4, 5]
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity"])
     def test_non_finite_weight_is_named(self, tmp_path, token):

@@ -847,7 +847,7 @@ class TestBetweennessWeights:
 
     def test_count_above_max_entry_is_out_of_range(self, monkeypatch):
         # each link of the 4-ring carries 3 paths; a count past MAX_ENTRY is
-        # refused before its division could overflow a float
+        # refused before its conversion could overflow a float
         lap = laplacian_of(undirected_graph(4, [(k, (k + 1) % 4) for k in range(4)]))
         monkeypatch.setattr(dynamics, "MAX_ENTRY", 3.0)
         assert -betweenness_weights(lap).entries[0, 1] == 3.0
@@ -867,18 +867,18 @@ class TestOscillationCentrality:
             g = undirected_graph(n, sorted(pairs))
             lap = laplacian_of(g)
             cent = oscillation_centrality(lap)
-            assert np.allclose(cent, np.diag(lap.entries), atol=1e-9)
+            assert np.array_equal(cent, np.diag(lap.entries))
 
     def test_single_edge_energies(self):
         lap = laplacian_of(undirected_graph(2, [(0, 1)]))
         cent = oscillation_centrality(lap)
-        assert np.allclose(cent, [1.0, 1.0], atol=1e-12)
+        assert np.array_equal(cent, [1.0, 1.0])
 
     @pytest.mark.parametrize("w", [1e-10, 1e-3, 1.0, 1e3])
     def test_degree_at_any_weight_scale(self, w):
         ring = [(k, (k + 1) % 6, w) for k in range(6)]
         cent = oscillation_centrality(laplacian_of(undirected_graph(6, ring)))
-        assert np.allclose(cent, 2.0 * w, rtol=1e-9, atol=0.0)
+        assert np.array_equal(cent, np.full(6, 2.0 * w))
 
     def test_affine_to_betweenness_on_trees(self):
         trees = [
@@ -889,18 +889,30 @@ class TestOscillationCentrality:
         for n, links in trees:
             bw = betweenness_weights(laplacian_of(undirected_graph(n, links)))
             cent = oscillation_centrality(bw)
-            bc = brute_force_betweenness(n, links)
-            # affine fit cent ~ beta * bc + gamma
-            A = np.vstack([bc, np.ones(n)]).T
-            coef, *_ = np.linalg.lstsq(A, cent, rcond=None)
-            beta, gamma = coef
-            resid = np.max(np.abs(A @ coef - cent))
-            assert beta > 0
-            assert resid <= 1e-6
+            assert np.array_equal(cent, 2.0 * brute_force_betweenness(n, links) + (n - 1))
+
+    def test_calls_no_eigensolver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an eigensolver was called")
+
+        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        # the README's two-user exchange: directed, masses (1, 2)
+        lap = laplacian_of(WeightedDigraph(n=2, edges=((0, 1, 2.0), (1, 0, 1.0))))
+        cent = oscillation_centrality(lap)
+        assert np.array_equal(cent, [2.0, 1.0]) and cent.flags.writeable
 
     def test_not_symmetrizable_raises(self):
-        with pytest.raises(NotSymmetrizableError):
+        with pytest.raises(NotSymmetrizableError) as want:
+            check_symmetrizable(model(1.5))
+        with pytest.raises(NotSymmetrizableError) as got:
             oscillation_centrality(model(1.5))
+        assert (got.value.reason, got.value.pair, got.value.detail) == (
+            want.value.reason, want.value.pair, want.value.detail)
+
+    def test_disconnected_raises(self):
+        with pytest.raises(Disconnected):
+            oscillation_centrality(laplacian_of(undirected_graph(4, [(0, 1), (2, 3)])))
 
 
 class TestSpectrumReal:

@@ -228,6 +228,22 @@ class TestLinearity:
         assert np.max(np.abs(lhs - rhs)) <= 1e-8 * scale
 
 
+class TestCentralityOracle:
+    def test_eigenbasis_energy_sum_is_the_diagonal(self):
+        # sum over nonzero modes of lambda_mu |v_mu(i)|^2 on the orthonormal
+        # basis of S = M^-1/2 K M^-1/2, on digraphs in detailed balance
+        rng = np.random.default_rng(39)
+        for _ in range(20):
+            lap, mass = random_symmetrizable(rng, int(rng.integers(2, 12)))
+            assert not is_symmetric(lap.entries) and np.ptp(mass) > 0
+            es = eigendecompose(scaled_laplacian(check_symmetrizable(lap)))
+            keep = es.omegas != 0
+            oracle = (np.abs(es.eigenvectors[:, keep]) ** 2) @ es.eigenvalues.real[keep]
+            cent = oscillation_centrality(lap)
+            assert np.array_equal(cent, np.diag(lap.entries))
+            assert np.max(np.abs(cent - oracle)) <= 1e-12 * lap.d_max
+
+
 class TestArgmaxInvariance:
     def test_centrality_ties_match_degree_ties(self):
         rng = np.random.default_rng(33)
@@ -241,9 +257,9 @@ class TestArgmaxInvariance:
             lap = LaplacianMatrix(mat)
             cent = oscillation_centrality(lap)
             degree = np.diag(lap.entries)
-            assert np.allclose(cent, degree, atol=1e-9)
-            # identical tie structure: round to kill float fuzz
-            order_c = np.argsort(np.round(cent, 6), kind="stable")
+            assert np.array_equal(cent, degree)
+            # identical tie structure, with no float fuzz to round away
+            order_c = np.argsort(cent, kind="stable")
             order_d = np.argsort(degree, kind="stable")
             assert np.array_equal(order_c, order_d)
 
